@@ -12,13 +12,14 @@ check.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EngineParams, check_laws, run_cycle
+from .engine import EngineParams, check_laws, cyclic_state, run_cycle
 from .ergotropy import WorkPermutation
-from .populations import PopulationVector, qubit_population
+from .populations import PopulationVector
 
 __all__ = [
     "BlockUnitarySpec",
@@ -89,7 +90,10 @@ def _check_bath(beta_omega: float, d: int) -> tuple[float, int]:
     beta_omega = float(beta_omega)
     if not math.isfinite(beta_omega) or beta_omega < 0.0:
         raise ValueError(f"beta_omega must be finite and >= 0, got {beta_omega!r}")
-    d = int(d)
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ValueError(f"bath size must be an integer, got {d!r}") from None
     if d < 1:
         raise ValueError(f"bath size must be >= 1, got {d}")
     if d > _MAX_BATH_SIZE:
@@ -377,8 +381,8 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
     if best_w_arg is None:
         raise RuntimeError("grid search found no valid cycle")
     perm = WorkPermutation.swap() if best_w_arg[2] == "swap" else WorkPermutation.identity(2)
-    p_probe = _scalar_fixed_point(best_w_arg[0], best_w_arg[1], params, best_w_arg[2] == "swap")
-    report = run_cycle(qubit_population(p_probe), best_w_arg[0], best_w_arg[1], perm, params)
+    p_probe = cyclic_state(best_w_arg[0], best_w_arg[1], params, perm)
+    report = run_cycle(p_probe, best_w_arg[0], best_w_arg[1], perm, params)
     if not report.closes:
         raise RuntimeError("brute-force winner does not close under run_cycle")
     diagnostics = check_laws(report, params)
@@ -391,20 +395,6 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
     eta_max = best_eta if math.isfinite(best_eta) else None
     eta_arg = best_eta_arg if eta_max is not None else None
     return BruteForceResult(best_w, eta_max, best_w_arg, eta_arg)
-
-
-def _scalar_fixed_point(lh: float, lc: float, params: EngineParams, swap: bool) -> float:
-    eh, ec = params.exp_h, params.exp_c
-    if swap:
-        slope = lh * eh + lh - 1.0
-        offset = 1.0 - lh
-    else:
-        slope = 1.0 - lh * (1.0 + eh)
-        offset = lh
-    slope_cold = 1.0 - lc * (1.0 + ec)
-    a = slope_cold * slope
-    b = lc + slope_cold * offset
-    return b / (1.0 - a)
 
 
 def jc_time_scan(

@@ -4,6 +4,10 @@ Exit codes: 0 success, 2 invalid input, 3 I/O error, 4 verification failure.
 CSV output starts with one '#' metadata line (tool version, command line and
 the sweep geometry), uses 9 significant digits and LF line endings, and leaves
 fields empty where the engine is non-operational unless --raw is given.
+
+Sizes the user sets are bounded before anything is allocated: --ratio-steps
+(sweep, tradeoff, figures) by MAX_RATIO_STEPS and verify --grid by
+MAX_VERIFY_GRID.  A larger value is an invalid input.
 """
 
 from __future__ import annotations
@@ -20,19 +24,20 @@ import numpy as np
 
 from . import __version__
 from .bath_oracle import (
-    _scalar_fixed_point,
     brute_force_performance,
     jc_time_scan,
     scan_lambda_max,
 )
 from .engine import (
+    BathTemperatures,
     EngineParams,
+    SingularCycleError,
     check_laws,
+    cyclic_state,
     optimal_performance,
     run_cycle,
 )
 from .ergotropy import WorkPermutation
-from .populations import qubit_population
 from .restrictions import (
     JC_BRANCH_POINT,
     RestrictionModel,
@@ -49,6 +54,11 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 _AXIS_COLUMNS = {"ratio": "ratio", "bh": "beta_h_omega", "bc": "beta_c_omega"}
+
+# Swept values are held as arrays for the whole sweep, and the brute-force
+# search of verify allocates about grid**2 floats per array.
+MAX_RATIO_STEPS = 1_000_000
+MAX_VERIFY_GRID = 2_000
 
 
 def _as_float(name: str, value) -> float:
@@ -99,15 +109,18 @@ def _parse_model(name: str, text) -> RestrictionModel:
     return RestrictionModel.parse(text)
 
 
+def _clamp_warning(side: str, beta_omega: float) -> str:
+    return (
+        f"warning: {side} cap clamped to 1 at beta_omega={beta_omega:.6g} "
+        f"(stated value {lambda_max_jc_raw(beta_omega):.6g})"
+    )
+
+
 def _warn_clamped(side: str, model: RestrictionModel, beta_omega: float, seen: set) -> None:
     key = (side, model.label)
     if model.clamped(beta_omega) and key not in seen:
         seen.add(key)
-        print(
-            f"warning: {side} cap clamped to 1 at beta_omega={beta_omega:.6g} "
-            f"(stated value {lambda_max_jc_raw(beta_omega):.6g})",
-            file=sys.stderr,
-        )
+        print(_clamp_warning(side, beta_omega), file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +130,12 @@ def _warn_clamped(side: str, model: RestrictionModel, beta_omega: float, seen: s
 @dataclass(frozen=True)
 class SweepConfig:
     axis: str
-    values: tuple[float, ...]
+    values: np.ndarray
     beta_h_omega: float | None
     beta_c_omega: float | None
     models: tuple[tuple[str, RestrictionModel, RestrictionModel], ...]
     include_carnot: bool
     raw: bool
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    x: float
-    beta_h_omega: float
-    beta_c_omega: float
-    cells: tuple[tuple[float | None, float | None, bool], ...]
-    carnot: float | None
 
 
 def _sweep_models(args) -> tuple[tuple[str, RestrictionModel, RestrictionModel], ...]:
@@ -172,9 +176,7 @@ def _sweep_config(args, raw_allowed: bool = True) -> SweepConfig:
         raise ValueError(f"--axis must be one of {sorted(_AXIS_COLUMNS)}, got {axis!r}")
     lo = _as_float("--ratio-min", args.ratio_min if args.ratio_min is not None else 1.05)
     hi = _as_float("--ratio-max", args.ratio_max if args.ratio_max is not None else 10.0)
-    steps = _as_int("--ratio-steps", args.ratio_steps if args.ratio_steps is not None else 200)
-    if steps < 2:
-        raise ValueError(f"--ratio-steps must be >= 2, got {steps}")
+    steps = _ratio_steps(args)
     if not lo < hi:
         raise ValueError(f"--ratio-min must be below --ratio-max, got {lo!r} >= {hi!r}")
     if lo <= 0.0:
@@ -188,7 +190,7 @@ def _sweep_config(args, raw_allowed: bool = True) -> SweepConfig:
     raw = bool(getattr(args, "raw", None)) if raw_allowed else False
     return SweepConfig(
         axis=axis,
-        values=tuple(float(x) for x in np.linspace(lo, hi, steps)),
+        values=np.linspace(lo, hi, steps),
         beta_h_omega=beta_h,
         beta_c_omega=beta_c,
         models=_sweep_models(args),
@@ -197,30 +199,103 @@ def _sweep_config(args, raw_allowed: bool = True) -> SweepConfig:
     )
 
 
-def _point_betas(cfg: SweepConfig, x: float) -> tuple[float, float]:
+def _ratio_steps(args) -> int:
+    steps = _as_int("--ratio-steps", args.ratio_steps if args.ratio_steps is not None else 200)
+    if steps < 2:
+        raise ValueError(f"--ratio-steps must be >= 2, got {steps}")
+    if steps > MAX_RATIO_STEPS:
+        raise ValueError(f"--ratio-steps must be <= {MAX_RATIO_STEPS}, got {steps}")
+    return steps
+
+
+def _axis_betas(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
+    xs = cfg.values
     if cfg.axis == "ratio":
-        return cfg.beta_h_omega, cfg.beta_h_omega * x
+        return np.full(xs.shape, cfg.beta_h_omega), cfg.beta_h_omega * xs
     if cfg.axis == "bh":
-        return x, cfg.beta_c_omega
-    return cfg.beta_h_omega, x
+        return xs, np.full(xs.shape, cfg.beta_c_omega)
+    return np.full(xs.shape, cfg.beta_h_omega), xs
 
 
-def _sweep_points(cfg: SweepConfig) -> list[SweepPoint]:
-    points = []
-    seen_warnings: set = set()
-    for x in cfg.values:
-        beta_h, beta_c = _point_betas(cfg, x)
-        cells = []
-        for _, hot, cold in cfg.models:
-            _warn_clamped("hot", hot, beta_h, seen_warnings)
-            _warn_clamped("cold", cold, beta_c, seen_warnings)
-            params = engine_params_from(hot, cold, beta_h, beta_c)
-            point = optimal_performance(params)
-            bhw = beta_h * point.w_max
-            cells.append((point.eta_max, bhw, point.operational))
-        carnot = 1.0 - beta_h / beta_c if beta_c > 0.0 else None
-        points.append(SweepPoint(x, beta_h, beta_c, tuple(cells), carnot))
-    return points
+def _valid_prefix(beta_omega: np.ndarray) -> int:
+    """Length of the leading run of finite, non-negative temperatures."""
+    ok = np.isfinite(beta_omega) & (beta_omega >= 0.0)
+    return ok.size if ok.all() else int(ok.argmin())
+
+
+def _sweep_cells(
+    cfg: SweepConfig, beta_h: np.ndarray, beta_c: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """eta_max, beta_h * w_max and operational of each model over the sweep.
+
+    Every model is evaluated column-wise.  Warnings and errors come out as a
+    point-by-point sweep (value by value, model by model, hot side before
+    cold side) gives them: one warning per side and model at its first
+    clamped value, and only the warnings that precede the first error.
+    """
+    # Order keys are (value index, model index, step), with step 0 for the hot
+    # warning, 1 for the cold warning and 2 for an error.  A bad temperature
+    # stops the sweep at the first model, after the hot side of a bad cold
+    # temperature has warned.
+    hot_end, cold_end = _valid_prefix(beta_h), _valid_prefix(beta_c)
+    end = min(hot_end, cold_end)
+    halt = (end, 0, 2)
+    singular = None
+    temperatures = BathTemperatures(beta_h[:end], beta_c[:end])
+    warnings = []
+    cells = []
+    for index, (_, hot, cold) in enumerate(cfg.models):
+        lh, hot_clamped = hot.resolve(beta_h[:hot_end])
+        lc, cold_clamped = cold.resolve(beta_c[:end])
+        for step, side, clamped, betas in (
+            (0, "hot", hot_clamped, beta_h),
+            (1, "cold", cold_clamped, beta_c),
+        ):
+            if clamped.any():
+                first = int(clamped.argmax())
+                warnings.append(((first, index, step), side, float(betas[first])))
+        try:
+            _, w_max, eta_max = temperatures.optimum(lh[:end], lc)
+        except SingularCycleError as exc:
+            if (exc.index, index, 2) < halt:
+                halt, singular = (exc.index, index, 2), exc
+            continue
+        cells.append((eta_max, beta_h[:end] * w_max, w_max > 0.0))
+    for key, side, beta_omega in sorted(warnings):
+        if key < halt:
+            print(_clamp_warning(side, beta_omega), file=sys.stderr)
+    if singular is not None:
+        raise singular
+    if end < beta_h.size:
+        # the first model rejects the bad temperature, as in a point-by-point sweep
+        _, hot, cold = cfg.models[0]
+        model, betas = (hot, beta_h) if hot_end == end else (cold, beta_c)
+        model.resolve(betas)
+    return cells
+
+
+def _sweep_table(cfg: SweepConfig, drop_inoperative_rows: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The CSV values, one row per kept swept value, and the mask of empty cells."""
+    # Python floats overflow to inf without a word; so do these
+    with np.errstate(all="ignore"):
+        beta_h, beta_c = _axis_betas(cfg)
+        cells = _sweep_cells(cfg, beta_h, beta_c)
+        carnot = 1.0 - beta_h / beta_c if cfg.include_carnot else None
+    no_blank = np.zeros(cfg.values.shape, dtype=bool)
+    values = [cfg.values]
+    empty = [no_blank]
+    for eta_max, bhw, operational in cells:
+        hidden = no_blank if cfg.raw else ~operational
+        values += [eta_max, bhw]
+        empty += [hidden | np.isnan(eta_max), hidden]
+    if cfg.include_carnot:
+        values.append(carnot)
+        empty.append(~(beta_c > 0.0))
+    table, blank = np.column_stack(values), np.column_stack(empty)
+    if drop_inoperative_rows and not cfg.raw:
+        keep = np.any([operational for _, _, operational in cells], axis=0)
+        table, blank = table[keep], blank[keep]
+    return table, blank
 
 
 def _sweep_header(cfg: SweepConfig) -> list[str]:
@@ -230,26 +305,6 @@ def _sweep_header(cfg: SweepConfig) -> list[str]:
     if cfg.include_carnot:
         header.append("eta_carnot")
     return header
-
-
-def _sweep_rows(cfg: SweepConfig, drop_inoperative_rows: bool) -> list[list[float | None]]:
-    rows = []
-    for point in _sweep_points(cfg):
-        if drop_inoperative_rows and not cfg.raw and not any(op for _, _, op in point.cells):
-            continue
-        row: list[float | None] = [point.x]
-        for eta, bhw, operational in point.cells:
-            show = operational or cfg.raw
-            row.append(eta if show else None)
-            row.append(bhw if show else None)
-        if cfg.include_carnot:
-            row.append(point.carnot)
-        rows.append(row)
-    return rows
-
-
-def _format_cell(value: float | None) -> str:
-    return "" if value is None else format(float(value), ".9g")
 
 
 def _meta_line(args, cfg: SweepConfig | None = None) -> str:
@@ -267,9 +322,19 @@ def _meta_line(args, cfg: SweepConfig | None = None) -> str:
     return "# " + " | ".join(parts)
 
 
-def _emit_csv(path, meta: str, header: list[str], rows) -> None:
+def _emit_csv(path, meta: str, header: list[str], table: np.ndarray, blank: np.ndarray) -> None:
+    """Write the table with 9 significant digits, leaving the blank cells empty.
+
+    '%.9g' % x and format(x, '.9g') give the same text for every float, so a
+    row without empty cells is formatted in one go.
+    """
     lines = [meta, ",".join(header)]
-    lines.extend(",".join(_format_cell(cell) for cell in row) for row in rows)
+    full = ",".join(["%.9g"] * len(header))
+    for row, gaps in zip(table.tolist(), blank.tolist()):
+        if any(gaps):
+            lines.append(",".join("" if gap else format(x, ".9g") for x, gap in zip(row, gaps)))
+        else:
+            lines.append(full % tuple(row))
     text = "\n".join(lines) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -312,22 +377,22 @@ def cmd_perf(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    rows = _sweep_rows(cfg, drop_inoperative_rows=False)
-    _emit_csv(args.out, _meta_line(args, cfg), _sweep_header(cfg), rows)
+    table, blank = _sweep_table(cfg, drop_inoperative_rows=False)
+    _emit_csv(args.out, _meta_line(args, cfg), _sweep_header(cfg), table, blank)
     return EXIT_OK
 
 
 def cmd_tradeoff(args) -> int:
     cfg = _sweep_config(args)
-    rows = _sweep_rows(cfg, drop_inoperative_rows=True)
-    _emit_csv(args.out, _meta_line(args, cfg), _sweep_header(cfg), rows)
+    table, blank = _sweep_table(cfg, drop_inoperative_rows=True)
+    _emit_csv(args.out, _meta_line(args, cfg), _sweep_header(cfg), table, blank)
     return EXIT_OK
 
 
 def cmd_figures(args) -> int:
+    steps = _ratio_steps(args)
     out_dir = Path(args.out or "figures-data")
     out_dir.mkdir(parents=True, exist_ok=True)
-    steps = _as_int("--ratio-steps", args.ratio_steps if args.ratio_steps is not None else 200)
     presets = {
         "fig2.csv": ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
         "fig3.csv": ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
@@ -351,8 +416,8 @@ def cmd_figures(args) -> int:
             out=str(out_dir / name),
         )
         cfg = _sweep_config(preset_args)
-        rows = _sweep_rows(cfg, drop_inoperative_rows=(kind == "tradeoff"))
-        _emit_csv(preset_args.out, _meta_line(preset_args, cfg), _sweep_header(cfg), rows)
+        table, blank = _sweep_table(cfg, drop_inoperative_rows=(kind == "tradeoff"))
+        _emit_csv(preset_args.out, _meta_line(preset_args, cfg), _sweep_header(cfg), table, blank)
         print(f"wrote {preset_args.out}")
     return EXIT_OK
 
@@ -466,7 +531,7 @@ def _check_carnot(seed: int, grid: int) -> list[tuple[str, str]]:
         lam_c = rng.uniform(0.0, lam_c_max)
         swap = bool(rng.integers(0, 2))
         perm = WorkPermutation.swap() if swap else WorkPermutation.identity(2)
-        p0 = qubit_population(_scalar_fixed_point(lam_h, lam_c, params, swap))
+        p0 = cyclic_state(lam_h, lam_c, params, perm)
         report = run_cycle(p0, lam_h, lam_c, perm, params)
         if not report.closes:
             failures.append(f"cycle failed to close at {params!r}")
@@ -492,6 +557,8 @@ _CHECKS = {
 def cmd_verify(args) -> int:
     seed = _as_int("--seed", args.seed if args.seed is not None else 0)
     grid = _as_int("--grid", args.grid if args.grid is not None else 200)
+    if grid > MAX_VERIFY_GRID:
+        raise ValueError(f"--grid must be <= {MAX_VERIFY_GRID}, got {grid}")
     if args.only is not None:
         names = [name.strip() for name in str(args.only).split(",") if name.strip()]
         unknown = [name for name in names if name not in _CHECKS]

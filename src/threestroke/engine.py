@@ -12,13 +12,16 @@ stroke, and the first law reads work = q_hot + q_cold for a closing cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .ergotropy import WorkPermutation, apply_permutation
 from .populations import QUBIT, PopulationVector, average_energy, qubit_population
 from .thermal_qubit import MixingWeight, _lam_value, apply_mixture
 
 __all__ = [
+    "BathTemperatures",
     "CycleReport",
     "EngineParams",
     "LawDiagnostics",
@@ -30,6 +33,7 @@ __all__ = [
     "check_laws",
     "cold_stroke",
     "cyclic_state",
+    "elementwise",
     "eta_at_p",
     "heat_stroke",
     "open_cycle_performance",
@@ -43,10 +47,19 @@ __all__ = [
 
 _CLOSURE_TOL = 1e-10
 _SINGULAR_TOL = 1e-14
+_SWAP = WorkPermutation.swap()
 
 
 class SingularCycleError(ValueError):
-    """The stroke composition has no unique fixed point."""
+    """The stroke composition has no unique fixed point.
+
+    ``index`` is the first degenerate entry when the error comes from an
+    array evaluation (BathTemperatures.optimum), None otherwise.
+    """
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class OrderViolationError(ValueError):
@@ -72,15 +85,9 @@ class EngineParams:
 
     def __post_init__(self) -> None:
         for name in ("beta_h_omega", "beta_c_omega"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_temperature(name, getattr(self, name)))
         for name in ("lambda_h_max", "lambda_c_max"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
 
     @property
     def cold_hotter(self) -> bool:
@@ -201,17 +208,26 @@ def cyclic_state(
     lambda_h: float | MixingWeight,
     lambda_c: float | MixingWeight,
     params: EngineParams,
+    perm: WorkPermutation = _SWAP,
 ) -> PopulationVector:
-    """Fixed point of cold(swap(hot(p))) on the ground entry.
+    """Fixed point of cold(perm(hot(p))) on the ground entry.
 
-    The composition is affine in the ground entry, so the fixed point is
-    solved directly instead of through any closed-form display.
+    The work stroke is the swap (the default) or the qubit identity.  The
+    composition is affine in the ground entry, so the fixed point is solved
+    directly instead of through any closed-form display.
     """
+    if perm.dim != 2:
+        raise ValueError(f"expected a qubit work permutation, got dimension {perm.dim}")
     lh = _lam_value(lambda_h, params.lambda_h_max)
     lc = _lam_value(lambda_c, params.lambda_c_max)
-    # hot then swap: ground entry z = (1 - lh) + p * (lh * e_h + lh - 1)
-    slope_hot = lh * params.exp_h + lh - 1.0
-    offset_hot = 1.0 - lh
+    if perm.is_identity:
+        # hot alone: ground entry z = lh + p * (1 - lh * (1 + e_h))
+        slope_hot = 1.0 - lh * (1.0 + params.exp_h)
+        offset_hot = lh
+    else:
+        # hot then swap: ground entry z = (1 - lh) + p * (lh * e_h + lh - 1)
+        slope_hot = lh * params.exp_h + lh - 1.0
+        offset_hot = 1.0 - lh
     # cold: ground entry lc + (1 - lc * (1 + e_c)) * z
     slope_cold = 1.0 - lc * (1.0 + params.exp_c)
     a = slope_cold * slope_hot
@@ -240,6 +256,13 @@ def virtual_temperature(p: PopulationVector, params: EngineParams) -> float:
             f"population ratio {ratio!r} exceeds the hot Boltzmann factor {params.exp_h!r}"
         )
     return math.inf if ratio == 0.0 else -math.log(ratio)
+
+
+def _check_temperature(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -273,6 +296,69 @@ def eta_at_p(p: float, lambda_h_max: float, params: EngineParams) -> float:
     return work_at_p(p, lambda_h_max, params) / intake
 
 
+def elementwise(func, values: np.ndarray) -> np.ndarray:
+    """func, a function of the math module, applied to each entry of a 1-d array.
+
+    numpy's exp and expm1 differ from the C library's by one ulp on a few
+    percent of inputs.  Going through math keeps the array results bit for
+    bit equal to the scalar functions' results.
+    """
+    return np.fromiter(map(func, values.tolist()), float, values.size)
+
+
+def _closed_form(eh, ec, ehc, lh, lc, regular, defined):
+    """p_opt, w_max and eta_max of the optimal protocol, on floats or on arrays.
+
+    eh, ec and ehc are exp(-beta_h), exp(-beta_c) and exp(-(beta_h + beta_c)).
+    The arguments meet only + - * /, which numpy rounds exactly as Python
+    floats do, so arrays give the floats' results entry by entry, bit for
+    bit.  regular(den, lh, lc) returns den or raises SingularCycleError;
+    defined(eta_den) replaces the zeros of eta_den by nan, which leaves
+    eta_max nan where the efficiency is undefined.
+    """
+    den = regular(
+        2.0
+        - lc * (1.0 - lh)
+        - lh
+        - lc * (1.0 - lh) * ec
+        - lh * (1.0 - lc) * eh
+        + lh * lc * ehc,
+        lh,
+        lc,
+    )
+    p_opt = (1.0 - lh * (1.0 - lc) - lc * (1.0 - lh) * ec) / den
+    w_max = 1.0 - 2.0 * lh + 2.0 * (lh * eh - (1.0 - lh)) * p_opt
+    eta_den = defined(lh * (eh - (1.0 - lc) - lc * ehc))
+    eta_max = 1.0 - lc * (1.0 - lh * eh - (1.0 - lh) * ec) / eta_den
+    return p_opt, w_max, eta_max
+
+
+def _degenerate(lh: float, lc: float, index: int | None = None) -> SingularCycleError:
+    return SingularCycleError(f"degenerate cycle at caps ({lh!r}, {lc!r})", index)
+
+
+def _regular(den: float, lh: float, lc: float) -> float:
+    if abs(den) < _SINGULAR_TOL:
+        raise _degenerate(lh, lc)
+    return den
+
+
+def _defined(eta_den: float) -> float:
+    return math.nan if eta_den == 0.0 else eta_den
+
+
+def _regular_each(den: np.ndarray, lh: np.ndarray, lc: np.ndarray) -> np.ndarray:
+    singular = np.abs(den) < _SINGULAR_TOL
+    if singular.any():
+        index = int(singular.argmax())
+        raise _degenerate(float(lh[index]), float(lc[index]), index)
+    return den
+
+
+def _defined_each(eta_den: np.ndarray) -> np.ndarray:
+    return np.where(eta_den == 0.0, np.nan, eta_den)
+
+
 def optimal_performance(params: EngineParams) -> PerformancePoint:
     """Best work and efficiency over all closing three-stroke protocols.
 
@@ -281,30 +367,80 @@ def optimal_performance(params: EngineParams) -> PerformancePoint:
     corner.  A vanishing heat intake leaves the efficiency undefined and the
     point reports as non-operational.
     """
-    lh, lc = params.lambda_h_max, params.lambda_c_max
-    eh, ec = params.exp_h, params.exp_c
-    ehc = math.exp(-(params.beta_h_omega + params.beta_c_omega))
-    den = (
-        2.0
-        - lc * (1.0 - lh)
-        - lh
-        - lc * (1.0 - lh) * ec
-        - lh * (1.0 - lc) * eh
-        + lh * lc * ehc
+    bh, bc = params.beta_h_omega, params.beta_c_omega
+    p_opt, w_max, eta_max = _closed_form(
+        math.exp(-bh),
+        math.exp(-bc),
+        math.exp(-(bh + bc)),
+        params.lambda_h_max,
+        params.lambda_c_max,
+        _regular,
+        _defined,
     )
-    if abs(den) < _SINGULAR_TOL:
-        raise SingularCycleError(f"degenerate cycle at caps ({lh!r}, {lc!r})")
-    p_opt = (1.0 - lh * (1.0 - lc) - lc * (1.0 - lh) * ec) / den
-    w_max = 1.0 - 2.0 * lh + 2.0 * (lh * eh - (1.0 - lh)) * p_opt
-    eta_den = lh * (eh - (1.0 - lc) - lc * ehc)
-    eta_max = None if eta_den == 0.0 else 1.0 - lc * (1.0 - lh * eh - (1.0 - lh) * ec) / eta_den
     return PerformancePoint(
         p_opt=p_opt,
         w_max=w_max,
-        eta_max=eta_max,
+        eta_max=None if math.isnan(eta_max) else eta_max,
         operational=w_max > 0.0,
-        cold_hotter=params.cold_hotter,
+        cold_hotter=bc <= bh,
     )
+
+
+def _check_each(check, name: str, values: np.ndarray, ok: np.ndarray) -> None:
+    """Reject values with the scalar check's message for the first entry not ok."""
+    if not ok.all():
+        check(name, values[int(ok.argmin())])
+
+
+@dataclass(frozen=True, eq=False)
+class BathTemperatures:
+    """Aligned 1-d arrays of bath temperatures, with their Boltzmann factors.
+
+    The array counterpart of the temperatures in EngineParams.  Both arrays
+    are validated as a whole before any arithmetic, and the factors are
+    computed once, through math (see elementwise), for every pair of caps
+    evaluated on them.
+    """
+
+    beta_h_omega: np.ndarray
+    beta_c_omega: np.ndarray
+    exp_h: np.ndarray = field(init=False, repr=False)
+    exp_c: np.ndarray = field(init=False, repr=False)
+    exp_hc: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        bh = np.asarray(self.beta_h_omega, dtype=float)
+        bc = np.asarray(self.beta_c_omega, dtype=float)
+        if bh.ndim != 1 or bh.shape != bc.shape:
+            raise ValueError(f"need two 1-d arrays of one length, got {bh.shape} and {bc.shape}")
+        for name, values in (("beta_h_omega", bh), ("beta_c_omega", bc)):
+            _check_each(_check_temperature, name, values, np.isfinite(values) & (values >= 0.0))
+        object.__setattr__(self, "beta_h_omega", bh)
+        object.__setattr__(self, "beta_c_omega", bc)
+        object.__setattr__(self, "exp_h", elementwise(math.exp, -bh))
+        object.__setattr__(self, "exp_c", elementwise(math.exp, -bc))
+        object.__setattr__(self, "exp_hc", elementwise(math.exp, -(bh + bc)))
+
+    def optimum(
+        self, lambda_h_max: np.ndarray, lambda_c_max: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p_opt, w_max and eta_max of optimal_performance at every index.
+
+        The caps are arrays aligned with the temperatures.  eta_max is nan
+        where optimal_performance reports None, and a degenerate cycle raises
+        SingularCycleError with the index of the first one.
+        """
+        lh = np.asarray(lambda_h_max, dtype=float)
+        lc = np.asarray(lambda_c_max, dtype=float)
+        for name, values in (("lambda_h_max", lh), ("lambda_c_max", lc)):
+            if values.shape != self.beta_h_omega.shape:
+                raise ValueError(f"{name} has shape {values.shape}, expected {self.beta_h_omega.shape}")
+            _check_each(_check_unit_interval, name, values, (values >= 0.0) & (values <= 1.0))
+        # Python floats overflow to inf without a word; so do these
+        with np.errstate(all="ignore"):
+            return _closed_form(
+                self.exp_h, self.exp_c, self.exp_hc, lh, lc, _regular_each, _defined_each
+            )
 
 
 def positive_work_condition(params: EngineParams) -> bool:

@@ -12,7 +12,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .engine import EngineParams, UndefinedEfficiencyError
+import numpy as np
+
+from .engine import EngineParams, UndefinedEfficiencyError, elementwise
 
 __all__ = [
     "JC_BRANCH_POINT",
@@ -35,6 +37,15 @@ def _check_beta(beta_omega: float) -> float:
     return beta_omega
 
 
+def _check_betas(beta_omega: np.ndarray) -> np.ndarray:
+    """_check_beta over a whole array, naming the first bad entry."""
+    beta_omega = np.asarray(beta_omega, dtype=float)
+    ok = np.isfinite(beta_omega) & (beta_omega >= 0.0)
+    if not ok.all():
+        _check_beta(beta_omega[int(ok.argmin())])
+    return beta_omega
+
+
 def _check_bath_size(d: int) -> int:
     try:
         d = operator.index(d)
@@ -43,6 +54,39 @@ def _check_bath_size(d: int) -> int:
     if d < 1:
         raise ValueError(f"bath size must be >= 1, got {d}")
     return d
+
+
+# The cap formulas below take floats with math's exp/expm1, or arrays with
+# elementwise versions of them.  They use only + - * / besides, so both give
+# the same bits.
+
+
+def _ladder_cap(beta_omega, d: int, expm1):
+    """lambda_max_finite_bath at beta_omega > 0."""
+    return expm1(-beta_omega * d) / expm1(-beta_omega * (d + 1.0))
+
+
+def _jc_high_temperature(beta_omega, exp):
+    """Stated exchange-coupling cap for beta_omega <= JC_BRANCH_POINT."""
+    e = exp(-beta_omega)
+    return (8.0 * e - e * e + exp(3.0 * beta_omega) + 8.0) / 16.0
+
+
+def _jc_low_temperature(beta_omega, exp):
+    """Stated exchange-coupling cap for beta_omega > JC_BRANCH_POINT."""
+    return exp(-4.0 * beta_omega) - exp(-3.0 * beta_omega) + 1.0
+
+
+def _outside_unit_interval(raw):
+    return (raw < 0.0) | (raw > 1.0)
+
+
+def _exp_each(values: np.ndarray) -> np.ndarray:
+    return elementwise(math.exp, values)
+
+
+def _expm1_each(values: np.ndarray) -> np.ndarray:
+    return elementwise(math.expm1, values)
 
 
 def lambda_max_finite_bath(beta_omega: float, d: int) -> float:
@@ -56,7 +100,7 @@ def lambda_max_finite_bath(beta_omega: float, d: int) -> float:
     d = _check_bath_size(d)
     if beta_omega == 0.0:
         return d / (d + 1.0)
-    return math.expm1(-beta_omega * d) / math.expm1(-beta_omega * (d + 1.0))
+    return _ladder_cap(beta_omega, d, math.expm1)
 
 
 def lambda_max_jc_raw(beta_omega: float) -> float:
@@ -68,9 +112,8 @@ def lambda_max_jc_raw(beta_omega: float) -> float:
     """
     beta_omega = _check_beta(beta_omega)
     if beta_omega <= JC_BRANCH_POINT:
-        e = math.exp(-beta_omega)
-        return (8.0 * e - e * e + math.exp(3.0 * beta_omega) + 8.0) / 16.0
-    return math.exp(-4.0 * beta_omega) - math.exp(-3.0 * beta_omega) + 1.0
+        return _jc_high_temperature(beta_omega, math.exp)
+    return _jc_low_temperature(beta_omega, math.exp)
 
 
 def lambda_max_jc(beta_omega: float) -> float:
@@ -80,8 +123,7 @@ def lambda_max_jc(beta_omega: float) -> float:
 
 def jc_clamped(beta_omega: float) -> bool:
     """True when the stated exchange-coupling expression left [0, 1]."""
-    raw = lambda_max_jc_raw(beta_omega)
-    return raw < 0.0 or raw > 1.0
+    return _outside_unit_interval(lambda_max_jc_raw(beta_omega))
 
 
 _KINDS = ("unrestricted", "finite_bath", "jaynes_cummings", "explicit")
@@ -173,6 +215,31 @@ class RestrictionModel:
     def clamped(self, beta_omega: float) -> bool:
         """True when resolving this model at beta_omega required clamping."""
         return self.kind == "jaynes_cummings" and jc_clamped(beta_omega)
+
+    def resolve(self, beta_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lambda_max and clamped at every entry of a 1-d array of temperatures.
+
+        The array is validated as a whole first, and every entry equals the
+        scalar methods' result bit for bit.
+        """
+        beta = _check_betas(beta_omega)
+        clamped = np.zeros(beta.shape, dtype=bool)
+        # Python floats overflow to inf without a word; so do these
+        with np.errstate(all="ignore"):
+            if self.kind == "finite_bath":
+                caps = np.full(beta.shape, lambda_max_finite_bath(0.0, self.d))
+                warm = beta > 0.0
+                caps[warm] = _ladder_cap(beta[warm], self.d, _expm1_each)
+            elif self.kind == "jaynes_cummings":
+                raw = np.empty(beta.shape)
+                high = beta <= JC_BRANCH_POINT
+                raw[high] = _jc_high_temperature(beta[high], _exp_each)
+                raw[~high] = _jc_low_temperature(beta[~high], _exp_each)
+                clamped = _outside_unit_interval(raw)
+                caps = np.clip(raw, 0.0, 1.0)
+            else:
+                caps = np.full(beta.shape, self.lambda_max(0.0))
+        return caps, clamped
 
 
 def engine_params_from(

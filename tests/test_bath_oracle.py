@@ -104,6 +104,11 @@ def test_simulate_validation():
         simulate_finite_bath_map(p, -0.5, 3, BlockUnitarySpec.full_swap(3))
     with pytest.raises(ResourceLimitError):
         simulate_finite_bath_map(p, 0.5, 10_001, BlockUnitarySpec.full_swap(10_001))
+    # a non-integer bath size is rejected, not truncated to 2
+    with pytest.raises(ValueError, match="integer"):
+        simulate_finite_bath_map(p, 0.5, 2.7, BlockUnitarySpec.full_swap(2))
+    with pytest.raises(ValueError, match="integer"):
+        achieved_lambda(BlockUnitarySpec.full_swap(2), 0.5, 2.9)
 
 
 def test_achieved_lambda_examples():

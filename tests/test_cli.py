@@ -1,10 +1,18 @@
 """Command-line surface: payloads, CSV layout, exit codes, warnings."""
 
+import argparse
+import contextlib
+import io
 import json
+import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from threestroke import cli
+from threestroke import cli, engine_params_from, optimal_performance
 
 
 def run(argv, capsys):
@@ -230,3 +238,172 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert excinfo.value.code == 0
     assert "threestroke" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the column-wise sweep against a point-by-point reference
+
+
+def reference_rows(cfg, drop_inoperative_rows):
+    """CSV rows of a sweep, evaluated one point and one model at a time."""
+    seen = set()
+    lines = []
+    for x in cfg.values.tolist():
+        if cfg.axis == "ratio":
+            beta_h, beta_c = cfg.beta_h_omega, cfg.beta_h_omega * x
+        elif cfg.axis == "bh":
+            beta_h, beta_c = x, cfg.beta_c_omega
+        else:
+            beta_h, beta_c = cfg.beta_h_omega, x
+        cells = []
+        for _, hot, cold in cfg.models:
+            cli._warn_clamped("hot", hot, beta_h, seen)
+            cli._warn_clamped("cold", cold, beta_c, seen)
+            point = optimal_performance(engine_params_from(hot, cold, beta_h, beta_c))
+            cells.append((point.eta_max, beta_h * point.w_max, point.operational))
+        if drop_inoperative_rows and not cfg.raw and not any(op for _, _, op in cells):
+            continue
+        row = [x]
+        for eta, bhw, operational in cells:
+            show = operational or cfg.raw
+            row += [eta if show else None, bhw if show else None]
+        if cfg.include_carnot:
+            row.append(1.0 - beta_h / beta_c if beta_c > 0.0 else None)
+        lines.append(",".join("" if v is None else format(float(v), ".9g") for v in row))
+    return lines
+
+
+def reference_run(args, drop_inoperative_rows):
+    """Exit code, header and rows, and stderr of the reference for one sweep."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            cfg = cli._sweep_config(args)
+            lines = [",".join(cli._sweep_header(cfg))]
+            lines += reference_rows(cfg, drop_inoperative_rows)
+            code = 0
+        except ValueError as exc:
+            print(f"error: {exc}", file=err)
+            code, lines = 2, []
+    return code, lines, err.getvalue()
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# temperatures and swept ranges that reach the jc branch point, the clamp
+# window (0.2, 0.462] and infinite temperature (beta = 0 for the fixed side)
+temperatures = st.sampled_from(["0", "0.2", "0.3", "0.4", "0.462", "1", "2", "1e-8", "-0.5"])
+model_specs = st.sampled_from(["unrestricted", "fb:1", "fb:5", "fb:10", "jc", "lam:0", "lam:0.6"])
+
+
+@given(
+    command=st.sampled_from(["sweep", "tradeoff"]),
+    axis=st.sampled_from(["ratio", "bh", "bc"]),
+    bh=temperatures,
+    bc=temperatures,
+    models=st.lists(model_specs, min_size=1, max_size=4, unique=True),
+    hot_cold=st.none() | st.tuples(model_specs, model_specs),
+    lo=st.floats(0.05, 2.0),
+    width=st.floats(0.01, 9.0),
+    steps=st.integers(2, 40),
+    raw=st.booleans(),
+    carnot=st.booleans(),
+)
+@example(command="sweep", axis="ratio", bh="0", bc="1", models=["fb:10", "jc"],
+         hot_cold=None, lo=1.05, width=8.95, steps=5, raw=False, carnot=True)
+@example(command="tradeoff", axis="bc", bh="0.2", bc="1", models=["unrestricted", "jc"],
+         hot_cold=None, lo=0.2, width=0.3, steps=40, raw=True, carnot=False)
+@example(command="sweep", axis="bh", bc="-0.5", bh="1", models=["jc"],
+         hot_cold=None, lo=0.4, width=0.05, steps=3, raw=False, carnot=False)
+@example(command="sweep", axis="bh", bc="-0.5", bh="1", models=["fb:5", "jc"],
+         hot_cold=None, lo=0.4, width=0.05, steps=3, raw=False, carnot=False)
+@settings(max_examples=150, deadline=None)
+def test_sweep_and_tradeoff_match_the_point_by_point_reference(
+    command, axis, bh, bc, models, hot_cold, lo, width, steps, raw, carnot
+):
+    argv = [command, "--axis", axis, "--bh", bh, "--bc", bc,
+            "--ratio-min", repr(lo), "--ratio-max", repr(lo + width),
+            "--ratio-steps", str(steps)]
+    if hot_cold is None:
+        argv += ["--models", ",".join(models)]
+    else:
+        argv += ["--hot", hot_cold[0], "--cold", hot_cold[1]]
+    argv += ["--raw"] * raw + ["--carnot"] * carnot
+    code, out, err = quiet_main(argv)
+    args = cli.build_parser().parse_args(argv)
+    want_code, want_lines, want_err = reference_run(args, command == "tradeoff")
+    assert (code, err) == (want_code, want_err)
+    assert out.splitlines()[1:] == want_lines
+
+
+@given(
+    bh=st.sampled_from([None, "0", "0.2", "0.4", "1"]),
+    lo=st.sampled_from([None, "0.5", "1.05", "2"]),
+    steps=st.integers(2, 30),
+)
+@settings(max_examples=20, deadline=None)
+def test_figures_match_the_point_by_point_reference(bh, lo, steps):
+    presets = {
+        "fig2.csv": ("unrestricted,fb:15,fb:10,fb:5", False, False),
+        "fig3.csv": ("unrestricted,fb:15,fb:10,fb:5", False, False),
+        "fig4.csv": ("unrestricted,fb:10,jc", True, False),
+        "fig5.csv": ("unrestricted,fb:10,fb:5,jc", False, True),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["figures", "--out", tmp, "--ratio-steps", str(steps)]
+        argv += ["--bh", bh] * (bh is not None) + ["--ratio-min", lo] * (lo is not None)
+        code, _, err = quiet_main(argv)
+        want_err = ""
+        for name, (models, carnot, tradeoff) in presets.items():
+            args = argparse.Namespace(
+                axis="ratio", bh=None if bh is None else float(bh), bc=None,
+                ratio_min=None if lo is None else float(lo), ratio_max=None,
+                ratio_steps=steps, models=models, hot=None, cold=None,
+                carnot=carnot, raw=None,
+            )
+            want_code, want_lines, file_err = reference_run(args, tradeoff)
+            want_err += file_err
+            assert code == want_code
+            if want_code == 0:
+                lines = (Path(tmp) / name).read_text().splitlines()
+                assert lines[1:] == want_lines
+        assert err == want_err
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+@example(-0.0)
+@example(math.nan)
+@example(-math.inf)
+@example(5e-324)
+def test_percent_and_format_agree_at_nine_digits(x):
+    assert "%.9g" % x == format(x, ".9g")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--bh", "0.2", "--ratio-steps", str(cli.MAX_RATIO_STEPS + 1)],
+        ["tradeoff", "--bh", "0.2", "--ratio-steps", str(cli.MAX_RATIO_STEPS + 1)],
+        ["figures", "--ratio-steps", str(cli.MAX_RATIO_STEPS + 1)],
+        ["verify", "--only", "thm2", "--grid", str(cli.MAX_VERIFY_GRID + 1)],
+    ],
+)
+def test_size_limits_fail_before_allocating(argv, tmp_path, capsys):
+    if argv[0] == "figures":
+        argv = argv + ["--out", str(tmp_path / "figs")]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:")
+    # the swept values alone would take 8 MB, the brute-force grid 32 MB
+    assert peak < 1_000_000
+    assert not (tmp_path / "figs").exists()

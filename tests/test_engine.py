@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from threestroke import (
+    JC_BRANCH_POINT,
     QUBIT,
     CycleReport,
     EngineParams,
     OrderViolationError,
     PopulationVector,
+    RestrictionModel,
     SingularCycleError,
     UndefinedEfficiencyError,
     UnsupportedRestrictionError,
@@ -19,6 +21,7 @@ from threestroke import (
     check_laws,
     cold_stroke,
     cyclic_state,
+    engine_params_from,
     eta_at_p,
     gibbs_vector,
     heat_stroke,
@@ -31,6 +34,7 @@ from threestroke import (
     work_at_p,
     work_stroke,
 )
+from threestroke.engine import BathTemperatures
 
 # reference point used throughout: beta_h * omega = 0.2, beta_c * omega = 0.6
 REF = EngineParams(0.2, 0.6, 1.0, 1.0)
@@ -142,17 +146,30 @@ def test_cyclic_state_examples():
         cyclic_state(1.0, 0.0, EngineParams(0.0, 0.6))
     with pytest.raises(ValueError):
         cyclic_state(0.9, 1.0, EngineParams(0.2, 0.6, lambda_h_max=0.5))
+    # without the swap, idle strokes leave every state fixed
+    with pytest.raises(SingularCycleError):
+        cyclic_state(0.0, 0.0, REF, WorkPermutation.identity(2))
+    # identity work stroke with full strokes: p -> 1 - e_c * (1 - e_h * p)
+    identity = cyclic_state(1.0, 1.0, REF, WorkPermutation.identity(2))
+    expected = -math.expm1(-0.6) / -math.expm1(-0.8)
+    assert identity.entries[0] == pytest.approx(expected, abs=1e-15)
+    with pytest.raises(ValueError):
+        cyclic_state(1.0, 1.0, REF, WorkPermutation.identity(3))
 
 
-@given(bh=betas, ratio=st.floats(0.5, 8.0), lh=lams, lc=lams)
+@given(bh=betas, ratio=st.floats(0.5, 8.0), lh=lams, lc=lams, swap=st.booleans())
 @settings(max_examples=300)
-def test_cycle_closes_at_fixed_point(bh, ratio, lh, lc):
+def test_cycle_closes_at_fixed_point(bh, ratio, lh, lc, swap):
+    # without the swap, an almost idle hot stroke leaves the fixed point
+    # ill-conditioned: the cold stroke alone barely moves the state
+    assume(swap or lh >= 0.05)
     params = well_conditioned_params(bh, ratio, lh, lc)
+    perm = WorkPermutation.swap() if swap else WorkPermutation.identity(2)
     try:
-        p0 = cyclic_state(lh, lc, params)
+        p0 = cyclic_state(lh, lc, params, perm)
     except SingularCycleError:
         return
-    report = run_cycle(p0, lh, lc, WorkPermutation.swap(), params)
+    report = run_cycle(p0, lh, lc, perm, params)
     assert report.closes
     assert abs(report.work - report.q_hot - report.q_cold) <= 1e-12
 
@@ -323,3 +340,69 @@ def test_random_closing_cycles_obey_laws(bh, ratio, lh, lc, swap):
     assert check_laws(report, params).ok
     if not swap:
         assert report.work == 0.0
+
+
+# temperatures around the exchange-coupling branch point and its clamp
+# window (0.2, 0.462], plus infinite temperature, where the ladder cap
+# takes its own branch
+sweep_betas = st.one_of(
+    st.sampled_from([0.0, 0.2, 0.35, 0.4, 0.462, 1e-8, JC_BRANCH_POINT, 3.0]),
+    st.floats(0.0, 3.0),
+    st.floats(JC_BRANCH_POINT - 1e-9, JC_BRANCH_POINT + 1e-9),
+)
+cap_models = st.sampled_from(
+    ["unrestricted", "fb:1", "fb:2", "fb:10", "fb:10000", "jc", "lam:0", "lam:0.37", "lam:1"]
+)
+
+
+@given(
+    points=st.lists(st.tuples(sweep_betas, sweep_betas), min_size=1, max_size=30),
+    hot=cap_models,
+    cold=cap_models,
+)
+@example(points=[(0.3, 0.2), (0.2, 0.0)], hot="lam:0", cold="unrestricted")
+@settings(max_examples=300)
+def test_array_closed_forms_equal_the_float_ones(points, hot, cold):
+    """Caps and optimum over arrays equal the scalar functions bit for bit."""
+    hot, cold = RestrictionModel.parse(hot), RestrictionModel.parse(cold)
+    bh = np.array([b for b, _ in points])
+    bc = np.array([b for _, b in points])
+    lh, hot_clamped = hot.resolve(bh)
+    lc, cold_clamped = cold.resolve(bc)
+    for i, (beta_h, beta_c) in enumerate(points):
+        assert lh[i] == hot.lambda_max(beta_h) and hot_clamped[i] == hot.clamped(beta_h)
+        assert lc[i] == cold.lambda_max(beta_c) and cold_clamped[i] == cold.clamped(beta_c)
+    scalar = []
+    for beta_h, beta_c in points:
+        try:
+            scalar.append(optimal_performance(engine_params_from(hot, cold, beta_h, beta_c)))
+        except SingularCycleError as exc:
+            scalar.append(str(exc))
+    singular = [i for i, point in enumerate(scalar) if isinstance(point, str)]
+    if singular:
+        with pytest.raises(SingularCycleError) as excinfo:
+            BathTemperatures(bh, bc).optimum(lh, lc)
+        assert excinfo.value.index == singular[0]
+        assert str(excinfo.value) == scalar[singular[0]]
+        return
+    p_opt, w_max, eta_max = BathTemperatures(bh, bc).optimum(lh, lc)
+    for i, point in enumerate(scalar):
+        assert p_opt[i] == point.p_opt and w_max[i] == point.w_max
+        if point.eta_max is None:
+            assert math.isnan(eta_max[i])
+        else:
+            assert eta_max[i] == point.eta_max
+
+
+def test_array_validation_names_the_first_bad_entry():
+    with pytest.raises(ValueError, match=r"beta_omega must be finite and >= 0, got -1\.0"):
+        RestrictionModel.jaynes_cummings().resolve(np.array([0.3, -1.0, math.nan]))
+    with pytest.raises(ValueError, match=r"beta_c_omega must be finite and >= 0, got inf"):
+        BathTemperatures(np.array([0.2, 0.2]), np.array([0.6, math.inf]))
+    temperatures = BathTemperatures(np.array([0.2, 0.2]), np.array([0.6, 0.7]))
+    with pytest.raises(ValueError, match=r"lambda_c_max must lie in \[0, 1\], got 1\.5"):
+        temperatures.optimum(np.array([1.0, 1.0]), np.array([1.5, 1.0]))
+    with pytest.raises(ValueError):
+        temperatures.optimum(np.array([1.0]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        BathTemperatures(np.array([0.2]), np.array([0.6, 0.7]))

@@ -234,19 +234,26 @@ def _sweep_cells(
     clamped value, and only the warnings that precede the first error.
     """
     # Order keys are (value index, model index, step), with step 0 for the hot
-    # warning, 1 for the cold warning and 2 for an error.  A bad temperature
-    # stops the sweep at the first model, after the hot side of a bad cold
-    # temperature has warned.
+    # warning, 1 for the cold warning and 2 for the caps.  A bad temperature
+    # stops the sweep at the first model: in its warning step if that side is
+    # an exchange coupling, else in the caps step, hot side first.
     hot_end, cold_end = _valid_prefix(beta_h), _valid_prefix(beta_c)
     end = min(hot_end, cold_end)
-    halt = (end, 0, 2)
+    _, first_hot, first_cold = cfg.models[0]
+    if first_hot.kind == "jaynes_cummings" and hot_end == end:
+        halt, bad = (end, 0, 0), (first_hot, beta_h)
+    elif first_cold.kind == "jaynes_cummings" and cold_end == end:
+        halt, bad = (end, 0, 1), (first_cold, beta_c)
+    else:
+        halt = (end, 0, 2)
+        bad = (first_hot, beta_h) if hot_end == end else (first_cold, beta_c)
     singular = None
     temperatures = BathTemperatures(beta_h[:end], beta_c[:end])
     warnings = []
     cells = []
     for index, (_, hot, cold) in enumerate(cfg.models):
         lh, hot_clamped = hot.resolve(beta_h[:hot_end])
-        lc, cold_clamped = cold.resolve(beta_c[:end])
+        lc, cold_clamped = cold.resolve(beta_c[:cold_end])
         for step, side, clamped, betas in (
             (0, "hot", hot_clamped, beta_h),
             (1, "cold", cold_clamped, beta_c),
@@ -255,7 +262,7 @@ def _sweep_cells(
                 first = int(clamped.argmax())
                 warnings.append(((first, index, step), side, float(betas[first])))
         try:
-            _, w_max, eta_max = temperatures.optimum(lh[:end], lc)
+            _, w_max, eta_max = temperatures.optimum(lh[:end], lc[:end])
         except SingularCycleError as exc:
             if (exc.index, index, 2) < halt:
                 halt, singular = (exc.index, index, 2), exc
@@ -268,8 +275,7 @@ def _sweep_cells(
         raise singular
     if end < beta_h.size:
         # the first model rejects the bad temperature, as in a point-by-point sweep
-        _, hot, cold = cfg.models[0]
-        model, betas = (hot, beta_h) if hot_end == end else (cold, beta_c)
+        model, betas = bad
         model.resolve(betas)
     return cells
 

@@ -89,4 +89,6 @@ def passive_rearrangement(
 def ergotropy(p: PopulationVector, spectrum: EnergySpectrum) -> float:
     """Maximal average energy extractable by permuting the populations."""
     passive, _ = passive_rearrangement(p, spectrum)
-    return average_energy(p, spectrum) - average_energy(passive, spectrum)
+    # a state passive up to rounding can come out an ulp below zero; the
+    # rearrangement inequality makes the true gap nonnegative
+    return max(0.0, average_energy(p, spectrum) - average_energy(passive, spectrum))

@@ -61,9 +61,15 @@ def _check_bath_size(d: int) -> int:
 # the same bits.
 
 
-def _ladder_cap(beta_omega, d: int, expm1):
-    """lambda_max_finite_bath at beta_omega > 0."""
-    return expm1(-beta_omega * d) / expm1(-beta_omega * (d + 1.0))
+def _ladder_cap(beta_omega, d: int, exp, expm1):
+    """lambda_max_finite_bath at beta_omega > 0.
+
+    Written as 1 minus the shortfall e^-bd (1 - e^-b) / (1 - e^-b(d+1)).
+    Near 1 the plain ratio of the two expm1 terms jitters by an ulp and can
+    fall as the temperature drops; 1 minus a small falling shortfall keeps
+    rising and never exceeds 1.
+    """
+    return 1.0 - exp(-beta_omega * d) * expm1(-beta_omega) / expm1(-beta_omega * (d + 1.0))
 
 
 def _jc_high_temperature(beta_omega, exp):
@@ -100,7 +106,7 @@ def lambda_max_finite_bath(beta_omega: float, d: int) -> float:
     d = _check_bath_size(d)
     if beta_omega == 0.0:
         return d / (d + 1.0)
-    return _ladder_cap(beta_omega, d, math.expm1)
+    return _ladder_cap(beta_omega, d, math.exp, math.expm1)
 
 
 def lambda_max_jc_raw(beta_omega: float) -> float:
@@ -229,7 +235,7 @@ class RestrictionModel:
             if self.kind == "finite_bath":
                 caps = np.full(beta.shape, lambda_max_finite_bath(0.0, self.d))
                 warm = beta > 0.0
-                caps[warm] = _ladder_cap(beta[warm], self.d, _expm1_each)
+                caps[warm] = _ladder_cap(beta[warm], self.d, _exp_each, _expm1_each)
             elif self.kind == "jaynes_cummings":
                 raw = np.empty(beta.shape)
                 high = beta <= JC_BRANCH_POINT

@@ -12,16 +12,17 @@ check.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EngineParams, check_laws, cyclic_state, run_cycle
+from .engine import EngineParams, check_laws, cycle_map, cyclic_state, run_cycle
 from .ergotropy import WorkPermutation
-from .populations import PopulationVector
+from .populations import PopulationVector, check_beta, check_betas, check_size
 
 __all__ = [
+    "MAX_GRID",
+    "MAX_TRUNCATION",
     "BlockUnitarySpec",
     "BruteForceResult",
     "JointState",
@@ -33,13 +34,25 @@ __all__ = [
     "simulate_finite_bath_map",
 ]
 
+# Sizes are bounded before anything is allocated: the bath by its O(d) block
+# arrays, the brute-force grid by its grid**2 floats per array and the
+# exchange-coupling truncation by its per-manifold arrays.
 _MAX_BATH_SIZE = 10_000
+MAX_GRID = 2_000
+MAX_TRUNCATION = 100_000
 _CLOSURE_TOL = 1e-10
 _JC_TAIL_TOL = 1e-12
 
 
 class ResourceLimitError(RuntimeError):
     """Requested simulation size exceeds the supported budget."""
+
+
+def _check_bounded(value: int, name: str, minimum: int, limit: int) -> int:
+    value = check_size(value, name, minimum)
+    if value > limit:
+        raise ResourceLimitError(f"{name} {value} exceeds the supported {limit}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -87,18 +100,7 @@ class BlockUnitarySpec:
 
 
 def _check_bath(beta_omega: float, d: int) -> tuple[float, int]:
-    beta_omega = float(beta_omega)
-    if not math.isfinite(beta_omega) or beta_omega < 0.0:
-        raise ValueError(f"beta_omega must be finite and >= 0, got {beta_omega!r}")
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise ValueError(f"bath size must be an integer, got {d!r}") from None
-    if d < 1:
-        raise ValueError(f"bath size must be >= 1, got {d}")
-    if d > _MAX_BATH_SIZE:
-        raise ResourceLimitError(f"bath size {d} exceeds the supported {_MAX_BATH_SIZE}")
-    return beta_omega, d
+    return check_beta(beta_omega), _check_bounded(d, "bath size", 1, _MAX_BATH_SIZE)
 
 
 @dataclass(frozen=True)
@@ -235,9 +237,7 @@ def scan_lambda_max(beta_omega: float, d: int, grid: int | None = None) -> float
     """
     beta_omega, d = _check_bath(beta_omega, d)
     if d <= 4:
-        points = int(grid) if grid is not None else 9
-        if points < 3:
-            raise ValueError(f"need at least 3 grid points per angle, got {points}")
+        points = check_size(grid, "grid", 3) if grid is not None else 9
         axes = [np.linspace(0.0, math.pi / 2.0, points)] * d
         best_value = -math.inf
         best_row = None
@@ -254,9 +254,7 @@ def scan_lambda_max(beta_omega: float, d: int, grid: int | None = None) -> float
                 for c in best_row
             ]
         return best_value
-    points = int(grid) if grid is not None else 65
-    if points < 3:
-        raise ValueError(f"need at least 3 grid points per angle, got {points}")
+    points = check_size(grid, "grid", 3) if grid is not None else 65
     thetas = np.full(d, math.pi / 4.0)
     best_value = float(_achieved_lambda_rows(thetas[None, :], beta_omega, d)[0])
     for _ in range(6):
@@ -292,27 +290,19 @@ def _cycle_grid(
     """Work, heat intake and validity over a (lambda_h, lambda_c) grid.
 
     For each grid point the unique cyclic ground entry is solved from the
-    affine stroke composition, the cycle is run once on it and its closure is
-    asserted before anything is recorded.  The work stroke is the swap or the
-    identity according to the flag.
+    affine stroke composition (cycle_map), the cycle is run once on it with
+    the strokes written out here and its closure is asserted before anything
+    is recorded.  The work stroke is the swap or the identity according to
+    the flag.
     """
-    eh, ec = params.exp_h, params.exp_c
     lh_col = lh[:, None]
     lc_row = lc[None, :]
-    if swap:
-        slope = lh_col * eh + lh_col - 1.0
-        offset = 1.0 - lh_col
-    else:
-        slope = 1.0 - lh_col * (1.0 + eh)
-        offset = lh_col
-    slope_cold = 1.0 - lc_row * (1.0 + ec)
-    a = slope_cold * slope
-    b = lc_row + slope_cold * offset
+    a, b = cycle_map(lh_col, lc_row, params, swap)
     valid = np.abs(1.0 - a) > 1e-12
     p_star = np.where(valid, b / np.where(valid, 1.0 - a, 1.0), np.nan)
-    after_heat = lh_col + p_star * (1.0 - lh_col * (1.0 + eh))
+    after_heat = lh_col + p_star * (1.0 - lh_col * (1.0 + params.exp_h))
     after_work = 1.0 - after_heat if swap else after_heat
-    final = lc_row + slope_cold * after_work
+    final = lc_row + (1.0 - lc_row * (1.0 + params.exp_c)) * after_work
     closed = np.abs(final - p_star) <= _CLOSURE_TOL
     if not np.all(closed[valid]):
         raise RuntimeError("fixed-point cycle failed to close on the grid")
@@ -328,9 +318,7 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
     work winner is re-run through run_cycle and check_laws as a final spot
     check, so a silent bookkeeping bug in the vectorized path cannot survive.
     """
-    grid = int(grid)
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 points per axis, got {grid}")
+    grid = _check_bounded(grid, "grid", 2, MAX_GRID)
 
     def evaluate(lh: np.ndarray, lc: np.ndarray, swap: bool):
         work, intake, valid = _cycle_grid(lh, lc, params, swap)
@@ -412,9 +400,7 @@ def jc_time_scan(
     beta_omega = float(beta_omega)
     if not math.isfinite(beta_omega) or beta_omega <= 0.0:
         raise ValueError(f"beta_omega must be finite and > 0, got {beta_omega!r}")
-    truncation = int(truncation)
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    truncation = _check_bounded(truncation, "truncation", 1, MAX_TRUNCATION)
     if math.exp(-beta_omega * truncation) >= _JC_TAIL_TOL:
         needed = math.ceil(-math.log(_JC_TAIL_TOL) / beta_omega)
         raise ResourceLimitError(
@@ -426,8 +412,7 @@ def jc_time_scan(
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(times)) or np.any(times < 0.0):
-        raise ValueError("time grid entries must be finite and >= 0")
+    check_betas(times, "time grid entry")
     n = np.arange(1, truncation + 1)
     weights = np.exp(-beta_omega * (n - 1))
     keep = weights > 1e-18

@@ -7,7 +7,9 @@ fields empty where the engine is non-operational unless --raw is given.
 
 Sizes the user sets are bounded before anything is allocated: --ratio-steps
 (sweep, tradeoff, figures) by MAX_RATIO_STEPS and verify --grid by
-MAX_VERIFY_GRID.  A larger value is an invalid input.
+MAX_VERIFY_GRID, which is the brute-force oracle's own bound
+bath_oracle.MAX_GRID.  A larger value, or a size with a fractional part in a
+config file, is an invalid input.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bath_oracle import (
+    MAX_GRID,
     brute_force_performance,
     jc_time_scan,
     scan_lambda_max,
@@ -38,6 +41,7 @@ from .engine import (
     run_cycle,
 )
 from .ergotropy import WorkPermutation
+from .populations import beta_prefix
 from .restrictions import (
     JC_BRANCH_POINT,
     RestrictionModel,
@@ -55,10 +59,9 @@ EXIT_VERIFY = 4
 
 _AXIS_COLUMNS = {"ratio": "ratio", "bh": "beta_h_omega", "bc": "beta_c_omega"}
 
-# Swept values are held as arrays for the whole sweep, and the brute-force
-# search of verify allocates about grid**2 floats per array.
+# Swept values are held as arrays for the whole sweep.
 MAX_RATIO_STEPS = 1_000_000
-MAX_VERIFY_GRID = 2_000
+MAX_VERIFY_GRID = MAX_GRID
 
 
 def _as_float(name: str, value) -> float:
@@ -74,8 +77,10 @@ def _as_float(name: str, value) -> float:
 def _as_int(name: str, value) -> int:
     try:
         result = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, float) and value != result:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return result
 
 
@@ -217,12 +222,6 @@ def _axis_betas(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.full(xs.shape, cfg.beta_h_omega), xs
 
 
-def _valid_prefix(beta_omega: np.ndarray) -> int:
-    """Length of the leading run of finite, non-negative temperatures."""
-    ok = np.isfinite(beta_omega) & (beta_omega >= 0.0)
-    return ok.size if ok.all() else int(ok.argmin())
-
-
 def _sweep_cells(
     cfg: SweepConfig, beta_h: np.ndarray, beta_c: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -237,7 +236,7 @@ def _sweep_cells(
     # warning, 1 for the cold warning and 2 for the caps.  A bad temperature
     # stops the sweep at the first model: in its warning step if that side is
     # an exchange coupling, else in the caps step, hot side first.
-    hot_end, cold_end = _valid_prefix(beta_h), _valid_prefix(beta_c)
+    hot_end, cold_end = beta_prefix(beta_h), beta_prefix(beta_c)
     end = min(hot_end, cold_end)
     _, first_hot, first_cold = cfg.models[0]
     if first_hot.kind == "jaynes_cummings" and hot_end == end:

@@ -17,8 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ergotropy import WorkPermutation, apply_permutation
-from .populations import QUBIT, PopulationVector, average_energy, qubit_population
-from .thermal_qubit import MixingWeight, _lam_value, apply_mixture
+from .populations import (
+    QUBIT,
+    PopulationVector,
+    average_energy,
+    check_beta,
+    check_betas,
+    check_unit_interval,
+    qubit_population,
+)
+from .thermal_qubit import MixingWeight, apply_mixture, capped_weight
 
 __all__ = [
     "BathTemperatures",
@@ -32,6 +40,7 @@ __all__ = [
     "UnsupportedRestrictionError",
     "check_laws",
     "cold_stroke",
+    "cycle_map",
     "cyclic_state",
     "elementwise",
     "eta_at_p",
@@ -85,9 +94,9 @@ class EngineParams:
 
     def __post_init__(self) -> None:
         for name in ("beta_h_omega", "beta_c_omega"):
-            object.__setattr__(self, name, _check_temperature(name, getattr(self, name)))
+            object.__setattr__(self, name, check_beta(getattr(self, name), name))
         for name in ("lambda_h_max", "lambda_c_max"):
-            object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
+            object.__setattr__(self, name, check_unit_interval(getattr(self, name), name))
 
     @property
     def cold_hotter(self) -> bool:
@@ -141,13 +150,18 @@ class LawDiagnostics:
     skipped: tuple[str, ...]
 
 
+def _thermal_stroke(
+    p: PopulationVector, lam: float | MixingWeight, cap: float, beta_omega: float
+) -> tuple[PopulationVector, float]:
+    out = apply_mixture(capped_weight(lam, cap), beta_omega, p)
+    return out, average_energy(out, QUBIT) - average_energy(p, QUBIT)
+
+
 def heat_stroke(
     p: PopulationVector, lam: float | MixingWeight, params: EngineParams
 ) -> tuple[PopulationVector, float]:
     """Couple to the hot bath; returns the new populations and q_hot."""
-    value = _lam_value(lam, params.lambda_h_max)
-    out = apply_mixture(value, params.beta_h_omega, p)
-    return out, average_energy(out, QUBIT) - average_energy(p, QUBIT)
+    return _thermal_stroke(p, lam, params.lambda_h_max, params.beta_h_omega)
 
 
 def work_stroke(
@@ -166,9 +180,7 @@ def cold_stroke(
     The returned heat is the energy change of the working body, so it is
     negative when the body dumps heat into the cold bath.
     """
-    value = _lam_value(lam, params.lambda_c_max)
-    out = apply_mixture(value, params.beta_c_omega, p)
-    return out, average_energy(out, QUBIT) - average_energy(p, QUBIT)
+    return _thermal_stroke(p, lam, params.lambda_c_max, params.beta_c_omega)
 
 
 def run_cycle(
@@ -204,6 +216,28 @@ def run_cycle(
     )
 
 
+def _swap_slope(lh, exp_h):
+    """Slope in g of the ground entry after the hot stroke and the swap."""
+    return lh * exp_h + lh - 1.0
+
+
+def cycle_map(lh, lc, params: EngineParams, swap: bool):
+    """(a, b) of the ground-entry map g -> a * g + b of hot, work and cold strokes.
+
+    The work stroke is the swap or the identity according to the flag.  The
+    weights are floats or arrays that broadcast together; they meet only
+    + - * /, so arrays give the floats' results entry by entry, bit for bit.
+    """
+    if swap:
+        slope_hot, offset_hot = _swap_slope(lh, params.exp_h), 1.0 - lh
+    else:
+        # hot alone: ground entry lh + g * (1 - lh * (1 + e_h))
+        slope_hot, offset_hot = 1.0 - lh * (1.0 + params.exp_h), lh
+    # cold: ground entry lc + (1 - lc * (1 + e_c)) * z
+    slope_cold = 1.0 - lc * (1.0 + params.exp_c)
+    return slope_cold * slope_hot, lc + slope_cold * offset_hot
+
+
 def cyclic_state(
     lambda_h: float | MixingWeight,
     lambda_c: float | MixingWeight,
@@ -218,20 +252,9 @@ def cyclic_state(
     """
     if perm.dim != 2:
         raise ValueError(f"expected a qubit work permutation, got dimension {perm.dim}")
-    lh = _lam_value(lambda_h, params.lambda_h_max)
-    lc = _lam_value(lambda_c, params.lambda_c_max)
-    if perm.is_identity:
-        # hot alone: ground entry z = lh + p * (1 - lh * (1 + e_h))
-        slope_hot = 1.0 - lh * (1.0 + params.exp_h)
-        offset_hot = lh
-    else:
-        # hot then swap: ground entry z = (1 - lh) + p * (lh * e_h + lh - 1)
-        slope_hot = lh * params.exp_h + lh - 1.0
-        offset_hot = 1.0 - lh
-    # cold: ground entry lc + (1 - lc * (1 + e_c)) * z
-    slope_cold = 1.0 - lc * (1.0 + params.exp_c)
-    a = slope_cold * slope_hot
-    b = lc + slope_cold * offset_hot
+    lh = capped_weight(lambda_h, params.lambda_h_max)
+    lc = capped_weight(lambda_c, params.lambda_c_max)
+    a, b = cycle_map(lh, lc, params, not perm.is_identity)
     if abs(1.0 - a) < _SINGULAR_TOL:
         raise SingularCycleError(
             f"cycle map is the identity at lambda_h={lh!r}, lambda_c={lc!r}"
@@ -258,37 +281,18 @@ def virtual_temperature(p: PopulationVector, params: EngineParams) -> float:
     return math.inf if ratio == 0.0 else -math.log(ratio)
 
 
-def _check_temperature(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
-
-
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
-
-
 def work_at_p(p: float, lambda_h_max: float, params: EngineParams) -> float:
     """Work per cycle of the closing protocol whose cyclic ground entry is p."""
-    p = _check_unit_interval("p", p)
-    lh = _check_unit_interval("lambda_h_max", lambda_h_max)
-    return 1.0 - 2.0 * lh + 2.0 * p * (lh * params.exp_h + lh - 1.0)
-
-
-def heat_intake_at_p(p: float, lambda_h_max: float, params: EngineParams) -> float:
-    """Heat drawn from the hot bath by the same protocol."""
-    p = _check_unit_interval("p", p)
-    lh = _check_unit_interval("lambda_h_max", lambda_h_max)
-    return lh * (p * (1.0 + params.exp_h) - 1.0)
+    p = check_unit_interval(p, "p")
+    lh = check_unit_interval(lambda_h_max, "lambda_h_max")
+    return 1.0 - 2.0 * lh + 2.0 * p * _swap_slope(lh, params.exp_h)
 
 
 def eta_at_p(p: float, lambda_h_max: float, params: EngineParams) -> float:
     """Efficiency of the same protocol; undefined when the heat intake is zero."""
-    intake = heat_intake_at_p(p, lambda_h_max, params)
+    p = check_unit_interval(p, "p")
+    lh = check_unit_interval(lambda_h_max, "lambda_h_max")
+    intake = lh * (p * (1.0 + params.exp_h) - 1.0)
     if intake == 0.0:
         raise UndefinedEfficiencyError(
             f"zero heat intake at p={p!r}, lambda_h_max={lambda_h_max!r}"
@@ -386,12 +390,6 @@ def optimal_performance(params: EngineParams) -> PerformancePoint:
     )
 
 
-def _check_each(check, name: str, values: np.ndarray, ok: np.ndarray) -> None:
-    """Reject values with the scalar check's message for the first entry not ok."""
-    if not ok.all():
-        check(name, values[int(ok.argmin())])
-
-
 @dataclass(frozen=True, eq=False)
 class BathTemperatures:
     """Aligned 1-d arrays of bath temperatures, with their Boltzmann factors.
@@ -413,8 +411,8 @@ class BathTemperatures:
         bc = np.asarray(self.beta_c_omega, dtype=float)
         if bh.ndim != 1 or bh.shape != bc.shape:
             raise ValueError(f"need two 1-d arrays of one length, got {bh.shape} and {bc.shape}")
-        for name, values in (("beta_h_omega", bh), ("beta_c_omega", bc)):
-            _check_each(_check_temperature, name, values, np.isfinite(values) & (values >= 0.0))
+        check_betas(bh, "beta_h_omega")
+        check_betas(bc, "beta_c_omega")
         object.__setattr__(self, "beta_h_omega", bh)
         object.__setattr__(self, "beta_c_omega", bc)
         object.__setattr__(self, "exp_h", elementwise(math.exp, -bh))
@@ -435,7 +433,9 @@ class BathTemperatures:
         for name, values in (("lambda_h_max", lh), ("lambda_c_max", lc)):
             if values.shape != self.beta_h_omega.shape:
                 raise ValueError(f"{name} has shape {values.shape}, expected {self.beta_h_omega.shape}")
-            _check_each(_check_unit_interval, name, values, (values >= 0.0) & (values <= 1.0))
+            ok = (values >= 0.0) & (values <= 1.0)
+            if not ok.all():
+                check_unit_interval(values[int(ok.argmin())], name)
         # Python floats overflow to inf without a word; so do these
         with np.errstate(all="ignore"):
             return _closed_form(

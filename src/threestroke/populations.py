@@ -10,6 +10,7 @@ temperature with that splitting.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,12 +21,63 @@ __all__ = [
     "PopulationVector",
     "QUBIT",
     "average_energy",
+    "beta_prefix",
+    "check_beta",
+    "check_betas",
+    "check_size",
+    "check_unit_interval",
     "gibbs_vector",
     "qubit_population",
 ]
 
 _SUM_TOL = 1e-12
 _DRIFT_TOL = 1e-9
+
+
+# The input rules of the package: every module checks temperatures, caps in
+# [0, 1] and integer sizes through these.
+
+
+def check_beta(value: float, name: str = "beta_omega") -> float:
+    """value as a float, if it is finite and >= 0, as temperatures and times must be."""
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
+def beta_prefix(values: np.ndarray) -> int:
+    """Length of the leading run of entries that check_beta accepts."""
+    ok = np.isfinite(values) & (values >= 0.0)
+    return ok.size if ok.all() else int(ok.argmin())
+
+
+def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:
+    """check_beta over a 1-d array, with its message for the first bad entry."""
+    values = np.asarray(values, dtype=float)
+    end = beta_prefix(values)
+    if end < values.size:
+        check_beta(values[end], name)
+    return values
+
+
+def check_unit_interval(value: float, name: str) -> float:
+    """value as a float, if it lies in [0, 1]."""
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return value
+
+
+def check_size(value: int, name: str, minimum: int) -> int:
+    """value, if it is an integer of at least minimum; a float, even 3.0, is rejected."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -111,8 +163,7 @@ def qubit_population(ground: float) -> PopulationVector:
 
 def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> GibbsVector:
     """Gibbs populations exp(-beta * E_i) / Z over the given spectrum."""
-    if not math.isfinite(beta) or beta < 0.0:
-        raise ValueError(f"inverse temperature must be finite and >= 0, got {beta!r}")
+    beta = check_beta(beta, "inverse temperature")
     weights = [math.exp(-beta * e) for e in spectrum.levels]
     z = math.fsum(weights)
     return GibbsVector(tuple(w / z for w in weights))

@@ -9,12 +9,12 @@ reachable mixing weight of the thermal strokes below 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import EngineParams, UndefinedEfficiencyError, elementwise
+from .populations import check_beta, check_betas, check_size, check_unit_interval
 
 __all__ = [
     "JC_BRANCH_POINT",
@@ -28,32 +28,6 @@ __all__ = [
 ]
 
 JC_BRANCH_POINT = math.log(4.0) / 3.0
-
-
-def _check_beta(beta_omega: float) -> float:
-    beta_omega = float(beta_omega)
-    if not math.isfinite(beta_omega) or beta_omega < 0.0:
-        raise ValueError(f"beta_omega must be finite and >= 0, got {beta_omega!r}")
-    return beta_omega
-
-
-def _check_betas(beta_omega: np.ndarray) -> np.ndarray:
-    """_check_beta over a whole array, naming the first bad entry."""
-    beta_omega = np.asarray(beta_omega, dtype=float)
-    ok = np.isfinite(beta_omega) & (beta_omega >= 0.0)
-    if not ok.all():
-        _check_beta(beta_omega[int(ok.argmin())])
-    return beta_omega
-
-
-def _check_bath_size(d: int) -> int:
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise ValueError(f"bath size must be an integer, got {d!r}") from None
-    if d < 1:
-        raise ValueError(f"bath size must be >= 1, got {d}")
-    return d
 
 
 # The cap formulas below take floats with math's exp/expm1, or arrays with
@@ -102,8 +76,8 @@ def lambda_max_finite_bath(beta_omega: float, d: int) -> float:
     temperature (also the value used at beta_omega = 0) toward 1 as either
     the bath grows or the temperature drops.
     """
-    beta_omega = _check_beta(beta_omega)
-    d = _check_bath_size(d)
+    beta_omega = check_beta(beta_omega)
+    d = check_size(d, "bath size", 1)
     if beta_omega == 0.0:
         return d / (d + 1.0)
     return _ladder_cap(beta_omega, d, math.exp, math.expm1)
@@ -116,7 +90,7 @@ def lambda_max_jc_raw(beta_omega: float) -> float:
     of its range and does not meet the other branch at the crossover; the
     stated expression is kept as is and lambda_max_jc clamps it.
     """
-    beta_omega = _check_beta(beta_omega)
+    beta_omega = check_beta(beta_omega)
     if beta_omega <= JC_BRANCH_POINT:
         return _jc_high_temperature(beta_omega, math.exp)
     return _jc_low_temperature(beta_omega, math.exp)
@@ -148,14 +122,11 @@ class RestrictionModel:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown restriction kind {self.kind!r}")
         if self.kind == "finite_bath":
-            object.__setattr__(self, "d", _check_bath_size(self.d))
+            object.__setattr__(self, "d", check_size(self.d, "bath size", 1))
         elif self.d is not None:
             raise ValueError(f"restriction {self.kind!r} takes no bath size")
         if self.kind == "explicit":
-            lam = float(self.lam)
-            if not math.isfinite(lam) or not 0.0 <= lam <= 1.0:
-                raise ValueError(f"explicit cap {lam!r} outside [0, 1]")
-            object.__setattr__(self, "lam", lam)
+            object.__setattr__(self, "lam", check_unit_interval(self.lam, "explicit cap"))
         elif self.lam is not None:
             raise ValueError(f"restriction {self.kind!r} takes no explicit cap")
 
@@ -212,11 +183,8 @@ class RestrictionModel:
             return lambda_max_finite_bath(beta_omega, self.d)
         if self.kind == "jaynes_cummings":
             return lambda_max_jc(beta_omega)
-        if self.kind == "explicit":
-            _check_beta(beta_omega)
-            return self.lam
-        _check_beta(beta_omega)
-        return 1.0
+        check_beta(beta_omega)
+        return self.lam if self.kind == "explicit" else 1.0
 
     def clamped(self, beta_omega: float) -> bool:
         """True when resolving this model at beta_omega required clamping."""
@@ -228,7 +196,7 @@ class RestrictionModel:
         The array is validated as a whole first, and every entry equals the
         scalar methods' result bit for bit.
         """
-        beta = _check_betas(beta_omega)
+        beta = check_betas(beta_omega)
         clamped = np.zeros(beta.shape, dtype=bool)
         # Python floats overflow to inf without a word; so do these
         with np.errstate(all="ignore"):
@@ -265,9 +233,9 @@ def engine_params_from(
 
 def eta_finite_bath(beta_h_omega: float, beta_c_omega: float, d: int) -> float:
     """Optimal efficiency with (d+1)-level ladder baths on both strokes."""
-    bh = _check_beta(beta_h_omega)
-    bc = _check_beta(beta_c_omega)
-    d = _check_bath_size(d)
+    bh = check_beta(beta_h_omega)
+    bc = check_beta(beta_c_omega)
+    d = check_size(d, "bath size", 1)
     num = (
         -math.expm1(-d * bc) * -math.expm1(-bh) * -math.expm1(-(bc + d * bh))
     )

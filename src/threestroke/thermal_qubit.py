@@ -13,12 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .populations import PopulationVector
+from .populations import PopulationVector, check_beta, check_unit_interval
 
 __all__ = [
     "MixingWeight",
     "ThermalProcess",
     "apply_mixture",
+    "capped_weight",
     "extremal_process",
     "polytope_extremes",
 ]
@@ -38,20 +39,16 @@ class MixingWeight:
     lam_max: float = 1.0
 
     def __post_init__(self) -> None:
+        lam_max = check_unit_interval(self.lam_max, "lam_max")
         lam = float(self.lam)
-        lam_max = float(self.lam_max)
-        if not (math.isfinite(lam) and math.isfinite(lam_max)):
-            raise ValueError(f"non-finite mixing weight ({lam!r}, {lam_max!r})")
-        if not 0.0 <= lam_max <= 1.0:
-            raise ValueError(f"lam_max {lam_max!r} outside [0, 1]")
         if not 0.0 <= lam <= lam_max:
             raise ValueError(f"mixing weight {lam!r} outside [0, {lam_max!r}]")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "lam_max", lam_max)
 
 
-def _lam_value(lam: float | MixingWeight, cap: float = 1.0) -> float:
-    """Extract the mixing weight and enforce the cap on bare floats too."""
+def capped_weight(lam: float | MixingWeight, cap: float = 1.0) -> float:
+    """The mixing weight, bare or a MixingWeight, held to [0, cap] with 1e-12 slack."""
     value = lam.lam if isinstance(lam, MixingWeight) else float(lam)
     if not math.isfinite(value) or value < 0.0 or value > cap + _STOCH_TOL:
         raise ValueError(f"mixing weight {value!r} outside [0, {cap!r}]")
@@ -66,8 +63,7 @@ class ThermalProcess:
     beta_omega: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.beta_omega) or self.beta_omega < 0.0:
-            raise ValueError(f"beta_omega must be finite and >= 0, got {self.beta_omega!r}")
+        object.__setattr__(self, "beta_omega", check_beta(self.beta_omega))
         matrix = tuple(tuple(float(x) for x in row) for row in self.matrix)
         if len(matrix) != 2 or any(len(row) != 2 for row in matrix):
             raise ValueError("thermal process needs a 2x2 matrix")
@@ -101,8 +97,7 @@ class ThermalProcess:
 
 def extremal_process(beta_omega: float) -> ThermalProcess:
     """The unique nontrivial extreme point of the qubit thermal polytope."""
-    if not math.isfinite(beta_omega) or beta_omega < 0.0:
-        raise ValueError(f"beta_omega must be finite and >= 0, got {beta_omega!r}")
+    beta_omega = check_beta(beta_omega)
     e = math.exp(-beta_omega)
     return ThermalProcess(((1.0 - e, 1.0), (e, 0.0)), beta_omega)
 
@@ -111,11 +106,10 @@ def apply_mixture(
     lam: float | MixingWeight, beta_omega: float, p: PopulationVector
 ) -> PopulationVector:
     """Apply lam * extremal + (1 - lam) * identity to a qubit population."""
-    if not math.isfinite(beta_omega) or beta_omega < 0.0:
-        raise ValueError(f"beta_omega must be finite and >= 0, got {beta_omega!r}")
+    beta_omega = check_beta(beta_omega)
     if p.dim != 2:
         raise ValueError(f"expected a qubit population, got dimension {p.dim}")
-    value = _lam_value(lam)
+    value = capped_weight(lam)
     e = math.exp(-beta_omega)
     g, x = p.entries
     ground = value * (1.0 - g * e) + (1.0 - value) * g
@@ -127,5 +121,5 @@ def polytope_extremes(
     p: PopulationVector, beta_omega: float, lambda_max: float = 1.0
 ) -> tuple[PopulationVector, PopulationVector]:
     """End points of the reachable segment of p under capped thermal processes."""
-    value = _lam_value(lambda_max)
+    value = capped_weight(lambda_max)
     return p, apply_mixture(value, beta_omega, p)

@@ -1,6 +1,7 @@
 """Simulation and search oracles: block unitaries, grids and time scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from threestroke import (
     scan_lambda_max,
     simulate_finite_bath_map,
 )
+from threestroke.bath_oracle import MAX_GRID, MAX_TRUNCATION
 
 REF = EngineParams(0.2, 0.6, 1.0, 1.0)
 
@@ -209,6 +211,42 @@ def test_brute_force_single_contact_bath_never_works():
 def test_brute_force_validation():
     with pytest.raises(ValueError):
         brute_force_performance(REF, grid=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: brute_force_performance(REF, grid=MAX_GRID + 1),
+        lambda: jc_time_scan(0.5, truncation=MAX_TRUNCATION + 1),
+    ],
+    ids=["grid", "truncation"],
+)
+def test_oracle_sizes_fail_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: brute_force_performance(REF, grid=2.9),
+        lambda: jc_time_scan(0.5, truncation=200.5),
+        lambda: scan_lambda_max(0.5, 2, grid=9.5),
+        lambda: scan_lambda_max(0.5, 6, grid=65.5),
+        lambda: lambda_max_finite_bath(0.5, 2.9),
+        lambda: RestrictionModel.finite_bath(2.9),
+    ],
+    ids=["brute_force_grid", "truncation", "scan_grid", "ascent_grid", "cap_bath", "model_bath"],
+)
+def test_fractional_sizes_are_rejected(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
 
 
 def test_jc_time_scan_examples():

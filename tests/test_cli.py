@@ -51,6 +51,17 @@ def test_perf_reversed_roles(capsys):
     assert payload["cold_hotter"] is True and payload["operational"] is False
 
 
+def test_config_sizes_must_be_whole_numbers(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"ratio-steps": 3.9}))
+    code, out, err = run(["sweep", "--bh", "0.2", "--config", str(config)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --ratio-steps must be an integer, got 3.9\n"
+    config.write_text(json.dumps({"ratio-steps": 3}))
+    code, out, _ = run(["sweep", "--bh", "0.2", "--config", str(config)], capsys)
+    assert code == 0 and len(out.splitlines()) == 2 + 3
+
+
 def test_perf_missing_beta(capsys):
     code, _, err = run(["perf", "--bc", "0.6"], capsys)
     assert code == 2 and err.startswith("error:")

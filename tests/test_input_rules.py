@@ -1,0 +1,75 @@
+"""The temperature rule shared by every module that takes a temperature."""
+
+import math
+
+import pytest
+
+from threestroke import (
+    QUBIT,
+    BlockUnitarySpec,
+    EngineParams,
+    JointState,
+    RestrictionModel,
+    ThermalProcess,
+    achieved_lambda,
+    apply_mixture,
+    engine_params_from,
+    eta_finite_bath,
+    extremal_process,
+    gibbs_vector,
+    jc_time_scan,
+    lambda_max_finite_bath,
+    lambda_max_jc,
+    lambda_max_jc_raw,
+    polytope_extremes,
+    qubit_population,
+    scan_lambda_max,
+    simulate_finite_bath_map,
+)
+from threestroke.engine import BathTemperatures
+from threestroke.restrictions import jc_clamped
+
+P = qubit_population(0.6)
+SPEC = BlockUnitarySpec.full_swap(3)
+MODELS = (
+    RestrictionModel.unrestricted(),
+    RestrictionModel.finite_bath(3),
+    RestrictionModel.jaynes_cummings(),
+    RestrictionModel.explicit(0.5),
+)
+
+# Every public entry point that takes a temperature, with the bad one as b.
+TAKES_A_TEMPERATURE = {
+    "EngineParams.beta_h": lambda b: EngineParams(b, 1.0),
+    "EngineParams.beta_c": lambda b: EngineParams(0.2, b),
+    "BathTemperatures.beta_h": lambda b: BathTemperatures([0.2, b], [1.0, 1.0]),
+    "BathTemperatures.beta_c": lambda b: BathTemperatures([0.2, 0.2], [1.0, b]),
+    "gibbs_vector": lambda b: gibbs_vector(b, QUBIT),
+    "ThermalProcess": lambda b: ThermalProcess(((1.0, 0.0), (0.0, 1.0)), b),
+    "extremal_process": extremal_process,
+    "apply_mixture": lambda b: apply_mixture(0.5, b, P),
+    "polytope_extremes": lambda b: polytope_extremes(P, b),
+    "lambda_max_finite_bath": lambda b: lambda_max_finite_bath(b, 3),
+    "lambda_max_jc_raw": lambda_max_jc_raw,
+    "lambda_max_jc": lambda_max_jc,
+    "jc_clamped": jc_clamped,
+    **{f"lambda_max[{m.label}]": (lambda m: lambda b: m.lambda_max(b))(m) for m in MODELS},
+    **{f"resolve[{m.label}]": (lambda m: lambda b: m.resolve([0.2, b]))(m) for m in MODELS},
+    "engine_params_from.beta_h": lambda b: engine_params_from(MODELS[1], MODELS[1], b, 1.0),
+    "engine_params_from.beta_c": lambda b: engine_params_from(MODELS[1], MODELS[1], 0.2, b),
+    "eta_finite_bath.beta_h": lambda b: eta_finite_bath(b, 1.0, 3),
+    "eta_finite_bath.beta_c": lambda b: eta_finite_bath(0.2, b, 3),
+    "JointState.product": lambda b: JointState.product(P, b, 3),
+    "simulate_finite_bath_map": lambda b: simulate_finite_bath_map(P, b, 3, SPEC),
+    "achieved_lambda": lambda b: achieved_lambda(SPEC, b, 3),
+    "scan_lambda_max": lambda b: scan_lambda_max(b, 2),
+    "jc_time_scan": jc_time_scan,
+}
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, "x"], ids=repr)
+@pytest.mark.parametrize("name", sorted(TAKES_A_TEMPERATURE))
+def test_every_temperature_input_rejects_bad_values(name, bad):
+    with pytest.raises(ValueError):
+        TAKES_A_TEMPERATURE[name](bad)
+

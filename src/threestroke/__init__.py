@@ -21,7 +21,6 @@ from .engine import (
     CycleReport,
     EngineParams,
     LawDiagnostics,
-    OrderViolationError,
     PerformancePoint,
     SingularCycleError,
     UndefinedEfficiencyError,
@@ -29,14 +28,11 @@ from .engine import (
     check_laws,
     cold_stroke,
     cyclic_state,
-    eta_at_p,
     heat_stroke,
     open_cycle_performance,
     optimal_performance,
     positive_work_condition,
     run_cycle,
-    virtual_temperature,
-    work_at_p,
     work_stroke,
 )
 from .ergotropy import WorkPermutation, apply_permutation, ergotropy, passive_rearrangement
@@ -65,13 +61,7 @@ from .restrictions import (
     lambda_max_jc,
     lambda_max_jc_raw,
 )
-from .thermal_qubit import (
-    MixingWeight,
-    ThermalProcess,
-    apply_mixture,
-    extremal_process,
-    polytope_extremes,
-)
+from .thermal_qubit import apply_mixture
 
 __version__ = "0.1.0"
 
@@ -87,14 +77,11 @@ __all__ = [
     "GibbsVector",
     "JointState",
     "LawDiagnostics",
-    "MixingWeight",
-    "OrderViolationError",
     "PerformancePoint",
     "PopulationVector",
     "ResourceLimitError",
     "RestrictionModel",
     "SingularCycleError",
-    "ThermalProcess",
     "ThermomajorizationCurve",
     "UndefinedEfficiencyError",
     "UnsupportedRestrictionError",
@@ -110,9 +97,7 @@ __all__ = [
     "cyclic_state",
     "engine_params_from",
     "ergotropy",
-    "eta_at_p",
     "eta_finite_bath",
-    "extremal_process",
     "gibbs_vector",
     "heat_stroke",
     "jc_time_scan",
@@ -122,7 +107,6 @@ __all__ = [
     "open_cycle_performance",
     "optimal_performance",
     "passive_rearrangement",
-    "polytope_extremes",
     "positive_work_condition",
     "qubit_population",
     "run_cycle",
@@ -130,7 +114,5 @@ __all__ = [
     "simulate_finite_bath_map",
     "thermomajorization_curve",
     "thermomajorizes",
-    "virtual_temperature",
-    "work_at_p",
     "work_stroke",
 ]

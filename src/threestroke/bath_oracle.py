@@ -35,10 +35,12 @@ __all__ = [
 ]
 
 # Sizes are bounded before anything is allocated: the bath by its O(d) block
-# arrays, the brute-force grid by its grid**2 floats per array and the
+# arrays, the brute-force grid by its grid**2 floats per array, the angle scan
+# by the same MAX_GRID**2 floats in its mesh or rows of angles, and the
 # exchange-coupling truncation by its per-manifold arrays.
 _MAX_BATH_SIZE = 10_000
 MAX_GRID = 2_000
+_MAX_SCAN_FLOATS = MAX_GRID**2
 MAX_TRUNCATION = 100_000
 _CLOSURE_TOL = 1e-10
 _JC_TAIL_TOL = 1e-12
@@ -233,11 +235,14 @@ def scan_lambda_max(beta_omega: float, d: int, grid: int | None = None) -> float
     Exhaustive grid plus local zoom for d <= 4, cyclic coordinate ascent with
     the same zoom for larger d.  Both paths only evaluate achieved_lambda on
     explicit angle tuples, which keeps the result independent of the
-    closed-form cap.  Ties resolve to the smallest grid index.
+    closed-form cap.  Ties resolve to the smallest grid index.  A grid whose
+    mesh (grid**d * d floats) or rows (grid * d floats) would hold more than
+    MAX_GRID**2 floats raises ResourceLimitError before anything is allocated.
     """
     beta_omega, d = _check_bath(beta_omega, d)
     if d <= 4:
         points = check_size(grid, "grid", 3) if grid is not None else 9
+        _check_bounded(points**d * d, "angle mesh (grid**d * d floats)", 1, _MAX_SCAN_FLOATS)
         axes = [np.linspace(0.0, math.pi / 2.0, points)] * d
         best_value = -math.inf
         best_row = None
@@ -255,6 +260,7 @@ def scan_lambda_max(beta_omega: float, d: int, grid: int | None = None) -> float
             ]
         return best_value
     points = check_size(grid, "grid", 3) if grid is not None else 65
+    _check_bounded(points * d, "angle rows (grid * d floats)", 1, _MAX_SCAN_FLOATS)
     thetas = np.full(d, math.pi / 4.0)
     best_value = float(_achieved_lambda_rows(thetas[None, :], beta_omega, d)[0])
     for _ in range(6):

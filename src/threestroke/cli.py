@@ -84,6 +84,16 @@ def _as_int(name: str, value) -> int:
     return result
 
 
+def _as_size(flag: str, value, default: int, minimum: int, maximum: int) -> int:
+    """The integer value of a size option (default if unset), within [minimum, maximum]."""
+    size = _as_int(flag, value if value is not None else default)
+    if size < minimum:
+        raise ValueError(f"{flag} must be >= {minimum}, got {size}")
+    if size > maximum:
+        raise ValueError(f"{flag} must be <= {maximum}, got {size}")
+    return size
+
+
 def _required(args, name: str, flag: str):
     value = getattr(args, name)
     if value is None:
@@ -205,12 +215,7 @@ def _sweep_config(args, raw_allowed: bool = True) -> SweepConfig:
 
 
 def _ratio_steps(args) -> int:
-    steps = _as_int("--ratio-steps", args.ratio_steps if args.ratio_steps is not None else 200)
-    if steps < 2:
-        raise ValueError(f"--ratio-steps must be >= 2, got {steps}")
-    if steps > MAX_RATIO_STEPS:
-        raise ValueError(f"--ratio-steps must be <= {MAX_RATIO_STEPS}, got {steps}")
-    return steps
+    return _as_size("--ratio-steps", args.ratio_steps, 200, 2, MAX_RATIO_STEPS)
 
 
 def _axis_betas(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -561,9 +566,7 @@ _CHECKS = {
 
 def cmd_verify(args) -> int:
     seed = _as_int("--seed", args.seed if args.seed is not None else 0)
-    grid = _as_int("--grid", args.grid if args.grid is not None else 200)
-    if grid > MAX_VERIFY_GRID:
-        raise ValueError(f"--grid must be <= {MAX_VERIFY_GRID}, got {grid}")
+    grid = _as_size("--grid", args.grid, 200, 2, MAX_VERIFY_GRID)
     if args.only is not None:
         names = [name.strip() for name in str(args.only).split(",") if name.strip()]
         unknown = [name for name in names if name not in _CHECKS]

@@ -26,14 +26,13 @@ from .populations import (
     check_unit_interval,
     qubit_population,
 )
-from .thermal_qubit import MixingWeight, apply_mixture, capped_weight
+from .thermal_qubit import apply_mixture, capped_weight
 
 __all__ = [
     "BathTemperatures",
     "CycleReport",
     "EngineParams",
     "LawDiagnostics",
-    "OrderViolationError",
     "PerformancePoint",
     "SingularCycleError",
     "UndefinedEfficiencyError",
@@ -43,14 +42,11 @@ __all__ = [
     "cycle_map",
     "cyclic_state",
     "elementwise",
-    "eta_at_p",
     "heat_stroke",
     "open_cycle_performance",
     "optimal_performance",
     "positive_work_condition",
     "run_cycle",
-    "virtual_temperature",
-    "work_at_p",
     "work_stroke",
 ]
 
@@ -69,10 +65,6 @@ class SingularCycleError(ValueError):
     def __init__(self, message: str, index: int | None = None) -> None:
         super().__init__(message)
         self.index = index
-
-
-class OrderViolationError(ValueError):
-    """Populations are not ordered the way the requested quantity assumes."""
 
 
 class UndefinedEfficiencyError(ValueError):
@@ -127,7 +119,6 @@ class CycleReport:
     efficiency: float | None
     closes: bool
     populations: tuple[PopulationVector, PopulationVector, PopulationVector]
-    cold_hotter: bool
 
 
 @dataclass(frozen=True)
@@ -138,7 +129,6 @@ class PerformancePoint:
     w_max: float
     eta_max: float | None
     operational: bool
-    cold_hotter: bool = False
 
 
 @dataclass(frozen=True)
@@ -151,14 +141,14 @@ class LawDiagnostics:
 
 
 def _thermal_stroke(
-    p: PopulationVector, lam: float | MixingWeight, cap: float, beta_omega: float
+    p: PopulationVector, lam: float, cap: float, beta_omega: float
 ) -> tuple[PopulationVector, float]:
     out = apply_mixture(capped_weight(lam, cap), beta_omega, p)
     return out, average_energy(out, QUBIT) - average_energy(p, QUBIT)
 
 
 def heat_stroke(
-    p: PopulationVector, lam: float | MixingWeight, params: EngineParams
+    p: PopulationVector, lam: float, params: EngineParams
 ) -> tuple[PopulationVector, float]:
     """Couple to the hot bath; returns the new populations and q_hot."""
     return _thermal_stroke(p, lam, params.lambda_h_max, params.beta_h_omega)
@@ -173,7 +163,7 @@ def work_stroke(
 
 
 def cold_stroke(
-    p: PopulationVector, lam: float | MixingWeight, params: EngineParams
+    p: PopulationVector, lam: float, params: EngineParams
 ) -> tuple[PopulationVector, float]:
     """Couple to the cold bath; returns the new populations and their energy change.
 
@@ -185,8 +175,8 @@ def cold_stroke(
 
 def run_cycle(
     p0: PopulationVector,
-    lambda_h: float | MixingWeight,
-    lambda_c: float | MixingWeight,
+    lambda_h: float,
+    lambda_c: float,
     perm: WorkPermutation,
     params: EngineParams,
 ) -> CycleReport:
@@ -212,13 +202,7 @@ def run_cycle(
         efficiency=efficiency,
         closes=closes,
         populations=(after_heat, after_work, after_cold),
-        cold_hotter=params.cold_hotter,
     )
-
-
-def _swap_slope(lh, exp_h):
-    """Slope in g of the ground entry after the hot stroke and the swap."""
-    return lh * exp_h + lh - 1.0
 
 
 def cycle_map(lh, lc, params: EngineParams, swap: bool):
@@ -229,7 +213,8 @@ def cycle_map(lh, lc, params: EngineParams, swap: bool):
     + - * /, so arrays give the floats' results entry by entry, bit for bit.
     """
     if swap:
-        slope_hot, offset_hot = _swap_slope(lh, params.exp_h), 1.0 - lh
+        # hot then swap: ground entry 1 - lh + g * (lh * e_h + lh - 1)
+        slope_hot, offset_hot = lh * params.exp_h + lh - 1.0, 1.0 - lh
     else:
         # hot alone: ground entry lh + g * (1 - lh * (1 + e_h))
         slope_hot, offset_hot = 1.0 - lh * (1.0 + params.exp_h), lh
@@ -239,8 +224,8 @@ def cycle_map(lh, lc, params: EngineParams, swap: bool):
 
 
 def cyclic_state(
-    lambda_h: float | MixingWeight,
-    lambda_c: float | MixingWeight,
+    lambda_h: float,
+    lambda_c: float,
     params: EngineParams,
     perm: WorkPermutation = _SWAP,
 ) -> PopulationVector:
@@ -260,44 +245,6 @@ def cyclic_state(
             f"cycle map is the identity at lambda_h={lh!r}, lambda_c={lc!r}"
         )
     return qubit_population(b / (1.0 - a))
-
-
-def virtual_temperature(p: PopulationVector, params: EngineParams) -> float:
-    """Inverse temperature (times the splitting) whose Gibbs state matches p.
-
-    Only populations at least as ordered as the hot Gibbs state qualify;
-    anything less ordered cannot be the output of the heat stroke.
-    """
-    if p.dim != 2:
-        raise ValueError(f"expected a qubit population, got dimension {p.dim}")
-    g = p.entries[0]
-    if not 0.5 < g <= 1.0:
-        raise OrderViolationError(f"ground population {g!r} not in (1/2, 1]")
-    ratio = (1.0 - g) / g
-    if ratio > params.exp_h + 1e-12:
-        raise OrderViolationError(
-            f"population ratio {ratio!r} exceeds the hot Boltzmann factor {params.exp_h!r}"
-        )
-    return math.inf if ratio == 0.0 else -math.log(ratio)
-
-
-def work_at_p(p: float, lambda_h_max: float, params: EngineParams) -> float:
-    """Work per cycle of the closing protocol whose cyclic ground entry is p."""
-    p = check_unit_interval(p, "p")
-    lh = check_unit_interval(lambda_h_max, "lambda_h_max")
-    return 1.0 - 2.0 * lh + 2.0 * p * _swap_slope(lh, params.exp_h)
-
-
-def eta_at_p(p: float, lambda_h_max: float, params: EngineParams) -> float:
-    """Efficiency of the same protocol; undefined when the heat intake is zero."""
-    p = check_unit_interval(p, "p")
-    lh = check_unit_interval(lambda_h_max, "lambda_h_max")
-    intake = lh * (p * (1.0 + params.exp_h) - 1.0)
-    if intake == 0.0:
-        raise UndefinedEfficiencyError(
-            f"zero heat intake at p={p!r}, lambda_h_max={lambda_h_max!r}"
-        )
-    return work_at_p(p, lambda_h_max, params) / intake
 
 
 def elementwise(func, values: np.ndarray) -> np.ndarray:
@@ -386,7 +333,6 @@ def optimal_performance(params: EngineParams) -> PerformancePoint:
         w_max=w_max,
         eta_max=None if math.isnan(eta_max) else eta_max,
         operational=w_max > 0.0,
-        cold_hotter=bc <= bh,
     )
 
 

@@ -39,10 +39,6 @@ class ThermomajorizationCurve:
     x: tuple[float, ...]
     y: tuple[float, ...]
 
-    def at(self, x: float) -> float:
-        """Curve value at the given abscissa, continued flat past the end."""
-        return float(np.interp(x, self.x, self.y))
-
 
 def beta_order(p: PopulationVector, gamma: GibbsVector) -> BetaOrder:
     """Sort level indices by p_i / gamma_i, largest ratio first.

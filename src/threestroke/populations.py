@@ -115,9 +115,6 @@ class PopulationVector:
     def dim(self) -> int:
         return len(self.entries)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
 
 @dataclass(frozen=True)
 class GibbsVector(PopulationVector):

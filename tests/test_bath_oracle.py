@@ -218,8 +218,13 @@ def test_brute_force_validation():
     [
         lambda: brute_force_performance(REF, grid=MAX_GRID + 1),
         lambda: jc_time_scan(0.5, truncation=MAX_TRUNCATION + 1),
+        # one float over MAX_GRID**2 in the mesh, and the first grid over it at d = 4
+        lambda: scan_lambda_max(0.5, 1, grid=MAX_GRID**2 + 1),
+        lambda: scan_lambda_max(0.5, 4, grid=32),
+        # grid * d = MAX_GRID**2 + 5 floats in the coordinate-ascent rows
+        lambda: scan_lambda_max(0.5, 5, grid=MAX_GRID**2 // 5 + 1),
     ],
-    ids=["grid", "truncation"],
+    ids=["grid", "truncation", "scan_mesh", "scan_mesh_d4", "ascent_rows"],
 )
 def test_oracle_sizes_fail_before_allocating(call):
     tracemalloc.start()

@@ -237,6 +237,13 @@ def test_verify_unknown_check(capsys):
     assert code == 2 and "unknown checks" in err
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-5"])
+def test_verify_grid_below_two_fails_before_any_check(grid, capsys):
+    code, out, err = run(["verify", "--grid", grid], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: --grid must be >= 2, got {grid}\n"
+
+
 def test_verify_forced_failure(monkeypatch, capsys):
     monkeypatch.setitem(cli._CHECKS, "thm3", lambda seed, grid: [("FAIL", "forced")])
     code, out, _ = run(["verify", "--only", "thm3"], capsys)

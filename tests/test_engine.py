@@ -11,7 +11,6 @@ from threestroke import (
     QUBIT,
     CycleReport,
     EngineParams,
-    OrderViolationError,
     PopulationVector,
     RestrictionModel,
     SingularCycleError,
@@ -22,7 +21,6 @@ from threestroke import (
     cold_stroke,
     cyclic_state,
     engine_params_from,
-    eta_at_p,
     gibbs_vector,
     heat_stroke,
     open_cycle_performance,
@@ -30,8 +28,6 @@ from threestroke import (
     positive_work_condition,
     qubit_population,
     run_cycle,
-    virtual_temperature,
-    work_at_p,
     work_stroke,
 )
 from threestroke.engine import BathTemperatures
@@ -179,37 +175,12 @@ def test_cyclic_state_increases_with_cold_weight():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_virtual_temperature():
-    assert virtual_temperature(qubit_population(1 / (1 + math.exp(-0.8))), REF) == pytest.approx(
-        0.8, abs=1e-12
-    )
-    assert virtual_temperature(qubit_population(REF_P), REF) == pytest.approx(0.8, abs=1e-9)
-    assert virtual_temperature(qubit_population(1.0), REF) == math.inf
-    with pytest.raises(OrderViolationError):
-        virtual_temperature(qubit_population(0.4), REF)
-    # ordered less than the hot Gibbs state: unreachable by the heat stroke
-    with pytest.raises(OrderViolationError):
-        virtual_temperature(qubit_population(0.51), REF)
-
-
-def test_work_and_eta_at_p():
-    assert work_at_p(REF_P, 1.0, REF) == pytest.approx(REF_W, abs=1e-12)
-    assert eta_at_p(REF_P, 1.0, REF) == pytest.approx(REF_ETA, abs=1e-12)
-    # root of the affine form
-    root = (2.0 * 1.0 - 1.0) / (2.0 * (1.0 * REF.exp_h + 1.0 - 1.0))
-    assert work_at_p(root, 1.0, REF) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(UndefinedEfficiencyError):
-        eta_at_p(0.5, 0.0, REF)
-    with pytest.raises(ValueError):
-        work_at_p(1.5, 1.0, REF)
-
-
 def test_optimal_performance_reference_point():
     point = optimal_performance(REF)
     assert point.p_opt == pytest.approx(REF_P, abs=1e-12)
     assert point.w_max == pytest.approx(REF_W, abs=1e-12)
     assert point.eta_max == pytest.approx(REF_ETA, abs=1e-12)
-    assert point.operational and not point.cold_hotter
+    assert point.operational
 
 
 def test_optimal_performance_no_gradient():
@@ -218,7 +189,6 @@ def test_optimal_performance_no_gradient():
     e = math.exp(-bw)
     assert point.w_max == pytest.approx(-((1.0 - e) ** 2) / (1.0 + e * e), abs=1e-12)
     assert not point.operational
-    assert point.cold_hotter
 
 
 def test_optimal_performance_degenerate_caps():
@@ -241,22 +211,24 @@ def test_operational_efficiency_below_carnot(bh, ratio, lh, lc):
 
 
 @given(bh=st.floats(0.05, 1.5), ratio=st.floats(1.1, 6.0), lh=st.floats(0.1, 1.0), lc=st.floats(0.1, 1.0))
+@example(bh=0.2, ratio=3.0, lh=1.0, lc=1.0)
+# operational points are a few percent of the drawn ones; these pin two with caps below 1
+@example(bh=0.05, ratio=6.0, lh=0.7, lc=0.4)
+@example(bh=0.05, ratio=6.0, lh=0.9, lc=0.9)
 @settings(max_examples=200)
-def test_displays_match_affine_forms(bh, ratio, lh, lc):
+def test_closed_form_matches_the_simulated_cyclic_cycle(bh, ratio, lh, lc):
+    """The displays equal one simulated pass of the optimal protocol from its cyclic state."""
     params = well_conditioned_params(bh, ratio, lh, lc)
     point = optimal_performance(params)
-    assert point.w_max == pytest.approx(work_at_p(point.p_opt, lh, params), abs=1e-9)
-    # off the operational region the efficiency denominator can cross zero,
-    # where both expressions blow up and agreement is only relative at best
-    if point.operational and point.eta_max is not None:
-        eta = eta_at_p(point.p_opt, lh, params)
-        assert point.eta_max == pytest.approx(eta, rel=1e-9, abs=1e-9)
-
-
-def test_displays_match_affine_forms_exactly_at_reference():
-    point = optimal_performance(REF)
-    assert point.w_max == pytest.approx(work_at_p(point.p_opt, 1.0, REF), abs=1e-12)
-    assert point.eta_max == pytest.approx(eta_at_p(point.p_opt, 1.0, REF), abs=1e-12)
+    start = cyclic_state(lh, lc, params)
+    report = run_cycle(start, lh, lc, WorkPermutation.swap(), params)
+    assert report.closes
+    assert point.p_opt == pytest.approx(start.entries[0], abs=1e-12)
+    assert point.w_max == pytest.approx(report.work, rel=1e-9, abs=1e-9)
+    # off the operational region the heat intake can cross zero, where both
+    # efficiencies blow up and agreement is only relative at best
+    if point.operational:
+        assert point.eta_max == pytest.approx(report.efficiency, rel=1e-9, abs=1e-9)
 
 
 def test_positive_work_condition():
@@ -305,7 +277,6 @@ def test_check_laws_skips_carnot_when_cold_hotter():
         efficiency=2.0,
         closes=True,
         populations=(p0, p0, p0),
-        cold_hotter=True,
     )
     diagnostics = check_laws(fake, params)
     assert diagnostics.ok

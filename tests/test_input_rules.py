@@ -10,18 +10,15 @@ from threestroke import (
     EngineParams,
     JointState,
     RestrictionModel,
-    ThermalProcess,
     achieved_lambda,
     apply_mixture,
     engine_params_from,
     eta_finite_bath,
-    extremal_process,
     gibbs_vector,
     jc_time_scan,
     lambda_max_finite_bath,
     lambda_max_jc,
     lambda_max_jc_raw,
-    polytope_extremes,
     qubit_population,
     scan_lambda_max,
     simulate_finite_bath_map,
@@ -45,10 +42,7 @@ TAKES_A_TEMPERATURE = {
     "BathTemperatures.beta_h": lambda b: BathTemperatures([0.2, b], [1.0, 1.0]),
     "BathTemperatures.beta_c": lambda b: BathTemperatures([0.2, 0.2], [1.0, b]),
     "gibbs_vector": lambda b: gibbs_vector(b, QUBIT),
-    "ThermalProcess": lambda b: ThermalProcess(((1.0, 0.0), (0.0, 1.0)), b),
-    "extremal_process": extremal_process,
     "apply_mixture": lambda b: apply_mixture(0.5, b, P),
-    "polytope_extremes": lambda b: polytope_extremes(P, b),
     "lambda_max_finite_bath": lambda b: lambda_max_finite_bath(b, 3),
     "lambda_max_jc_raw": lambda_max_jc_raw,
     "lambda_max_jc": lambda_max_jc,

@@ -67,7 +67,7 @@ def test_curve_examples():
     gamma = qubit_gamma(math.log(2.0))
     # thermal state: straight diagonal
     diag = thermomajorization_curve(gamma, gamma)
-    assert diag.at(0.4) == pytest.approx(0.4, abs=1e-12)
+    assert diag.y == pytest.approx(diag.x, abs=1e-12)
     # concentrated on the largest-ratio level: y = 1 at the first vertex
     sharp = thermomajorization_curve(PopulationVector((0.0, 1.0)), gamma)
     assert sharp.y[1] == pytest.approx(1.0, abs=1e-12)

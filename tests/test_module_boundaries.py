@@ -1,11 +1,14 @@
-"""Module boundaries: no module of the package imports another's private names."""
+"""Module boundaries: no module of the package imports another's private names,
+and every exported name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "threestroke"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def private_imports(path: Path) -> list[str]:
@@ -23,6 +26,17 @@ def private_imports(path: Path) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(path) == []
+
+
+def module_name(path: Path) -> str:
+    return "threestroke" if path.stem == "__init__" else f"threestroke.{path.stem}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_export_exists(path):
+    module = importlib.import_module(module_name(path))
+    exports = getattr(module, "__all__", [])
+    assert [name for name in exports if not hasattr(module, name)] == []

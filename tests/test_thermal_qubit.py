@@ -1,61 +1,46 @@
-"""Extremal process, mixtures and the restricted polytope segment."""
+"""Mixtures of the identity with the extremal thermal process."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from threestroke import (
     QUBIT,
-    MixingWeight,
     PopulationVector,
-    ThermalProcess,
     apply_mixture,
-    extremal_process,
     gibbs_vector,
-    polytope_extremes,
     qubit_population,
 )
+from threestroke.thermal_qubit import capped_weight
 
 
 def test_extremal_examples():
-    assert extremal_process(0.0).as_array() == pytest.approx(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert extremal_process(math.log(2.0)).as_array() == pytest.approx(
-        np.array([[0.5, 1.0], [0.5, 0.0]])
-    )
+    # the full mixture is the extremal process; its columns are the images of
+    # the basis states: [[0, 1], [1, 0]] at infinite temperature and
+    # [[1/2, 1], [1/2, 0]] at log 2
+    ground, excited = qubit_population(1.0), qubit_population(0.0)
+    assert apply_mixture(1.0, 0.0, ground).entries == pytest.approx((0.0, 1.0))
+    assert apply_mixture(1.0, 0.0, excited).entries == pytest.approx((1.0, 0.0))
+    assert apply_mixture(1.0, math.log(2.0), ground).entries == pytest.approx((0.5, 0.5))
+    assert apply_mixture(1.0, math.log(2.0), excited).entries == pytest.approx((1.0, 0.0))
     with pytest.raises(ValueError):
-        extremal_process(-0.1)
+        apply_mixture(1.0, -0.1, ground)
 
 
 @given(bw=st.floats(0.0, 10.0))
 def test_extremal_fixes_gibbs(bw):
     gamma = gibbs_vector(bw, QUBIT)
-    image = extremal_process(bw).apply(gamma)
+    image = apply_mixture(1.0, bw, gamma)
     assert image.entries == pytest.approx(gamma.entries, abs=1e-12)
 
 
-def test_thermal_process_validation():
-    with pytest.raises(ValueError):
-        ThermalProcess(((0.5, 0.5), (0.6, 0.5)), 1.0)  # columns not stochastic
-    with pytest.raises(ValueError):
-        ThermalProcess(((1.0, 0.0), (0.0, 1.0)), -1.0)
-    # identity fixes every Gibbs state
-    identity = ThermalProcess(((1.0, 0.0), (0.0, 1.0)), 1.0)
-    assert identity.apply(qubit_population(0.3)).entries == (0.3, 0.7)
-    # stochastic but moves the Gibbs state
-    with pytest.raises(ValueError):
-        ThermalProcess(((0.5, 0.5), (0.5, 0.5)), 2.0)
-
-
 def test_mixing_weight_bounds():
-    MixingWeight(0.3, 0.5)
-    with pytest.raises(ValueError):
-        MixingWeight(0.6, 0.5)
-    with pytest.raises(ValueError):
-        MixingWeight(-0.1)
-    with pytest.raises(ValueError):
-        MixingWeight(0.5, 1.2)
+    assert capped_weight(0.3, 0.5) == 0.3
+    assert capped_weight(0.5 + 1e-13, 0.5) == 0.5 + 1e-13  # within the 1e-12 slack
+    for bad in (0.6, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            capped_weight(bad, 0.5)
 
 
 def test_apply_mixture_examples():
@@ -63,6 +48,8 @@ def test_apply_mixture_examples():
     assert apply_mixture(0.0, 1.3, p).entries == p.entries
     out = apply_mixture(1.0, math.log(2.0), p)
     assert out.entries == pytest.approx((0.75, 0.25))
+    # halfway between p and its extremal image
+    assert apply_mixture(0.5, math.log(2.0), p).entries == pytest.approx((0.625, 0.375))
     with pytest.raises(ValueError):
         apply_mixture(1.5, 1.0, p)
     with pytest.raises(ValueError):
@@ -93,20 +80,8 @@ def test_mixture_linear_in_lambda(g, bw, lam1, lam2, alpha):
     assert direct == pytest.approx(mixed, abs=1e-12)
 
 
-def test_polytope_extremes_examples():
-    p = qubit_population(0.5)
-    lo, hi = polytope_extremes(p, math.log(2.0))
-    assert lo.entries == p.entries
-    assert hi.entries == pytest.approx((0.75, 0.25))
-    lo0, hi0 = polytope_extremes(p, 1.0, lambda_max=0.0)
-    assert lo0.entries == hi0.entries == p.entries
-    _, mid = polytope_extremes(p, math.log(2.0), lambda_max=0.5)
-    assert mid.entries == pytest.approx((0.625, 0.375))
-
-
 @given(g=st.floats(0.0, 1.0), bw=st.floats(0.0, 5.0))
 def test_full_extreme_is_extremal_image(g, bw):
-    p = qubit_population(g)
-    _, end = polytope_extremes(p, bw)
+    end = apply_mixture(1.0, bw, qubit_population(g))
     e = math.exp(-bw)
     assert end.entries == pytest.approx((1.0 - g * e, g * e), abs=1e-12)

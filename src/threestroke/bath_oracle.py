@@ -22,6 +22,7 @@ from .populations import PopulationVector, check_beta, check_betas, check_size
 
 __all__ = [
     "MAX_GRID",
+    "MAX_TIME_POINTS",
     "MAX_TRUNCATION",
     "BlockUnitarySpec",
     "BruteForceResult",
@@ -36,14 +37,19 @@ __all__ = [
 
 # Sizes are bounded before anything is allocated: the bath by its O(d) block
 # arrays, the brute-force grid by its grid**2 floats per array, the angle scan
-# by the same MAX_GRID**2 floats in its mesh or rows of angles, and the
-# exchange-coupling truncation by its per-manifold arrays.
+# by the same MAX_GRID**2 floats in its mesh or rows of angles, the
+# exchange-coupling truncation by its per-manifold arrays, and its time grid by
+# the sorted copy the scan makes.
 _MAX_BATH_SIZE = 10_000
 MAX_GRID = 2_000
 _MAX_SCAN_FLOATS = MAX_GRID**2
 MAX_TRUNCATION = 100_000
+MAX_TIME_POINTS = 10_000_000
 _CLOSURE_TOL = 1e-10
 _JC_TAIL_TOL = 1e-12
+_JC_CHUNK_FLOATS = 2_000_000  # sines evaluated at once by the coupling-time scan
+_JC_STRIDE = 64  # the scan evaluates every this many sorted times before pruning
+_JC_PRUNE_MARGIN = 1e-12
 
 
 class ResourceLimitError(RuntimeError):
@@ -391,6 +397,17 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
     return BruteForceResult(best_w, eta_max, best_w_arg, eta_arg)
 
 
+def _mixing_weights(
+    times: np.ndarray, roots: np.ndarray, weights: np.ndarray, prefactor: float
+) -> np.ndarray:
+    """P sum_n w_n sin^2(t sqrt(n)) at each time, in chunks of bounded size."""
+    step = max(1, _JC_CHUNK_FLOATS // weights.size)
+    return np.concatenate([
+        prefactor * (np.sin(times[lo : lo + step, None] * roots) ** 2 @ weights)
+        for lo in range(0, times.size, step)
+    ])
+
+
 def jc_time_scan(
     beta_omega: float,
     time_grid: np.ndarray | None = None,
@@ -398,10 +415,21 @@ def jc_time_scan(
 ) -> float:
     """Largest exchange-coupling mixing weight over the sampled times.
 
-    The weight at scaled coupling time t sums sin^2(t sqrt(n)) over the
-    excitation manifolds n >= 1 with thermal weights; the truncation must be
-    deep enough that the dropped tail is negligible at this temperature.
-    The default grid covers t in [0, 200] with 100000 points.
+    The weight at scaled coupling time t is f(t) = P sum_n w_n sin^2(t sqrt(n))
+    over the excitation manifolds n >= 1 with thermal weights w_n and
+    P = 1 - exp(-beta_omega); the truncation must be deep enough that the
+    dropped tail is negligible at this temperature.  The default grid covers
+    t in [0, 200] with 100000 points; a grid of more than MAX_TIME_POINTS
+    raises ResourceLimitError.
+
+    The result is the maximum of f over the same grid, each point evaluated as
+    a point-by-point scan would, but points that cannot hold it are skipped.
+    f is evaluated at every 64th sorted time and at the last one.  Since
+    |f''| <= M = 2P sum_n w_n n, f between two such times a < b stays below
+    max(f(a), f(b)) + M (b - a)^2 / 8.  A window is scanned point by point,
+    highest bound first, only while its bound reaches the best value so far
+    less a margin for rounding: 1e-12 plus the error of sin(t sqrt(n)) at the
+    largest time.
     """
     beta_omega = float(beta_omega)
     if not math.isfinite(beta_omega) or beta_omega <= 0.0:
@@ -418,17 +446,30 @@ def jc_time_scan(
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
-    check_betas(times, "time grid entry")
+    _check_bounded(times.size, "time grid size", 1, MAX_TIME_POINTS)
+    times = np.sort(check_betas(times, "time grid entry"))
     n = np.arange(1, truncation + 1)
     weights = np.exp(-beta_omega * (n - 1))
     keep = weights > 1e-18
-    roots = np.sqrt(n[keep])
+    n = n[keep]
+    roots = np.sqrt(n)
     weights = weights[keep]
     prefactor = -math.expm1(-beta_omega)
-    best = 0.0
-    step = max(1, int(2_000_000 / max(len(weights), 1)))
-    for lo in range(0, times.size, step):
-        block = times[lo : lo + step, None]
-        values = prefactor * (np.sin(block * roots) ** 2 @ weights)
-        best = max(best, float(values.max()))
+
+    edges = np.append(np.arange(0, times.size - 1, _JC_STRIDE), times.size - 1)
+    values = _mixing_weights(times[edges], roots, weights, prefactor)
+    best = float(values.max())
+    curvature = 2.0 * prefactor * float(weights @ n)
+    bounds = np.maximum(values[:-1], values[1:]) + curvature * np.diff(times[edges]) ** 2 / 8.0
+    # A computed value is within about eps * (manifolds kept + t P sum_n w_n sqrt(n))
+    # of f, from the sum's rounding and that of the sine's argument t sqrt(n);
+    # the margin allows that error at a window's ends and again inside it.
+    slack = weights.size + times[-1] * prefactor * float(weights @ roots)
+    margin = _JC_PRUNE_MARGIN + 2.0 * np.finfo(float).eps * slack
+    for window in np.argsort(-bounds):
+        if bounds[window] < best - margin:
+            break
+        inner = times[edges[window] + 1 : edges[window + 1]]
+        if inner.size:
+            best = max(best, float(_mixing_weights(inner, roots, weights, prefactor).max()))
     return best

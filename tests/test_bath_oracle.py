@@ -24,7 +24,7 @@ from threestroke import (
     scan_lambda_max,
     simulate_finite_bath_map,
 )
-from threestroke.bath_oracle import MAX_GRID, MAX_TRUNCATION
+from threestroke.bath_oracle import MAX_GRID, MAX_TIME_POINTS, MAX_TRUNCATION
 
 REF = EngineParams(0.2, 0.6, 1.0, 1.0)
 
@@ -218,13 +218,15 @@ def test_brute_force_validation():
     [
         lambda: brute_force_performance(REF, grid=MAX_GRID + 1),
         lambda: jc_time_scan(0.5, truncation=MAX_TRUNCATION + 1),
+        # a read-only view of one float, so only the size check can allocate
+        lambda: jc_time_scan(0.5, time_grid=np.broadcast_to(0.0, (MAX_TIME_POINTS + 1,))),
         # one float over MAX_GRID**2 in the mesh, and the first grid over it at d = 4
         lambda: scan_lambda_max(0.5, 1, grid=MAX_GRID**2 + 1),
         lambda: scan_lambda_max(0.5, 4, grid=32),
         # grid * d = MAX_GRID**2 + 5 floats in the coordinate-ascent rows
         lambda: scan_lambda_max(0.5, 5, grid=MAX_GRID**2 // 5 + 1),
     ],
-    ids=["grid", "truncation", "scan_mesh", "scan_mesh_d4", "ascent_rows"],
+    ids=["grid", "truncation", "time_grid", "scan_mesh", "scan_mesh_d4", "ascent_rows"],
 )
 def test_oracle_sizes_fail_before_allocating(call):
     tracemalloc.start()
@@ -261,6 +263,49 @@ def test_jc_time_scan_examples():
     assert almost == pytest.approx(1.0, abs=1e-9)
     assert jc_time_scan(0.5) == pytest.approx(0.8682209195127173, abs=1e-9)
     assert jc_time_scan(2.0) == pytest.approx(0.9954134899179663, abs=1e-9)
+
+
+def test_jc_time_scan_default_grid_values_are_exact():
+    assert jc_time_scan(0.5) == 0.8682209195127173
+    assert jc_time_scan(1.0) == 0.9590407679258045
+    assert jc_time_scan(2.0) == 0.9954134899179663
+
+
+def full_time_scan(beta_omega, times, truncation):
+    """Largest mixing weight, with every time evaluated at once."""
+    n = np.arange(1, truncation + 1)
+    weights = np.exp(-beta_omega * (n - 1))
+    keep = weights > 1e-18
+    sines = np.sin(times[:, None] * np.sqrt(n[keep])) ** 2
+    return float((-math.expm1(-beta_omega) * (sines @ weights[keep])).max())
+
+
+@st.composite
+def time_grids(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.one_of(st.just(1), st.integers(2, 2_000)))
+    top = draw(st.floats(1e-3, 1e6))
+    spacing = draw(st.sampled_from(["uniform", "random", "geometric", "clustered"]))
+    if spacing == "uniform":
+        times = np.linspace(0.0, top, size)
+    elif spacing == "random":
+        times = rng.uniform(0.0, top, size)
+    elif spacing == "geometric":
+        times = top * np.geomspace(1e-12, 1.0, size)
+    else:
+        centers = rng.uniform(0.0, top, draw(st.integers(1, 5)))
+        times = rng.choice(centers, size) + rng.uniform(0.0, top * 1e-6, size)
+    if draw(st.booleans()):
+        times = rng.choice(times, size)  # with replacement, so times repeat
+    return rng.permutation(times)
+
+
+@given(times=time_grids(), bw=st.floats(0.07, 30.0), extra=st.integers(0, 50))
+@settings(max_examples=150, deadline=None)
+def test_jc_time_scan_matches_the_full_grid(times, bw, extra):
+    truncation = math.ceil(-math.log(1e-12) / bw) + 1 + extra
+    scanned = jc_time_scan(bw, time_grid=times, truncation=truncation)
+    assert abs(scanned - full_time_scan(bw, times, truncation)) <= 1e-15
 
 
 def test_jc_time_scan_validation():

@@ -50,6 +50,10 @@ _JC_TAIL_TOL = 1e-12
 _JC_CHUNK_FLOATS = 2_000_000  # sines evaluated at once by the coupling-time scan
 _JC_STRIDE = 64  # the scan evaluates every this many sorted times before pruning
 _JC_PRUNE_MARGIN = 1e-12
+# Floats per temporary of the brute-force grid, evaluated in row blocks of at
+# most this size: 64 KB stays below glibc's default mmap threshold (128 KB),
+# so the temporaries come from the heap instead of fresh, page-faulted maps.
+_GRID_BLOCK_FLOATS = 8_192
 
 
 class ResourceLimitError(RuntimeError):
@@ -310,8 +314,9 @@ def _cycle_grid(
     lh_col = lh[:, None]
     lc_row = lc[None, :]
     a, b = cycle_map(lh_col, lc_row, params, swap)
-    valid = np.abs(1.0 - a) > 1e-12
-    p_star = np.where(valid, b / np.where(valid, 1.0 - a, 1.0), np.nan)
+    slack = 1.0 - a
+    valid = np.abs(slack) > 1e-12
+    p_star = np.where(valid, b / np.where(valid, slack, 1.0), np.nan)
     after_heat = lh_col + p_star * (1.0 - lh_col * (1.0 + params.exp_h))
     after_work = 1.0 - after_heat if swap else after_heat
     final = lc_row + (1.0 - lc_row * (1.0 + params.exp_c)) * after_work
@@ -333,15 +338,24 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
     grid = _check_bounded(grid, "grid", 2, MAX_GRID)
 
     def evaluate(lh: np.ndarray, lc: np.ndarray, swap: bool):
-        work, intake, valid = _cycle_grid(lh, lc, params, swap)
-        work = np.where(valid, work, -np.inf)
-        w_index = np.unravel_index(int(np.argmax(work)), work.shape)
-        gain = valid & (work > 0.0) & (intake > 0.0)
-        eta = np.where(gain, work / np.where(gain, intake, 1.0), -np.inf)
-        e_index = np.unravel_index(int(np.argmax(eta)), eta.shape)
+        # Row blocks keep every temporary small; a block's first maximum
+        # replaces the best only when strictly higher, so the argmaxes are
+        # the first maxima of the whole grid in row-major order.
+        best = [[-math.inf, (0, 0)], [-math.inf, (0, 0)]]  # work, efficiency
+        rows = max(1, _GRID_BLOCK_FLOATS // lc.size)
+        for lo in range(0, lh.size, rows):
+            work, intake, valid = _cycle_grid(lh[lo : lo + rows], lc, params, swap)
+            work = np.where(valid, work, -np.inf)
+            gain = (work > 0.0) & (intake > 0.0)
+            eta = np.divide(work, intake, out=np.full(work.shape, -np.inf), where=gain)
+            for entry, values in zip(best, (work, eta)):
+                row, column = divmod(int(values.argmax()), lc.size)
+                if values[row, column] > entry[0]:
+                    entry[:] = float(values[row, column]), (lo + row, column)
+        (w, w_index), (eta, e_index) = best
         return (
-            float(work[w_index]), (float(lh[w_index[0]]), float(lc[w_index[1]])), w_index,
-            float(eta[e_index]), (float(lh[e_index[0]]), float(lc[e_index[1]])), e_index,
+            w, (float(lh[w_index[0]]), float(lc[w_index[1]])), w_index,
+            eta, (float(lh[e_index[0]]), float(lc[e_index[1]])), e_index,
         )
 
     def refine_axis(axis: np.ndarray, index: int, cap: float) -> np.ndarray:

@@ -7,6 +7,18 @@ are in units of the qubit splitting.  Sign conventions: q_hot and q_cold are
 energy changes of the working body during the respective strokes (positive
 when the body absorbs energy), work is the energy released during the unitary
 stroke, and the first law reads work = q_hot + q_cold for a closing cycle.
+
+run_cycle runs one cycle on Python floats and run_cycles runs many at once on
+arrays, through the same stroke arithmetic and with the same bits.  Each
+stroke there is an explicit column-stochastic 2x2 map, never the affine map
+cycle_map, so the runner stays an independent oracle of cyclic_state and of
+the closed-form optimum.  run_cycles can also start from any state and settle
+it first: it squares the product of the three stroke matrices
+SETTLE_SQUARINGS times, which runs the cycle 2**SETTLE_SQUARINGS times, and
+then runs one plain pass whose closure is measured.  check_laws (and
+check_laws_each over arrays) test the first law on the cold stroke's raw
+heat, within the closure residual, so neither closure nor the first law holds
+by construction.
 """
 
 from __future__ import annotations
@@ -25,11 +37,14 @@ from .populations import (
     check_betas,
     check_unit_interval,
     qubit_population,
+    qubit_populations,
 )
-from .thermal_qubit import apply_mixture, capped_weight
+from .thermal_qubit import apply_mixture, capped_weight, capped_weights, mixture_entries
 
 __all__ = [
+    "SETTLE_SQUARINGS",
     "BathTemperatures",
+    "CycleBatch",
     "CycleReport",
     "EngineParams",
     "LawDiagnostics",
@@ -38,6 +53,7 @@ __all__ = [
     "UndefinedEfficiencyError",
     "UnsupportedRestrictionError",
     "check_laws",
+    "check_laws_each",
     "cold_stroke",
     "cycle_map",
     "cyclic_state",
@@ -47,12 +63,17 @@ __all__ = [
     "optimal_performance",
     "positive_work_condition",
     "run_cycle",
+    "run_cycles",
     "work_stroke",
 ]
 
 _CLOSURE_TOL = 1e-10
 _SINGULAR_TOL = 1e-14
 _SWAP = WorkPermutation.swap()
+# run_cycles settles a start by 2**SETTLE_SQUARINGS cycles; that contracts it
+# to the fixed point wherever the slope of the ground-entry map is below
+# 1 - 1e-17 in size, beyond the singular tolerance above
+SETTLE_SQUARINGS = 64
 
 
 class SingularCycleError(ValueError):
@@ -111,7 +132,13 @@ class EngineParams:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Bookkeeping for one pass of heat, work and cold strokes."""
+    """Bookkeeping for one pass of heat, work and cold strokes.
+
+    q_cold_raw is the cold stroke's own energy change and residual the
+    closure residual E(final) - E(start).  q_cold is q_cold_raw rebased to
+    E(start) - E(after work) when the cycle closes, a correction of
+    -residual, and q_cold_raw otherwise.
+    """
 
     work: float
     q_hot: float
@@ -119,6 +146,32 @@ class CycleReport:
     efficiency: float | None
     closes: bool
     populations: tuple[PopulationVector, PopulationVector, PopulationVector]
+    q_cold_raw: float
+    residual: float
+
+
+@dataclass(frozen=True, eq=False)
+class CycleBatch:
+    """run_cycles' results, one entry per cycle.
+
+    start holds the (n, 2) populations the strokes ran from, settled where
+    asked, and populations the (n, 3, 2) states after the heat, work and
+    cold strokes, ground entry first.  work, q_hot, q_cold_raw, residual and
+    closes are CycleReport's fields; there is no rebase.  renormalized marks
+    the cycles where one of those states was renormalized, and singular the
+    ones whose stroke product has no unique fixed point (cyclic_state's
+    SingularCycleError); their figures are computed all the same.
+    """
+
+    start: np.ndarray
+    populations: np.ndarray
+    work: np.ndarray
+    q_hot: np.ndarray
+    q_cold_raw: np.ndarray
+    residual: np.ndarray
+    closes: np.ndarray
+    renormalized: np.ndarray
+    singular: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -173,6 +226,25 @@ def cold_stroke(
     return _thermal_stroke(p, lam, params.lambda_c_max, params.beta_c_omega)
 
 
+def _cycle_pass(g, x, lh, lc, eh, ec, s, population):
+    """One pass of heat, work and cold from the start (g, x), on floats or on arrays.
+
+    The thermal strokes are mixture_entries at the weights lh, lc and the
+    Boltzmann factors eh, ec; the work stroke is the permutation matrix
+    [[1 - s, s], [s, 1 - s]], the swap at s = 1 and the identity at s = 0.
+    population(ground, excited) holds each stroke's output to the population
+    rule and returns its entries.  The arguments meet only + - * / and
+    comparisons, so arrays give the floats' results entry by entry, bit for
+    bit.  Energies are excited entries; returns work, q_hot, the raw q_cold,
+    the residual E(final) - E(start) and whether the cycle closed.
+    """
+    g_h, x_h = population(*mixture_entries(lh, eh, g, x))
+    g_w, x_w = population(s * x_h + (1.0 - s) * g_h, s * g_h + (1.0 - s) * x_h)
+    g_c, x_c = population(*mixture_entries(lc, ec, g_w, x_w))
+    closes = (abs(g_c - g) <= _CLOSURE_TOL) & (abs(x_c - x) <= _CLOSURE_TOL)
+    return x_h - x_w, x_h - x, x_c - x_w, x_c - x, closes
+
+
 def run_cycle(
     p0: PopulationVector,
     lambda_h: float,
@@ -183,25 +255,117 @@ def run_cycle(
     """Run heat -> work -> cold once from p0.
 
     When the final populations return to p0 within 1e-10 the cycle closes and
-    q_cold is rebased to E(p0) - E(after work); that removes the closure
-    residual, so work = q_hot + q_cold holds exactly for closing cycles.
+    q_cold is rebased to E(p0) - E(after work); the report keeps the raw
+    q_cold and the closure residual beside it.
     """
-    after_heat, q_hot = heat_stroke(p0, lambda_h, params)
-    after_work, work = work_stroke(after_heat, perm)
-    after_cold, q_cold = cold_stroke(after_work, lambda_c, params)
-    closes = all(
-        abs(a - b) <= _CLOSURE_TOL for a, b in zip(after_cold.entries, p0.entries)
+    lh = capped_weight(lambda_h, params.lambda_h_max)
+    if p0.dim != 2:
+        raise ValueError(f"expected a qubit population, got dimension {p0.dim}")
+    if perm.dim != 2:
+        raise ValueError(f"dimension mismatch: 2 populations, {perm.dim} slots")
+    lc = capped_weight(lambda_c, params.lambda_c_max)
+    states = []
+
+    def population(ground: float, excited: float) -> tuple[float, ...]:
+        states.append(PopulationVector((ground, excited)))
+        return states[-1].entries
+
+    g, x = p0.entries
+    s = 0.0 if perm.is_identity else 1.0
+    work, q_hot, q_cold_raw, residual, closes = _cycle_pass(
+        g, x, lh, lc, params.exp_h, params.exp_c, s, population
     )
-    if closes:
-        q_cold = average_energy(p0, QUBIT) - average_energy(after_work, QUBIT)
-    efficiency = work / q_hot if q_hot != 0.0 else None
     return CycleReport(
         work=work,
         q_hot=q_hot,
-        q_cold=q_cold,
-        efficiency=efficiency,
+        q_cold=x - states[1].entries[1] if closes else q_cold_raw,
+        efficiency=work / q_hot if q_hot != 0.0 else None,
         closes=closes,
-        populations=(after_heat, after_work, after_cold),
+        populations=tuple(states),
+        q_cold_raw=q_cold_raw,
+        residual=residual,
+    )
+
+
+def _then(first, second):
+    """The stroke `second` after `first`, each as (p, q) of [[1 - p, q], [p, 1 - q]]."""
+    (p1, q1), (p2, q2) = first, second
+    return p2 * (1.0 - p1) + (1.0 - q2) * p1, (1.0 - p2) * q1 + q2 * (1.0 - q1)
+
+
+def run_cycles(
+    start: np.ndarray,
+    lambda_h: np.ndarray,
+    lambda_c: np.ndarray,
+    swap: np.ndarray,
+    temperatures: BathTemperatures,
+    lambda_h_max: np.ndarray,
+    lambda_c_max: np.ndarray,
+    settle: np.ndarray | bool = False,
+) -> CycleBatch:
+    """run_cycle at every index of aligned 1-d arrays, without the rebase.
+
+    start is an (n, 2) array of populations, swap a boolean array choosing
+    the swap or the identity work stroke, and the weights, caps and
+    temperatures are aligned with it; each is validated as a whole by
+    run_cycle's rules.  From an unsettled start every figure equals
+    run_cycle's bit for bit.
+
+    Where settle (a boolean, or a boolean array) is true, the start is first
+    advanced by the product M of the three strokes raised to the power
+    2**SETTLE_SQUARINGS, by repeated squaring of M in its column-stochastic
+    form [[1 - p, q], [p, 1 - q]]; a start settles wherever the slope
+    1 - p - q of the ground-entry map is inside (-1, 1) by more than 1e-17.
+    singular marks p + q < 1e-14.
+    """
+    n = temperatures.beta_h_omega.size
+    start = np.asarray(start, dtype=float)
+    if start.shape != (n, 2):
+        raise ValueError(f"start has shape {start.shape}, expected {(n, 2)}")
+    swap, settle = np.asarray(swap), np.broadcast_to(np.asarray(settle), (n,))
+    if swap.shape != (n,) or swap.dtype != bool or settle.dtype != bool:
+        raise ValueError(f"swap and settle must be boolean arrays of shape {(n,)}")
+    caps_h, caps_c = temperatures.caps(lambda_h_max, lambda_c_max)
+    lh = capped_weights(temperatures.aligned(lambda_h, "lambda_h"), caps_h)
+    lc = capped_weights(temperatures.aligned(lambda_c, "lambda_c"), caps_c)
+    eh, ec, s = temperatures.exp_h, temperatures.exp_c, swap.astype(float)
+    p, q = _then(_then((lh * eh, lh), (s, s)), (lc * ec, lc))
+    singular = p + q < _SINGULAR_TOL
+    g, x, renormalized = qubit_populations(start[:, 0], start[:, 1])
+    if settle.any():
+        p_k, q_k = p[settle], q[settle]
+        for _ in range(SETTLE_SQUARINGS):
+            # M^2 = [[1 - p', q'], [p', 1 - q']] with p' = p (2 - p - q), q' = q (2 - p - q)
+            factor = 2.0 - (p_k + q_k)
+            p_k, q_k = p_k * factor, q_k * factor
+        g_k, x_k = g[settle], x[settle]
+        g, x = g.copy(), x.copy()
+        g[settle] = (1.0 - p_k) * g_k + q_k * x_k
+        x[settle] = p_k * g_k + (1.0 - q_k) * x_k
+        g, x, settled = qubit_populations(g, x)
+        renormalized = renormalized | settled
+    states = []
+
+    def population(ground: np.ndarray, excited: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal renormalized
+        ground, excited, flags = qubit_populations(ground, excited)
+        renormalized = renormalized | flags
+        states.append((ground, excited))
+        return ground, excited
+
+    work, q_hot, q_cold_raw, residual, closes = _cycle_pass(
+        g, x, lh, lc, eh, ec, s, population
+    )
+    return CycleBatch(
+        start=np.stack([g, x], axis=-1),
+        populations=np.stack([np.stack(state, axis=-1) for state in states], axis=1),
+        work=work,
+        q_hot=q_hot,
+        q_cold_raw=q_cold_raw,
+        residual=residual,
+        closes=closes,
+        renormalized=renormalized,
+        singular=singular,
     )
 
 
@@ -365,6 +529,26 @@ class BathTemperatures:
         object.__setattr__(self, "exp_c", elementwise(math.exp, -bc))
         object.__setattr__(self, "exp_hc", elementwise(math.exp, -(bh + bc)))
 
+    def aligned(self, values: np.ndarray, name: str) -> np.ndarray:
+        """values as a float array, if it has the temperatures' shape."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.beta_h_omega.shape:
+            raise ValueError(f"{name} has shape {values.shape}, expected {self.beta_h_omega.shape}")
+        return values
+
+    def caps(
+        self, lambda_h_max: np.ndarray, lambda_c_max: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both caps as aligned float arrays in [0, 1], checked hot side first."""
+        caps = []
+        for name, values in (("lambda_h_max", lambda_h_max), ("lambda_c_max", lambda_c_max)):
+            values = self.aligned(values, name)
+            ok = (values >= 0.0) & (values <= 1.0)
+            if not ok.all():
+                check_unit_interval(values[int(ok.argmin())], name)
+            caps.append(values)
+        return caps[0], caps[1]
+
     def optimum(
         self, lambda_h_max: np.ndarray, lambda_c_max: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -374,14 +558,7 @@ class BathTemperatures:
         where optimal_performance reports None, and a degenerate cycle raises
         SingularCycleError with the index of the first one.
         """
-        lh = np.asarray(lambda_h_max, dtype=float)
-        lc = np.asarray(lambda_c_max, dtype=float)
-        for name, values in (("lambda_h_max", lh), ("lambda_c_max", lc)):
-            if values.shape != self.beta_h_omega.shape:
-                raise ValueError(f"{name} has shape {values.shape}, expected {self.beta_h_omega.shape}")
-            ok = (values >= 0.0) & (values <= 1.0)
-            if not ok.all():
-                check_unit_interval(values[int(ok.argmin())], name)
+        lh, lc = self.caps(lambda_h_max, lambda_c_max)
         # Python floats overflow to inf without a word; so do these
         with np.errstate(all="ignore"):
             return _closed_form(
@@ -411,31 +588,72 @@ def open_cycle_performance(params: EngineParams) -> PerformancePoint:
     )
 
 
+def _law_violations(work, q_hot, q_cold_raw, residual, beta_h, beta_c, tol, positive):
+    """First-law, heat-intake and Carnot-bound violations, on floats or on arrays.
+
+    The first law is tested on the raw cold heat, within tol plus the
+    closure residual.  The heat-intake and Carnot tests apply to cycles that
+    release work with the cold bath colder; positive(v) replaces the entries
+    of v that are not > 0 by nan, so no division raises and a cycle without
+    heat intake is not tested against the bound.
+    """
+    first_law = abs(work - q_hot - q_cold_raw) > tol + abs(residual)
+    engine = (work > 0.0) & (beta_c > beta_h)
+    intake = engine & (q_hot <= 0.0)
+    carnot = engine & (work / positive(q_hot) > 1.0 - beta_h / positive(beta_c) + tol)
+    return first_law, intake, carnot
+
+
+def _positive(value: float) -> float:
+    return value if value > 0.0 else math.nan
+
+
+def _positive_each(values: np.ndarray) -> np.ndarray:
+    return np.where(values > 0.0, values, np.nan)
+
+
 def check_laws(
     report: CycleReport, params: EngineParams, tol: float = 1e-12
 ) -> LawDiagnostics:
     """Check the first law and, for engines, heat intake and the Carnot bound.
 
-    The heat-intake and Carnot checks compare the hot and cold roles, so they
+    The first law is checked on the raw cold heat: |work - q_hot -
+    q_cold_raw| may exceed tol by the closure residual at most.  The
+    heat-intake and Carnot checks compare the hot and cold roles, so they
     are skipped (and reported as skipped) when the cold bath is not colder.
     """
     if not report.closes:
         raise ValueError("law checks need a closing cycle")
+    first_law, intake, carnot = _law_violations(
+        report.work, report.q_hot, report.q_cold_raw, report.residual,
+        params.beta_h_omega, params.beta_c_omega, tol, _positive,
+    )
     failures: list[str] = []
-    skipped: list[str] = []
-    gap = abs(report.work - report.q_hot - report.q_cold)
-    if gap > tol:
-        failures.append(f"first law: |work - q_hot - q_cold| = {gap:.3e} exceeds {tol:.1e}")
-    if report.work > 0.0:
-        if params.cold_hotter:
-            skipped.extend(["heat intake", "carnot bound"])
-        elif report.q_hot <= 0.0:
-            failures.append(
-                f"heat intake: work = {report.work!r} > 0 but q_hot = {report.q_hot!r}"
-            )
-        else:
-            eta = report.work / report.q_hot
-            bound = params.carnot_efficiency()
-            if not 0.0 < eta <= bound + tol:
-                failures.append(f"carnot bound: eta = {eta!r} outside (0, {bound!r}]")
-    return LawDiagnostics(ok=not failures, failures=tuple(failures), skipped=tuple(skipped))
+    if first_law:
+        gap = abs(report.work - report.q_hot - report.q_cold_raw)
+        failures.append(
+            f"first law: |work - q_hot - q_cold_raw| = {gap:.3e} exceeds "
+            f"{tol:.1e} + |residual| = {tol + abs(report.residual):.3e}"
+        )
+    if intake:
+        failures.append(f"heat intake: work = {report.work!r} > 0 but q_hot = {report.q_hot!r}")
+    if carnot:
+        eta = report.work / report.q_hot
+        failures.append(f"carnot bound: eta = {eta!r} outside (0, {params.carnot_efficiency()!r}]")
+    skipped = ("heat intake", "carnot bound") if report.work > 0.0 and params.cold_hotter else ()
+    return LawDiagnostics(ok=not failures, failures=tuple(failures), skipped=skipped)
+
+
+def check_laws_each(
+    batch: CycleBatch, temperatures: BathTemperatures, tol: float = 1e-12
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """check_laws' first-law, heat-intake and Carnot violations at every index.
+
+    Three boolean arrays, each false where the cycle does not close.
+    """
+    with np.errstate(invalid="ignore"):
+        violations = _law_violations(
+            batch.work, batch.q_hot, batch.q_cold_raw, batch.residual,
+            temperatures.beta_h_omega, temperatures.beta_c_omega, tol, _positive_each,
+        )
+    return tuple(v & batch.closes for v in violations)

@@ -28,6 +28,7 @@ __all__ = [
     "check_unit_interval",
     "gibbs_vector",
     "qubit_population",
+    "qubit_populations",
 ]
 
 _SUM_TOL = 1e-12
@@ -156,6 +157,33 @@ QUBIT = EnergySpectrum((0.0, 1.0))
 def qubit_population(ground: float) -> PopulationVector:
     """Two-level population vector with the given ground occupation."""
     return PopulationVector((ground, 1.0 - float(ground)))
+
+
+def qubit_populations(
+    ground: np.ndarray, excited: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """PopulationVector's rule over aligned arrays of qubit entries.
+
+    Returns the entries, divided by their sum where it drifts from 1 by more
+    than 1e-12 (the sum of two floats is fsum's), and the mask of those rows.
+    The first row PopulationVector rejects raises its error.
+    """
+    total = ground + excited
+    drift = np.abs(total - 1.0)
+    ok = (
+        np.isfinite(total)
+        & (ground >= -_SUM_TOL) & (ground <= 1.0 + _SUM_TOL)
+        & (excited >= -_SUM_TOL) & (excited <= 1.0 + _SUM_TOL)
+        & (drift <= _DRIFT_TOL)
+    )
+    if not ok.all():
+        index = int(ok.argmin())
+        PopulationVector((ground[index], excited[index]))
+    renormalized = drift > _SUM_TOL
+    if renormalized.any():
+        ground = np.where(renormalized, ground / total, ground)
+        excited = np.where(renormalized, excited / total, excited)
+    return ground, excited, renormalized
 
 
 def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> GibbsVector:

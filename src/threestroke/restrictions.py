@@ -188,6 +188,7 @@ class RestrictionModel:
 
     def clamped(self, beta_omega: float) -> bool:
         """True when resolving this model at beta_omega required clamping."""
+        beta_omega = check_beta(beta_omega)
         return self.kind == "jaynes_cummings" and jc_clamped(beta_omega)
 
     def resolve(self, beta_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

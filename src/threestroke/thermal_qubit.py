@@ -4,18 +4,24 @@ Every stochastic matrix fixing the qubit Gibbs state is a convex mixture of
 the identity and a single extremal process, so one mixing weight in [0, 1]
 parametrizes the whole reachable set; restrictions on the bath coupling only
 shrink the admissible range of that weight.  apply_mixture applies the
-mixture of a given weight, and capped_weight holds a weight to its cap.
+mixture of a given weight, mixture_entries is its arithmetic on floats or
+arrays, and capped_weight (capped_weights over arrays) holds a weight to its
+cap.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .populations import PopulationVector, check_beta
 
 __all__ = [
     "apply_mixture",
     "capped_weight",
+    "capped_weights",
+    "mixture_entries",
 ]
 
 _WEIGHT_SLACK = 1e-12
@@ -29,18 +35,38 @@ def capped_weight(lam: float, cap: float = 1.0) -> float:
     return value
 
 
+def capped_weights(lam: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """capped_weight over aligned arrays, with its message for the first bad entry."""
+    lam = np.asarray(lam, dtype=float)
+    ok = np.isfinite(lam) & (lam >= 0.0) & (lam <= cap + _WEIGHT_SLACK)
+    if not ok.all():
+        index = int(ok.argmin())
+        capped_weight(lam[index], float(cap[index]))
+    return lam
+
+
+def mixture_entries(lam, e, ground, excited):
+    """Entries of lam * extremal + (1 - lam) * identity applied to (ground, excited).
+
+    The extremal process with Boltzmann factor e is the matrix
+    [[1 - e, 1], [e, 0]]; it maps the ground entry g to 1 - g * e.  The
+    arguments are floats or arrays that broadcast together; they meet only
+    + - * /, so arrays give the floats' results entry by entry, bit for bit.
+    """
+    return (
+        lam * (1.0 - ground * e) + (1.0 - lam) * ground,
+        lam * (ground * e) + (1.0 - lam) * excited,
+    )
+
+
 def apply_mixture(lam: float, beta_omega: float, p: PopulationVector) -> PopulationVector:
     """Apply lam * extremal + (1 - lam) * identity to a qubit population.
 
     The extremal process at beta_omega is the matrix [[1 - e, 1], [e, 0]]
-    with e = exp(-beta_omega); it maps the ground entry g to 1 - g * e.
+    with e = exp(-beta_omega) (see mixture_entries).
     """
     beta_omega = check_beta(beta_omega)
     if p.dim != 2:
         raise ValueError(f"expected a qubit population, got dimension {p.dim}")
     value = capped_weight(lam)
-    e = math.exp(-beta_omega)
-    g, x = p.entries
-    ground = value * (1.0 - g * e) + (1.0 - value) * g
-    excited = value * (g * e) + (1.0 - value) * x
-    return PopulationVector((ground, excited))
+    return PopulationVector(mixture_entries(value, math.exp(-beta_omega), *p.entries))

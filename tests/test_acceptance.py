@@ -39,6 +39,7 @@ from threestroke import (
     SingularCycleError,
     WorkPermutation,
 )
+from threestroke.engine import BathTemperatures, run_cycles
 from threestroke.populations import QUBIT, EnergySpectrum
 from threestroke.restrictions import JC_BRANCH_POINT, lambda_max_jc_raw
 
@@ -144,6 +145,12 @@ def test_03_bath_simulation_is_an_exact_mixture():
 
 
 def test_04_laws_hold_on_random_closing_cycles():
+    """Half the cycles start at the fixed point, half from random starts the runner settles.
+
+    The first law is checked on the cold stroke's raw heat, within the
+    closure residual, so neither closure nor the first law holds by
+    construction.
+    """
     start = time.perf_counter()
     rng = np.random.default_rng(2)
     worst_first_law = 0.0
@@ -151,7 +158,7 @@ def test_04_laws_hold_on_random_closing_cycles():
     intake_violations = 0
     engines = 0
     total = 0
-    while total < 10_000:
+    while total < 5_000:
         if total % 2:  # engine-leaning half of the draw
             bh = rng.uniform(0.05, 0.6)
             lam_lo = 0.6
@@ -179,7 +186,8 @@ def test_04_laws_hold_on_random_closing_cycles():
         assert report.closes
         total += 1
         worst_first_law = max(
-            worst_first_law, abs(report.work - report.q_hot - report.q_cold)
+            worst_first_law,
+            abs(report.work - report.q_hot - report.q_cold_raw) - abs(report.residual),
         )
         if report.work > 0.0:
             engines += 1
@@ -187,17 +195,46 @@ def test_04_laws_hold_on_random_closing_cycles():
                 intake_violations += 1
             elif report.work / report.q_hot > params.carnot_efficiency() + 1e-12:
                 carnot_violations += 1
+
+    count = 5_000
+    lean = np.arange(count) % 2 == 1  # engine-leaning half of the draw
+    bh = np.where(lean, rng.uniform(0.05, 0.6, count), rng.uniform(0.05, 2.0, count))
+    bc = bh * rng.uniform(1.01, 8.0, count)
+    lam_lo = np.where(lean, 0.6, 0.0)
+    lh = rng.uniform(lam_lo, 1.0)
+    lc = rng.uniform(lam_lo, 1.0)
+    swap = rng.integers(0, 2, count).astype(bool)
+    ground = rng.uniform(0.0, 1.0, count)
+    batch = run_cycles(
+        np.stack([ground, 1.0 - ground], axis=-1), lh, lc, swap,
+        BathTemperatures(bh, bc), np.ones(count), np.ones(count), settle=True,
+    )
+    ran = ~batch.singular
+    open_cycles = int(np.count_nonzero(ran & ~batch.closes))
+    gap = np.abs(batch.work - batch.q_hot - batch.q_cold_raw) - np.abs(batch.residual)
+    worst_first_law = max(worst_first_law, float(gap[ran].max()))
+    engine = ran & (batch.work > 0.0)
+    intake = batch.q_hot > 0.0
+    eta = batch.work / np.where(intake, batch.q_hot, 1.0)
+    engines += int(np.count_nonzero(engine))
+    intake_violations += int(np.count_nonzero(engine & ~intake))
+    carnot_violations += int(np.count_nonzero(engine & intake & (eta > 1.0 - bh / bc + 1e-12)))
+    total += int(np.count_nonzero(ran))
+
     elapsed = time.perf_counter() - start
     ok = (
         worst_first_law <= 1e-12
+        and open_cycles == 0
         and intake_violations == 0
         and carnot_violations == 0
         and engines >= 200
+        and total >= 9_900
     )
     _report(
         "laws on 10^4 random closing cycles",
         ok,
-        f"worst first-law gap {worst_first_law:.2e}, {engines} engines, "
+        f"worst first-law gap on the raw heat {worst_first_law:.2e} beyond the closure residual, "
+        f"{open_cycles} settled cycles open, {engines} engines, "
         f"{intake_violations} intake and {carnot_violations} Carnot violations",
         elapsed,
         budget=10.0,

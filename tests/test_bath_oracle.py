@@ -24,6 +24,7 @@ from threestroke import (
     scan_lambda_max,
     simulate_finite_bath_map,
 )
+from threestroke import bath_oracle
 from threestroke.bath_oracle import MAX_GRID, MAX_TIME_POINTS, MAX_TRUNCATION
 
 REF = EngineParams(0.2, 0.6, 1.0, 1.0)
@@ -206,6 +207,25 @@ def test_brute_force_single_contact_bath_never_works():
         params = engine_params_from(model, model, bh, bc)
         result = brute_force_performance(params, grid=80)
         assert result.w_max <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        REF,
+        EngineParams(0.2, 0.6, 0.0, 1.0),  # idle hot stroke: every row ties
+        EngineParams(0.7, 0.9, 0.3, 0.8),
+        EngineParams(1.0, 0.4, 1.0, 1.0),  # cold bath hotter: no gain anywhere
+    ],
+)
+def test_brute_force_row_blocks_keep_the_first_maxima(params, monkeypatch):
+    """Results and argmaxes do not depend on how the grid is split into row blocks."""
+    grid = 23
+    results = []
+    for block_floats in (1, 7 * grid + 3, 10**9):  # one row, 7 rows, the whole grid
+        monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", block_floats)
+        results.append(brute_force_performance(params, grid))
+    assert results[0] == results[1] == results[2]
 
 
 def test_brute_force_validation():

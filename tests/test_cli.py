@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -249,6 +250,34 @@ def test_verify_forced_failure(monkeypatch, capsys):
     code, out, _ = run(["verify", "--only", "thm3"], capsys)
     assert code == 4
     assert "FAIL forced" in out
+
+
+def _sign_slip(batch):
+    return dataclasses.replace(batch, q_cold_raw=-batch.q_cold_raw)
+
+
+def _first_open_and_singular(batch):
+    closes, singular = batch.closes.copy(), batch.singular.copy()
+    closes[0], singular[0] = False, True
+    return dataclasses.replace(batch, closes=closes, singular=singular)
+
+
+@pytest.mark.parametrize(
+    "tamper, expected",
+    [
+        (_sign_slip, "FAIL carnot: "),
+        (_first_open_and_singular, "PASS carnot: "),
+    ],
+)
+def test_verify_carnot_judges_the_runner(tamper, expected, monkeypatch, capsys):
+    run_cycles = cli.run_cycles
+    monkeypatch.setattr(cli, "run_cycles", lambda *args: tamper(run_cycles(*args)))
+    code, out, _ = run(["verify", "--only", "carnot"], capsys)
+    assert out.startswith(expected)
+    if expected.startswith("PASS"):
+        assert code == 0 and out.endswith("; 1 singular draws skipped\n")
+    else:
+        assert code == 4 and "(first: first law at " in out
 
 
 def test_version_flag(capsys):

@@ -30,7 +30,7 @@ from threestroke import (
     run_cycle,
     work_stroke,
 )
-from threestroke.engine import BathTemperatures
+from threestroke.engine import BathTemperatures, run_cycles
 
 # reference point used throughout: beta_h * omega = 0.2, beta_c * omega = 0.6
 REF = EngineParams(0.2, 0.6, 1.0, 1.0)
@@ -277,6 +277,8 @@ def test_check_laws_skips_carnot_when_cold_hotter():
         efficiency=2.0,
         closes=True,
         populations=(p0, p0, p0),
+        q_cold_raw=0.05,
+        residual=0.0,
     )
     diagnostics = check_laws(fake, params)
     assert diagnostics.ok
@@ -311,6 +313,122 @@ def test_random_closing_cycles_obey_laws(bh, ratio, lh, lc, swap):
     assert check_laws(report, params).ok
     if not swap:
         assert report.work == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the array cycle runner
+
+edge_or_any = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+cycle_rows = st.tuples(
+    st.floats(0.0, 3.0),  # beta_h
+    st.floats(0.0, 3.0),  # beta_c
+    edge_or_any,  # hot cap
+    edge_or_any,  # cold cap
+    edge_or_any,  # hot weight as a fraction of its cap
+    edge_or_any,  # cold weight as a fraction of its cap
+    st.booleans(),  # swap
+    st.floats(0.0, 1.0),  # ground entry of the start
+    # drift of the start's sum: none, kept, or renormalized away
+    st.sampled_from([0.0, 9e-13, -9e-13, 5e-10]) | st.floats(-9e-10, 9e-10),
+)
+
+
+@given(rows=st.lists(cycle_rows, min_size=1, max_size=20))
+@example(rows=[(0.2, 0.6, 1.0, 1.0, 1.0, 1.0, True, REF_P, 0.0)])
+@example(rows=[(0.2, 0.6, 0.0, 1.0, 0.0, 1.0, False, 0.25, 5e-10),
+               (1.5, 0.3, 1.0, 0.0, 1.0, 0.0, True, 0.9, -9e-13)])
+@settings(max_examples=200, deadline=None)
+def test_run_cycles_equals_run_cycle_and_the_strokes(rows):
+    """run_cycles, run_cycle and the composed public strokes agree bit for bit."""
+    raw_starts = []
+    for *_, ground, drift in rows:
+        excited = 1.0 - ground + drift
+        raw_starts.append((ground, excited if -1e-12 <= excited <= 1.0 else 1.0 - ground))
+    columns = list(zip(*rows))
+    caps_h, caps_c = np.array(columns[2]), np.array(columns[3])
+    lam_h, lam_c = np.array(columns[4]) * caps_h, np.array(columns[5]) * caps_c
+    batch = run_cycles(
+        np.array(raw_starts), lam_h, lam_c, np.array(columns[6]),
+        BathTemperatures(np.array(columns[0]), np.array(columns[1])), caps_h, caps_c,
+    )
+    for i, (bh, bc, cap_h, cap_c, _, _, swap, _, _) in enumerate(rows):
+        params = EngineParams(bh, bc, cap_h, cap_c)
+        perm = WorkPermutation.swap() if swap else WorkPermutation.identity(2)
+        p0 = PopulationVector(raw_starts[i])
+        report = run_cycle(p0, lam_h[i], lam_c[i], perm, params)
+        after_heat, q_hot = heat_stroke(p0, lam_h[i], params)
+        after_work, work = work_stroke(after_heat, perm)
+        after_cold, q_cold = cold_stroke(after_work, lam_c[i], params)
+        states = (after_heat, after_work, after_cold)
+        assert [p.entries for p in report.populations] == [p.entries for p in states]
+        assert (report.work, report.q_hot, report.q_cold_raw) == (work, q_hot, q_cold)
+        assert report.residual == after_cold.entries[1] - p0.entries[1]
+        assert tuple(batch.start[i]) == p0.entries
+        assert [tuple(entries) for entries in batch.populations[i]] == [p.entries for p in states]
+        assert batch.work[i] == work and batch.q_hot[i] == q_hot and batch.q_cold_raw[i] == q_cold
+        assert batch.residual[i] == report.residual and batch.closes[i] == report.closes
+        renormalized = p0.renormalized or any(p.renormalized for p in states)
+        assert batch.renormalized[i] == renormalized
+        if report.closes:
+            assert report.q_cold == p0.entries[1] - after_work.entries[1]
+        else:
+            assert report.q_cold == q_cold
+
+
+def _two_cycles(ground, lam, swap, settle):
+    """run_cycles at the reference temperatures with caps 1, the same weight on both strokes."""
+    temperatures = BathTemperatures(np.array([0.2, 0.2]), np.array([0.6, 0.6]))
+    return run_cycles(
+        np.array([[g, 1.0 - g] for g in ground]), np.array(lam), np.array(lam),
+        np.array(swap), temperatures, np.ones(2), np.ones(2), np.array(settle),
+    )
+
+
+def test_run_cycles_settles_starts_that_converge_and_reports_the_rest():
+    # row 0 runs once from a start off the fixed point; row 1 idles around the
+    # swap, whose ground-entry map g -> 1 - g has slope -1, so no number of
+    # cycles settles it
+    batch = _two_cycles([0.3, 0.3], [1.0, 0.0], [True, True], [False, True])
+    assert batch.closes.tolist() == [False, False]
+    assert not batch.singular.any()
+    settled = _two_cycles([0.3, 0.95], [1.0, 0.01], [True, False], [True, True])
+    assert settled.closes.all()
+    assert settled.start[0, 0] == pytest.approx(REF_P, abs=1e-15)
+    assert np.abs(settled.residual).max() <= 1e-15
+
+
+def test_run_cycles_reports_a_singular_draw():
+    # without the swap, idle strokes leave every state fixed; cyclic_state
+    # raises there, the runner marks the cycle and runs it all the same
+    with pytest.raises(SingularCycleError):
+        cyclic_state(0.0, 0.0, REF, WorkPermutation.identity(2))
+    for settle in (False, True):
+        batch = _two_cycles([0.3, 0.3], [0.0, 1.0], [False, True], [settle, settle])
+        assert batch.singular.tolist() == [True, False]
+        assert batch.start[0].tolist() == [0.3, 0.7]
+        assert batch.closes[0] and batch.work[0] == 0.0
+
+
+def test_run_cycles_validation():
+    temperatures = BathTemperatures(np.array([0.2]), np.array([0.6]))
+    ok = dict(start=np.array([[0.4, 0.6]]), lambda_h=np.array([0.5]), lambda_c=np.array([0.5]),
+              swap=np.array([True]), temperatures=temperatures,
+              lambda_h_max=np.array([1.0]), lambda_c_max=np.array([0.5]))
+    run_cycles(**ok)
+    for name, value, message in (
+        ("start", np.array([0.4, 0.6]), "start has shape"),
+        ("start", np.array([[0.4, 0.7]]), "too far from 1"),
+        ("start", np.array([[math.nan, 0.6]]), "non-finite"),
+        ("swap", np.array([1]), "boolean"),
+        ("lambda_h", np.array([0.5, 0.5]), "lambda_h has shape"),
+        ("lambda_c", np.array([0.6]), r"mixing weight 0\.6 outside \[0, 0\.5\]"),
+        ("lambda_h", np.array([-0.1]), "mixing weight"),
+        ("lambda_c_max", np.array([1.5]), r"lambda_c_max must lie in \[0, 1\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_cycles(**{**ok, name: value})
+    with pytest.raises(ValueError, match="boolean"):
+        run_cycles(**ok, settle=np.array([0]))
 
 
 # temperatures around the exchange-coupling branch point and its clamp

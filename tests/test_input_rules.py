@@ -49,6 +49,7 @@ TAKES_A_TEMPERATURE = {
     "jc_clamped": jc_clamped,
     **{f"lambda_max[{m.label}]": (lambda m: lambda b: m.lambda_max(b))(m) for m in MODELS},
     **{f"resolve[{m.label}]": (lambda m: lambda b: m.resolve([0.2, b]))(m) for m in MODELS},
+    **{f"clamped[{m.label}]": (lambda m: lambda b: m.clamped(b))(m) for m in MODELS},
     "engine_params_from.beta_h": lambda b: engine_params_from(MODELS[1], MODELS[1], b, 1.0),
     "engine_params_from.beta_c": lambda b: engine_params_from(MODELS[1], MODELS[1], 0.2, b),
     "eta_finite_bath.beta_h": lambda b: eta_finite_bath(b, 1.0, 3),

@@ -33,10 +33,11 @@ def main(argv=None):
     if code != 0:
         return code
 
-    # one closed-form reference point next to the sweeps, for spot checks
+    # one closed-form reference point next to the sweeps, for spot checks, at
+    # beta_c = 3 beta_h to 15 digits: 0.6 for 0.2, where 3 * 0.2 is 0.6000000000000001
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = cli.main(["perf", "--bh", str(args.bh), "--bc", str(3 * args.bh)])
+        code = cli.main(["perf", "--bh", str(args.bh), "--bc", f"{3 * args.bh:.15g}"])
     if code != 0:
         return code
     target = pathlib.Path(args.out) / "reference_point.json"

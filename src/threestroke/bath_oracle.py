@@ -4,9 +4,10 @@ The ladder-bath stroke is simulated explicitly: the joint Hilbert space of
 the qubit and a (d+1)-level ladder splits into two invariant corners plus d
 two-dimensional blocks, so conjugating by an energy-preserving unitary and
 tracing out the bath costs O(d) regardless of the angles.  On top of the
-simulation sit brute-force searches over angles, mixing weights and work
-permutations; none of them evaluate the closed-form optima they are meant to
-check.
+simulation sit brute-force searches over angles and over the mixing weights
+of the swap cycle (the identity, the qubit's other work permutation, releases
+exactly zero work); none of them evaluate the closed-form optima they are
+meant to check.
 """
 
 from __future__ import annotations
@@ -301,24 +302,23 @@ class BruteForceResult:
 
 
 def _cycle_grid(
-    lh: np.ndarray, lc: np.ndarray, params: EngineParams, swap: bool
+    lh: np.ndarray, lc: np.ndarray, params: EngineParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work, heat intake and validity over a (lambda_h, lambda_c) grid.
+    """Work, heat intake and validity of the swap cycle over a (lambda_h, lambda_c) grid.
 
     For each grid point the unique cyclic ground entry is solved from the
     affine stroke composition (cycle_map), the cycle is run once on it with
     the strokes written out here and its closure is asserted before anything
-    is recorded.  The work stroke is the swap or the identity according to
-    the flag.
+    is recorded.
     """
     lh_col = lh[:, None]
     lc_row = lc[None, :]
-    a, b = cycle_map(lh_col, lc_row, params, swap)
+    a, b = cycle_map(lh_col, lc_row, params, swap=True)
     slack = 1.0 - a
     valid = np.abs(slack) > 1e-12
     p_star = np.where(valid, b / np.where(valid, slack, 1.0), np.nan)
     after_heat = lh_col + p_star * (1.0 - lh_col * (1.0 + params.exp_h))
-    after_work = 1.0 - after_heat if swap else after_heat
+    after_work = 1.0 - after_heat
     final = lc_row + (1.0 - lc_row * (1.0 + params.exp_c)) * after_work
     closed = np.abs(final - p_star) <= _CLOSURE_TOL
     if not np.all(closed[valid]):
@@ -329,34 +329,39 @@ def _cycle_grid(
 
 
 def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForceResult:
-    """Grid search over both mixing weights and both work permutations.
+    """Grid search over both mixing weights of the swap cycle.
+
+    The qubit's only other work stroke, the identity, is not searched: its
+    work after_work - after_heat has two equal terms, so it is exactly 0.0 at
+    every cell and never has a positive gain.  The swap grid's corner (0, 0)
+    always closes (1 - a = 2, p* = 1/2) and releases exactly 0.0, and a cell
+    replaces the best only when strictly higher, so no identity cell could
+    replace the swap's first maxima.
 
     One refinement pass re-grids a one-cell neighborhood of each argmax.  The
     work winner is re-run through run_cycle and check_laws as a final spot
     check, so a silent bookkeeping bug in the vectorized path cannot survive.
     """
     grid = _check_bounded(grid, "grid", 2, MAX_GRID)
+    # Work and efficiency: best value, its grid indices and (lambda_h, lambda_c).
+    best = [[-math.inf, (0, 0), None], [-math.inf, (0, 0), None]]
 
-    def evaluate(lh: np.ndarray, lc: np.ndarray, swap: bool):
+    def evaluate(lh: np.ndarray, lc: np.ndarray) -> None:
         # Row blocks keep every temporary small; a block's first maximum
-        # replaces the best only when strictly higher, so the argmaxes are
-        # the first maxima of the whole grid in row-major order.
-        best = [[-math.inf, (0, 0)], [-math.inf, (0, 0)]]  # work, efficiency
+        # replaces the best only when strictly higher, so the bests are the
+        # first maxima over the grids in the order evaluated, row-major within
+        # each grid.
         rows = max(1, _GRID_BLOCK_FLOATS // lc.size)
         for lo in range(0, lh.size, rows):
-            work, intake, valid = _cycle_grid(lh[lo : lo + rows], lc, params, swap)
+            work, intake, valid = _cycle_grid(lh[lo : lo + rows], lc, params)
             work = np.where(valid, work, -np.inf)
             gain = (work > 0.0) & (intake > 0.0)
             eta = np.divide(work, intake, out=np.full(work.shape, -np.inf), where=gain)
             for entry, values in zip(best, (work, eta)):
                 row, column = divmod(int(values.argmax()), lc.size)
                 if values[row, column] > entry[0]:
-                    entry[:] = float(values[row, column]), (lo + row, column)
-        (w, w_index), (eta, e_index) = best
-        return (
-            w, (float(lh[w_index[0]]), float(lc[w_index[1]])), w_index,
-            eta, (float(lh[e_index[0]]), float(lc[e_index[1]])), e_index,
-        )
+                    at = (float(lh[lo + row]), float(lc[column]))
+                    entry[:] = float(values[row, column]), (lo + row, column), at
 
     def refine_axis(axis: np.ndarray, index: int, cap: float) -> np.ndarray:
         lo = axis[max(index - 1, 0)]
@@ -365,50 +370,32 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
             return np.array([lo])
         return np.linspace(lo, min(hi, cap), grid)
 
-    best_w = -math.inf
-    best_w_arg: tuple[float, float, str] | None = None
-    best_eta = -math.inf
-    best_eta_arg: tuple[float, float, str] | None = None
-
-    def consider(w, w_at, eta, eta_at, name):
-        nonlocal best_w, best_w_arg, best_eta, best_eta_arg
-        if w > best_w:
-            best_w, best_w_arg = w, (*w_at, name)
-        if eta > best_eta:
-            best_eta, best_eta_arg = eta, (*eta_at, name)
-
     lh = np.linspace(0.0, params.lambda_h_max, grid)
     lc = np.linspace(0.0, params.lambda_c_max, grid)
-    for swap in (True, False):
-        name = "swap" if swap else "identity"
-        w, w_at, w_index, eta, eta_at, eta_index = evaluate(lh, lc, swap)
-        consider(w, w_at, eta, eta_at, name)
-        if not math.isfinite(w):
-            continue
-        indices = [w_index] + ([eta_index] if eta_index != w_index else [])
-        for index in indices:
-            fine_lh = refine_axis(lh, index[0], params.lambda_h_max)
-            fine_lc = refine_axis(lc, index[1], params.lambda_c_max)
-            fw, fw_at, _, feta, feta_at, _ = evaluate(fine_lh, fine_lc, swap)
-            consider(fw, fw_at, feta, feta_at, name)
+    evaluate(lh, lc)
+    # The coarse argmaxes, work first; an efficiency never found keeps (0, 0).
+    for row, column in dict.fromkeys(index for _, index, _ in best):
+        evaluate(
+            refine_axis(lh, row, params.lambda_h_max),
+            refine_axis(lc, column, params.lambda_c_max),
+        )
 
-    if best_w_arg is None:
-        raise RuntimeError("grid search found no valid cycle")
-    perm = WorkPermutation.swap() if best_w_arg[2] == "swap" else WorkPermutation.identity(2)
-    p_probe = cyclic_state(best_w_arg[0], best_w_arg[1], params, perm)
-    report = run_cycle(p_probe, best_w_arg[0], best_w_arg[1], perm, params)
+    (w_max, _, w_at), (eta, _, eta_at) = best
+    swap = WorkPermutation.swap()
+    p_probe = cyclic_state(*w_at, params, swap)
+    report = run_cycle(p_probe, *w_at, swap, params)
     if not report.closes:
         raise RuntimeError("brute-force winner does not close under run_cycle")
     diagnostics = check_laws(report, params)
     if not diagnostics.ok:
         raise RuntimeError(f"brute-force winner violates the laws: {diagnostics.failures}")
-    if abs(report.work - best_w) > 1e-9:
+    if abs(report.work - w_max) > 1e-9:
         raise RuntimeError(
-            f"vectorized work {best_w!r} disagrees with run_cycle {report.work!r}"
+            f"vectorized work {w_max!r} disagrees with run_cycle {report.work!r}"
         )
-    eta_max = best_eta if math.isfinite(best_eta) else None
-    eta_arg = best_eta_arg if eta_max is not None else None
-    return BruteForceResult(best_w, eta_max, best_w_arg, eta_arg)
+    if not math.isfinite(eta):
+        return BruteForceResult(w_max, None, (*w_at, "swap"), None)
+    return BruteForceResult(w_max, eta, (*w_at, "swap"), (*eta_at, "swap"))
 
 
 def _mixing_weights(

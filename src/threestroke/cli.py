@@ -64,6 +64,8 @@ MAX_VERIFY_GRID = MAX_GRID
 
 
 def _as_float(name: str, value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         result = float(value)
     except (TypeError, ValueError):
@@ -74,6 +76,8 @@ def _as_float(name: str, value) -> float:
 
 
 def _as_int(name: str, value) -> int:
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         result = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -91,6 +95,22 @@ def _as_size(flag: str, value, default: int, minimum: int, maximum: int) -> int:
     if size > maximum:
         raise ValueError(f"{flag} must be <= {maximum}, got {size}")
     return size
+
+
+def _as_flag(name: str, value) -> bool:
+    """An on/off option: unset is off; a config file must give a JSON boolean."""
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _as_path(name: str, value) -> str | None:
+    """An output path option: unset is None; a config file must give a string."""
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"{name} must be a path string, got {value!r}")
+    return value
 
 
 def _required(args, name: str, flag: str):
@@ -156,14 +176,16 @@ def _sweep_models(args) -> tuple[tuple[str, RestrictionModel, RestrictionModel],
     models = getattr(args, "models", None)
     hot = getattr(args, "hot", None)
     cold = getattr(args, "cold", None)
-    if models and (hot or cold):
+    if models is not None and (hot or cold):
         raise ValueError("--models excludes --hot/--cold")
     entries: list[tuple[str, RestrictionModel, RestrictionModel]] = []
-    if models:
+    if models is not None:
         if isinstance(models, str):
             specs = [s for s in models.split(",") if s.strip()]
+        elif isinstance(models, list):
+            specs = models  # each entry is checked to be a string when parsed
         else:
-            specs = [str(s) for s in models]
+            raise ValueError(f"--models must be a string or a list of strings, got {models!r}")
         if not specs:
             raise ValueError("--models needs at least one spec")
         for spec in specs:
@@ -184,9 +206,10 @@ def _sweep_models(args) -> tuple[tuple[str, RestrictionModel, RestrictionModel],
     return tuple(entries)
 
 
-def _sweep_config(args, raw_allowed: bool = True) -> SweepConfig:
-    axis = getattr(args, "axis", None) or "ratio"
-    if axis not in _AXIS_COLUMNS:
+def _sweep_config(args) -> SweepConfig:
+    axis = getattr(args, "axis", None)
+    axis = "ratio" if axis is None else axis
+    if not isinstance(axis, str) or axis not in _AXIS_COLUMNS:
         raise ValueError(f"--axis must be one of {sorted(_AXIS_COLUMNS)}, got {axis!r}")
     lo = _as_float("--ratio-min", args.ratio_min if args.ratio_min is not None else 1.05)
     hi = _as_float("--ratio-max", args.ratio_max if args.ratio_max is not None else 10.0)
@@ -201,15 +224,14 @@ def _sweep_config(args, raw_allowed: bool = True) -> SweepConfig:
         beta_h = 0.2 if beta_h is None else beta_h
     if axis == "bh" and beta_c is None:
         raise ValueError("--bc is required when sweeping beta_h_omega")
-    raw = bool(getattr(args, "raw", None)) if raw_allowed else False
     return SweepConfig(
         axis=axis,
         values=np.linspace(lo, hi, steps),
         beta_h_omega=beta_h,
         beta_c_omega=beta_c,
         models=_sweep_models(args),
-        include_carnot=bool(getattr(args, "carnot", None)),
-        raw=raw,
+        include_carnot=_as_flag("--carnot", getattr(args, "carnot", None)),
+        raw=_as_flag("--raw", getattr(args, "raw", None)),
     )
 
 
@@ -378,20 +400,20 @@ def cmd_perf(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
     table, blank = _sweep_table(cfg, drop_inoperative_rows=False)
-    _emit_csv(args.out, _meta_line(args, cfg), _sweep_header(cfg), table, blank)
+    _emit_csv(_as_path("--out", args.out), _meta_line(args, cfg), _sweep_header(cfg), table, blank)
     return EXIT_OK
 
 
 def cmd_tradeoff(args) -> int:
     cfg = _sweep_config(args)
     table, blank = _sweep_table(cfg, drop_inoperative_rows=True)
-    _emit_csv(args.out, _meta_line(args, cfg), _sweep_header(cfg), table, blank)
+    _emit_csv(_as_path("--out", args.out), _meta_line(args, cfg), _sweep_header(cfg), table, blank)
     return EXIT_OK
 
 
 def cmd_figures(args) -> int:
     steps = _ratio_steps(args)
-    out_dir = Path(args.out or "figures-data")
+    out_dir = Path(_as_path("--out", args.out) or "figures-data")
     out_dir.mkdir(parents=True, exist_ok=True)
     presets = {
         "fig2.csv": ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),

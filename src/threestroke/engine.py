@@ -592,13 +592,15 @@ def _law_violations(work, q_hot, q_cold_raw, residual, beta_h, beta_c, tol, posi
     """First-law, heat-intake and Carnot-bound violations, on floats or on arrays.
 
     The first law is tested on the raw cold heat, within tol plus the
-    closure residual.  The heat-intake and Carnot tests apply to cycles that
-    release work with the cold bath colder; positive(v) replaces the entries
-    of v that are not > 0 by nan, so no division raises and a cycle without
-    heat intake is not tested against the bound.
+    closure residual.  The heat-intake and Carnot tests apply to engines:
+    cycles that release more than tol of work with the cold bath colder, so
+    rounding noise in a cycle that releases nothing is not an engine.
+    positive(v) replaces the entries of v that are not > 0 by nan, so no
+    division raises and a cycle without heat intake is not tested against the
+    bound.
     """
     first_law = abs(work - q_hot - q_cold_raw) > tol + abs(residual)
-    engine = (work > 0.0) & (beta_c > beta_h)
+    engine = (work > tol) & (beta_c > beta_h)
     intake = engine & (q_hot <= 0.0)
     carnot = engine & (work / positive(q_hot) > 1.0 - beta_h / positive(beta_c) + tol)
     return first_law, intake, carnot
@@ -619,8 +621,9 @@ def check_laws(
 
     The first law is checked on the raw cold heat: |work - q_hot -
     q_cold_raw| may exceed tol by the closure residual at most.  The
-    heat-intake and Carnot checks compare the hot and cold roles, so they
-    are skipped (and reported as skipped) when the cold bath is not colder.
+    heat-intake and Carnot checks apply to cycles releasing more than tol of
+    work; they compare the hot and cold roles, so they are skipped (and
+    reported as skipped) when the cold bath is not colder.
     """
     if not report.closes:
         raise ValueError("law checks need a closing cycle")
@@ -640,7 +643,7 @@ def check_laws(
     if carnot:
         eta = report.work / report.q_hot
         failures.append(f"carnot bound: eta = {eta!r} outside (0, {params.carnot_efficiency()!r}]")
-    skipped = ("heat intake", "carnot bound") if report.work > 0.0 and params.cold_hotter else ()
+    skipped = ("heat intake", "carnot bound") if report.work > tol and params.cold_hotter else ()
     return LawDiagnostics(ok=not failures, failures=tuple(failures), skipped=skipped)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from threestroke import (
     BlockUnitarySpec,
@@ -216,6 +216,8 @@ def test_brute_force_single_contact_bath_never_works():
         EngineParams(0.2, 0.6, 0.0, 1.0),  # idle hot stroke: every row ties
         EngineParams(0.7, 0.9, 0.3, 0.8),
         EngineParams(1.0, 0.4, 1.0, 1.0),  # cold bath hotter: no gain anywhere
+        EngineParams(0.0, 1.0, 1.0, 0.0),  # infinite hot temperature, idle cold stroke
+        EngineParams(0.0, 0.4187301774006047, 0.3151884677170894, 0.035325131608288984),
     ],
 )
 def test_brute_force_row_blocks_keep_the_first_maxima(params, monkeypatch):
@@ -226,6 +228,41 @@ def test_brute_force_row_blocks_keep_the_first_maxima(params, monkeypatch):
         monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", block_floats)
         results.append(brute_force_performance(params, grid))
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize(
+    "params, grid",
+    [
+        (EngineParams(0.0, 1.0, 1.0, 0.0), 23),
+        (EngineParams(0.0, 1.0, 1.0, 0.0), 200),
+        (EngineParams(0.0, 0.4187301774006047, 0.3151884677170894, 0.035325131608288984), 23),
+    ],
+)
+def test_brute_force_infinite_hot_temperature_releases_no_work(params, grid):
+    """The winner's work is rounding noise with no heat intake, not an engine."""
+    result = brute_force_performance(params, grid)
+    assert 0.0 <= result.w_max <= 1e-12
+    assert result.eta_max is None and result.eta_arg is None
+
+
+_CAPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bh=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    bc=st.one_of(st.just(0.0), st.floats(0.0, 25.0)),  # either bath may be the hotter
+    lh=_CAPS,
+    lc=_CAPS,
+    grid=st.sampled_from([2, 3, 23]),
+)
+@example(bh=0.0, bc=1.0, lh=1.0, lc=0.0, grid=23)
+def test_brute_force_never_raises_and_the_swap_wins(bh, bc, lh, lc, grid):
+    """The swap grid's corner releases exactly 0.0, so the best work is never negative."""
+    result = brute_force_performance(EngineParams(bh, bc, lh, lc), grid)
+    assert result.w_max >= 0.0
+    assert result.w_arg[2] == "swap"
+    assert result.eta_arg is None or result.eta_arg[2] == "swap"
 
 
 def test_brute_force_validation():

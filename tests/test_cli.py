@@ -63,6 +63,40 @@ def test_config_sizes_must_be_whole_numbers(tmp_path, capsys):
     assert code == 0 and len(out.splitlines()) == 2 + 3
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["sweep", "--bh", "0.2"], {"models": 5}, "--models must be a string or a list of strings"),
+        (["sweep", "--bh", "0.2"], {"models": ["jc", 5]}, "--models entry must be a restriction"),
+        (["sweep", "--bh", "0.2"], {"models": []}, "--models needs at least one spec"),
+        (["sweep", "--bh", "0.2"], {"carnot": "false"}, "--carnot must be true or false"),
+        (["tradeoff", "--bh", "0.2"], {"raw": 1}, "--raw must be true or false"),
+        (["sweep", "--bh", "0.2"], {"ratio-steps": True}, "--ratio-steps must be an integer"),
+        (["verify", "--only", "thm3"], {"seed": True}, "--seed must be an integer"),
+        (["perf", "--bc", "0.6"], {"bh": True}, "--bh must be a number"),
+        (["sweep", "--bh", "0.2"], {"axis": []}, "--axis must be one of"),
+        (["sweep", "--bh", "0.2"], {"out": ["x.csv"]}, "--out must be a path string"),
+        (["figures", "--ratio-steps", "3"], {"out": 5}, "--out must be a path string"),
+    ],
+)
+def test_config_values_are_not_coerced(argv, config, message, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(argv + ["--config", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_config_flags_and_model_lists(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"models": ["unrestricted", "jc"], "carnot": False, "raw": True}))
+    code, out, _ = run(["sweep", "--bh", "0.2", "--ratio-steps", "3", "--config", str(path)],
+                       capsys)
+    assert code == 0
+    header = out.splitlines()[1]
+    assert "jc" in header and "eta_carnot" not in header
+
+
 def test_perf_missing_beta(capsys):
     code, _, err = run(["perf", "--bc", "0.6"], capsys)
     assert code == 2 and err.startswith("error:")

@@ -285,6 +285,36 @@ def test_check_laws_skips_carnot_when_cold_hotter():
     assert diagnostics.skipped == ("heat intake", "carnot bound")
 
 
+@pytest.mark.parametrize(
+    "work, q_hot, failures, skipped",
+    [
+        (1e-9, 0.0, ("heat intake",), ()),  # work above tol needs heat intake
+        (5.551115123125783e-17, 0.0, (), ()),  # rounding noise is not an engine
+        (1e-12, 0.0, (), ()),  # tol itself is not above tol
+    ],
+)
+def test_check_laws_counts_engines_above_tol(work, q_hot, failures, skipped):
+    """Heat intake and the Carnot bound apply to cycles releasing more than tol."""
+    p0 = cyclic_state(1.0, 1.0, REF)
+    report = CycleReport(
+        work=work,
+        q_hot=q_hot,
+        q_cold=work,  # first law: work = q_hot + q_cold
+        efficiency=None,
+        closes=True,
+        populations=(p0, p0, p0),
+        q_cold_raw=work,
+        residual=0.0,
+    )
+    diagnostics = check_laws(report, REF)
+    assert tuple(f.split(":")[0] for f in diagnostics.failures) == failures
+    assert diagnostics.skipped == skipped
+    # the skipped tuple follows the same threshold where the cold bath is hotter
+    reversed_roles = EngineParams(REF.beta_c_omega, REF.beta_h_omega)
+    expected = ("heat intake", "carnot bound") if work > 1e-12 else ()
+    assert check_laws(report, reversed_roles).skipped == expected
+
+
 @given(
     bh=st.floats(0.05, 2.0),
     ratio=st.floats(1.01, 8.0),

@@ -1,15 +1,22 @@
 """Command-line interface: performance points, figure sweeps, verification.
 
+Every closed-form command evaluates the optimum column-wise through one
+function, _sweep_cells: perf is a one-point sweep, tradeoff is a sweep that
+drops the rows where no model operates, and figures writes sweep and tradeoff
+presets plus perf's object at beta_c = 3 beta_h as reference_point.json.
+
 Exit codes: 0 success, 2 invalid input, 3 I/O error, 4 verification failure.
 CSV output starts with one '#' metadata line (tool version, command line and
 the sweep geometry), uses 9 significant digits and LF line endings, and leaves
 fields empty where the engine is non-operational unless --raw is given.
 
-Sizes the user sets are bounded before anything is allocated: --ratio-steps
-(sweep, tradeoff, figures) by MAX_RATIO_STEPS and verify --grid by
-MAX_VERIFY_GRID, which is the brute-force oracle's own bound
-bath_oracle.MAX_GRID.  A larger value, or a size with a fractional part in a
-config file, is an invalid input.
+A config file value must already have its flag's JSON type: a number for a
+number or size, a string for a model, path or check list, true or false for
+an on/off flag.  Sizes the user sets are bounded before anything is
+allocated: --ratio-steps (sweep, tradeoff, figures) by MAX_RATIO_STEPS and
+verify --grid by MAX_VERIFY_GRID, which is the brute-force oracle's own bound
+bath_oracle.MAX_GRID.  A larger value, or a size with a fractional part, is
+an invalid input.
 """
 
 from __future__ import annotations
@@ -64,25 +71,27 @@ MAX_VERIFY_GRID = MAX_GRID
 
 
 def _as_float(name: str, value) -> float:
-    if isinstance(value, bool):
+    """A number option: a config file must give a JSON number, never a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         result = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        result = math.inf
     if not math.isfinite(result):
-        raise ValueError(f"{name} must be finite, got {result!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return result
 
 
 def _as_int(name: str, value) -> int:
-    if isinstance(value, bool):
+    """An integer option: a config file must give a JSON number without a fractional part."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     try:
         result = int(value)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if isinstance(value, float) and value != result:
+    if value != result:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return result
 
@@ -150,15 +159,8 @@ def _clamp_warning(side: str, beta_omega: float) -> str:
     )
 
 
-def _warn_clamped(side: str, model: RestrictionModel, beta_omega: float, seen: set) -> None:
-    key = (side, model.label)
-    if model.clamped(beta_omega) and key not in seen:
-        seen.add(key)
-        print(_clamp_warning(side, beta_omega), file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
-# sweep machinery shared by sweep, tradeoff and figures
+# the closed-form path shared by perf, sweep, tradeoff and figures
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def _sweep_models(args) -> tuple[tuple[str, RestrictionModel, RestrictionModel],
     models = getattr(args, "models", None)
     hot = getattr(args, "hot", None)
     cold = getattr(args, "cold", None)
-    if models is not None and (hot or cold):
+    if models is not None and (hot is not None or cold is not None):
         raise ValueError("--models excludes --hot/--cold")
     entries: list[tuple[str, RestrictionModel, RestrictionModel]] = []
     if models is not None:
@@ -192,8 +194,8 @@ def _sweep_models(args) -> tuple[tuple[str, RestrictionModel, RestrictionModel],
             model = _parse_model("--models entry", spec)
             entries.append((model.label, model, model))
     else:
-        hot_model = _parse_model("--hot", hot or "unrestricted")
-        cold_model = _parse_model("--cold", cold or "unrestricted")
+        hot_model = _parse_model("--hot", "unrestricted" if hot is None else hot)
+        cold_model = _parse_model("--cold", "unrestricted" if cold is None else cold)
         label = (
             hot_model.label
             if hot_model == cold_model
@@ -219,7 +221,8 @@ def _sweep_config(args) -> SweepConfig:
     if lo <= 0.0:
         raise ValueError(f"swept values must be positive, got minimum {lo!r}")
     beta_h = None if args.bh is None else _as_float("--bh", args.bh)
-    beta_c = None if args.bc is None else _as_float("--bc", args.bc)
+    beta_c = getattr(args, "bc", None)
+    beta_c = None if beta_c is None else _as_float("--bc", beta_c)
     if axis in ("ratio", "bc"):
         beta_h = 0.2 if beta_h is None else beta_h
     if axis == "bh" and beta_c is None:
@@ -249,19 +252,22 @@ def _axis_betas(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sweep_cells(
-    cfg: SweepConfig, beta_h: np.ndarray, beta_c: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """eta_max, beta_h * w_max and operational of each model over the sweep.
+    models: tuple[tuple[str, RestrictionModel, RestrictionModel], ...],
+    beta_h: np.ndarray,
+    beta_c: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Caps lambda_h_max, lambda_c_max and p_opt, w_max, eta_max of each model.
 
-    Every model is evaluated column-wise.  Warnings and errors come out as a
-    point-by-point sweep (value by value, model by model, hot side before
-    cold side) gives them: one warning per side and model at its first
-    clamped value, and only the warnings that precede the first error.
+    Every model is evaluated column-wise over the aligned temperatures.
+    Warnings and errors come out as a point-by-point evaluation (value by
+    value, model by model, hot side before cold side) gives them: one warning
+    per side and model at its first clamped value, and only the warnings that
+    precede the first error.
     """
     # Order keys are (value index, model index, step), with step 0 for the hot
     # warning, 1 for the cold warning and 2 for the caps.  A bad temperature
-    # stops the sweep at the first model's warning step for that side, hot
-    # side first.
+    # stops the evaluation at the first model's warning step for that side,
+    # hot side first.
     hot_end, cold_end = beta_prefix(beta_h), beta_prefix(beta_c)
     end = min(hot_end, cold_end)
     halt = (end, 0, 0 if hot_end == end else 1)
@@ -269,7 +275,7 @@ def _sweep_cells(
     temperatures = BathTemperatures(beta_h[:end], beta_c[:end])
     warnings = []
     cells = []
-    for index, (_, hot, cold) in enumerate(cfg.models):
+    for index, (_, hot, cold) in enumerate(models):
         lh, hot_clamped = hot.resolve(beta_h[:hot_end])
         lc, cold_clamped = cold.resolve(beta_c[:cold_end])
         for step, side, clamped, betas in (
@@ -280,12 +286,12 @@ def _sweep_cells(
                 first = int(clamped.argmax())
                 warnings.append(((first, index, step), side, float(betas[first])))
         try:
-            _, w_max, eta_max = temperatures.optimum(lh[:end], lc[:end])
+            optimum = temperatures.optimum(lh[:end], lc[:end])
         except SingularCycleError as exc:
             if (exc.index, index, 2) < halt:
                 halt, singular = (exc.index, index, 2), exc
             continue
-        cells.append((eta_max, beta_h[:end] * w_max, w_max > 0.0))
+        cells.append((lh, lc, *optimum))
     for key, side, beta_omega in sorted(warnings):
         if key < halt:
             print(_clamp_warning(side, beta_omega), file=sys.stderr)
@@ -301,7 +307,10 @@ def _sweep_table(cfg: SweepConfig, drop_inoperative_rows: bool) -> tuple[np.ndar
     # Python floats overflow to inf without a word; so do these
     with np.errstate(all="ignore"):
         beta_h, beta_c = _axis_betas(cfg)
-        cells = _sweep_cells(cfg, beta_h, beta_c)
+        cells = [
+            (eta_max, beta_h * w_max, w_max > 0.0)
+            for _, _, _, w_max, eta_max in _sweep_cells(cfg.models, beta_h, beta_c)
+        ]
         carnot = 1.0 - beta_h / beta_c if cfg.include_carnot else None
     no_blank = np.zeros(cfg.values.shape, dtype=bool)
     values = [cfg.values]
@@ -369,78 +378,74 @@ def _emit_csv(path, meta: str, header: list[str], table: np.ndarray, blank: np.n
 # commands
 
 
+def _perf_json(
+    beta_h: float, beta_c: float, models: tuple[tuple[str, RestrictionModel, RestrictionModel]]
+) -> str:
+    """perf's JSON object: the one-point sweep of a single hot/cold model pair."""
+    ((_, hot, cold),) = models
+    (columns,) = _sweep_cells(models, np.array([beta_h]), np.array([beta_c]))
+    lambda_h_max, lambda_c_max, p_opt, w_max, eta_max = (column.item() for column in columns)
+    payload = {
+        "beta_h_omega": beta_h,
+        "beta_c_omega": beta_c,
+        "hot": hot.label,
+        "cold": cold.label,
+        "lambda_h_max": lambda_h_max,
+        "lambda_c_max": lambda_c_max,
+        "p_opt": p_opt,
+        "w_max_over_omega": w_max,
+        "eta_max": None if math.isnan(eta_max) else eta_max,
+        "eta_carnot": None if beta_c == 0.0 else 1.0 - beta_h / beta_c,
+        "operational": w_max > 0.0,
+        "cold_hotter": beta_c <= beta_h,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
 def cmd_perf(args) -> int:
     beta_h = _as_float("--bh", _required(args, "bh", "--bh"))
     beta_c = _as_float("--bc", _required(args, "bc", "--bc"))
-    hot = _parse_model("--hot", getattr(args, "hot", None) or "unrestricted")
-    cold = _parse_model("--cold", getattr(args, "cold", None) or "unrestricted")
-    seen: set = set()
-    _warn_clamped("hot", hot, beta_h, seen)
-    _warn_clamped("cold", cold, beta_c, seen)
-    params = engine_params_from(hot, cold, beta_h, beta_c)
-    point = optimal_performance(params)
-    payload = {
-        "beta_h_omega": params.beta_h_omega,
-        "beta_c_omega": params.beta_c_omega,
-        "hot": hot.label,
-        "cold": cold.label,
-        "lambda_h_max": params.lambda_h_max,
-        "lambda_c_max": params.lambda_c_max,
-        "p_opt": point.p_opt,
-        "w_max_over_omega": point.w_max,
-        "eta_max": point.eta_max,
-        "eta_carnot": None if beta_c == 0.0 else params.carnot_efficiency(),
-        "operational": point.operational,
-        "cold_hotter": params.cold_hotter,
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_perf_json(beta_h, beta_c, _sweep_models(args)))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    """sweep, and tradeoff, which drops the rows where no model operates."""
     cfg = _sweep_config(args)
-    table, blank = _sweep_table(cfg, drop_inoperative_rows=False)
+    table, blank = _sweep_table(cfg, drop_inoperative_rows=args.command == "tradeoff")
     _emit_csv(_as_path("--out", args.out), _meta_line(args, cfg), _sweep_header(cfg), table, blank)
     return EXIT_OK
 
 
-def cmd_tradeoff(args) -> int:
-    cfg = _sweep_config(args)
-    table, blank = _sweep_table(cfg, drop_inoperative_rows=True)
-    _emit_csv(_as_path("--out", args.out), _meta_line(args, cfg), _sweep_header(cfg), table, blank)
-    return EXIT_OK
+# file -> (command, models, eta_carnot column)
+_FIGURES = {
+    "fig2.csv": ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
+    "fig3.csv": ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
+    "fig4.csv": ("sweep", "unrestricted,fb:10,jc", True),
+    "fig5.csv": ("tradeoff", "unrestricted,fb:10,fb:5,jc", False),
+}
 
 
 def cmd_figures(args) -> int:
-    steps = _ratio_steps(args)
+    # Every option is checked before the directory is made: the size, --out,
+    # the rest of the sweep, then --bh by the reference point, perf's object
+    # at beta_c = 3 beta_h to 15 digits (0.6 for 0.2, where 3 * 0.2 is
+    # 0.6000000000000001).  figures takes no models, so cfg.models is perf's
+    # default unrestricted pair.
+    _ratio_steps(args)
     out_dir = Path(_as_path("--out", args.out) or "figures-data")
+    cfg = _sweep_config(args)
+    beta_h = cfg.beta_h_omega
+    reference = _perf_json(beta_h, float(f"{3 * beta_h:.15g}"), cfg.models)
     out_dir.mkdir(parents=True, exist_ok=True)
-    presets = {
-        "fig2.csv": ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
-        "fig3.csv": ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
-        "fig4.csv": ("sweep", "unrestricted,fb:10,jc", True),
-        "fig5.csv": ("tradeoff", "unrestricted,fb:10,fb:5,jc", False),
-    }
-    for name, (kind, models, carnot) in presets.items():
-        preset_args = argparse.Namespace(
-            _argv=getattr(args, "_argv", []),
-            axis="ratio",
-            bh=args.bh,
-            bc=None,
-            ratio_min=args.ratio_min,
-            ratio_max=args.ratio_max,
-            ratio_steps=steps,
-            models=models,
-            hot=None,
-            cold=None,
-            carnot=carnot,
-            raw=None,
-            out=str(out_dir / name),
-        )
-        cfg = _sweep_config(preset_args)
-        table, blank = _sweep_table(cfg, drop_inoperative_rows=(kind == "tradeoff"))
-        _emit_csv(preset_args.out, _meta_line(preset_args, cfg), _sweep_header(cfg), table, blank)
-        print(f"wrote {preset_args.out}")
+    for name, (command, models, carnot) in _FIGURES.items():
+        target = str(out_dir / name)
+        overrides = {"command": command, "models": models, "carnot": carnot, "out": target}
+        cmd_sweep(argparse.Namespace(**{**vars(args), **overrides}))
+        print(f"wrote {target}")
+    target = out_dir / "reference_point.json"
+    target.write_text(reference + "\n")
+    print(f"wrote {target}")
     return EXIT_OK
 
 
@@ -486,8 +491,8 @@ def _check_thm2(seed: int, grid: int) -> list[tuple[str, str]]:
     return [
         (
             level,
-            "thm2: grid search over weights and permutations matches the closed form "
-            f"(work dev {worst_w:.2e}, efficiency dev {worst_eta:.2e})",
+            "thm2: grid search of the swap cycle over both mixing weights matches the "
+            f"closed form (work dev {worst_w:.2e}, efficiency dev {worst_eta:.2e})",
         )
     ]
 
@@ -597,7 +602,11 @@ def cmd_verify(args) -> int:
     seed = _as_int("--seed", args.seed if args.seed is not None else 0)
     grid = _as_size("--grid", args.grid, 200, 2, MAX_VERIFY_GRID)
     if args.only is not None:
-        names = [name.strip() for name in str(args.only).split(",") if name.strip()]
+        if not isinstance(args.only, str):
+            raise ValueError(f"--only must be a string of check names, got {args.only!r}")
+        names = [name.strip() for name in args.only.split(",") if name.strip()]
+        if not names:
+            raise ValueError("--only needs at least one check")
         unknown = [name for name in names if name not in _CHECKS]
         if unknown:
             raise ValueError(f"unknown checks {unknown!r}, available: {sorted(_CHECKS)}")
@@ -636,9 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(perf)
     perf.set_defaults(func=cmd_perf)
 
-    for name, func, help_text in (
-        ("sweep", cmd_sweep, "sweep the closed-form optimum and write CSV"),
-        ("tradeoff", cmd_tradeoff, "efficiency/work pairs over the sweep, engine regime only"),
+    for name, help_text in (
+        ("sweep", "sweep the closed-form optimum and write CSV"),
+        ("tradeoff", "efficiency/work pairs over the sweep, engine regime only"),
     ):
         sub = subparsers.add_parser(name, help=help_text)
         add_common(sub)
@@ -654,9 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--raw", action="store_true", default=None,
                          help="emit values outside the engine regime too")
         sub.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=cmd_sweep)
 
-    figures = subparsers.add_parser("figures", help="write the four figure-data CSVs")
+    figures = subparsers.add_parser(
+        "figures", help="write the four figure-data CSVs and a reference point"
+    )
     figures.add_argument("--config", metavar="PATH", help="JSON file supplying defaults for any flag")
     figures.add_argument("--bh", type=float, help="hot-bath beta times the splitting")
     figures.add_argument("--ratio-min", type=float, help="lower end of the ratio grid")

@@ -527,7 +527,9 @@ class BathTemperatures:
         object.__setattr__(self, "beta_c_omega", bc)
         object.__setattr__(self, "exp_h", elementwise(math.exp, -bh))
         object.__setattr__(self, "exp_c", elementwise(math.exp, -bc))
-        object.__setattr__(self, "exp_hc", elementwise(math.exp, -(bh + bc)))
+        # Python floats overflow to inf without a word; so does this sum
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "exp_hc", elementwise(math.exp, -(bh + bc)))
 
     def aligned(self, values: np.ndarray, name: str) -> np.ndarray:
         """values as a float array, if it has the temperatures' shape."""

@@ -6,14 +6,16 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from threestroke import cli, engine_params_from, optimal_performance
+from threestroke import RestrictionModel, cli, engine_params_from, optimal_performance
 
 
 def run(argv, capsys):
@@ -77,6 +79,11 @@ def test_config_sizes_must_be_whole_numbers(tmp_path, capsys):
         (["sweep", "--bh", "0.2"], {"axis": []}, "--axis must be one of"),
         (["sweep", "--bh", "0.2"], {"out": ["x.csv"]}, "--out must be a path string"),
         (["figures", "--ratio-steps", "3"], {"out": 5}, "--out must be a path string"),
+        (["sweep", "--bh", "0.2"], {"ratio-min": "2"}, "--ratio-min must be a number"),
+        (["verify", "--only", "thm3"], {"grid": "50"}, "--grid must be an integer"),
+        (["perf", "--bh", "0.2", "--bc", "0.6"], {"hot": ""}, "bad restriction spec ''"),
+        (["perf", "--bh", "0.2", "--bc", "0.6"], {"cold": ""}, "bad restriction spec ''"),
+        (["perf", "--bc", "0.6"], {"bh": 10**400}, "--bh must be finite"),
     ],
 )
 def test_config_values_are_not_coerced(argv, config, message, tmp_path, capsys):
@@ -160,6 +167,8 @@ def test_sweep_model_flag_conflicts(capsys):
     base = ["sweep", "--bh", "0.2"]
     code, _, err = run(base + ["--models", "jc", "--hot", "jc"], capsys)
     assert code == 2 and "error:" in err
+    code, _, err = run(base + ["--models", "jc", "--hot", ""], capsys)
+    assert code == 2 and err == "error: --models excludes --hot/--cold\n"
     code, _, err = run(base + ["--models", "jc,jc"], capsys)
     assert code == 2 and "error:" in err
     code, _, err = run(base + ["--models", "bogus"], capsys)
@@ -243,10 +252,14 @@ def test_figures_presets(tmp_path, capsys):
     out_dir = tmp_path / "figs"
     code, out, _ = run(["figures", "--out", str(out_dir), "--ratio-steps", "5"], capsys)
     assert code == 0
-    names = ("fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv")
+    names = ["fig2.csv", "fig3.csv", "fig4.csv", "fig5.csv", "reference_point.json"]
+    assert sorted(path.name for path in out_dir.iterdir()) == names
     for name in names:
-        assert (out_dir / name).exists()
         assert f"wrote {out_dir / name}" in out
+    for name in names[:3]:  # sweeps keep every ratio; fig5 drops inoperative rows
+        assert len((out_dir / name).read_text().splitlines()) == 2 + 5
+    _, perf, _ = run(["perf", "--bh", "0.2", "--bc", "0.6"], capsys)
+    assert json.loads((out_dir / "reference_point.json").read_text()) == json.loads(perf)
     fig4_header = (out_dir / "fig4.csv").read_text().splitlines()[1]
     assert fig4_header.endswith("eta_carnot")
     assert "eta_jc" in fig4_header
@@ -270,6 +283,24 @@ def test_verify_jc_check_warns(capsys):
 def test_verify_unknown_check(capsys):
     code, _, err = run(["verify", "--only", "nope"], capsys)
     assert code == 2 and "unknown checks" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--only", ""], None, "--only needs at least one check"),
+        (["--only", ","], None, "--only needs at least one check"),
+        ([], {"only": ["jc"]}, "--only must be a string of check names, got ['jc']"),
+    ],
+)
+def test_verify_only_needs_a_check_name(argv, config, message, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run(["verify"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("grid", ["1", "0", "-5"])
@@ -325,6 +356,14 @@ def test_version_flag(capsys):
 # the column-wise sweep against a point-by-point reference
 
 
+def warn_clamped(side, model, beta_omega, seen):
+    """The clamp-warning rule: one warning per side and model, at its first clamped value."""
+    key = (side, model.label)
+    if model.clamped(beta_omega) and key not in seen:
+        seen.add(key)
+        print(cli._clamp_warning(side, beta_omega), file=sys.stderr)
+
+
 def reference_rows(cfg, drop_inoperative_rows):
     """CSV rows of a sweep, evaluated one point and one model at a time."""
     seen = set()
@@ -338,8 +377,8 @@ def reference_rows(cfg, drop_inoperative_rows):
             beta_h, beta_c = cfg.beta_h_omega, x
         cells = []
         for _, hot, cold in cfg.models:
-            cli._warn_clamped("hot", hot, beta_h, seen)
-            cli._warn_clamped("cold", cold, beta_c, seen)
+            warn_clamped("hot", hot, beta_h, seen)
+            warn_clamped("cold", cold, beta_c, seen)
             point = optimal_performance(engine_params_from(hot, cold, beta_h, beta_c))
             cells.append((point.eta_max, beta_h * point.w_max, point.operational))
         if drop_inoperative_rows and not cfg.raw and not any(op for _, _, op in cells):
@@ -368,6 +407,35 @@ def reference_run(args, drop_inoperative_rows):
     return code, lines, err.getvalue()
 
 
+def reference_perf(beta_h, beta_c, hot, cold):
+    """Exit code, stdout and stderr of perf, evaluated through the scalar closed form."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            seen = set()
+            warn_clamped("hot", hot, beta_h, seen)
+            warn_clamped("cold", cold, beta_c, seen)
+            params = engine_params_from(hot, cold, beta_h, beta_c)
+            point = optimal_performance(params)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2, "", err.getvalue()
+    payload = {
+        "beta_h_omega": params.beta_h_omega,
+        "beta_c_omega": params.beta_c_omega,
+        "hot": hot.label,
+        "cold": cold.label,
+        "lambda_h_max": params.lambda_h_max,
+        "lambda_c_max": params.lambda_c_max,
+        "p_opt": point.p_opt,
+        "w_max_over_omega": point.w_max,
+        "eta_max": point.eta_max,
+        "eta_carnot": None if beta_c == 0.0 else params.carnot_efficiency(),
+        "operational": point.operational,
+        "cold_hotter": params.cold_hotter,
+    }
+    return 0, json.dumps(payload, indent=2, sort_keys=True) + "\n", err.getvalue()
+
+
 def quiet_main(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(
         io.StringIO()
@@ -380,6 +448,25 @@ def quiet_main(argv):
 # window (0.2, 0.462] and infinite temperature (beta = 0 for the fixed side)
 temperatures = st.sampled_from(["0", "0.2", "0.3", "0.4", "0.462", "1", "2", "1e-8", "-0.5"])
 model_specs = st.sampled_from(["unrestricted", "fb:1", "fb:5", "fb:10", "jc", "lam:0", "lam:0.6"])
+
+
+@given(
+    bh=temperatures, bc=temperatures, hot=st.none() | model_specs, cold=st.none() | model_specs
+)
+@example(bh="0", bc="1", hot=None, cold="lam:0")  # degenerate cycle at caps (1.0, 0.0)
+@example(bh="0.3", bc="-0.5", hot="jc", cold="jc")  # hot warning, then the cold error
+@example(bh="1e308", bc="1e308", hot=None, cold=None)  # beta_h + beta_c overflows silently
+@settings(max_examples=150, deadline=None)
+def test_perf_matches_the_scalar_reference(bh, bc, hot, cold):
+    argv = ["perf", "--bh", bh, "--bc", bc]
+    argv += ["--hot", hot] * (hot is not None) + ["--cold", cold] * (cold is not None)
+    want = reference_perf(
+        float(bh), float(bc),
+        RestrictionModel.parse(hot or "unrestricted"), RestrictionModel.parse(cold or "unrestricted"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach the user's stderr
+        assert quiet_main(argv) == want
 
 
 @given(
@@ -454,6 +541,13 @@ def test_figures_match_the_point_by_point_reference(bh, lo, steps):
                 lines = (Path(tmp) / name).read_text().splitlines()
                 assert lines[1:] == want_lines
         assert err == want_err
+        if code == 0:
+            beta_h = 0.2 if bh is None else float(bh)
+            unrestricted = RestrictionModel.unrestricted()
+            _, want_json, _ = reference_perf(
+                beta_h, float(f"{3 * beta_h:.15g}"), unrestricted, unrestricted
+            )
+            assert (Path(tmp) / "reference_point.json").read_text() == want_json
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True))
@@ -472,6 +566,9 @@ def test_percent_and_format_agree_at_nine_digits(x):
         ["tradeoff", "--bh", "0.2", "--ratio-steps", str(cli.MAX_RATIO_STEPS + 1)],
         ["figures", "--ratio-steps", str(cli.MAX_RATIO_STEPS + 1)],
         ["verify", "--only", "thm2", "--grid", str(cli.MAX_VERIFY_GRID + 1)],
+        ["figures", "--bh", "nan"],
+        ["figures", "--ratio-min", "3", "--ratio-max", "2"],
+        ["figures", "--bh", "-1"],
     ],
 )
 def test_size_limits_fail_before_allocating(argv, tmp_path, capsys):

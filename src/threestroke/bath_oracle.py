@@ -3,7 +3,10 @@
 The ladder-bath stroke is simulated explicitly: the joint Hilbert space of
 the qubit and a (d+1)-level ladder splits into two invariant corners plus d
 two-dimensional blocks, so conjugating by an energy-preserving unitary and
-tracing out the bath costs O(d) regardless of the angles.  On top of the
+tracing out the bath costs O(d) regardless of the angles.  The d 2x2
+conjugations are written out as elementwise products of length-d arrays, one
+output entry at a time, and the state's trace check is one pairwise numpy sum
+(its error bound is in JointState.trace).  On top of the
 simulation sit brute-force searches over angles and over the mixing weights
 of the swap cycle (the identity, the qubit's other work permutation, releases
 exactly zero work); none of them evaluate the closed-form optima they are
@@ -85,9 +88,9 @@ class BlockUnitarySpec:
     alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        thetas = tuple(float(x) for x in self.thetas)
-        phis = tuple(float(x) for x in self.phis)
-        alphas = tuple(float(x) for x in self.alphas)
+        thetas = tuple(map(float, self.thetas))
+        phis = tuple(map(float, self.phis))
+        alphas = tuple(map(float, self.alphas))
         if not thetas:
             raise ValueError("block unitary needs at least one block")
         if len(phis) != len(thetas) or len(alphas) != len(thetas):
@@ -96,7 +99,7 @@ class BlockUnitarySpec:
                 f"{len(alphas)} alphas"
             )
         for angles in (thetas, phis, alphas):
-            if any(not math.isfinite(x) for x in angles):
+            if not all(map(math.isfinite, angles)):
                 raise ValueError("non-finite angle in block unitary")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "phis", phis)
@@ -168,8 +171,18 @@ class JointState:
 
     @property
     def trace(self) -> float:
-        diag = self.blocks[:, (0, 1), (0, 1)].real
-        return self.corner_low + self.corner_high + math.fsum(diag.ravel())
+        """Corners plus the block diagonals, the blocks' part by numpy's sum.
+
+        numpy sums the d terms b00 + b11 pairwise, with eight running partial
+        sums in runs of at most 128 terms.  A term passes through at most 25
+        additions in its run, ceil(log2(d / 128)) <= 7 levels above it, its own
+        b00 + b11, the reduction's start and the two corners: 36 roundings for
+        d <= 10 000.  The error is therefore below 36 eps = 8e-15 times the sum
+        of the magnitudes, about 1, which is more than two orders of magnitude
+        under the 2e-12 trace tolerance.
+        """
+        diagonals = self.blocks.real.trace(axis1=1, axis2=2)
+        return self.corner_low + self.corner_high + float(diagonals.sum())
 
     @classmethod
     def product(cls, p: PopulationVector, beta_omega: float, d: int) -> JointState:
@@ -178,7 +191,7 @@ class JointState:
         if p.dim != 2:
             raise ValueError(f"expected a qubit population, got dimension {p.dim}")
         w = np.exp(-beta_omega * np.arange(d + 1))
-        z = math.fsum(w)
+        z = math.fsum(w.tolist())
         g, x = p.entries
         blocks = np.zeros((d, 2, 2), dtype=complex)
         blocks[:, 0, 0] = g * w[1:] / z  # |0, j>, j = 1..d
@@ -186,22 +199,35 @@ class JointState:
         return cls(g * w[0] / z, x * w[-1] / z, blocks)
 
     def conjugated(self, spec: BlockUnitarySpec) -> JointState:
-        """Conjugate by the block unitary; the corners have no partner and stay."""
+        """Conjugate by the block unitary; the corners have no partner and stay.
+
+        Each block's rotation V has rows (a, b) and (c, e) = (-conj(b), conj(a)),
+        with a = exp(i phi) cos(theta) and b = exp(i alpha) sin(theta), held
+        as complex arrays over the d blocks, phases included.  V B V^dagger is
+        formed by elementwise products one output row at a time: the row
+        (x, y) times B, m = (x B00 + y B10, x B01 + y B11), then the row's
+        entry against each row (u, v) of V, m0 conj(u) + m1 conj(v).  Every
+        step is O(d).
+        """
         if spec.d != self.d:
             raise ValueError(f"spec has {spec.d} blocks but the state has {self.d}")
-        thetas = np.array(spec.thetas)
-        v = np.empty((self.d, 2, 2), dtype=complex)
-        v[:, 0, 0] = np.exp(1j * np.array(spec.phis)) * np.cos(thetas)
-        v[:, 0, 1] = np.exp(1j * np.array(spec.alphas)) * np.sin(thetas)
-        v[:, 1, 0] = -np.exp(-1j * np.array(spec.alphas)) * np.sin(thetas)
-        v[:, 1, 1] = np.exp(-1j * np.array(spec.phis)) * np.cos(thetas)
-        rotated = np.einsum("jab,jbd,jcd->jac", v, self.blocks, v.conj())
+        thetas = np.fromiter(spec.thetas, float, spec.d)
+        a = np.exp(1j * np.fromiter(spec.phis, float, spec.d)) * np.cos(thetas)
+        b = np.exp(1j * np.fromiter(spec.alphas, float, spec.d)) * np.sin(thetas)
+        rows = ((a, b), (-np.conj(b), np.conj(a)))
+        blocks = self.blocks
+        rotated = np.empty_like(blocks)
+        for r, (x, y) in enumerate(rows):
+            m0 = x * blocks[:, 0, 0] + y * blocks[:, 1, 0]
+            m1 = x * blocks[:, 0, 1] + y * blocks[:, 1, 1]
+            for s, (u, v) in enumerate(rows):
+                rotated[:, r, s] = m0 * np.conj(u) + m1 * np.conj(v)
         return JointState(self.corner_low, self.corner_high, rotated)
 
     def reduced_qubit(self) -> PopulationVector:
         """Trace out the ladder; block row 0 feeds ground, row 1 excited."""
-        ground = self.corner_low + math.fsum(self.blocks[:, 0, 0].real)
-        excited = self.corner_high + math.fsum(self.blocks[:, 1, 1].real)
+        ground = self.corner_low + math.fsum(self.blocks[:, 0, 0].real.tolist())
+        excited = self.corner_high + math.fsum(self.blocks[:, 1, 1].real.tolist())
         return PopulationVector((ground, excited))
 
 
@@ -225,12 +251,7 @@ def achieved_lambda(spec: BlockUnitarySpec, beta_omega: float, d: int) -> float:
     beta_omega, d = _check_bath(beta_omega, d)
     if spec.d != d:
         raise ValueError(f"spec has {spec.d} blocks but the bath needs {d}")
-    weights = [math.exp(-beta_omega * n) for n in range(d + 1)]
-    z = math.fsum(weights)
-    total = math.fsum(
-        math.sin(t) ** 2 * weights[j] for j, t in enumerate(spec.thetas)
-    )
-    return total / z
+    return float(_achieved_lambda_rows(np.array([spec.thetas]), beta_omega, d)[0])
 
 
 def _achieved_lambda_rows(rows: np.ndarray, beta_omega: float, d: int) -> np.ndarray:

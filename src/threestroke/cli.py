@@ -430,13 +430,16 @@ def cmd_figures(args) -> int:
     # Every option is checked before the directory is made: the size, --out,
     # the rest of the sweep, then --bh by the reference point, perf's object
     # at beta_c = 3 beta_h to 15 digits (0.6 for 0.2, where 3 * 0.2 is
-    # 0.6000000000000001).  figures takes no models, so cfg.models is perf's
-    # default unrestricted pair.
+    # 0.6000000000000001), and last the presets' cold temperatures
+    # beta_h * ratio, which can overflow where 3 beta_h does not.  figures
+    # takes no models, so cfg.models is perf's default unrestricted pair.
     _ratio_steps(args)
     out_dir = Path(_as_path("--out", args.out) or "figures-data")
     cfg = _sweep_config(args)
     beta_h = cfg.beta_h_omega
     reference = _perf_json(beta_h, float(f"{3 * beta_h:.15g}"), cfg.models)
+    with np.errstate(over="ignore"):
+        check_betas(_axis_betas(cfg)[1])
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, (command, models, carnot) in _FIGURES.items():
         target = str(out_dir / name)

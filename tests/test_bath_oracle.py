@@ -1,5 +1,6 @@
 """Simulation and search oracles: block unitaries, grids and time scans."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -157,6 +158,70 @@ def test_reduced_populations_ignore_phases(d, seed):
     out_a = simulate_finite_bath_map(p, 0.6, d, spec_a)
     out_b = simulate_finite_bath_map(p, 0.6, d, spec_b)
     assert out_a.entries == pytest.approx(out_b.entries, abs=1e-12)
+
+
+def dense_conjugated(p, bw, spec):
+    """U (rho_S x gamma_E) U^dagger as a dense matrix; |q, n> has index q (d+1) + n."""
+    d = spec.d
+    w = np.exp(-bw * np.arange(d + 1))
+    rho = np.kron(np.diag(p.entries), np.diag(w / w.sum())).astype(complex)
+    u = np.eye(2 * (d + 1), dtype=complex)
+    for j, (theta, phi, alpha) in enumerate(zip(spec.thetas, spec.phis, spec.alphas)):
+        pair = [j + 1, d + 1 + j]  # |0, j+1>, |1, j>
+        u[np.ix_(pair, pair)] = [
+            [cmath.exp(1j * phi) * math.cos(theta), cmath.exp(1j * alpha) * math.sin(theta)],
+            [-cmath.exp(-1j * alpha) * math.sin(theta), cmath.exp(-1j * phi) * math.cos(theta)],
+        ]
+    return u @ rho @ u.conj().T
+
+
+def angle_lists(d):
+    return st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=d, max_size=d)
+
+
+@given(
+    ground=st.floats(0.0, 1.0),
+    bw=st.floats(0.0, 5.0),
+    angles=st.integers(1, 8).flatmap(lambda d: st.tuples(*[angle_lists(d)] * 3)),
+)
+@settings(max_examples=200, deadline=None)
+def test_conjugation_matches_the_dense_unitary(ground, bw, angles):
+    """Every block entry and both corners equal a dense conjugation; the rest is zero."""
+    spec = BlockUnitarySpec(*angles)
+    d = spec.d
+    p = qubit_population(ground)
+    rotated = JointState.product(p, bw, d).conjugated(spec)
+    placed = np.zeros((2 * (d + 1), 2 * (d + 1)), dtype=complex)
+    placed[0, 0] = rotated.corner_low  # |0, 0>
+    placed[-1, -1] = rotated.corner_high  # |1, d>
+    for j, block in enumerate(rotated.blocks):
+        placed[np.ix_([j + 1, d + 1 + j], [j + 1, d + 1 + j])] = block
+    np.testing.assert_allclose(placed, dense_conjugated(p, bw, spec), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bw", [0.0, 1e-3, 2.0])
+def test_full_swap_reaches_the_cap_at_the_largest_bath(bw):
+    d = 10_000
+    p = qubit_population(0.15)
+    out = simulate_finite_bath_map(p, bw, d, BlockUnitarySpec.full_swap(d))
+    cap = lambda_max_finite_bath(bw, d)
+    assert out.entries == pytest.approx(apply_mixture(cap, bw, p).entries, abs=1e-12)
+
+
+@pytest.mark.parametrize("excess, accepted", [(1e-12, True), (3e-12, False)])
+def test_trace_tolerance_at_the_largest_bath(excess, accepted):
+    """The 2e-12 trace tolerance decides at d = 10 000, with 20 002 uneven diagonal entries."""
+    d = 10_000
+    weights = np.random.default_rng(5).uniform(0.5, 1.5, 2 * d + 2)
+    weights *= (1.0 + excess) / math.fsum(weights.tolist())
+    blocks = np.zeros((d, 2, 2))
+    blocks[:, 0, 0], blocks[:, 1, 1] = weights[2:].reshape(d, 2).T
+    if accepted:
+        state = JointState(weights[0], weights[1], blocks)
+        assert state.trace == pytest.approx(1.0 + excess, abs=1e-14)
+    else:
+        with pytest.raises(ValueError, match="trace"):
+            JointState(weights[0], weights[1], blocks)
 
 
 def test_scan_matches_closed_form_small_baths():

@@ -569,6 +569,8 @@ def test_percent_and_format_agree_at_nine_digits(x):
         ["figures", "--bh", "nan"],
         ["figures", "--ratio-min", "3", "--ratio-max", "2"],
         ["figures", "--bh", "-1"],
+        # 3 * beta_h is finite, the presets' beta_h * ratio_max is not
+        ["figures", "--bh", "5e307", "--ratio-steps", "3"],
     ],
 )
 def test_size_limits_fail_before_allocating(argv, tmp_path, capsys):

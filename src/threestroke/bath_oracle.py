@@ -6,11 +6,11 @@ two-dimensional blocks, so conjugating by an energy-preserving unitary and
 tracing out the bath costs O(d) regardless of the angles.  The d 2x2
 conjugations are written out as elementwise products of length-d arrays, one
 output entry at a time, and the state's trace check is one pairwise numpy sum
-(its error bound is in JointState.trace).  On top of the
-simulation sit brute-force searches over angles and over the mixing weights
-of the swap cycle (the identity, the qubit's other work permutation, releases
-exactly zero work); none of them evaluate the closed-form optima they are
-meant to check.
+(its error bound is in JointState.trace).  Beside the
+simulation sit a coordinate-ascent search over the block angles and a
+brute-force grid over the mixing weights of the swap cycle (the identity, the
+qubit's other work permutation, releases exactly zero work); neither
+evaluates the closed-form optima it is meant to check.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 
 # Sizes are bounded before anything is allocated: the bath by its O(d) block
 # arrays, the brute-force grid by its grid**2 floats per array, the angle scan
-# by the same MAX_GRID**2 floats in its mesh or rows of angles, the
+# by the same MAX_GRID**2 floats in its rows of angles, the
 # exchange-coupling truncation by its per-manifold arrays, and its time grid by
 # the sorted copy the scan makes.
 _MAX_BATH_SIZE = 10_000
@@ -261,44 +261,28 @@ def _achieved_lambda_rows(rows: np.ndarray, beta_omega: float, d: int) -> np.nda
     return (np.sin(rows) ** 2 @ weights) / z
 
 
-def scan_lambda_max(beta_omega: float, d: int, grid: int | None = None) -> float:
+def scan_lambda_max(beta_omega: float, d: int, grid: int = 65) -> float:
     """Best mixing weight over block-rotation angles, found by plain search.
 
-    Exhaustive grid plus local zoom for d <= 4, cyclic coordinate ascent with
-    the same zoom for larger d.  Both paths only evaluate achieved_lambda on
-    explicit angle tuples, which keeps the result independent of the
-    closed-form cap.  Ties resolve to the smallest grid index.  A grid whose
-    mesh (grid**d * d floats) or rows (grid * d floats) would hold more than
-    MAX_GRID**2 floats raises ResourceLimitError before anything is allocated.
+    Cyclic coordinate ascent from all angles at pi/4: each angle in turn is
+    scanned over grid points in [0, pi/2] with the others held, for at most
+    six sweeps.  achieved_lambda is a sum of one-angle terms, so the ascent
+    finds the grid's maximum.  Only achieved_lambda is evaluated, on explicit
+    angle tuples, which keeps the result independent of the closed-form cap.
+    A point replaces the best only when strictly higher, so ties resolve to
+    the smallest grid index.  A grid below 3 raises ValueError, and rows of
+    more than MAX_GRID**2 floats (grid * d) raise ResourceLimitError before
+    anything is allocated.
     """
     beta_omega, d = _check_bath(beta_omega, d)
-    if d <= 4:
-        points = check_size(grid, "grid", 3) if grid is not None else 9
-        _check_bounded(points**d * d, "angle mesh (grid**d * d floats)", 1, _MAX_SCAN_FLOATS)
-        axes = [np.linspace(0.0, math.pi / 2.0, points)] * d
-        best_value = -math.inf
-        best_row = None
-        for _ in range(4):
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-            values = _achieved_lambda_rows(mesh, beta_omega, d)
-            index = int(np.argmax(values))
-            if values[index] > best_value:
-                best_value = float(values[index])
-                best_row = mesh[index]
-            half = (axes[0][-1] - axes[0][0]) / (points - 1)
-            axes = [
-                np.clip(np.linspace(c - half, c + half, points), 0.0, math.pi / 2.0)
-                for c in best_row
-            ]
-        return best_value
-    points = check_size(grid, "grid", 3) if grid is not None else 65
+    points = check_size(grid, "grid", 3)
     _check_bounded(points * d, "angle rows (grid * d floats)", 1, _MAX_SCAN_FLOATS)
+    line = np.linspace(0.0, math.pi / 2.0, points)
     thetas = np.full(d, math.pi / 4.0)
     best_value = float(_achieved_lambda_rows(thetas[None, :], beta_omega, d)[0])
     for _ in range(6):
         improved = 0.0
         for j in range(d):
-            line = np.linspace(0.0, math.pi / 2.0, points)
             rows = np.tile(thetas, (points, 1))
             rows[:, j] = line
             values = _achieved_lambda_rows(rows, beta_omega, d)

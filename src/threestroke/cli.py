@@ -5,6 +5,11 @@ function, _sweep_cells: perf is a one-point sweep, tradeoff is a sweep that
 drops the rows where no model operates, and figures writes sweep and tradeoff
 presets plus perf's object at beta_c = 3 beta_h as reference_point.json.
 
+verify prints one PASS or FAIL line per check.  The jc check adds one WARN
+line when the stated high-temperature exchange-coupling cap is measured above
+1: the bisected window where it is, its largest value and the drop of the
+clamped cap across the branch point.
+
 Exit codes: 0 success, 2 invalid input, 3 I/O error, 4 verification failure.
 CSV output starts with one '#' metadata line (tool version, command line and
 the sweep geometry), uses 9 significant digits and LF line endings, and leaves
@@ -338,19 +343,17 @@ def _sweep_header(cfg: SweepConfig) -> list[str]:
     return header
 
 
-def _meta_line(args, cfg: SweepConfig | None = None) -> str:
+def _meta_line(args, cfg: SweepConfig) -> str:
     argv = getattr(args, "_argv", [])
     command = shlex.join(["threestroke", *argv])
-    parts = [f"threestroke {__version__}", command]
-    if cfg is not None:
-        fixed = []
-        if cfg.axis in ("ratio", "bc"):
-            fixed.append(f"beta_h_omega={cfg.beta_h_omega:.9g}")
-        if cfg.axis == "bh":
-            fixed.append(f"beta_c_omega={cfg.beta_c_omega:.9g}")
-        models = ",".join(label for label, _, _ in cfg.models)
-        parts.append(f"axis={cfg.axis} {' '.join(fixed)} models={models}")
-    return "# " + " | ".join(parts)
+    fixed = []
+    if cfg.axis in ("ratio", "bc"):
+        fixed.append(f"beta_h_omega={cfg.beta_h_omega:.9g}")
+    if cfg.axis == "bh":
+        fixed.append(f"beta_c_omega={cfg.beta_c_omega:.9g}")
+    models = ",".join(label for label, _, _ in cfg.models)
+    geometry = f"axis={cfg.axis} {' '.join(fixed)} models={models}"
+    return "# " + " | ".join([f"threestroke {__version__}", command, geometry])
 
 
 def _emit_csv(path, meta: str, header: list[str], table: np.ndarray, blank: np.ndarray) -> None:
@@ -457,23 +460,13 @@ def cmd_figures(args) -> int:
 
 
 def _check_thm3(seed: int, grid: int) -> list[tuple[str, str]]:
-    worst_exhaustive = 0.0
-    for d in (1, 2, 3):
-        for beta_omega in (0.2, 1.0):
-            dev = abs(
-                scan_lambda_max(beta_omega, d) - lambda_max_finite_bath(beta_omega, d)
-            )
-            worst_exhaustive = max(worst_exhaustive, dev)
-    worst_ascent = abs(scan_lambda_max(0.5, 10) - lambda_max_finite_bath(0.5, 10))
-    ok = worst_exhaustive <= 1e-6 and worst_ascent <= 1e-4
-    level = "PASS" if ok else "FAIL"
-    return [
-        (
-            level,
-            "thm3: scanned ladder caps match the closed form "
-            f"(exhaustive dev {worst_exhaustive:.2e}, ascent dev {worst_ascent:.2e})",
-        )
-    ]
+    cases = [(d, beta_omega) for d in (1, 2, 3) for beta_omega in (0.2, 1.0)] + [(10, 0.5)]
+    worst = max(
+        abs(scan_lambda_max(beta_omega, d) - lambda_max_finite_bath(beta_omega, d))
+        for d, beta_omega in cases
+    )
+    level = "PASS" if worst <= 1e-6 else "FAIL"
+    return [(level, f"thm3: scanned ladder caps match the closed form (max dev {worst:.2e})")]
 
 
 def _check_thm2(seed: int, grid: int) -> list[tuple[str, str]]:
@@ -522,6 +515,18 @@ def _check_eta_d(seed: int, grid: int) -> list[tuple[str, str]]:
     ]
 
 
+def _jc_edge(above: float, below: float) -> tuple[float, float]:
+    """Bisect to 1e-12 between temperatures where the stated exchange-coupling
+    cap is above 1 and where it is not; returns the bracket's (below, above)."""
+    while abs(above - below) > 1e-12:
+        mid = 0.5 * (above + below)
+        if lambda_max_jc_raw(mid) > 1.0:
+            above = mid
+        else:
+            below = mid
+    return below, above
+
+
 def _check_jc(seed: int, grid: int) -> list[tuple[str, str]]:
     lines = []
     ok = True
@@ -534,14 +539,25 @@ def _check_jc(seed: int, grid: int) -> list[tuple[str, str]]:
         details.append(f"bw={beta_omega:g}: stated {cap:.6f}, scanned {scanned:.6f}")
     level = "PASS" if ok else "FAIL"
     lines.append((level, "jc: time scan brackets the stated cap (" + "; ".join(details) + ")"))
-    probes = np.linspace(0.21, JC_BRANCH_POINT - 1e-9, 25)
-    worst_raw = max(lambda_max_jc_raw(b) for b in probes)
-    if worst_raw > 1.0:
+    # The stated high-temperature branch holds on [0, JC_BRANCH_POINT] (it is
+    # exactly 1 at 0) and the next float takes the other branch.  Probes
+    # bracket the window where the branch exceeds 1, and its edges are bisected.
+    probes = np.linspace(0.0, JC_BRANCH_POINT, 33).tolist()
+    probes.append(math.nextafter(JC_BRANCH_POINT, math.inf))
+    stated = [lambda_max_jc_raw(b) for b in probes[:-1]]
+    above = [i for i, value in enumerate(stated) if value > 1.0]
+    if above:
+        first, last = above[0], above[-1]
+        lower, _ = _jc_edge(probes[first], probes[first - 1])
+        _, upper = _jc_edge(probes[last], probes[last + 1])
+        top = int(np.argmax(stated))
+        drop = lambda_max_jc(JC_BRANCH_POINT) - lambda_max_jc(probes[-1])
         lines.append(
             (
                 "WARN",
-                "jc: stated high-temperature expression exceeds 1 inside "
-                f"(0.2, {JC_BRANCH_POINT:.4f}) (max {worst_raw:.4f}); caps are clamped",
+                f"jc: stated high-temperature expression exceeds 1 on ({lower:.9f}, {upper:.9f}] "
+                f"(max {stated[top]:.9f} at bw={probes[top]:.9f}); caps are clamped, and the "
+                f"clamped cap drops by {drop:.9f} across the branch point",
             )
         )
     return lines
@@ -635,14 +651,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub, betas=True, models=True):
+    def add_common(sub):
         sub.add_argument("--config", metavar="PATH", help="JSON file supplying defaults for any flag")
-        if betas:
-            sub.add_argument("--bh", type=float, help="hot-bath beta times the splitting")
-            sub.add_argument("--bc", type=float, help="cold-bath beta times the splitting")
-        if models:
-            sub.add_argument("--hot", metavar="MODEL", help="unrestricted | fb:D | jc | lam:X")
-            sub.add_argument("--cold", metavar="MODEL", help="unrestricted | fb:D | jc | lam:X")
+        sub.add_argument("--bh", type=float, help="hot-bath beta times the splitting")
+        sub.add_argument("--bc", type=float, help="cold-bath beta times the splitting")
+        sub.add_argument("--hot", metavar="MODEL", help="unrestricted | fb:D | jc | lam:X")
+        sub.add_argument("--cold", metavar="MODEL", help="unrestricted | fb:D | jc | lam:X")
 
     perf = subparsers.add_parser("perf", help="closed-form optimum at one parameter point")
     add_common(perf)

@@ -6,16 +6,19 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from threestroke import RestrictionModel, cli, engine_params_from, optimal_performance
+from threestroke.restrictions import JC_BRANCH_POINT, jc_clamped, lambda_max_jc_raw
 
 
 def run(argv, capsys):
@@ -280,6 +283,31 @@ def test_verify_jc_check_warns(capsys):
     assert any(line.startswith("WARN") and "exceeds 1" in line for line in out.splitlines())
 
 
+def test_verify_jc_reports_the_overshoot_window(capsys):
+    code, out, _ = run(["verify", "--only", "jc"], capsys)
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("WARN jc:")]
+    match = re.search(
+        r"on \(([0-9.]+), ([0-9.]+)\] \(max ([0-9.]+) at bw=[0-9.]+\);"
+        r".* drops by ([0-9.]+) across",
+        line,
+    )
+    assert match, line
+    lower, upper, largest, drop = (float(group) for group in match.groups())
+    # a dense scan of where the stated cap is clamped, in steps of 1e-5
+    grid = np.linspace(0.0, 1.0, 100_001)
+    clamped = np.array([jc_clamped(b) for b in grid])
+    first, last = int(clamped.argmax()), len(grid) - 1 - int(clamped[::-1].argmax())
+    assert clamped[first:last + 1].all() and not clamped[last + 1:].any()
+    assert grid[first - 1] <= lower <= grid[first]
+    assert grid[last] <= upper <= grid[last + 1]
+    assert abs(lower - 0.350363) <= 1e-6
+    assert match.group(2) == f"{JC_BRANCH_POINT:.9f}"
+    stated = max(lambda_max_jc_raw(b) for b in grid[first:last + 1])
+    assert stated <= largest <= stated + 1e-4
+    assert drop == pytest.approx(0.0925, abs=1e-4)
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run(["verify", "--only", "nope"], capsys)
     assert code == 2 and "unknown checks" in err
@@ -445,7 +473,7 @@ def quiet_main(argv):
 
 
 # temperatures and swept ranges that reach the jc branch point, the clamp
-# window (0.2, 0.462] and infinite temperature (beta = 0 for the fixed side)
+# window (0.3504, 0.4621] and infinite temperature (beta = 0 for the fixed side)
 temperatures = st.sampled_from(["0", "0.2", "0.3", "0.4", "0.462", "1", "2", "1e-8", "-0.5"])
 model_specs = st.sampled_from(["unrestricted", "fb:1", "fb:5", "fb:10", "jc", "lam:0", "lam:0.6"])
 

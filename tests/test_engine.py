@@ -462,7 +462,7 @@ def test_run_cycles_validation():
 
 
 # temperatures around the exchange-coupling branch point and its clamp
-# window (0.2, 0.462], plus infinite temperature, where the ladder cap
+# window (0.3504, 0.4621], plus infinite temperature, where the ladder cap
 # takes its own branch
 sweep_betas = st.one_of(
     st.sampled_from([0.0, 0.2, 0.35, 0.4, 0.462, 1e-8, JC_BRANCH_POINT, 3.0]),

@@ -5,9 +5,10 @@ the qubit and a (d+1)-level ladder splits into two invariant corners plus d
 two-dimensional blocks, so conjugating by an energy-preserving unitary and
 tracing out the bath costs O(d) regardless of the angles.  The d 2x2
 conjugations are written out as elementwise products of length-d arrays, one
-output entry at a time, and the state's trace check is one pairwise numpy sum
-(its error bound is in JointState.trace).  Beside the
-simulation sit a coordinate-ascent search over the block angles and a
+output entry at a time.  The partition function, the state's trace check and
+the reduced populations are pairwise numpy sums (their error bound is derived
+in JointState.trace).  Beside the simulation sit a one-sweep coordinate
+search over the block angles and a
 brute-force grid over the mixing weights of the swap cycle (the identity, the
 qubit's other work permutation, releases exactly zero work); neither
 evaluates the closed-form optima it is meant to check.
@@ -186,12 +187,17 @@ class JointState:
 
     @classmethod
     def product(cls, p: PopulationVector, beta_omega: float, d: int) -> JointState:
-        """rho_S tensor gamma_E for a diagonal qubit and a (d+1)-level ladder."""
+        """rho_S tensor gamma_E for a diagonal qubit and a (d+1)-level ladder.
+
+        The partition function is numpy's pairwise sum of the d + 1 positive
+        Boltzmann weights; by the bound derived in trace, its relative error
+        is below 36 eps = 8e-15.
+        """
         beta_omega, d = _check_bath(beta_omega, d)
         if p.dim != 2:
             raise ValueError(f"expected a qubit population, got dimension {p.dim}")
         w = np.exp(-beta_omega * np.arange(d + 1))
-        z = math.fsum(w.tolist())
+        z = float(w.sum())
         g, x = p.entries
         blocks = np.zeros((d, 2, 2), dtype=complex)
         blocks[:, 0, 0] = g * w[1:] / z  # |0, j>, j = 1..d
@@ -225,9 +231,14 @@ class JointState:
         return JointState(self.corner_low, self.corner_high, rotated)
 
     def reduced_qubit(self) -> PopulationVector:
-        """Trace out the ladder; block row 0 feeds ground, row 1 excited."""
-        ground = self.corner_low + math.fsum(self.blocks[:, 0, 0].real.tolist())
-        excited = self.corner_high + math.fsum(self.blocks[:, 1, 1].real.tolist())
+        """Trace out the ladder; block row 0 feeds ground, row 1 excited.
+
+        Each population adds its corner to numpy's pairwise sum of one block
+        diagonal.  By the bound derived in trace, each errs by below 36 eps =
+        8e-15 times the sum of the magnitudes, which is at most about 1.
+        """
+        ground = self.corner_low + float(self.blocks[:, 0, 0].real.sum())
+        excited = self.corner_high + float(self.blocks[:, 1, 1].real.sum())
         return PopulationVector((ground, excited))
 
 
@@ -255,19 +266,25 @@ def achieved_lambda(spec: BlockUnitarySpec, beta_omega: float, d: int) -> float:
 
 
 def _achieved_lambda_rows(rows: np.ndarray, beta_omega: float, d: int) -> np.ndarray:
-    """achieved_lambda for every row of a (n, d) matrix of thetas."""
+    """achieved_lambda for every row of a (n, d) matrix of thetas.
+
+    The partition function is numpy's pairwise sum of the d + 1 positive
+    Boltzmann weights; by the bound derived in JointState.trace, its relative
+    error is below 36 eps = 8e-15.
+    """
     weights = np.exp(-beta_omega * np.arange(d))
-    z = math.fsum(np.exp(-beta_omega * np.arange(d + 1)))
+    z = float(np.exp(-beta_omega * np.arange(d + 1)).sum())
     return (np.sin(rows) ** 2 @ weights) / z
 
 
 def scan_lambda_max(beta_omega: float, d: int, grid: int = 65) -> float:
     """Best mixing weight over block-rotation angles, found by plain search.
 
-    Cyclic coordinate ascent from all angles at pi/4: each angle in turn is
-    scanned over grid points in [0, pi/2] with the others held, for at most
-    six sweeps.  achieved_lambda is a sum of one-angle terms, so the ascent
-    finds the grid's maximum.  Only achieved_lambda is evaluated, on explicit
+    One sweep of coordinate ascent from all angles at pi/4: each angle in
+    turn is scanned over grid points in [0, pi/2] with the others held.
+    achieved_lambda is separable, a sum of one-angle terms, so the best grid
+    value of each angle does not depend on the others, and one sweep reaches
+    the grid's maximum.  Only achieved_lambda is evaluated, on explicit
     angle tuples, which keeps the result independent of the closed-form cap.
     A point replaces the best only when strictly higher, so ties resolve to
     the smallest grid index.  A grid below 3 raises ValueError, and rows of
@@ -280,19 +297,14 @@ def scan_lambda_max(beta_omega: float, d: int, grid: int = 65) -> float:
     line = np.linspace(0.0, math.pi / 2.0, points)
     thetas = np.full(d, math.pi / 4.0)
     best_value = float(_achieved_lambda_rows(thetas[None, :], beta_omega, d)[0])
-    for _ in range(6):
-        improved = 0.0
-        for j in range(d):
-            rows = np.tile(thetas, (points, 1))
-            rows[:, j] = line
-            values = _achieved_lambda_rows(rows, beta_omega, d)
-            index = int(np.argmax(values))
-            if values[index] > best_value:
-                improved = max(improved, float(values[index]) - best_value)
-                best_value = float(values[index])
-                thetas[j] = line[index]
-        if improved < 1e-13:
-            break
+    for j in range(d):
+        rows = np.tile(thetas, (points, 1))
+        rows[:, j] = line
+        values = _achieved_lambda_rows(rows, beta_omega, d)
+        index = int(np.argmax(values))
+        if values[index] > best_value:
+            best_value = float(values[index])
+            thetas[j] = line[index]
     return best_value
 
 

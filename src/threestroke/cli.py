@@ -4,6 +4,7 @@ Every closed-form command evaluates the optimum column-wise through one
 function, _sweep_cells: perf is a one-point sweep, tradeoff is a sweep that
 drops the rows where no model operates, and figures writes sweep and tradeoff
 presets plus perf's object at beta_c = 3 beta_h as reference_point.json.
+A failing run prints its error alone; clamp warnings come only with output.
 
 verify prints one PASS or FAIL line per check.  The jc check adds one WARN
 line when the stated high-temperature exchange-coupling cap is measured above
@@ -46,13 +47,12 @@ from .bath_oracle import (
 from .engine import (
     BathTemperatures,
     EngineParams,
-    SingularCycleError,
     check_laws_each,
     cycle_map,
     optimal_performance,
     run_cycles,
 )
-from .populations import beta_prefix, check_betas
+from .populations import check_betas
 from .restrictions import (
     JC_BRANCH_POINT,
     RestrictionModel,
@@ -263,26 +263,18 @@ def _sweep_cells(
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Caps lambda_h_max, lambda_c_max and p_opt, w_max, eta_max of each model.
 
-    Every model is evaluated column-wise over the aligned temperatures.
-    Warnings and errors come out as a point-by-point evaluation (value by
-    value, model by model, hot side before cold side) gives them: one warning
-    per side and model at its first clamped value, and only the warnings that
-    precede the first error.
+    Both temperature arrays are checked whole first, hot side first, and
+    every model is then evaluated column-wise over them.  The clamp warnings,
+    one per side and model at its first clamped value, go to stderr only
+    once every model has succeeded, sorted by that value's index, the model
+    and the side (hot first), so a failing run prints its error alone.
     """
-    # Order keys are (value index, model index, step), with step 0 for the hot
-    # warning, 1 for the cold warning and 2 for the caps.  A bad temperature
-    # stops the evaluation at the first model's warning step for that side,
-    # hot side first.
-    hot_end, cold_end = beta_prefix(beta_h), beta_prefix(beta_c)
-    end = min(hot_end, cold_end)
-    halt = (end, 0, 0 if hot_end == end else 1)
-    singular = None
-    temperatures = BathTemperatures(beta_h[:end], beta_c[:end])
+    temperatures = BathTemperatures(check_betas(beta_h), check_betas(beta_c))
     warnings = []
     cells = []
     for index, (_, hot, cold) in enumerate(models):
-        lh, hot_clamped = hot.resolve(beta_h[:hot_end])
-        lc, cold_clamped = cold.resolve(beta_c[:cold_end])
+        lh, hot_clamped = hot.resolve(beta_h)
+        lc, cold_clamped = cold.resolve(beta_c)
         for step, side, clamped, betas in (
             (0, "hot", hot_clamped, beta_h),
             (1, "cold", cold_clamped, beta_c),
@@ -290,20 +282,9 @@ def _sweep_cells(
             if clamped.any():
                 first = int(clamped.argmax())
                 warnings.append(((first, index, step), side, float(betas[first])))
-        try:
-            optimum = temperatures.optimum(lh[:end], lc[:end])
-        except SingularCycleError as exc:
-            if (exc.index, index, 2) < halt:
-                halt, singular = (exc.index, index, 2), exc
-            continue
-        cells.append((lh, lc, *optimum))
-    for key, side, beta_omega in sorted(warnings):
-        if key < halt:
-            print(_clamp_warning(side, beta_omega), file=sys.stderr)
-    if singular is not None:
-        raise singular
-    if end < beta_h.size:
-        check_betas(beta_h if hot_end == end else beta_c)
+        cells.append((lh, lc, *temperatures.optimum(lh, lc)))
+    for _, side, beta_omega in sorted(warnings):
+        print(_clamp_warning(side, beta_omega), file=sys.stderr)
     return cells
 
 

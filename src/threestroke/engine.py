@@ -79,13 +79,9 @@ SETTLE_SQUARINGS = 64
 class SingularCycleError(ValueError):
     """The stroke composition has no unique fixed point.
 
-    ``index`` is the first degenerate entry when the error comes from an
-    array evaluation (BathTemperatures.optimum), None otherwise.
+    The message names the caps of the degenerate cycle; an array evaluation
+    (BathTemperatures.optimum) names those of its first degenerate entry.
     """
-
-    def __init__(self, message: str, index: int | None = None) -> None:
-        super().__init__(message)
-        self.index = index
 
 
 class UndefinedEfficiencyError(ValueError):
@@ -448,8 +444,8 @@ def _closed_form(eh, ec, ehc, lh, lc, regular, defined):
     return p_opt, w_max, eta_max
 
 
-def _degenerate(lh: float, lc: float, index: int | None = None) -> SingularCycleError:
-    return SingularCycleError(f"degenerate cycle at caps ({lh!r}, {lc!r})", index)
+def _degenerate(lh: float, lc: float) -> SingularCycleError:
+    return SingularCycleError(f"degenerate cycle at caps ({lh!r}, {lc!r})")
 
 
 def _regular(den: float, lh: float, lc: float) -> float:
@@ -466,7 +462,7 @@ def _regular_each(den: np.ndarray, lh: np.ndarray, lc: np.ndarray) -> np.ndarray
     singular = np.abs(den) < _SINGULAR_TOL
     if singular.any():
         index = int(singular.argmax())
-        raise _degenerate(float(lh[index]), float(lc[index]), index)
+        raise _degenerate(float(lh[index]), float(lc[index]))
     return den
 
 
@@ -558,7 +554,7 @@ class BathTemperatures:
 
         The caps are arrays aligned with the temperatures.  eta_max is nan
         where optimal_performance reports None, and a degenerate cycle raises
-        SingularCycleError with the index of the first one.
+        optimal_performance's SingularCycleError for the first one.
         """
         lh, lc = self.caps(lambda_h_max, lambda_c_max)
         # Python floats overflow to inf without a word; so do these

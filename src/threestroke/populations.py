@@ -21,7 +21,6 @@ __all__ = [
     "PopulationVector",
     "QUBIT",
     "average_energy",
-    "beta_prefix",
     "check_beta",
     "check_betas",
     "check_size",
@@ -47,18 +46,12 @@ def check_beta(value: float, name: str = "beta_omega") -> float:
     return value
 
 
-def beta_prefix(values: np.ndarray) -> int:
-    """Length of the leading run of entries that check_beta accepts."""
-    ok = np.isfinite(values) & (values >= 0.0)
-    return ok.size if ok.all() else int(ok.argmin())
-
-
 def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:
     """check_beta over a 1-d array, with its message for the first bad entry."""
     values = np.asarray(values, dtype=float)
-    end = beta_prefix(values)
-    if end < values.size:
-        check_beta(values[end], name)
+    ok = np.isfinite(values) & (values >= 0.0)
+    if not ok.all():
+        check_beta(values[int(ok.argmin())], name)
     return values
 
 

@@ -88,24 +88,15 @@ def test_01_closed_form_optimum_matches_brute_force():
 
 def test_02_ladder_caps_match_angle_scans():
     start = time.perf_counter()
-    betas = (0.1, 0.2, 0.5, 1.0, 2.0)
-    worst_exhaustive = 0.0
-    for d in (1, 2, 3, 4):
-        for bw in betas:
-            dev = abs(scan_lambda_max(bw, d) - lambda_max_finite_bath(bw, d))
-            worst_exhaustive = max(worst_exhaustive, dev)
-    worst_ascent = 0.0
-    for d in (5, 10, 15):
-        for bw in betas:
-            dev = abs(scan_lambda_max(bw, d) - lambda_max_finite_bath(bw, d))
-            worst_ascent = max(worst_ascent, dev)
+    worst = 0.0
+    for d in (1, 2, 3, 4, 5, 10, 15):
+        for bw in (0.1, 0.2, 0.5, 1.0, 2.0):
+            worst = max(worst, abs(scan_lambda_max(bw, d) - lambda_max_finite_bath(bw, d)))
     elapsed = time.perf_counter() - start
-    ok = worst_exhaustive <= 1e-6 and worst_ascent <= 1e-4
     _report(
         "ladder caps vs angle scans",
-        ok,
-        f"exhaustive dev {worst_exhaustive:.2e} (tol 1e-6), "
-        f"ascent dev {worst_ascent:.2e} (tol 1e-4)",
+        worst <= 1e-6,
+        f"scan dev {worst:.2e} (tol 1e-6)",
         elapsed,
         budget=30.0,
     )

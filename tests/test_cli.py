@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from threestroke import RestrictionModel, cli, engine_params_from, optimal_performance
+from threestroke.populations import check_beta
 from threestroke.restrictions import JC_BRANCH_POINT, jc_clamped, lambda_max_jc_raw
 
 
@@ -393,16 +394,25 @@ def warn_clamped(side, model, beta_omega, seen):
 
 
 def reference_rows(cfg, drop_inoperative_rows):
-    """CSV rows of a sweep, evaluated one point and one model at a time."""
+    """CSV rows of a sweep, evaluated one point and one model at a time.
+
+    Every hot temperature, then every cold one, is checked before the first row.
+    """
     seen = set()
     lines = []
+    points = []
     for x in cfg.values.tolist():
         if cfg.axis == "ratio":
-            beta_h, beta_c = cfg.beta_h_omega, cfg.beta_h_omega * x
+            points.append((x, cfg.beta_h_omega, cfg.beta_h_omega * x))
         elif cfg.axis == "bh":
-            beta_h, beta_c = x, cfg.beta_c_omega
+            points.append((x, x, cfg.beta_c_omega))
         else:
-            beta_h, beta_c = cfg.beta_h_omega, x
+            points.append((x, cfg.beta_h_omega, x))
+    for _, beta_h, _ in points:
+        check_beta(beta_h)
+    for _, _, beta_c in points:
+        check_beta(beta_c)
+    for x, beta_h, beta_c in points:
         cells = []
         for _, hot, cold in cfg.models:
             warn_clamped("hot", hot, beta_h, seen)
@@ -422,31 +432,37 @@ def reference_rows(cfg, drop_inoperative_rows):
 
 
 def reference_run(args, drop_inoperative_rows):
-    """Exit code, header and rows, and stderr of the reference for one sweep."""
+    """Exit code, header and rows, and stderr of the reference for one sweep.
+
+    A failing run's stderr is its error line alone.
+    """
     with contextlib.redirect_stderr(io.StringIO()) as err:
         try:
             cfg = cli._sweep_config(args)
             lines = [",".join(cli._sweep_header(cfg))]
             lines += reference_rows(cfg, drop_inoperative_rows)
-            code = 0
         except ValueError as exc:
-            print(f"error: {exc}", file=err)
-            code, lines = 2, []
-    return code, lines, err.getvalue()
+            return 2, [], f"error: {exc}\n"
+    return 0, lines, err.getvalue()
 
 
 def reference_perf(beta_h, beta_c, hot, cold):
-    """Exit code, stdout and stderr of perf, evaluated through the scalar closed form."""
+    """Exit code, stdout and stderr of perf, evaluated through the scalar closed form.
+
+    Both temperatures are checked first, and a failing run's stderr is its
+    error line alone.
+    """
     with contextlib.redirect_stderr(io.StringIO()) as err:
         try:
+            check_beta(beta_h)
+            check_beta(beta_c)
             seen = set()
             warn_clamped("hot", hot, beta_h, seen)
             warn_clamped("cold", cold, beta_c, seen)
             params = engine_params_from(hot, cold, beta_h, beta_c)
             point = optimal_performance(params)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2, "", err.getvalue()
+            return 2, "", f"error: {exc}\n"
     payload = {
         "beta_h_omega": params.beta_h_omega,
         "beta_c_omega": params.beta_c_omega,
@@ -482,7 +498,7 @@ model_specs = st.sampled_from(["unrestricted", "fb:1", "fb:5", "fb:10", "jc", "l
     bh=temperatures, bc=temperatures, hot=st.none() | model_specs, cold=st.none() | model_specs
 )
 @example(bh="0", bc="1", hot=None, cold="lam:0")  # degenerate cycle at caps (1.0, 0.0)
-@example(bh="0.3", bc="-0.5", hot="jc", cold="jc")  # hot warning, then the cold error
+@example(bh="0.4", bc="-0.5", hot="jc", cold="jc")  # the cold error alone
 @example(bh="1e308", bc="1e308", hot=None, cold=None)  # beta_h + beta_c overflows silently
 @settings(max_examples=150, deadline=None)
 def test_perf_matches_the_scalar_reference(bh, bc, hot, cold):
@@ -518,6 +534,9 @@ def test_perf_matches_the_scalar_reference(bh, bc, hot, cold):
          hot_cold=None, lo=0.4, width=0.05, steps=3, raw=False, carnot=False)
 @example(command="sweep", axis="bh", bc="-0.5", bh="1", models=["fb:5", "jc"],
          hot_cold=None, lo=0.4, width=0.05, steps=3, raw=False, carnot=False)
+# a cold jc warning at ratio 0.3, and beta_c overflows at the last ratio
+@example(command="sweep", axis="ratio", bh="1.2", bc="1", models=["jc"],
+         hot_cold=None, lo=0.3, width=1.6e308, steps=3, raw=False, carnot=False)
 @settings(max_examples=150, deadline=None)
 def test_sweep_and_tradeoff_match_the_point_by_point_reference(
     command, axis, bh, bc, models, hot_cold, lo, width, steps, raw, carnot

@@ -501,7 +501,6 @@ def test_array_closed_forms_equal_the_float_ones(points, hot, cold):
     if singular:
         with pytest.raises(SingularCycleError) as excinfo:
             BathTemperatures(bh, bc).optimum(lh, lc)
-        assert excinfo.value.index == singular[0]
         assert str(excinfo.value) == scalar[singular[0]]
         return
     p_opt, w_max, eta_max = BathTemperatures(bh, bc).optimum(lh, lc)

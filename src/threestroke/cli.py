@@ -18,11 +18,12 @@ fields empty where the engine is non-operational unless --raw is given.
 
 A config file value must already have its flag's JSON type: a number for a
 number or size, a string for a model, path or check list, true or false for
-an on/off flag.  Sizes the user sets are bounded before anything is
-allocated: --ratio-steps (sweep, tradeoff, figures) by MAX_RATIO_STEPS and
-verify --grid by MAX_VERIFY_GRID, which is the brute-force oracle's own bound
-bath_oracle.MAX_GRID.  A larger value, or a size with a fractional part, is
-an invalid input.
+an on/off flag.  A float flag takes a following value that starts with '-'
+(-1e-3, -inf) as its own, so the input rules judge it.  Sizes the user sets
+are bounded before anything is allocated: --ratio-steps (sweep, tradeoff,
+figures) by MAX_RATIO_STEPS and verify --grid by MAX_VERIFY_GRID, which is
+the brute-force oracle's own bound bath_oracle.MAX_GRID.  A larger value, or
+a size with a fractional part, is an invalid input.
 """
 
 from __future__ import annotations
@@ -454,14 +455,20 @@ def _check_thm2(seed: int, grid: int) -> list[tuple[str, str]]:
     rng = np.random.default_rng(seed)
     worst_w = 0.0
     worst_eta = 0.0
-    for _ in range(10):
-        beta_h = rng.uniform(0.05, 1.0)
-        beta_c = beta_h * rng.uniform(1.2, 6.0)
-        params = EngineParams(beta_h, beta_c, rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
+    compared = 0
+    for draw in range(10):
+        # Even draws lie where every engine operates: beta_h <= 0.4, beta_c >=
+        # 3 beta_h and caps >= 0.9 give w_max >= 0.018.  Odd draws range wider.
+        engine = draw % 2 == 0
+        beta_h = rng.uniform(0.05, 0.4 if engine else 1.0)
+        beta_c = beta_h * rng.uniform(3.0 if engine else 1.2, 6.0)
+        low = 0.9 if engine else 0.2
+        params = EngineParams(beta_h, beta_c, rng.uniform(low, 1.0), rng.uniform(low, 1.0))
         point = optimal_performance(params)
         oracle = brute_force_performance(params, grid)
         worst_w = max(worst_w, abs(oracle.w_max - max(point.w_max, 0.0)))
         if point.w_max > 1e-6:
+            compared += 1
             worst_eta = max(worst_eta, abs(oracle.eta_max - point.eta_max))
     ok = worst_w <= 1e-6 and worst_eta <= 1e-6
     level = "PASS" if ok else "FAIL"
@@ -469,7 +476,8 @@ def _check_thm2(seed: int, grid: int) -> list[tuple[str, str]]:
         (
             level,
             "thm2: grid search of the swap cycle over both mixing weights matches the "
-            f"closed form (work dev {worst_w:.2e}, efficiency dev {worst_eta:.2e})",
+            f"closed form (work dev {worst_w:.2e}, efficiency dev {worst_eta:.2e} "
+            f"on {compared} of 10 draws)",
         )
     ]
 
@@ -685,10 +693,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The options build_parser gives type=float.
+_FLOAT_FLAGS = frozenset({"--bh", "--bc", "--ratio-min", "--ratio-max"})
+
+
+def _joined_negative_floats(argv: list[str]) -> list[str]:
+    """argv with each float option and a following '-' value joined by '='.
+
+    argparse takes an argument that starts with '-' for an option unless it
+    reads as a plain negative number such as -2 or -0.5, so without the join
+    a value such as -1e-3 or -inf would never reach the input rules.
+    """
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _FLOAT_FLAGS and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + arg
+                continue
+        joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    args._argv = list(argv) if argv is not None else sys.argv[1:]
+    given = list(argv) if argv is not None else sys.argv[1:]
+    args = parser.parse_args(_joined_negative_floats(given))
+    args._argv = given
     try:
         _apply_config(args)
         return args.func(args)

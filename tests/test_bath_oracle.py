@@ -286,10 +286,10 @@ def test_brute_force_single_contact_bath_never_works():
     ],
 )
 def test_brute_force_row_blocks_keep_the_first_maxima(params, monkeypatch):
-    """Results and argmaxes do not depend on how the grid is split into row blocks."""
+    """Results and argmaxes do not depend on how the kept row bands are split."""
     grid = 23
     results = []
-    for block_floats in (1, 7 * grid + 3, 10**9):  # one row, 7 rows, the whole grid
+    for block_floats in (1, 7 * grid + 3, 10**9):  # one row, 7 rows, whole bands
         monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", block_floats)
         results.append(brute_force_performance(params, grid))
     assert results[0] == results[1] == results[2]
@@ -328,6 +328,110 @@ def test_brute_force_never_raises_and_the_swap_wins(bh, bc, lh, lc, grid):
     assert result.w_max >= 0.0
     assert result.w_arg[2] == "swap"
     assert result.eta_arg is None or result.eta_arg[2] == "swap"
+
+
+def full_swap_grid(params, grid):
+    """brute_force_performance's optima with every cell of every grid evaluated.
+
+    The same coarse grid and one-cell refinements, each grid evaluated whole in
+    one call of the cell kernel; the first maximum in row-major order within a
+    grid, replaced across grids only by a strictly higher value.
+    """
+    best = [[-math.inf, (0, 0), None], [-math.inf, (0, 0), None]]
+
+    def evaluate(lh, lc):
+        work, intake, _ = bath_oracle._cycle_grid(lh, lc, params)
+        work = np.where(np.isnan(work), -np.inf, work)
+        gain = (work > 0.0) & (intake > 0.0)
+        eta = np.divide(work, intake, out=np.full(work.shape, -np.inf), where=gain)
+        for entry, values in zip(best, (work, eta)):
+            row, column = divmod(int(values.argmax()), lc.size)
+            if values[row, column] > entry[0]:
+                at = (float(lh[row]), float(lc[column]))
+                entry[:] = float(values[row, column]), (row, column), at
+
+    def refine(axis, index, cap):
+        lo, hi = axis[max(index - 1, 0)], axis[min(index + 1, axis.size - 1)]
+        return np.array([lo]) if lo == hi else np.linspace(lo, min(hi, cap), grid)
+
+    lh = np.linspace(0.0, params.lambda_h_max, grid)
+    lc = np.linspace(0.0, params.lambda_c_max, grid)
+    evaluate(lh, lc)
+    for row, column in dict.fromkeys(index for _, index, _ in best):
+        evaluate(refine(lh, row, params.lambda_h_max), refine(lc, column, params.lambda_c_max))
+    (w_max, _, w_at), (eta, _, eta_at) = best
+    if not math.isfinite(eta):
+        return w_max, None, (*w_at, "swap"), None
+    return w_max, eta, (*w_at, "swap"), (*eta_at, "swap")
+
+
+_EDGE_CAPS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bh=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    bc=st.one_of(st.just(0.0), st.floats(0.0, 12.0)),  # either bath may be the hotter
+    lh=_EDGE_CAPS,
+    lc=_EDGE_CAPS,
+    grid=st.sampled_from([2, 3, 17, 23, 200]),
+)
+# the row-band splitting test's parameter sets, at its grid
+@example(bh=0.2, bc=0.6, lh=1.0, lc=1.0, grid=23)
+@example(bh=0.2, bc=0.6, lh=0.0, lc=1.0, grid=23)
+@example(bh=0.7, bc=0.9, lh=0.3, lc=0.8, grid=23)
+@example(bh=1.0, bc=0.4, lh=1.0, lc=1.0, grid=23)
+@example(bh=0.0, bc=1.0, lh=1.0, lc=0.0, grid=23)
+@example(bh=0.0, bc=0.4187301774006047, lh=0.3151884677170894, lc=0.035325131608288984, grid=23)
+# nothing can be skipped
+@example(bh=0.0, bc=0.0, lh=1.0, lc=1.0, grid=200)
+@example(bh=0.0, bc=1.0, lh=1.0, lc=1.0, grid=200)
+# the first maximum of the efficiency is decided by rounding along lh = 0.877...
+@example(bh=0.0, bc=15.497624896089343, lh=0.8772733207909856, lc=0.9358044110013151, grid=200)
+def test_brute_force_equals_the_full_grid(bh, bc, lh, lc, grid):
+    """Skipping blocks by their corner bounds changes no value and no argmax."""
+    params = EngineParams(bh, bc, lh, lc)
+    result = brute_force_performance(params, grid)
+    expected = full_swap_grid(params, grid)
+    assert (result.w_max, result.eta_max, result.w_arg, result.eta_arg) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bh=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    bc=st.one_of(st.just(0.0), st.floats(0.0, 12.0)),
+    lh=_EDGE_CAPS,
+    lc=_EDGE_CAPS,
+    grid=st.sampled_from([17, 23, 60, 200]),
+)
+@example(bh=0.0, bc=1.0, lh=1.0, lc=1.0, grid=200)  # work and efficiency flat along lh = 1
+@example(bh=0.0, bc=1.0, lh=1.0, lc=1e-8, grid=200)  # slack below 1e-9 along lh = 1
+def test_block_corner_bounds_hold(bh, bc, lh, lc, grid):
+    """The pruning lemma: on a block whose corners pass the floors, no cell
+    beats the largest corner work, or a gain cell the largest corner ratio
+    work / intake, by more than the margin."""
+    params = EngineParams(bh, bc, lh, lc)
+    work, intake, slack = bath_oracle._cycle_grid(
+        np.linspace(0.0, lh, grid), np.linspace(0.0, lc, grid), params
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = work / intake
+    corners, _ = bath_oracle._lattice(grid)
+    lattice = np.ix_(corners, corners)
+
+    def bound(values, reduce):
+        return bath_oracle._corner_extreme(values[lattice], reduce)
+
+    settled = bound(slack, np.minimum) >= bath_oracle._PRUNE_SLACK
+    heated = settled & (bound(intake, np.minimum) >= bath_oracle._PRUNE_INTAKE)
+    top_work = bound(work, np.maximum)
+    top_ratio = bound(ratio, np.maximum)
+    for i, j in zip(*np.nonzero(settled)):
+        block = np.s_[corners[i] : corners[i + 1] + 1, corners[j] : corners[j + 1] + 1]
+        assert work[block].max() <= top_work[i, j] + bath_oracle._WORK_MARGIN
+        gain = (work[block] > 0.0) & (intake[block] > 0.0)
+        if heated[i, j] and gain.any():
+            assert ratio[block][gain].max() <= top_ratio[i, j] + bath_oracle._ETA_MARGIN
 
 
 def test_brute_force_validation():

@@ -278,6 +278,33 @@ def test_verify_single_check(capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+_THM2_COMPARED = re.compile(r"efficiency dev [0-9.e+-]+ on (\d+) of 10 draws\)$")
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_verify_thm2_compares_efficiency_on_most_draws(seed, capsys):
+    code, out, _ = run(["verify", "--only", "thm2", "--seed", str(seed)], capsys)
+    assert code == 0
+    match = _THM2_COMPARED.search(out.strip())
+    assert match, out
+    assert int(match.group(1)) >= 5
+
+
+def test_verify_thm2_fails_on_a_slightly_wrong_efficiency(monkeypatch, capsys):
+    exact = cli.optimal_performance
+
+    def shifted(params):
+        point = exact(params)
+        if point.eta_max is None:
+            return point
+        return dataclasses.replace(point, eta_max=point.eta_max + 1e-5)
+
+    monkeypatch.setattr(cli, "optimal_performance", shifted)
+    code, out, _ = run(["verify", "--only", "thm2", "--seed", "0"], capsys)
+    assert code == 4
+    assert out.startswith("FAIL thm2: ")
+
+
 def test_verify_jc_check_warns(capsys):
     code, out, _ = run(["verify", "--only", "jc"], capsys)
     assert code == 0
@@ -372,6 +399,52 @@ def test_verify_carnot_judges_the_runner(tamper, expected, monkeypatch, capsys):
         assert code == 0 and out.endswith("; 1 singular draws skipped\n")
     else:
         assert code == 4 and "(first: first law at " in out
+
+
+def _float_options():
+    """(command, flag) for every option that build_parser gives type=float."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(
+        (name, flag)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type is float
+        for flag in action.option_strings
+    )
+
+
+def test_float_flags_are_the_parsers_float_options():
+    assert {flag for _, flag in _float_options()} == cli._FLOAT_FLAGS
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-1e300", "-inf", "-nan"])
+@pytest.mark.parametrize("command, flag", _float_options())
+def test_negative_exponent_values_reach_the_input_rules(command, flag, value, tmp_path, capsys):
+    """A value after a float flag acts as if joined by '=', never as an option.
+
+    sweep and tradeoff take a finite --bc as a default that the ratio axis
+    never uses; every other value breaks an input rule.
+    """
+    if command == "figures":
+        rest = ["--out", str(tmp_path / "figs")]
+    else:
+        rest = {"--bh": ["--bc", "1"], "--bc": ["--bh", "0.2"]}.get(flag, [])
+    spaced_code, _, spaced_err = run([command, flag, value] + rest, capsys)
+    joined_code, _, joined_err = run([command, f"{flag}={value}"] + rest, capsys)
+    assert (spaced_code, spaced_err) == (joined_code, joined_err)
+    if command in ("sweep", "tradeoff") and flag == "--bc" and math.isfinite(float(value)):
+        assert spaced_code == 0
+    else:
+        assert spaced_code == 2 and spaced_err.startswith("error: ")
+        assert "expected one argument" not in spaced_err
+    assert not (tmp_path / "figs").exists()
+
+
+def test_negative_cold_temperature_in_exponent_form(capsys):
+    code, _, err = run(["perf", "--bh", "0.2", "--bc", "-1e-3"], capsys)
+    assert code == 2
+    assert err == "error: beta_omega must be finite and >= 0, got -0.001\n"
 
 
 def test_version_flag(capsys):

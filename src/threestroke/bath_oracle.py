@@ -16,7 +16,11 @@ maxima of every cell but evaluates only a corner lattice and the blocks
 whose corner bounds can reach them: work, intake and efficiency are
 linear-fractional in each mixing weight (the lemma, the margins and the
 floors are in brute_force_performance), and closure is asserted on every
-evaluated cell.
+evaluated cell.  The exchange-coupling time scan returns the largest weight
+over its time grid, each time's value summed along its own row so that it
+does not depend on the other times evaluated with it; it halves, level by
+level, only the windows of sorted times whose curvature bound can still reach
+the best value (the bound and the margin are in jc_time_scan).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ __all__ = [
 # arrays, the brute-force grid by its grid**2 floats per array, the angle scan
 # by the same MAX_GRID**2 floats in its rows of angles, the
 # exchange-coupling truncation by its per-manifold arrays, and its time grid by
-# the sorted copy the scan makes.
+# the sorted copy the scan makes of an unsorted grid.
 _MAX_BATH_SIZE = 10_000
 MAX_GRID = 2_000
 _MAX_SCAN_FLOATS = MAX_GRID**2
@@ -58,7 +62,7 @@ MAX_TIME_POINTS = 10_000_000
 _CLOSURE_TOL = 1e-10
 _JC_TAIL_TOL = 1e-12
 _JC_CHUNK_FLOATS = 2_000_000  # sines evaluated at once by the coupling-time scan
-_JC_STRIDE = 64  # the scan evaluates every this many sorted times before pruning
+_JC_STRIDE = 512  # the scan evaluates every this many sorted times before halving
 _JC_PRUNE_MARGIN = 1e-12
 # Floats per temporary of the brute-force grid, evaluated in chunks of at
 # most this size: 64 KB stays below glibc's default mmap threshold (128 KB),
@@ -506,12 +510,21 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
 def _mixing_weights(
     times: np.ndarray, roots: np.ndarray, weights: np.ndarray, prefactor: float
 ) -> np.ndarray:
-    """P sum_n w_n sin^2(t sqrt(n)) at each time, in chunks of bounded size."""
+    """P sum_n w_n sin^2(t sqrt(n)) at each time, in chunks of bounded size.
+
+    Each time's terms are summed along their own row, so its value does not
+    depend on which other times share the call (a matrix-vector product
+    rounds a row differently with the number of rows).
+    """
     step = max(1, _JC_CHUNK_FLOATS // weights.size)
-    return np.concatenate([
-        prefactor * (np.sin(times[lo : lo + step, None] * roots) ** 2 @ weights)
-        for lo in range(0, times.size, step)
-    ])
+    sums = np.empty(times.size)
+    for lo in range(0, times.size, step):
+        terms = times[lo : lo + step, None] * roots  # the chunk's one temporary
+        np.sin(terms, out=terms)
+        terms *= terms
+        terms *= weights
+        terms.sum(axis=1, out=sums[lo : lo + step])
+    return prefactor * sums
 
 
 def jc_time_scan(
@@ -528,14 +541,21 @@ def jc_time_scan(
     t in [0, 200] with 100000 points; a grid of more than MAX_TIME_POINTS
     raises ResourceLimitError.
 
-    The result is the maximum of f over the same grid, each point evaluated as
-    a point-by-point scan would, but points that cannot hold it are skipped.
-    f is evaluated at every 64th sorted time and at the last one.  Since
-    |f''| <= M = 2P sum_n w_n n, f between two such times a < b stays below
-    max(f(a), f(b)) + M (b - a)^2 / 8.  A window is scanned point by point,
-    highest bound first, only while its bound reaches the best value so far
-    less a margin for rounding: 1e-12 plus the error of sin(t sqrt(n)) at the
-    largest time.
+    The result equals the largest of jc_time_scan(beta_omega, [t]) over the
+    grid's times t, bit for bit: each time's value is summed along its own
+    row, so it does not depend on the other times evaluated with it.  Times
+    that cannot hold the maximum are skipped.  Bound: since
+    |f''| <= M = 2P sum_n w_n n, f on a window [a, b] of sorted times with f
+    known at both ends stays below max(f(a), f(b)) + M (b - a)^2 / 8.
+
+    f is evaluated at every 512th sorted time (_JC_STRIDE) and at the last
+    one.  Then, level by level over all live windows at once, a window is
+    dropped when its bound falls below the best value so far less a margin
+    for rounding (1e-12 plus the error of sin(t sqrt(n)) at the largest time)
+    or when it holds no time between its ends; the middle time of each other
+    window is evaluated, and the window is split there.  Each time is
+    evaluated at most once, in at most log2(512) = 9 levels.  The grid is
+    sorted only when it is not sorted already.
     """
     beta_omega = float(beta_omega)
     if not math.isfinite(beta_omega) or beta_omega <= 0.0:
@@ -553,7 +573,9 @@ def jc_time_scan(
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     _check_bounded(times.size, "time grid size", 1, MAX_TIME_POINTS)
-    times = np.sort(check_betas(times, "time grid entry"))
+    times = check_betas(times, "time grid entry")
+    if np.any(times[1:] < times[:-1]):
+        times = np.sort(times)
     n = np.arange(1, truncation + 1)
     weights = np.exp(-beta_omega * (n - 1))
     keep = weights > 1e-18
@@ -566,16 +588,21 @@ def jc_time_scan(
     values = _mixing_weights(times[edges], roots, weights, prefactor)
     best = float(values.max())
     curvature = 2.0 * prefactor * float(weights @ n)
-    bounds = np.maximum(values[:-1], values[1:]) + curvature * np.diff(times[edges]) ** 2 / 8.0
     # A computed value is within about eps * (manifolds kept + t P sum_n w_n sqrt(n))
     # of f, from the sum's rounding and that of the sine's argument t sqrt(n);
     # the margin allows that error at a window's ends and again inside it.
     slack = weights.size + times[-1] * prefactor * float(weights @ roots)
     margin = _JC_PRUNE_MARGIN + 2.0 * np.finfo(float).eps * slack
-    for window in np.argsort(-bounds):
-        if bounds[window] < best - margin:
-            break
-        inner = times[edges[window] + 1 : edges[window + 1]]
-        if inner.size:
-            best = max(best, float(_mixing_weights(inner, roots, weights, prefactor).max()))
-    return best
+    # Live windows: first and last index, and f there.
+    lo, hi, f_lo, f_hi = edges[:-1], edges[1:], values[:-1], values[1:]
+    while True:
+        bound = np.maximum(f_lo, f_hi) + curvature * (times[hi] - times[lo]) ** 2 / 8.0
+        live = (bound >= best - margin) & (hi - lo > 1)
+        if not live.any():
+            return best
+        lo, hi, f_lo, f_hi = lo[live], hi[live], f_lo[live], f_hi[live]
+        mid = (lo + hi) // 2
+        f_mid = _mixing_weights(times[mid], roots, weights, prefactor)
+        best = max(best, float(f_mid.max()))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        f_lo, f_hi = np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi))

@@ -57,7 +57,6 @@ from .populations import check_betas
 from .restrictions import (
     JC_BRANCH_POINT,
     RestrictionModel,
-    engine_params_from,
     eta_finite_bath,
     lambda_max_finite_bath,
     lambda_max_jc,
@@ -484,15 +483,21 @@ def _check_thm2(seed: int, grid: int) -> list[tuple[str, str]]:
 
 def _check_eta_d(seed: int, grid: int) -> list[tuple[str, str]]:
     worst = 0.0
+    beta_h = 0.2
+    ratios = np.linspace(1.05, 10.0, 50)
+    temperatures = BathTemperatures(np.full(ratios.size, beta_h), beta_h * ratios)
     for d in (5, 10, 15):
         model = RestrictionModel.finite_bath(d)
-        for ratio in np.linspace(1.05, 10.0, 50):
-            beta_h = 0.2
-            beta_c = beta_h * ratio
-            point = optimal_performance(engine_params_from(model, model, beta_h, beta_c))
-            if point.eta_max is None:
-                return [("FAIL", f"eta-d: efficiency undefined at d={d}, ratio={ratio}")]
-            worst = max(worst, abs(eta_finite_bath(beta_h, beta_c, d) - point.eta_max))
+        lh, _ = model.resolve(temperatures.beta_h_omega)
+        lc, _ = model.resolve(temperatures.beta_c_omega)
+        _, _, eta_max = temperatures.optimum(lh, lc)
+        undefined = np.isnan(eta_max)
+        if undefined.any():
+            ratio = ratios[int(undefined.argmax())]
+            return [("FAIL", f"eta-d: efficiency undefined at d={d}, ratio={ratio}")]
+        # eta_finite_bath stays scalar: it is the side checked independently
+        for beta_c, eta in zip(temperatures.beta_c_omega.tolist(), eta_max.tolist()):
+            worst = max(worst, abs(eta_finite_bath(beta_h, beta_c, d) - eta))
     ok = worst <= 1e-9
     level = "PASS" if ok else "FAIL"
     return [

@@ -490,36 +490,49 @@ def test_jc_time_scan_examples():
     assert jc_time_scan(2.0) == pytest.approx(0.9954134899179663, abs=1e-9)
 
 
+DEFAULT_TIMES = np.linspace(0.0, 200.0, 100_000)  # jc_time_scan's default grid
+# the time of the bw = 0.5 maximum on the default grid
+ARGMAX_TIME = 30.03830038300383
+
+
 def test_jc_time_scan_default_grid_values_are_exact():
-    assert jc_time_scan(0.5) == 0.8682209195127173
-    assert jc_time_scan(1.0) == 0.9590407679258045
-    assert jc_time_scan(2.0) == 0.9954134899179663
+    pins = {0.5: 0.8682209195127173, 1.0: 0.9590407679258044, 2.0: 0.9954134899179665}
+    for bw, pinned in pins.items():
+        assert jc_time_scan(bw) == pinned
+        assert full_time_scan(bw, DEFAULT_TIMES, 200) == pinned
 
 
 def full_time_scan(beta_omega, times, truncation):
-    """Largest mixing weight, with every time evaluated at once."""
+    """Largest mixing weight, every time evaluated, each summed along its own row."""
     n = np.arange(1, truncation + 1)
     weights = np.exp(-beta_omega * (n - 1))
     keep = weights > 1e-18
-    sines = np.sin(times[:, None] * np.sqrt(n[keep])) ** 2
-    return float((-math.expm1(-beta_omega) * (sines @ weights[keep])).max())
+    roots, weights = np.sqrt(n[keep]), weights[keep]
+    prefactor = -math.expm1(-beta_omega)
+    return max(
+        float((prefactor * (np.sin(chunk[:, None] * roots) ** 2 * weights).sum(axis=1)).max())
+        for chunk in np.array_split(times, -(-times.size // 10_000))
+    )
 
 
 @st.composite
-def time_grids(draw):
+def time_grids(draw, max_size=2_000):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = draw(st.one_of(st.just(1), st.integers(2, 2_000)))
+    size = draw(st.one_of(st.just(1), st.integers(2, max_size)))
     top = draw(st.floats(1e-3, 1e6))
-    spacing = draw(st.sampled_from(["uniform", "random", "geometric", "clustered"]))
+    spacing = draw(st.sampled_from(["uniform", "random", "geometric", "clustered", "ulps"]))
     if spacing == "uniform":
         times = np.linspace(0.0, top, size)
     elif spacing == "random":
         times = rng.uniform(0.0, top, size)
     elif spacing == "geometric":
         times = top * np.geomspace(1e-12, 1.0, size)
-    else:
+    elif spacing == "clustered":
         centers = rng.uniform(0.0, top, draw(st.integers(1, 5)))
         times = rng.choice(centers, size) + rng.uniform(0.0, top * 1e-6, size)
+    else:
+        # consecutive floats: the curvature term vanishes and rounding decides
+        times = top + np.arange(size) * np.spacing(top)
     if draw(st.booleans()):
         times = rng.choice(times, size)  # with replacement, so times repeat
     return rng.permutation(times)
@@ -527,10 +540,42 @@ def time_grids(draw):
 
 @given(times=time_grids(), bw=st.floats(0.07, 30.0), extra=st.integers(0, 50))
 @settings(max_examples=150, deadline=None)
+@example(times=np.full(10_000, ARGMAX_TIME), bw=0.5, extra=0)
+@example(times=np.linspace(0.0, 50.0, 3_000), bw=1.0, extra=0)
+@example(times=np.linspace(50.0, 0.0, 3_000), bw=1.0, extra=0)
+@example(times=396.984242765417 + np.arange(364) * np.spacing(396.984242765417), bw=1.0, extra=0)
 def test_jc_time_scan_matches_the_full_grid(times, bw, extra):
     truncation = math.ceil(-math.log(1e-12) / bw) + 1 + extra
     scanned = jc_time_scan(bw, time_grid=times, truncation=truncation)
-    assert abs(scanned - full_time_scan(bw, times, truncation)) <= 1e-15
+    assert scanned == full_time_scan(bw, times, truncation)
+
+
+@given(times=time_grids(max_size=300), bw=st.floats(0.07, 30.0))
+@settings(max_examples=60, deadline=None)
+@example(times=DEFAULT_TIMES[15_000:15_040], bw=0.5)
+def test_jc_time_scan_is_the_largest_one_point_scan(times, bw):
+    """A time's value does not depend on which other times are evaluated with it."""
+    truncation = math.ceil(-math.log(1e-12) / bw) + 1
+    one_point = max(jc_time_scan(bw, time_grid=[t], truncation=truncation) for t in times)
+    assert jc_time_scan(bw, time_grid=times, truncation=truncation) == one_point
+
+
+def test_jc_time_scan_evaluates_each_time_at_most_once(monkeypatch):
+    evaluated = []
+    mixing_weights = bath_oracle._mixing_weights
+
+    def counting(times, *args):
+        evaluated.append(times.size)
+        return mixing_weights(times, *args)
+
+    monkeypatch.setattr(bath_oracle, "_mixing_weights", counting)
+    for bw in (0.5, 1.0, 2.0):
+        evaluated.clear()
+        jc_time_scan(bw)
+        assert sum(evaluated) <= 800
+    evaluated.clear()
+    jc_time_scan(0.5, time_grid=np.full(5_000, 3.0))  # nothing prunes a flat grid
+    assert sum(evaluated) <= 5_000
 
 
 def test_jc_time_scan_validation():

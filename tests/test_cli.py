@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from threestroke import RestrictionModel, cli, engine_params_from, optimal_performance
+from threestroke import (
+    RestrictionModel,
+    cli,
+    engine_params_from,
+    eta_finite_bath,
+    optimal_performance,
+)
 from threestroke.populations import check_beta
 from threestroke.restrictions import JC_BRANCH_POINT, jc_clamped, lambda_max_jc_raw
 
@@ -303,6 +309,37 @@ def test_verify_thm2_fails_on_a_slightly_wrong_efficiency(monkeypatch, capsys):
     code, out, _ = run(["verify", "--only", "thm2", "--seed", "0"], capsys)
     assert code == 4
     assert out.startswith("FAIL thm2: ")
+
+
+def test_verify_eta_d_line_is_the_scalar_comparison(capsys):
+    worst = 0.0
+    for d in (5, 10, 15):
+        model = RestrictionModel.finite_bath(d)
+        for ratio in np.linspace(1.05, 10.0, 50):
+            beta_c = 0.2 * ratio
+            point = optimal_performance(engine_params_from(model, model, 0.2, beta_c))
+            worst = max(worst, abs(eta_finite_bath(0.2, beta_c, d) - point.eta_max))
+    code, out, _ = run(["verify", "--only", "eta-d"], capsys)
+    assert code == 0
+    assert out == (
+        "PASS eta-d: stated ladder-bath efficiency matches the general closed form "
+        f"(max dev {worst:.2e})\n"
+    )
+
+
+def test_verify_eta_d_fails_at_the_first_undefined_efficiency(monkeypatch, capsys):
+    optimum = cli.BathTemperatures.optimum
+
+    def undefined_from_the_eighth(self, lambda_h_max, lambda_c_max):
+        p_opt, w_max, eta_max = optimum(self, lambda_h_max, lambda_c_max)
+        eta_max[7:] = np.nan
+        return p_opt, w_max, eta_max
+
+    monkeypatch.setattr(cli.BathTemperatures, "optimum", undefined_from_the_eighth)
+    code, out, _ = run(["verify", "--only", "eta-d"], capsys)
+    ratio = np.linspace(1.05, 10.0, 50)[7]
+    assert code == 4
+    assert out == f"FAIL eta-d: efficiency undefined at d=5, ratio={ratio}\n"
 
 
 def test_verify_jc_check_warns(capsys):

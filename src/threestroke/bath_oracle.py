@@ -3,13 +3,15 @@
 The ladder-bath stroke is simulated explicitly: the joint Hilbert space of
 the qubit and a (d+1)-level ladder splits into two invariant corners plus d
 two-dimensional blocks, so conjugating by an energy-preserving unitary and
-tracing out the bath costs O(d) regardless of the angles.  The d 2x2
-conjugations are written out as elementwise products of length-d arrays, one
-output entry at a time.  The partition function, the state's trace check and
-the reduced populations are pairwise numpy sums (their error bound is derived
-in JointState.trace).  Beside the simulation sit a one-sweep coordinate
-search over the block angles and a
-brute-force grid over the mixing weights of the swap cycle (the identity, the
+tracing out the bath costs O(d) regardless of the angles.  The block angles
+are held as read-only float arrays, and the d 2x2 conjugations are written
+out as elementwise products over chunks of blocks, one output entry at a
+time, with every temporary at most 64 KB so that it comes from the heap
+rather than from a fresh, page-faulted map.  The partition function, the
+state's trace check and the reduced populations are pairwise numpy sums
+(their error bound is derived in JointState.trace).  Beside the simulation
+sit a one-sweep coordinate search over the block angles and a brute-force
+grid over the mixing weights of the swap cycle (the identity, the
 qubit's other work permutation, releases exactly zero work); neither
 evaluates the closed-form optima it is meant to check.  The grid returns the
 maxima of every cell but evaluates only a corner lattice and the blocks
@@ -64,9 +66,10 @@ _JC_TAIL_TOL = 1e-12
 _JC_CHUNK_FLOATS = 2_000_000  # sines evaluated at once by the coupling-time scan
 _JC_STRIDE = 512  # the scan evaluates every this many sorted times before halving
 _JC_PRUNE_MARGIN = 1e-12
-# Floats per temporary of the brute-force grid, evaluated in chunks of at
-# most this size: 64 KB stays below glibc's default mmap threshold (128 KB),
-# so the temporaries come from the heap instead of fresh, page-faulted maps.
+# Floats per temporary of the brute-force grid and of the block conjugation,
+# evaluated in chunks of at most this size: 64 KB stays below glibc's default
+# mmap threshold (128 KB), so the temporaries come from the heap instead of
+# fresh, page-faulted maps.
 _GRID_BLOCK_FLOATS = 8_192
 # Pruned brute-force grid (see brute_force_performance): lattice stride,
 # corner floors of the slack and the intake, rounding margins.
@@ -98,38 +101,57 @@ class BlockUnitarySpec:
          [-exp(-i alpha) sin(theta), exp(-i phi) cos(theta)]];
 
     the corners |0, 0> and |1, d> have no exchange partner and stay put.
+
+    The angles are held as read-only 1-d float64 arrays, copied from the
+    inputs, so the simulation reads them without any per-angle Python.  An
+    empty, non-1-d or non-finite input, or unequal counts, raise ValueError.
+    Two specs are equal when their angles are, and hash alike then, as when
+    the angles were tuples of floats.
     """
 
-    thetas: tuple[float, ...]
-    phis: tuple[float, ...]
-    alphas: tuple[float, ...]
+    thetas: np.ndarray
+    phis: np.ndarray
+    alphas: np.ndarray
 
     def __post_init__(self) -> None:
-        thetas = tuple(map(float, self.thetas))
-        phis = tuple(map(float, self.phis))
-        alphas = tuple(map(float, self.alphas))
-        if not thetas:
+        names = ("thetas", "phis", "alphas")
+        angles = [np.array(getattr(self, name), dtype=float) for name in names]
+        for name, values in zip(names, angles):
+            if values.ndim != 1:
+                raise ValueError(f"{name} must be 1-d, got shape {values.shape}")
+        thetas, phis, alphas = angles
+        if not thetas.size:
             raise ValueError("block unitary needs at least one block")
-        if len(phis) != len(thetas) or len(alphas) != len(thetas):
+        if phis.size != thetas.size or alphas.size != thetas.size:
             raise ValueError(
-                f"angle counts differ: {len(thetas)} thetas, {len(phis)} phis, "
-                f"{len(alphas)} alphas"
+                f"angle counts differ: {thetas.size} thetas, {phis.size} phis, "
+                f"{alphas.size} alphas"
             )
-        for angles in (thetas, phis, alphas):
-            if not all(map(math.isfinite, angles)):
+        for name, values in zip(names, angles):
+            if not np.isfinite(values).all():
                 raise ValueError("non-finite angle in block unitary")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "phis", phis)
-        object.__setattr__(self, "alphas", alphas)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockUnitarySpec):
+            return NotImplemented
+        return all(map(np.array_equal, self._angles(), other._angles()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(tuple(angles.tolist()) for angles in self._angles()))
+
+    def _angles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.thetas, self.phis, self.alphas
 
     @property
     def d(self) -> int:
-        return len(self.thetas)
+        return self.thetas.size
 
     @classmethod
     def full_swap(cls, d: int) -> BlockUnitarySpec:
         """All blocks rotated by pi/2; achieves the ladder-bath cap."""
-        return cls((math.pi / 2.0,) * d, (0.0,) * d, (0.0,) * d)
+        return cls(np.full(d, math.pi / 2.0), np.zeros(d), np.zeros(d))
 
 
 def _check_bath(beta_omega: float, d: int) -> tuple[float, int]:
@@ -156,10 +178,30 @@ class JointState:
 
     def __post_init__(self) -> None:
         blocks = np.array(self.blocks, dtype=complex)
-        if blocks.ndim != 3 or blocks.shape[1:] != (2, 2) or blocks.shape[0] < 1:
-            raise ValueError(f"blocks must have shape (d, 2, 2), got {blocks.shape}")
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
+        self._check()
+
+    @classmethod
+    def _adopt(cls, corner_low: float, corner_high: float, blocks: np.ndarray) -> JointState:
+        """A state on a complex array that product or conjugated has just built.
+
+        No one else holds the array, so it is made read-only and kept without
+        the copy __post_init__ takes of a caller's blocks; every check still
+        runs.
+        """
+        blocks.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "corner_low", corner_low)
+        object.__setattr__(state, "corner_high", corner_high)
+        object.__setattr__(state, "blocks", blocks)
+        state._check()
+        return state
+
+    def _check(self) -> None:
+        blocks = self.blocks
+        if blocks.ndim != 3 or blocks.shape[1:] != (2, 2) or blocks.shape[0] < 1:
+            raise ValueError(f"blocks must have shape (d, 2, 2), got {blocks.shape}")
         object.__setattr__(self, "corner_low", float(self.corner_low))
         object.__setattr__(self, "corner_high", float(self.corner_high))
         if self.corner_low < -self._PSD_TOL or self.corner_high < -self._PSD_TOL:
@@ -190,15 +232,16 @@ class JointState:
     def trace(self) -> float:
         """Corners plus the block diagonals, the blocks' part by numpy's sum.
 
-        numpy sums the d terms b00 + b11 pairwise, with eight running partial
-        sums in runs of at most 128 terms.  A term passes through at most 25
-        additions in its run, ceil(log2(d / 128)) <= 7 levels above it, its own
-        b00 + b11, the reduction's start and the two corners: 36 roundings for
-        d <= 10 000.  The error is therefore below 36 eps = 8e-15 times the sum
-        of the magnitudes, about 1, which is more than two orders of magnitude
-        under the 2e-12 trace tolerance.
+        Each block contributes b00 + b11, one addition, the same bits as a
+        two-term trace of the block.  numpy sums the d terms pairwise, with
+        eight running partial sums in runs of at most 128 terms.  A term
+        passes through at most 25 additions in its run, ceil(log2(d / 128))
+        <= 7 levels above it, its own b00 + b11, the reduction's start and the
+        two corners: 36 roundings for d <= 10 000.  The error is therefore
+        below 36 eps = 8e-15 times the sum of the magnitudes, about 1, which
+        is more than two orders of magnitude under the 2e-12 trace tolerance.
         """
-        diagonals = self.blocks.real.trace(axis1=1, axis2=2)
+        diagonals = self.blocks[:, 0, 0].real + self.blocks[:, 1, 1].real
         return self.corner_low + self.corner_high + float(diagonals.sum())
 
     @classmethod
@@ -218,33 +261,42 @@ class JointState:
         blocks = np.zeros((d, 2, 2), dtype=complex)
         blocks[:, 0, 0] = g * w[1:] / z  # |0, j>, j = 1..d
         blocks[:, 1, 1] = x * w[:-1] / z  # |1, j-1>
-        return cls(g * w[0] / z, x * w[-1] / z, blocks)
+        return cls._adopt(g * w[0] / z, x * w[-1] / z, blocks)
 
     def conjugated(self, spec: BlockUnitarySpec) -> JointState:
         """Conjugate by the block unitary; the corners have no partner and stay.
 
         Each block's rotation V has rows (a, b) and (c, e) = (-conj(b), conj(a)),
         with a = exp(i phi) cos(theta) and b = exp(i alpha) sin(theta), held
-        as complex arrays over the d blocks, phases included.  V B V^dagger is
+        as complex arrays over the blocks, phases included.  V B V^dagger is
         formed by elementwise products one output row at a time: the row
         (x, y) times B, m = (x B00 + y B10, x B01 + y B11), then the row's
         entry against each row (u, v) of V, m0 conj(u) + m1 conj(v).  Every
         step is O(d).
+
+        The blocks are taken in chunks whose complex temporaries hold at most
+        _GRID_BLOCK_FLOATS floats (64 KB), below glibc's mmap threshold, so
+        they come from the heap instead of fresh, page-faulted maps; the
+        output is allocated once.  Every operation is elementwise, so a block's
+        entries do not depend on the chunk it falls in.
         """
         if spec.d != self.d:
             raise ValueError(f"spec has {spec.d} blocks but the state has {self.d}")
-        thetas = np.fromiter(spec.thetas, float, spec.d)
-        a = np.exp(1j * np.fromiter(spec.phis, float, spec.d)) * np.cos(thetas)
-        b = np.exp(1j * np.fromiter(spec.alphas, float, spec.d)) * np.sin(thetas)
-        rows = ((a, b), (-np.conj(b), np.conj(a)))
-        blocks = self.blocks
-        rotated = np.empty_like(blocks)
-        for r, (x, y) in enumerate(rows):
-            m0 = x * blocks[:, 0, 0] + y * blocks[:, 1, 0]
-            m1 = x * blocks[:, 0, 1] + y * blocks[:, 1, 1]
-            for s, (u, v) in enumerate(rows):
-                rotated[:, r, s] = m0 * np.conj(u) + m1 * np.conj(v)
-        return JointState(self.corner_low, self.corner_high, rotated)
+        step = max(1, _GRID_BLOCK_FLOATS // 2)
+        rotated = np.empty_like(self.blocks)
+        for lo in range(0, self.d, step):
+            chunk = slice(lo, lo + step)
+            thetas = spec.thetas[chunk]
+            a = np.exp(1j * spec.phis[chunk]) * np.cos(thetas)
+            b = np.exp(1j * spec.alphas[chunk]) * np.sin(thetas)
+            rows = ((a, b), (-np.conj(b), np.conj(a)))
+            blocks = self.blocks[chunk]
+            for r, (x, y) in enumerate(rows):
+                m0 = x * blocks[:, 0, 0] + y * blocks[:, 1, 0]
+                m1 = x * blocks[:, 0, 1] + y * blocks[:, 1, 1]
+                for s, (u, v) in enumerate(rows):
+                    rotated[chunk, r, s] = m0 * np.conj(u) + m1 * np.conj(v)
+        return JointState._adopt(self.corner_low, self.corner_high, rotated)
 
     def reduced_qubit(self) -> PopulationVector:
         """Trace out the ladder; block row 0 feeds ground, row 1 excited.
@@ -278,7 +330,7 @@ def achieved_lambda(spec: BlockUnitarySpec, beta_omega: float, d: int) -> float:
     beta_omega, d = _check_bath(beta_omega, d)
     if spec.d != d:
         raise ValueError(f"spec has {spec.d} blocks but the bath needs {d}")
-    return float(_achieved_lambda_rows(np.array([spec.thetas]), beta_omega, d)[0])
+    return float(_achieved_lambda_rows(spec.thetas[None, :], beta_omega, d)[0])
 
 
 def _achieved_lambda_rows(rows: np.ndarray, beta_omega: float, d: int) -> np.ndarray:
@@ -551,11 +603,12 @@ def jc_time_scan(
     f is evaluated at every 512th sorted time (_JC_STRIDE) and at the last
     one.  Then, level by level over all live windows at once, a window is
     dropped when its bound falls below the best value so far less a margin
-    for rounding (1e-12 plus the error of sin(t sqrt(n)) at the largest time)
-    or when it holds no time between its ends; the middle time of each other
-    window is evaluated, and the window is split there.  Each time is
-    evaluated at most once, in at most log2(512) = 9 levels.  The grid is
-    sorted only when it is not sorted already.
+    for rounding (1e-12 plus the error of sin(t sqrt(n)) at the largest time),
+    when it holds no time between its ends, or when its two end times are
+    equal (every time inside is then that one time, whose value is known);
+    the middle time of each other window is evaluated, and the window is
+    split there.  Each time is evaluated at most once, in at most log2(512)
+    = 9 levels.  The grid is sorted only when it is not sorted already.
     """
     beta_omega = float(beta_omega)
     if not math.isfinite(beta_omega) or beta_omega <= 0.0:
@@ -597,7 +650,7 @@ def jc_time_scan(
     lo, hi, f_lo, f_hi = edges[:-1], edges[1:], values[:-1], values[1:]
     while True:
         bound = np.maximum(f_lo, f_hi) + curvature * (times[hi] - times[lo]) ** 2 / 8.0
-        live = (bound >= best - margin) & (hi - lo > 1)
+        live = (bound >= best - margin) & (hi - lo > 1) & (times[hi] > times[lo])
         if not live.any():
             return best
         lo, hi, f_lo, f_hi = lo[live], hi[live], f_lo[live], f_hi[live]

@@ -41,13 +41,134 @@ def random_spec(rng, d):
 
 def test_spec_validation():
     spec = BlockUnitarySpec.full_swap(3)
-    assert spec.d == 3 and spec.thetas == (math.pi / 2.0,) * 3
+    assert spec.d == 3 and spec.thetas.tolist() == [math.pi / 2.0] * 3
     with pytest.raises(ValueError):
         BlockUnitarySpec((), (), ())
     with pytest.raises(ValueError):
         BlockUnitarySpec((0.1, 0.2), (0.0,), (0.0, 0.0))
     with pytest.raises(ValueError):
         BlockUnitarySpec((math.nan,), (0.0,), (0.0,))
+
+
+def test_spec_holds_read_only_float_arrays():
+    given = np.array([0.1, 0.2])
+    for spec in (
+        BlockUnitarySpec.full_swap(4),
+        BlockUnitarySpec(given, (0.0, 1.0), [2, 3]),
+    ):
+        for angles in (spec.thetas, spec.phis, spec.alphas):
+            assert isinstance(angles, np.ndarray)
+            assert angles.ndim == 1 and angles.dtype == np.float64
+            with pytest.raises(ValueError):
+                angles[0] = 1.0
+    given[0] = 9.0  # the spec holds a copy
+    assert spec.thetas.tolist() == [0.1, 0.2] and spec.alphas.tolist() == [2.0, 3.0]
+    # equal angles make equal specs with equal hashes, as with tuples of floats
+    same = BlockUnitarySpec((0.1, 0.2), (-0.0, 1.0), (2.0, 3.0))
+    assert spec == same and hash(spec) == hash(same)
+    assert hash(spec) == hash(((0.1, 0.2), (0.0, 1.0), (2.0, 3.0)))
+    assert spec != BlockUnitarySpec((0.1, 0.2), (0.0, 1.0), (2.0, 3.5))
+    assert spec != BlockUnitarySpec((0.1,), (0.0,), (2.0,))
+    assert spec != (spec.thetas, spec.phis, spec.alphas)
+    assert len({spec, same, BlockUnitarySpec.full_swap(4), BlockUnitarySpec.full_swap(4)}) == 2
+
+
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("bad", [0.5, [[0.5, 0.1]], [[0.5], [0.1]]])
+def test_spec_rejects_angles_that_are_not_1d(field, bad):
+    angles = [(0.5, 0.1), (0.0, 0.0), (0.0, 0.0)]
+    angles[field] = bad
+    with pytest.raises(ValueError, match="1-d"):
+        BlockUnitarySpec(*angles)
+
+
+@pytest.mark.parametrize("field", range(3))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_non_finite_angles(field, bad):
+    angles = [[0.5, 0.1], [0.0, 0.0], [0.0, 0.0]]
+    angles[field][1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        BlockUnitarySpec(*angles)
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", [1, 7, 5_000])
+def test_tuple_and_array_specs_simulate_the_same_floats(d):
+    rng = np.random.default_rng(d)
+    arrays = (
+        rng.uniform(0.0, math.pi / 2.0, d),
+        rng.uniform(-math.pi, math.pi, d),
+        rng.uniform(-math.pi, math.pi, d),
+    )
+    from_arrays = BlockUnitarySpec(*arrays)
+    from_tuples = BlockUnitarySpec(*(tuple(angles.tolist()) for angles in arrays))
+    p = qubit_population(0.3)
+    for bw in (0.0, 0.7):
+        assert simulate_finite_bath_map(p, bw, d, from_arrays).entries == (
+            simulate_finite_bath_map(p, bw, d, from_tuples).entries
+        )
+        state = JointState.product(p, bw, d)
+        assert np.array_equal(
+            bits(state.conjugated(from_arrays).blocks), bits(state.conjugated(from_tuples).blocks)
+        )
+    assert achieved_lambda(from_arrays, 0.7, d) == achieved_lambda(from_tuples, 0.7, d)
+
+
+@pytest.mark.parametrize("block_floats", [2, 6, 14])  # chunks of 1, 3 and 7 blocks
+def test_conjugation_is_exact_across_chunk_sizes(block_floats, monkeypatch):
+    rng = np.random.default_rng(block_floats)
+    cases = []
+    for d in range(1, 21):
+        state = JointState.product(qubit_population(rng.uniform()), rng.uniform(0.0, 5.0), d)
+        cases.append((state, random_spec(rng, d)))
+    expected = [state.conjugated(spec).blocks for state, spec in cases]
+    monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", block_floats)
+    for (state, spec), blocks in zip(cases, expected):
+        assert np.array_equal(bits(state.conjugated(spec).blocks), bits(blocks))
+
+
+def test_conjugation_is_exact_in_one_chunk_at_the_largest_bath(monkeypatch):
+    d = 10_000
+    state = JointState.product(qubit_population(0.3), 0.01, d)
+    specs = (random_spec(np.random.default_rng(11), d), BlockUnitarySpec.full_swap(d))
+    chunked = [state.conjugated(spec).blocks for spec in specs]
+    monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", 2 * d)
+    for spec, blocks in zip(specs, chunked):
+        assert np.array_equal(bits(state.conjugated(spec).blocks), bits(blocks))
+
+
+def test_conjugation_peak_memory_at_the_largest_bath():
+    """The 640 KB output, the chunks' temporaries and the validation's.
+
+    The output is allocated once and held without a copy; a second copy of it
+    would take the peak past the bound.
+    """
+    d = 10_000
+    state = JointState.product(qubit_population(0.3), 0.5, d)
+    spec = random_spec(np.random.default_rng(3), d)
+    tracemalloc.start()
+    try:
+        state.conjugated(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
+def test_joint_state_holds_a_copy_of_given_blocks():
+    state = JointState.product(qubit_population(0.7), 0.5, 6)
+    # a caller's writable array, and another state's read-only one
+    for given in (np.array(state.blocks), state.blocks):
+        held = JointState(state.corner_low, state.corner_high, given)
+        assert held.blocks is not given and not held.blocks.flags.writeable
+        before = held.blocks.copy()
+        given.setflags(write=True)
+        given[:] = 0.0  # the caller's array changes, the state does not
+        assert np.array_equal(held.blocks, before)
+        assert held.trace == pytest.approx(1.0)
 
 
 def test_joint_state_product():
@@ -573,9 +694,14 @@ def test_jc_time_scan_evaluates_each_time_at_most_once(monkeypatch):
         evaluated.clear()
         jc_time_scan(bw)
         assert sum(evaluated) <= 800
+    # A window whose two end times are equal holds only that time's known value.
     evaluated.clear()
-    jc_time_scan(0.5, time_grid=np.full(5_000, 3.0))  # nothing prunes a flat grid
-    assert sum(evaluated) <= 5_000
+    jc_time_scan(0.5, time_grid=np.full(5_000, 3.0))
+    assert sum(evaluated) <= 11
+    evaluated.clear()
+    equal = jc_time_scan(0.5, time_grid=np.full(100_000, ARGMAX_TIME))
+    assert sum(evaluated) <= 197
+    assert equal == jc_time_scan(0.5, time_grid=[ARGMAX_TIME])
 
 
 def test_jc_time_scan_validation():

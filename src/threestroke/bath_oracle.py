@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EngineParams, check_laws, cycle_map, cyclic_state, run_cycle
+from .engine import (
+    CLOSURE_TOL, SINGULAR_TOL, EngineParams, check_laws, cycle_map, cyclic_state, run_cycle
+)
 from .ergotropy import WorkPermutation
 from .populations import PopulationVector, check_beta, check_betas, check_size
 
@@ -61,7 +63,6 @@ MAX_GRID = 2_000
 _MAX_SCAN_FLOATS = MAX_GRID**2
 MAX_TRUNCATION = 100_000
 MAX_TIME_POINTS = 10_000_000
-_CLOSURE_TOL = 1e-10
 _JC_TAIL_TOL = 1e-12
 _JC_CHUNK_FLOATS = 2_000_000  # sines evaluated at once by the coupling-time scan
 _JC_STRIDE = 512  # the scan evaluates every this many sorted times before halving
@@ -389,24 +390,24 @@ class BruteForceResult:
 def _cycle_grid(
     lh: np.ndarray, lc: np.ndarray, params: EngineParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work, heat intake and slack 1 - a of the swap cycle over a (lambda_h, lambda_c) grid.
+    """Work, heat intake and slack p + q of the swap cycle on a (lambda_h, lambda_c) grid.
 
-    For each grid point the unique cyclic ground entry is solved from the
-    affine stroke composition (cycle_map), the cycle is run once on it with
+    For each grid point the cyclic ground entry q / (p + q) is solved from
+    the stroke product (p, q) of cycle_map, the cycle is run once on it with
     the strokes written out here and its closure is asserted before anything
-    is recorded.  Work and intake are NaN where the slack is within 1e-12 of 0.
+    is recorded.  Work and intake are NaN where p + q < SINGULAR_TOL, where
+    cyclic_state raises.
     """
     lh_col = lh[:, None]
     lc_row = lc[None, :]
-    a, b = cycle_map(lh_col, lc_row, params, swap=True)
-    slack = 1.0 - a
-    valid = np.abs(slack) > 1e-12
-    p_star = np.where(valid, b / np.where(valid, slack, 1.0), np.nan)
+    p, q = cycle_map(lh_col, lc_row, params, swap=True)
+    slack = p + q
+    p_star = np.divide(q, slack, out=np.full(slack.shape, np.nan), where=slack >= SINGULAR_TOL)
     after_heat = lh_col + p_star * (1.0 - lh_col * (1.0 + params.exp_h))
     after_work = 1.0 - after_heat
     final = lc_row + (1.0 - lc_row * (1.0 + params.exp_c)) * after_work
-    closed = np.abs(final - p_star) <= _CLOSURE_TOL
-    if not np.all(closed[valid]):
+    # NaN compares false, so the singular cells drop out of the assertion
+    if (np.abs(final - p_star) > CLOSURE_TOL).any():
         raise RuntimeError("fixed-point cycle failed to close on the grid")
     work = after_work - after_heat
     intake = p_star - after_heat
@@ -432,7 +433,7 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
     The qubit's only other work stroke, the identity, is not searched: its
     work after_work - after_heat has two equal terms, so it is exactly 0.0 at
     every cell and never has a positive gain.  The swap grid's corner (0, 0)
-    always closes (1 - a = 2, p* = 1/2) and releases exactly 0.0, and a cell
+    always closes (p = q = 1, p* = 1/2) and releases exactly 0.0, and a cell
     replaces the best only when strictly higher, so no identity cell could
     replace the swap's first maxima.
 
@@ -442,24 +443,26 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
 
     Each grid yields the first maxima, in row-major order, of all its cells
     but evaluates only the cells that could hold them.  Lemma: with
-    D = 1 - a, s_h = lh (1 + e_h) - 1, N_h = lh - s_h (1 - lc e_c) and b
-    cycle_map's offset, the work is (D - 2 N_h) / D, the intake
-    (b - N_h) / D and the efficiency (D - 2 N_h) / (b - N_h).  Each numerator
-    and denominator is bilinear in (lh, lc), so each quantity is
-    linear-fractional, hence monotone, along either axis while its
-    denominator keeps its sign, and a bilinear denominator positive at a
-    block's four corners is positive on the block: there the extremes lie at
-    the corners.
+    cycle_map's stroke product (p, q), the slack D = p + q, b = q,
+    s_h = lh (1 + e_h) - 1 and N_h = lh - s_h (1 - lc e_c), the work is
+    (D - 2 N_h) / D, the intake (b - N_h) / D and the efficiency
+    (D - 2 N_h) / (b - N_h).  Each numerator and denominator is bilinear in
+    (lh, lc), so each quantity is linear-fractional, hence monotone, along
+    either axis while its denominator keeps its sign, and a bilinear
+    denominator positive at a block's four corners is positive on the block:
+    there the extremes lie at the corners.
 
     The corner lattice, every 16th row and column (more above 1 024) and the
-    last, is evaluated first.  A block is skipped when its corner slacks are
+    last, is evaluated first.  A block is skipped when its corner slacks D are
     at least 2^-6 and neither its largest corner work nor, where its corner
     intakes are also at least 2^-10, its largest corner ratio work / intake
     reaches the best value so far less a margin; a largest corner work below
     minus the work margin rules out any efficiency.  A NaN bound never skips.
     Margins, with u = 2^-53 and all weights and Boltzmann factors in [0, 1]:
-    a, b and 1 - a come out within 16u, so at slack >= 2^-6 the work and
-    intake are within E = 2^-40, and a cell's work exceeds its block's
+    p and q are sums of two products of factors in [0, 1], each factor
+    within 3u, so they come out within 9u and D within 20u.  At D >= 2^-6
+    the fixed point q / D is then within 29u 2^6 + u < 2^-42, the work and
+    intake within E = 2^-40, and a cell's work exceeds its block's
     corners by at most 2E, the work margin.  The floors keep every intake in
     the block above 2^-17 (b - N_h is bilinear and D <= 2), and an efficiency
     is at most 1 (Carnot), so a cell's efficiency exceeds the corner ratios

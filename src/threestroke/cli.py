@@ -568,26 +568,24 @@ def _check_carnot(seed: int, grid: int) -> list[tuple[str, str]]:
     lam_c = rng.uniform(0.0, caps_c)
     swap = rng.integers(0, 2, count).astype(bool)
     temperatures = BathTemperatures(beta_h, beta_c)
-    # Even cycles start at cycle_map's fixed point, on which the runner's own
-    # strokes must close; odd ones start from a random state that the runner
-    # settles.  A fixed point outside [0, 1] marks a singular draw.
+    # Even cycles start at cycle_map's fixed point q / (p + q), on which the
+    # runner's own strokes must close; odd ones start from a random state
+    # that the runner settles.  Where p + q = 0 every state is fixed, and an
+    # even cycle starts from the random state too.
     settle = np.arange(count) % 2 == 1
-    a, b = np.where(
-        swap, cycle_map(lam_h, lam_c, temperatures, True), cycle_map(lam_h, lam_c, temperatures, False)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fixed = b / (1.0 - a)
-    undefined = ~settle & ~((fixed >= 0.0) & (fixed <= 1.0))
-    ground = np.where(settle | undefined, rng.uniform(0.0, 1.0, count), fixed)
+    p, q = cycle_map(lam_h, lam_c, temperatures, swap)
+    with np.errstate(invalid="ignore"):
+        fixed = q / (p + q)
+    ground = np.where(settle | np.isnan(fixed), rng.uniform(0.0, 1.0, count), fixed)
     batch = run_cycles(
         np.stack([ground, 1.0 - ground], axis=-1), lam_h, lam_c, swap,
         temperatures, caps_h, caps_c, settle,
     )
-    singular = batch.singular | undefined
     kinds = ("fails to close", "first law", "heat intake", "carnot bound")
     masks = [~batch.closes, *check_laws_each(batch, temperatures)]
-    failed = np.any(masks, axis=0) & ~singular
-    skipped = f"; {int(singular.sum())} singular draws skipped" if singular.any() else ""
+    singular = int(batch.singular.sum())
+    failed = np.any(masks, axis=0) & ~batch.singular
+    skipped = f"; {singular} singular draws skipped" if singular else ""
     if failed.any():
         first = int(failed.argmax())
         kind = next(kind for kind, mask in zip(kinds, masks) if mask[first])
@@ -596,7 +594,7 @@ def _check_carnot(seed: int, grid: int) -> list[tuple[str, str]]:
                  f"beta_c={float(beta_c[first])!r}, lambda_h={float(lam_h[first])!r}, "
                  f"lambda_c={float(lam_c[first])!r}, "
                  f"{'swap' if swap[first] else 'identity'}){skipped}")]
-    residual = float(np.abs(batch.residual[~singular]).max(initial=0.0))
+    residual = float(np.abs(batch.residual[~batch.singular]).max(initial=0.0))
     return [("PASS", f"carnot: closure, first law on the raw heat and Carnot bound hold on "
              f"{count} cycles, {int(settle.sum())} settled from random starts "
              f"(worst closure residual {residual:.1e}){skipped}")]

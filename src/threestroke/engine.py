@@ -8,14 +8,16 @@ energy changes of the working body during the respective strokes (positive
 when the body absorbs energy), work is the energy released during the unitary
 stroke, and the first law reads work = q_hot + q_cold for a closing cycle.
 
+cycle_map composes the three strokes, each a column-stochastic 2x2 matrix
+[[1 - p, q], [p, 1 - q]], into one-cycle (p, q), whose fixed ground entry
+q / (p + q) is cyclic_state (singular where p + q < SINGULAR_TOL).
 run_cycle runs one cycle on Python floats and run_cycles runs many at once on
-arrays, through the same stroke arithmetic and with the same bits.  Each
-stroke there is an explicit column-stochastic 2x2 map, never the affine map
-cycle_map, so the runner stays an independent oracle of cyclic_state and of
-the closed-form optimum.  run_cycles can also start from any state and settle
-it first: it squares the product of the three stroke matrices
-SETTLE_SQUARINGS times, which runs the cycle 2**SETTLE_SQUARINGS times, and
-then runs one plain pass whose closure is measured.  check_laws (and
+arrays, through one stroke pass (_cycle_pass) with the same bits.  The pass
+never calls cycle_map, so the runner, not the product, is the independent
+oracle of cyclic_state and of the closed-form optimum.  run_cycles can also
+settle any start first: it squares cycle_map's product SETTLE_SQUARINGS times,
+which runs the cycle 2**SETTLE_SQUARINGS times, and then runs one plain pass
+whose closure (within CLOSURE_TOL) is measured.  check_laws (and
 check_laws_each over arrays) test the first law on the cold stroke's raw
 heat, within the closure residual, so neither closure nor the first law holds
 by construction.
@@ -42,7 +44,9 @@ from .populations import (
 from .thermal_qubit import apply_mixture, capped_weight, capped_weights, mixture_entries
 
 __all__ = [
+    "CLOSURE_TOL",
     "SETTLE_SQUARINGS",
+    "SINGULAR_TOL",
     "BathTemperatures",
     "CycleBatch",
     "CycleReport",
@@ -67,8 +71,8 @@ __all__ = [
     "work_stroke",
 ]
 
-_CLOSURE_TOL = 1e-10
-_SINGULAR_TOL = 1e-14
+CLOSURE_TOL = 1e-10
+SINGULAR_TOL = 1e-14
 _SWAP = WorkPermutation.swap()
 # run_cycles settles a start by 2**SETTLE_SQUARINGS cycles; that contracts it
 # to the fixed point wherever the slope of the ground-entry map is below
@@ -237,7 +241,7 @@ def _cycle_pass(g, x, lh, lc, eh, ec, s, population):
     g_h, x_h = population(*mixture_entries(lh, eh, g, x))
     g_w, x_w = population(s * x_h + (1.0 - s) * g_h, s * g_h + (1.0 - s) * x_h)
     g_c, x_c = population(*mixture_entries(lc, ec, g_w, x_w))
-    closes = (abs(g_c - g) <= _CLOSURE_TOL) & (abs(x_c - x) <= _CLOSURE_TOL)
+    closes = (abs(g_c - g) <= CLOSURE_TOL) & (abs(x_c - x) <= CLOSURE_TOL)
     return x_h - x_w, x_h - x, x_c - x_w, x_c - x, closes
 
 
@@ -289,6 +293,20 @@ def _then(first, second):
     return p2 * (1.0 - p1) + (1.0 - q2) * p1, (1.0 - p2) * q1 + q2 * (1.0 - q1)
 
 
+def cycle_map(lh, lc, params: EngineParams | BathTemperatures, swap):
+    """(p, q) of the product [[1 - p, q], [p, 1 - q]] of hot, work and cold strokes.
+
+    The strokes are (lh * e_h, lh), the work stroke (s, s), the swap at
+    s = 1 and the identity at s = 0, and (lc * e_c, lc).  params has exp_h
+    and exp_c (EngineParams or BathTemperatures), swap is a flag or a boolean
+    array, and the weights broadcast with them.  Every term is a product of
+    numbers in [0, 1], so p + q has no cancellation and q / (p + q) lies in
+    [0, 1]; arrays give the floats' results entry by entry, bit for bit.
+    """
+    s = swap.astype(float) if isinstance(swap, np.ndarray) else float(swap)
+    return _then(_then((lh * params.exp_h, lh), (s, s)), (lc * params.exp_c, lc))
+
+
 def run_cycles(
     start: np.ndarray,
     lambda_h: np.ndarray,
@@ -308,11 +326,11 @@ def run_cycles(
     run_cycle's bit for bit.
 
     Where settle (a boolean, or a boolean array) is true, the start is first
-    advanced by the product M of the three strokes raised to the power
-    2**SETTLE_SQUARINGS, by repeated squaring of M in its column-stochastic
-    form [[1 - p, q], [p, 1 - q]]; a start settles wherever the slope
-    1 - p - q of the ground-entry map is inside (-1, 1) by more than 1e-17.
-    singular marks p + q < 1e-14.
+    advanced by the product M = [[1 - p, q], [p, 1 - q]] of the three strokes
+    (cycle_map) raised to the power 2**SETTLE_SQUARINGS, by repeated
+    squaring; a start settles wherever the slope 1 - p - q of the
+    ground-entry map is inside (-1, 1) by more than 1e-17.  singular marks
+    p + q < SINGULAR_TOL, where cyclic_state raises.
     """
     n = temperatures.beta_h_omega.size
     start = np.asarray(start, dtype=float)
@@ -324,9 +342,8 @@ def run_cycles(
     caps_h, caps_c = temperatures.caps(lambda_h_max, lambda_c_max)
     lh = capped_weights(temperatures.aligned(lambda_h, "lambda_h"), caps_h)
     lc = capped_weights(temperatures.aligned(lambda_c, "lambda_c"), caps_c)
-    eh, ec, s = temperatures.exp_h, temperatures.exp_c, swap.astype(float)
-    p, q = _then(_then((lh * eh, lh), (s, s)), (lc * ec, lc))
-    singular = p + q < _SINGULAR_TOL
+    p, q = cycle_map(lh, lc, temperatures, swap)
+    singular = p + q < SINGULAR_TOL
     g, x, renormalized = qubit_populations(start[:, 0], start[:, 1])
     if settle.any():
         p_k, q_k = p[settle], q[settle]
@@ -350,7 +367,7 @@ def run_cycles(
         return ground, excited
 
     work, q_hot, q_cold_raw, residual, closes = _cycle_pass(
-        g, x, lh, lc, eh, ec, s, population
+        g, x, lh, lc, temperatures.exp_h, temperatures.exp_c, swap.astype(float), population
     )
     return CycleBatch(
         start=np.stack([g, x], axis=-1),
@@ -365,46 +382,30 @@ def run_cycles(
     )
 
 
-def cycle_map(lh, lc, params: EngineParams, swap: bool):
-    """(a, b) of the ground-entry map g -> a * g + b of hot, work and cold strokes.
-
-    The work stroke is the swap or the identity according to the flag.  The
-    weights are floats or arrays that broadcast together; they meet only
-    + - * /, so arrays give the floats' results entry by entry, bit for bit.
-    """
-    if swap:
-        # hot then swap: ground entry 1 - lh + g * (lh * e_h + lh - 1)
-        slope_hot, offset_hot = lh * params.exp_h + lh - 1.0, 1.0 - lh
-    else:
-        # hot alone: ground entry lh + g * (1 - lh * (1 + e_h))
-        slope_hot, offset_hot = 1.0 - lh * (1.0 + params.exp_h), lh
-    # cold: ground entry lc + (1 - lc * (1 + e_c)) * z
-    slope_cold = 1.0 - lc * (1.0 + params.exp_c)
-    return slope_cold * slope_hot, lc + slope_cold * offset_hot
-
-
 def cyclic_state(
     lambda_h: float,
     lambda_c: float,
     params: EngineParams,
     perm: WorkPermutation = _SWAP,
 ) -> PopulationVector:
-    """Fixed point of cold(perm(hot(p))) on the ground entry.
+    """Fixed point of cold(perm(hot(p))): the ground entry q / (p + q) of cycle_map.
 
     The work stroke is the swap (the default) or the qubit identity.  The
-    composition is affine in the ground entry, so the fixed point is solved
-    directly instead of through any closed-form display.
+    fixed point is solved from the stroke product directly instead of
+    through any closed-form display.  Where p + q < SINGULAR_TOL the product
+    is the identity within rounding, every state is (nearly) fixed, and
+    SingularCycleError is raised.
     """
     if perm.dim != 2:
         raise ValueError(f"expected a qubit work permutation, got dimension {perm.dim}")
     lh = capped_weight(lambda_h, params.lambda_h_max)
     lc = capped_weight(lambda_c, params.lambda_c_max)
-    a, b = cycle_map(lh, lc, params, not perm.is_identity)
-    if abs(1.0 - a) < _SINGULAR_TOL:
+    p, q = cycle_map(lh, lc, params, not perm.is_identity)
+    if p + q < SINGULAR_TOL:
         raise SingularCycleError(
             f"cycle map is the identity at lambda_h={lh!r}, lambda_c={lc!r}"
         )
-    return qubit_population(b / (1.0 - a))
+    return qubit_population(q / (p + q))
 
 
 def elementwise(func, values: np.ndarray) -> np.ndarray:
@@ -449,7 +450,7 @@ def _degenerate(lh: float, lc: float) -> SingularCycleError:
 
 
 def _regular(den: float, lh: float, lc: float) -> float:
-    if abs(den) < _SINGULAR_TOL:
+    if abs(den) < SINGULAR_TOL:
         raise _degenerate(lh, lc)
     return den
 
@@ -459,7 +460,7 @@ def _defined(eta_den: float) -> float:
 
 
 def _regular_each(den: np.ndarray, lh: np.ndarray, lc: np.ndarray) -> np.ndarray:
-    singular = np.abs(den) < _SINGULAR_TOL
+    singular = np.abs(den) < SINGULAR_TOL
     if singular.any():
         index = int(singular.argmax())
         raise _degenerate(float(lh[index]), float(lc[index]))

@@ -21,7 +21,6 @@ __all__ = [
     "RestrictionModel",
     "engine_params_from",
     "eta_finite_bath",
-    "jc_clamped",
     "lambda_max_finite_bath",
     "lambda_max_jc",
     "lambda_max_jc_raw",
@@ -55,10 +54,6 @@ def _jc_high_temperature(beta_omega, exp):
 def _jc_low_temperature(beta_omega, exp):
     """Stated exchange-coupling cap for beta_omega > JC_BRANCH_POINT."""
     return exp(-4.0 * beta_omega) - exp(-3.0 * beta_omega) + 1.0
-
-
-def _outside_unit_interval(raw):
-    return (raw < 0.0) | (raw > 1.0)
 
 
 def _exp_each(values: np.ndarray) -> np.ndarray:
@@ -97,13 +92,9 @@ def lambda_max_jc_raw(beta_omega: float) -> float:
 
 
 def lambda_max_jc(beta_omega: float) -> float:
-    """lambda_max_jc_raw clamped into [0, 1]; jc_clamped reports when it acted."""
+    """lambda_max_jc_raw clamped into [0, 1]; RestrictionModel.clamped reports
+    when it acted."""
     return min(1.0, max(0.0, lambda_max_jc_raw(beta_omega)))
-
-
-def jc_clamped(beta_omega: float) -> bool:
-    """True when the stated exchange-coupling expression left [0, 1]."""
-    return _outside_unit_interval(lambda_max_jc_raw(beta_omega))
 
 
 _KINDS = ("unrestricted", "finite_bath", "jaynes_cummings", "explicit")
@@ -189,7 +180,7 @@ class RestrictionModel:
     def clamped(self, beta_omega: float) -> bool:
         """True when resolving this model at beta_omega required clamping."""
         beta_omega = check_beta(beta_omega)
-        return self.kind == "jaynes_cummings" and jc_clamped(beta_omega)
+        return self.kind == "jaynes_cummings" and not 0.0 <= lambda_max_jc_raw(beta_omega) <= 1.0
 
     def resolve(self, beta_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """lambda_max and clamped at every entry of a 1-d array of temperatures.
@@ -210,7 +201,7 @@ class RestrictionModel:
                 high = beta <= JC_BRANCH_POINT
                 raw[high] = _jc_high_temperature(beta[high], _exp_each)
                 raw[~high] = _jc_low_temperature(beta[~high], _exp_each)
-                clamped = _outside_unit_interval(raw)
+                clamped = (raw < 0.0) | (raw > 1.0)
                 caps = np.clip(raw, 0.0, 1.0)
             else:
                 caps = np.full(beta.shape, self.lambda_max(0.0))

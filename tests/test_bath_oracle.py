@@ -21,6 +21,7 @@ from threestroke import (
     engine_params_from,
     jc_time_scan,
     lambda_max_finite_bath,
+    optimal_performance,
     qubit_population,
     scan_lambda_max,
     simulate_finite_bath_map,
@@ -443,6 +444,7 @@ _CAPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     grid=st.sampled_from([2, 3, 23]),
 )
 @example(bh=0.0, bc=1.0, lh=1.0, lc=0.0, grid=23)
+@example(bh=0.0, bc=18.0, lh=1.0, lc=1e-9, grid=23)  # slack about 1e-9 along lh = 1
 def test_brute_force_never_raises_and_the_swap_wins(bh, bc, lh, lc, grid):
     """The swap grid's corner releases exactly 0.0, so the best work is never negative."""
     result = brute_force_performance(EngineParams(bh, bc, lh, lc), grid)
@@ -509,6 +511,7 @@ _EDGE_CAPS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0))
 @example(bh=0.0, bc=1.0, lh=1.0, lc=1.0, grid=200)
 # the first maximum of the efficiency is decided by rounding along lh = 0.877...
 @example(bh=0.0, bc=15.497624896089343, lh=0.8772733207909856, lc=0.9358044110013151, grid=200)
+@example(bh=0.0, bc=18.0, lh=1.0, lc=1e-9, grid=200)  # slack about 1e-9 along lh = 1
 def test_brute_force_equals_the_full_grid(bh, bc, lh, lc, grid):
     """Skipping blocks by their corner bounds changes no value and no argmax."""
     params = EngineParams(bh, bc, lh, lc)
@@ -527,6 +530,7 @@ def test_brute_force_equals_the_full_grid(bh, bc, lh, lc, grid):
 )
 @example(bh=0.0, bc=1.0, lh=1.0, lc=1.0, grid=200)  # work and efficiency flat along lh = 1
 @example(bh=0.0, bc=1.0, lh=1.0, lc=1e-8, grid=200)  # slack below 1e-9 along lh = 1
+@example(bh=0.0, bc=18.0, lh=1.0, lc=1e-9, grid=200)
 def test_block_corner_bounds_hold(bh, bc, lh, lc, grid):
     """The pruning lemma: on a block whose corners pass the floors, no cell
     beats the largest corner work, or a gain cell the largest corner ratio
@@ -553,6 +557,16 @@ def test_block_corner_bounds_hold(bh, bc, lh, lc, grid):
         gain = (work[block] > 0.0) & (intake[block] > 0.0)
         if heated[i, j] and gain.any():
             assert ratio[block][gain].max() <= top_ratio[i, j] + bath_oracle._ETA_MARGIN
+
+
+def test_brute_force_is_exact_where_the_slack_is_tiny():
+    """At beta_h = 0 the swap cycle along lh = 1 has p = lc e_c and q = lc, so
+    its work is (1 - e_c) / (1 + e_c) for every lc > 0, while the slack p + q
+    falls to about 1e-11 on the refined grid."""
+    params = EngineParams(0.0, 1.0, 1.0, 1e-8)
+    result = brute_force_performance(params, 200)
+    assert abs(result.w_max - optimal_performance(params).w_max) <= 1e-6
+    assert result.w_max == pytest.approx(math.tanh(0.5), abs=1e-15)
 
 
 def test_brute_force_validation():

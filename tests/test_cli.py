@@ -25,7 +25,7 @@ from threestroke import (
     optimal_performance,
 )
 from threestroke.populations import check_beta
-from threestroke.restrictions import JC_BRANCH_POINT, jc_clamped, lambda_max_jc_raw
+from threestroke.restrictions import JC_BRANCH_POINT, lambda_max_jc_raw
 
 
 def run(argv, capsys):
@@ -361,7 +361,7 @@ def test_verify_jc_reports_the_overshoot_window(capsys):
     lower, upper, largest, drop = (float(group) for group in match.groups())
     # a dense scan of where the stated cap is clamped, in steps of 1e-5
     grid = np.linspace(0.0, 1.0, 100_001)
-    clamped = np.array([jc_clamped(b) for b in grid])
+    clamped = np.array([not 0.0 <= lambda_max_jc_raw(b) <= 1.0 for b in grid])
     first, last = int(clamped.argmax()), len(grid) - 1 - int(clamped[::-1].argmax())
     assert clamped[first:last + 1].all() and not clamped[last + 1:].any()
     assert grid[first - 1] <= lower <= grid[first]

@@ -30,7 +30,7 @@ from threestroke import (
     run_cycle,
     work_stroke,
 )
-from threestroke.engine import BathTemperatures, run_cycles
+from threestroke.engine import SINGULAR_TOL, BathTemperatures, cycle_map, run_cycles
 
 # reference point used throughout: beta_h * omega = 0.2, beta_c * omega = 0.6
 REF = EngineParams(0.2, 0.6, 1.0, 1.0)
@@ -168,6 +168,31 @@ def test_cycle_closes_at_fixed_point(bh, ratio, lh, lc, swap):
     report = run_cycle(p0, lh, lc, perm, params)
     assert report.closes
     assert abs(report.work - report.q_hot - report.q_cold) <= 1e-12
+
+
+_CORNER_BETAS = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
+_CORNER_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-12, 1e-9]), lams)
+
+
+@given(
+    bh=_CORNER_BETAS, bc=_CORNER_BETAS, lh=_CORNER_WEIGHTS, lc=_CORNER_WEIGHTS, swap=st.booleans()
+)
+@settings(max_examples=300)
+@example(bh=4.6177, bc=16.168, lh=0.0, lc=1e-12, swap=False)
+@example(bh=0.0, bc=18.0, lh=1.0, lc=1e-9, swap=True)
+def test_cyclic_state_at_the_singular_corners(bh, bc, lh, lc, swap):
+    """cyclic_state raises SingularCycleError exactly where p + q < SINGULAR_TOL;
+    elsewhere its ground entry is a population and the runner's strokes close on it."""
+    params = EngineParams(bh, bc)
+    perm = WorkPermutation.swap() if swap else WorkPermutation.identity(2)
+    p, q = cycle_map(lh, lc, params, swap)
+    if p + q < SINGULAR_TOL:
+        with pytest.raises(SingularCycleError):
+            cyclic_state(lh, lc, params, perm)
+        return
+    start = cyclic_state(lh, lc, params, perm)
+    assert 0.0 <= start.entries[0] <= 1.0
+    assert run_cycle(start, lh, lc, perm, params).closes
 
 
 def test_cyclic_state_increases_with_cold_weight():

@@ -24,7 +24,6 @@ from threestroke import (
     simulate_finite_bath_map,
 )
 from threestroke.engine import BathTemperatures
-from threestroke.restrictions import jc_clamped
 
 P = qubit_population(0.6)
 SPEC = BlockUnitarySpec.full_swap(3)
@@ -46,7 +45,6 @@ TAKES_A_TEMPERATURE = {
     "lambda_max_finite_bath": lambda b: lambda_max_finite_bath(b, 3),
     "lambda_max_jc_raw": lambda_max_jc_raw,
     "lambda_max_jc": lambda_max_jc,
-    "jc_clamped": jc_clamped,
     **{f"lambda_max[{m.label}]": (lambda m: lambda b: m.lambda_max(b))(m) for m in MODELS},
     **{f"resolve[{m.label}]": (lambda m: lambda b: m.resolve([0.2, b]))(m) for m in MODELS},
     **{f"clamped[{m.label}]": (lambda m: lambda b: m.clamped(b))(m) for m in MODELS},

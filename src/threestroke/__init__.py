@@ -35,14 +35,8 @@ from .engine import (
     run_cycle,
     work_stroke,
 )
-from .ergotropy import WorkPermutation, apply_permutation, ergotropy, passive_rearrangement
-from .majorization import (
-    BetaOrder,
-    ThermomajorizationCurve,
-    beta_order,
-    thermomajorization_curve,
-    thermomajorizes,
-)
+from .ergotropy import WorkPermutation, ergotropy, passive_rearrangement
+from .majorization import thermomajorizes
 from .populations import (
     QUBIT,
     EnergySpectrum,
@@ -68,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "QUBIT",
     "JC_BRANCH_POINT",
-    "BetaOrder",
     "BlockUnitarySpec",
     "BruteForceResult",
     "CycleReport",
@@ -82,15 +75,12 @@ __all__ = [
     "ResourceLimitError",
     "RestrictionModel",
     "SingularCycleError",
-    "ThermomajorizationCurve",
     "UndefinedEfficiencyError",
     "UnsupportedRestrictionError",
     "WorkPermutation",
     "achieved_lambda",
     "apply_mixture",
-    "apply_permutation",
     "average_energy",
-    "beta_order",
     "brute_force_performance",
     "check_laws",
     "cold_stroke",
@@ -112,7 +102,6 @@ __all__ = [
     "run_cycle",
     "scan_lambda_max",
     "simulate_finite_bath_map",
-    "thermomajorization_curve",
     "thermomajorizes",
     "work_stroke",
 ]

@@ -254,8 +254,6 @@ class JointState:
         is below 36 eps = 8e-15.
         """
         beta_omega, d = _check_bath(beta_omega, d)
-        if p.dim != 2:
-            raise ValueError(f"expected a qubit population, got dimension {p.dim}")
         w = np.exp(-beta_omega * np.arange(d + 1))
         z = float(w.sum())
         g, x = p.entries

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ergotropy import WorkPermutation, apply_permutation
+from .ergotropy import WorkPermutation
 from .populations import (
     QUBIT,
     PopulationVector,
@@ -211,7 +211,7 @@ def work_stroke(
     p: PopulationVector, perm: WorkPermutation
 ) -> tuple[PopulationVector, float]:
     """Permute the populations; returns the new populations and the work released."""
-    out = apply_permutation(p, perm)
+    out = PopulationVector(tuple(p.entries[i] for i in perm.mapping))
     return out, average_energy(p, QUBIT) - average_energy(out, QUBIT)
 
 
@@ -259,10 +259,6 @@ def run_cycle(
     q_cold and the closure residual beside it.
     """
     lh = capped_weight(lambda_h, params.lambda_h_max)
-    if p0.dim != 2:
-        raise ValueError(f"expected a qubit population, got dimension {p0.dim}")
-    if perm.dim != 2:
-        raise ValueError(f"dimension mismatch: 2 populations, {perm.dim} slots")
     lc = capped_weight(lambda_c, params.lambda_c_max)
     states = []
 
@@ -396,8 +392,6 @@ def cyclic_state(
     is the identity within rounding, every state is (nearly) fixed, and
     SingularCycleError is raised.
     """
-    if perm.dim != 2:
-        raise ValueError(f"expected a qubit work permutation, got dimension {perm.dim}")
     lh = capped_weight(lambda_h, params.lambda_h_max)
     lc = capped_weight(lambda_c, params.lambda_c_max)
     p, q = cycle_map(lh, lc, params, not perm.is_identity)

@@ -1,20 +1,18 @@
-"""Work extraction by cyclic unitaries on diagonal states.
+"""Work extraction by cyclic unitaries on diagonal qubit states.
 
 For a diagonal state the optimal cyclic unitary is a permutation of the
-populations, so the ergotropy reduces to the energy gap between the state and
-its passive rearrangement.
+populations, which for a qubit is the identity or the swap, so the ergotropy
+reduces to the energy gap between the state and its passive rearrangement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 from .populations import EnergySpectrum, PopulationVector, average_energy
 
 __all__ = [
     "WorkPermutation",
-    "apply_permutation",
     "ergotropy",
     "passive_rearrangement",
 ]
@@ -22,18 +20,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WorkPermutation:
-    """Relabeling of level indices; entry j names the source level for slot j."""
+    """Relabeling of the two levels, (0, 1) or (1, 0); entry j names the source of slot j."""
 
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
         mapping = tuple(int(i) for i in self.mapping)
-        if sorted(mapping) != list(range(len(mapping))):
-            raise ValueError(f"{mapping!r} is not a permutation")
+        if mapping not in ((0, 1), (1, 0)):
+            raise ValueError(f"{mapping!r} is not a permutation of the two qubit levels")
         object.__setattr__(self, "mapping", mapping)
 
     @classmethod
     def identity(cls, dim: int) -> WorkPermutation:
+        """The identity of a dim-level system; only dim = 2 exists."""
         return cls(tuple(range(dim)))
 
     @classmethod
@@ -42,48 +41,22 @@ class WorkPermutation:
         return cls((1, 0))
 
     @property
-    def dim(self) -> int:
-        return len(self.mapping)
-
-    @property
     def is_identity(self) -> bool:
-        return all(i == j for j, i in enumerate(self.mapping))
-
-
-def apply_permutation(p: PopulationVector, perm: WorkPermutation) -> PopulationVector:
-    if p.dim != perm.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} populations, {perm.dim} slots")
-    return PopulationVector(tuple(p.entries[i] for i in perm.mapping))
+        return self.mapping == (0, 1)
 
 
 def passive_rearrangement(
     p: PopulationVector, spectrum: EnergySpectrum
 ) -> tuple[PopulationVector, WorkPermutation]:
-    """Arrange populations nonincreasingly against the energy levels.
+    """Put the larger population on the ground level.
 
-    Population ties keep the lower original index first.  Levels sharing an
-    energy are left untouched whenever they would merely trade populations
-    among themselves: any rearrangement inside a degenerate block is free, so
-    the identity is preferred there.
+    A population tie keeps the identity, and so does the degenerate spectrum
+    (0, 0), where trading the two populations is free.
     """
-    if p.dim != spectrum.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} populations, {spectrum.dim} levels")
-    by_energy = sorted(range(p.dim), key=lambda i: (spectrum.levels[i], i))
-    by_population = sorted(range(p.dim), key=lambda i: (-p.entries[i], i))
-    mapping = [0] * p.dim
-    start = 0
-    for _, group in groupby(by_energy, key=lambda i: spectrum.levels[i]):
-        block = list(group)
-        sources = by_population[start : start + len(block)]
-        if set(sources) == set(block):
-            for level in block:
-                mapping[level] = level
-        else:
-            for level, source in zip(block, sources):
-                mapping[level] = source
-        start += len(block)
-    perm = WorkPermutation(tuple(mapping))
-    return apply_permutation(p, perm), perm
+    ground, excited = p.entries
+    if spectrum.levels[1] == 0.0 or ground >= excited:
+        return PopulationVector((ground, excited)), WorkPermutation.identity(2)
+    return PopulationVector((excited, ground)), WorkPermutation.swap()
 
 
 def ergotropy(p: PopulationVector, spectrum: EnergySpectrum) -> float:

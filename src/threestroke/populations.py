@@ -1,10 +1,11 @@
-"""Population vectors, energy spectra and Gibbs states of finite-level systems.
+"""Population vectors, energy spectra and Gibbs states of the working qubit.
 
-Conventions used throughout the package: populations are probability vectors
-listed ground state first, every spectrum starts at zero, and energies are
-measured in units of the working-qubit splitting, so the qubit spectrum is
-(0, 1) and all "beta" arguments are the dimensionless product of the inverse
-temperature with that splitting.
+Conventions used throughout the package: populations are a qubit's two
+probabilities, ground state first; a spectrum is the two levels (0, E); and
+energies are measured in units of the working-qubit splitting, so the qubit
+spectrum is (0, 1) and all "beta" arguments are the dimensionless product of
+the inverse temperature with that splitting.  The types hold two levels
+only, so no function checks a dimension.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def check_size(value: int, name: str, minimum: int) -> int:
 
 @dataclass(frozen=True)
 class PopulationVector:
-    """Probability vector over energy levels, ground entry first.
+    """Probability vector of a qubit: exactly two entries, ground entry first.
 
     Entries must lie in [0, 1] and sum to one within 1e-12.  Sums drifting
     further (but staying within 1e-9) are renormalized and the instance is
@@ -89,8 +90,8 @@ class PopulationVector:
 
     def __post_init__(self) -> None:
         entries = tuple(float(x) for x in self.entries)
-        if not entries:
-            raise ValueError("population vector needs at least one entry")
+        if len(entries) != 2:
+            raise ValueError(f"a qubit population has two entries, got {len(entries)}")
         for x in entries:
             if not math.isfinite(x):
                 raise ValueError(f"non-finite population entry {x!r}")
@@ -105,10 +106,6 @@ class PopulationVector:
             object.__setattr__(self, "renormalized", True)
         object.__setattr__(self, "entries", entries)
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class GibbsVector(PopulationVector):
@@ -122,26 +119,20 @@ class GibbsVector(PopulationVector):
 
 @dataclass(frozen=True)
 class EnergySpectrum:
-    """Nondecreasing energy levels with the ground level pinned at zero."""
+    """The two levels (0, E) of a qubit, with E finite and >= 0 (E = 0 is degenerate)."""
 
     levels: tuple[float, ...]
 
     def __post_init__(self) -> None:
         levels = tuple(float(x) for x in self.levels)
-        if not levels:
-            raise ValueError("energy spectrum needs at least one level")
-        for x in levels:
-            if not math.isfinite(x):
-                raise ValueError(f"non-finite energy level {x!r}")
-        if levels[0] != 0.0:
-            raise ValueError(f"ground level must sit at 0, got {levels[0]!r}")
-        if any(a > b for a, b in zip(levels, levels[1:])):
-            raise ValueError(f"levels must be nondecreasing, got {levels!r}")
+        if len(levels) != 2:
+            raise ValueError(f"a qubit spectrum has two levels, got {len(levels)}")
+        ground, excited = levels
+        if ground != 0.0:
+            raise ValueError(f"ground level must sit at 0, got {ground!r}")
+        if not math.isfinite(excited) or excited < 0.0:
+            raise ValueError(f"excited level must be finite and >= 0, got {excited!r}")
         object.__setattr__(self, "levels", levels)
-
-    @property
-    def dim(self) -> int:
-        return len(self.levels)
 
 
 QUBIT = EnergySpectrum((0.0, 1.0))
@@ -189,6 +180,4 @@ def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> GibbsVector:
 
 def average_energy(p: PopulationVector, spectrum: EnergySpectrum) -> float:
     """Mean energy sum_i p_i E_i."""
-    if p.dim != spectrum.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} populations, {spectrum.dim} levels")
     return math.fsum(x * e for x, e in zip(p.entries, spectrum.levels))

@@ -92,8 +92,8 @@ def lambda_max_jc_raw(beta_omega: float) -> float:
 
 
 def lambda_max_jc(beta_omega: float) -> float:
-    """lambda_max_jc_raw clamped into [0, 1]; RestrictionModel.clamped reports
-    when it acted."""
+    """lambda_max_jc_raw clamped into [0, 1]; RestrictionModel.resolve reports
+    where it acted."""
     return min(1.0, max(0.0, lambda_max_jc_raw(beta_omega)))
 
 
@@ -177,16 +177,12 @@ class RestrictionModel:
         check_beta(beta_omega)
         return self.lam if self.kind == "explicit" else 1.0
 
-    def clamped(self, beta_omega: float) -> bool:
-        """True when resolving this model at beta_omega required clamping."""
-        beta_omega = check_beta(beta_omega)
-        return self.kind == "jaynes_cummings" and not 0.0 <= lambda_max_jc_raw(beta_omega) <= 1.0
-
     def resolve(self, beta_omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """lambda_max and clamped at every entry of a 1-d array of temperatures.
+        """lambda_max at every entry of a 1-d array of temperatures, and where
+        it was clamped: only the jc cap is, where lambda_max_jc_raw leaves [0, 1].
 
-        The array is validated as a whole first, and every entry equals the
-        scalar methods' result bit for bit.
+        The array is validated as a whole first, and every cap equals
+        lambda_max's result bit for bit.
         """
         beta = check_betas(beta_omega)
         clamped = np.zeros(beta.shape, dtype=bool)

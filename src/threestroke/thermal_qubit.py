@@ -66,7 +66,5 @@ def apply_mixture(lam: float, beta_omega: float, p: PopulationVector) -> Populat
     with e = exp(-beta_omega) (see mixture_entries).
     """
     beta_omega = check_beta(beta_omega)
-    if p.dim != 2:
-        raise ValueError(f"expected a qubit population, got dimension {p.dim}")
     value = capped_weight(lam)
     return PopulationVector(mixture_entries(value, math.exp(-beta_omega), *p.entries))

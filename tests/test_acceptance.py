@@ -40,7 +40,7 @@ from threestroke import (
     WorkPermutation,
 )
 from threestroke.engine import BathTemperatures, run_cycles
-from threestroke.populations import QUBIT, EnergySpectrum
+from threestroke.populations import QUBIT
 from threestroke.restrictions import JC_BRANCH_POINT, lambda_max_jc_raw
 
 
@@ -391,15 +391,6 @@ def _classically_majorizes(p, q):
     return True
 
 
-def _pair_thermalization(entries, gamma, i, j, s):
-    total = entries[i] + entries[j]
-    share = gamma[i] / (gamma[i] + gamma[j])
-    out = list(entries)
-    out[i] = (1.0 - s) * entries[i] + s * total * share
-    out[j] = (1.0 - s) * entries[j] + s * total * (1.0 - share)
-    return tuple(out)
-
-
 def test_10_thermomajorization_invariants():
     start = time.perf_counter()
     rng = np.random.default_rng(3)
@@ -422,34 +413,10 @@ def test_10_thermomajorization_invariants():
         classical = _classically_majorizes(p.entries, q.entries)
         if thermomajorizes(p, q, uniform) != classical:
             violations += 1
-
-    for _ in range(1_000):
-        dim = int(rng.integers(3, 6))
-        levels = (0.0, *np.sort(rng.uniform(0.1, 2.0, dim - 1)).tolist())
-        spectrum = EnergySpectrum(levels)
-        gamma = gibbs_vector(rng.uniform(0.0, 2.0), spectrum)
-        p = PopulationVector(tuple(rng.dirichlet(np.ones(dim))))
-        if not thermomajorizes(p, p, gamma):
-            violations += 1
-        if not thermomajorizes(p, PopulationVector(gamma.entries), gamma):
-            violations += 1
-        entries = p.entries
-        for _ in range(3):
-            i, j = rng.choice(dim, size=2, replace=False)
-            entries = _pair_thermalization(
-                entries, gamma.entries, int(i), int(j), rng.uniform(0.0, 1.0)
-            )
-        if not thermomajorizes(p, PopulationVector(entries), gamma):
-            violations += 1
-        uniform = gibbs_vector(0.0, spectrum)
-        q = PopulationVector(tuple(rng.dirichlet(np.ones(dim))))
-        classical = _classically_majorizes(p.entries, q.entries)
-        if thermomajorizes(p, q, uniform) != classical:
-            violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0
     _report(
-        "thermomajorization invariants (10^4 qubit + 10^3 multilevel draws)",
+        "thermomajorization invariants (10^4 qubit draws)",
         ok,
         f"{violations} violations",
         elapsed,

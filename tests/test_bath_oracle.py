@@ -12,7 +12,6 @@ from threestroke import (
     BlockUnitarySpec,
     EngineParams,
     JointState,
-    PopulationVector,
     ResourceLimitError,
     RestrictionModel,
     achieved_lambda,
@@ -178,8 +177,6 @@ def test_joint_state_product():
     assert state.d == 6
     assert state.trace == pytest.approx(1.0, abs=1e-15)
     assert state.reduced_qubit().entries == pytest.approx(p.entries, abs=1e-14)
-    with pytest.raises(ValueError):
-        JointState.product(PopulationVector((0.2, 0.3, 0.5)), 0.5, 6)
 
 
 def test_joint_state_validation():

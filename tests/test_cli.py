@@ -498,7 +498,8 @@ def test_version_flag(capsys):
 def warn_clamped(side, model, beta_omega, seen):
     """The clamp-warning rule: one warning per side and model, at its first clamped value."""
     key = (side, model.label)
-    if model.clamped(beta_omega) and key not in seen:
+    clamped = model.kind == "jaynes_cummings" and not 0.0 <= lambda_max_jc_raw(beta_omega) <= 1.0
+    if clamped and key not in seen:
         seen.add(key)
         print(cli._clamp_warning(side, beta_omega), file=sys.stderr)
 

@@ -1,4 +1,4 @@
-"""The temperature rule shared by every module that takes a temperature."""
+"""The input rules shared by every module: temperatures, and the qubit's two levels."""
 
 import math
 
@@ -7,9 +7,12 @@ import pytest
 from threestroke import (
     QUBIT,
     BlockUnitarySpec,
+    EnergySpectrum,
     EngineParams,
     JointState,
+    PopulationVector,
     RestrictionModel,
+    WorkPermutation,
     achieved_lambda,
     apply_mixture,
     engine_params_from,
@@ -47,7 +50,6 @@ TAKES_A_TEMPERATURE = {
     "lambda_max_jc": lambda_max_jc,
     **{f"lambda_max[{m.label}]": (lambda m: lambda b: m.lambda_max(b))(m) for m in MODELS},
     **{f"resolve[{m.label}]": (lambda m: lambda b: m.resolve([0.2, b]))(m) for m in MODELS},
-    **{f"clamped[{m.label}]": (lambda m: lambda b: m.clamped(b))(m) for m in MODELS},
     "engine_params_from.beta_h": lambda b: engine_params_from(MODELS[1], MODELS[1], b, 1.0),
     "engine_params_from.beta_c": lambda b: engine_params_from(MODELS[1], MODELS[1], 0.2, b),
     "eta_finite_bath.beta_h": lambda b: eta_finite_bath(b, 1.0, 3),
@@ -66,3 +68,18 @@ def test_every_temperature_input_rejects_bad_values(name, bad):
     with pytest.raises(ValueError):
         TAKES_A_TEMPERATURE[name](bad)
 
+
+# Every type that fixes the qubit's two levels, built with another number of them.
+NOT_A_QUBIT = {
+    "PopulationVector[1]": lambda: PopulationVector((1.0,)),
+    "PopulationVector[3]": lambda: PopulationVector((0.2, 0.3, 0.5)),
+    "EnergySpectrum[3]": lambda: EnergySpectrum((0.0, 1.0, 2.0)),
+    "WorkPermutation[3]": lambda: WorkPermutation((0, 1, 2)),
+    "WorkPermutation.identity[3]": lambda: WorkPermutation.identity(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_QUBIT))
+def test_every_qubit_type_rejects_other_dimensions(name):
+    with pytest.raises(ValueError):
+        NOT_A_QUBIT[name]()

@@ -1,10 +1,9 @@
-"""Beta-ordering and thermomajorization, including the brute-force qubit oracle."""
+"""Thermomajorization of qubit populations, against the interval and brute-force oracles."""
 
 import itertools
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from threestroke import (
@@ -12,10 +11,8 @@ from threestroke import (
     EnergySpectrum,
     PopulationVector,
     apply_mixture,
-    beta_order,
     gibbs_vector,
     qubit_population,
-    thermomajorization_curve,
     thermomajorizes,
 )
 
@@ -49,42 +46,32 @@ def classically_majorizes(p, q):
     return True
 
 
-def test_beta_order_examples():
-    gamma = qubit_gamma(math.log(2.0))  # (2/3, 1/3)
-    assert beta_order(gamma, gamma).permutation == (0, 1)  # ties keep lower index
-    p = PopulationVector((0.6, 0.4))  # ratios (0.9, 1.2)
-    assert beta_order(p, gamma).permutation == (1, 0)
-    uniform = qubit_gamma(0.0)
-    assert beta_order(PopulationVector((0.7, 0.3)), uniform).permutation == (0, 1)
-
-
-def test_beta_order_rejects_mismatch():
-    with pytest.raises(ValueError):
-        beta_order(PopulationVector((1.0,)), qubit_gamma(1.0))
-
-
 def test_curve_examples():
-    gamma = qubit_gamma(math.log(2.0))
-    # thermal state: straight diagonal
-    diag = thermomajorization_curve(gamma, gamma)
-    assert diag.y == pytest.approx(diag.x, abs=1e-12)
-    # concentrated on the largest-ratio level: y = 1 at the first vertex
-    sharp = thermomajorization_curve(PopulationVector((0.0, 1.0)), gamma)
-    assert sharp.y[1] == pytest.approx(1.0, abs=1e-12)
-    # hand-computed vertices for p = (0.6, 0.4), order (1, 0)
-    curve = thermomajorization_curve(PopulationVector((0.6, 0.4)), gamma)
-    assert curve.x == pytest.approx((0.0, 1 / 3, 1.0))
-    assert curve.y == pytest.approx((0.0, 0.4, 1.0))
-
-
-def test_curve_partition_scales_abscissae():
-    gamma = qubit_gamma(0.5)
-    base = thermomajorization_curve(PopulationVector((0.8, 0.2)), gamma)
-    scaled = thermomajorization_curve(PopulationVector((0.8, 0.2)), gamma, partition=2.0)
-    assert scaled.x == pytest.approx(tuple(2.0 * x for x in base.x))
-    assert scaled.y == base.y
-    with pytest.raises(ValueError):
-        thermomajorization_curve(gamma, gamma, partition=0.0)
+    gamma = qubit_gamma(math.log(2.0))  # (2/3, 1/3)
+    # p = (0.6, 0.4) has ratios (0.9, 1.2) and its elbow at (1/3, 0.4), above
+    # the thermal diagonal; (0.55, 0.45) has its elbow at (1/3, 0.45), and
+    # (0.75, 0.25) at (2/3, 0.75), where p's curve is at 0.7
+    p = PopulationVector((0.6, 0.4))
+    assert thermomajorizes(p, gamma, gamma)
+    assert not thermomajorizes(gamma, p, gamma)
+    assert thermomajorizes(p, qubit_population(0.65), gamma)
+    assert not thermomajorizes(p, qubit_population(0.55), gamma)
+    assert not thermomajorizes(p, qubit_population(0.75), gamma)
+    # the excited state's curve reaches 1 at the first elbow, above every other
+    excited = PopulationVector((0.0, 1.0))
+    assert thermomajorizes(excited, qubit_population(1.0), gamma)
+    assert not thermomajorizes(qubit_population(1.0), excited, gamma)
+    # the tolerance is a slack on the heights: a ground entry 1e-10 beyond the
+    # segment end 1 - p0 * e is outside at 1e-12 and inside at 1e-9
+    end = 1.0 - 0.6 * 0.5
+    beyond = qubit_population(end + 1e-10)
+    assert not thermomajorizes(p, beyond, gamma)
+    assert thermomajorizes(p, beyond, gamma, tol=1e-9)
+    # the ends are compared too: this q meets p's curve at the elbow (1/3, 0.4)
+    # and ends 8e-13 above it, within the population rule's 1e-12
+    heavy = PopulationVector((0.6 + 8e-13, 0.4))
+    assert thermomajorizes(p, heavy, gamma)
+    assert not thermomajorizes(p, heavy, gamma, tol=0.0)
 
 
 @given(g=st.floats(0.0, 1.0), bw=st.floats(0.0, 5.0))
@@ -102,7 +89,7 @@ def test_gibbs_majorizes_nothing_else():
     assert thermomajorizes(gamma, gamma, gamma)
 
 
-@given(p0=st.floats(0.0, 1.0), q0=st.floats(0.0, 1.0), bw=st.floats(0.01, 4.0))
+@given(p0=st.floats(0.0, 1.0), q0=st.floats(0.0, 1.0), bw=st.floats(0.0, 30.0))
 @settings(max_examples=300)
 def test_qubit_agreement_with_interval_oracle(p0, q0, bw):
     gamma = qubit_gamma(bw)
@@ -118,25 +105,24 @@ def test_mixture_images_are_thermomajorized(p0, lam, bw):
 
 
 @given(
-    entries=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4),
-    other=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4),
+    p0=st.floats(0.0, 1.0),
+    q0=st.floats(0.0, 1.0),
+    beta_e=st.sampled_from([(0.0, 1.0), (3.0, 0.0), (0.0, 0.0)]),
 )
-def test_uniform_reference_reduces_to_majorization(entries, other):
-    dim = min(len(entries), len(other))
-    p = PopulationVector(tuple(x / math.fsum(entries[:dim]) for x in entries[:dim]))
-    q = PopulationVector(tuple(x / math.fsum(other[:dim]) for x in other[:dim]))
-    spectrum = EnergySpectrum((0.0,) * dim)
-    uniform = gibbs_vector(0.0, spectrum)
+def test_uniform_reference_reduces_to_majorization(p0, q0, beta_e):
+    # the Gibbs state is uniform at infinite temperature or on a degenerate qubit
+    beta, e = beta_e
+    uniform = gibbs_vector(beta, EnergySpectrum((0.0, e)))
+    p, q = qubit_population(p0), qubit_population(q0)
     assert thermomajorizes(p, q, uniform) == classically_majorizes(p, q)
 
 
 def test_transitive_on_random_triples():
     rng = np.random.default_rng(11)
     for _ in range(300):
-        dim = int(rng.integers(2, 6))
-        levels = (0.0, *np.sort(rng.uniform(0.1, 2.0, dim - 1)))
-        gamma = gibbs_vector(float(rng.uniform(0.0, 2.0)), EnergySpectrum(levels))
-        p, q, r = (PopulationVector(tuple(rng.dirichlet(np.ones(dim)))) for _ in range(3))
+        spectrum = EnergySpectrum((0.0, float(rng.uniform(0.1, 2.0))))
+        gamma = gibbs_vector(float(rng.uniform(0.0, 2.0)), spectrum)
+        p, q, r = (qubit_population(float(rng.uniform())) for _ in range(3))
         if thermomajorizes(p, q, gamma) and thermomajorizes(q, r, gamma):
             assert thermomajorizes(p, r, gamma)
 

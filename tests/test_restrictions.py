@@ -127,10 +127,10 @@ def test_model_lambda_max_dispatch():
     assert RestrictionModel.explicit(0.7).lambda_max(2.2) == 0.7
     with pytest.raises(ValueError):
         RestrictionModel.explicit(0.7).lambda_max(-1.0)
-    assert RestrictionModel.jaynes_cummings().clamped(0.4)
-    assert not RestrictionModel.jaynes_cummings().clamped(1.0)
-    assert not RestrictionModel.finite_bath(5).clamped(0.4)
-    assert not RestrictionModel.unrestricted().clamped(0.4)
+    _, clamped = RestrictionModel.jaynes_cummings().resolve([0.4, 1.0])
+    assert clamped.tolist() == [True, False]
+    assert not RestrictionModel.finite_bath(5).resolve([0.4])[1].any()
+    assert not RestrictionModel.unrestricted().resolve([0.4])[1].any()
 
 
 def test_engine_params_from():

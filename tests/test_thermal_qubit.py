@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from threestroke import (
     QUBIT,
-    PopulationVector,
     apply_mixture,
     gibbs_vector,
     qubit_population,
@@ -52,8 +51,6 @@ def test_apply_mixture_examples():
     assert apply_mixture(0.5, math.log(2.0), p).entries == pytest.approx((0.625, 0.375))
     with pytest.raises(ValueError):
         apply_mixture(1.5, 1.0, p)
-    with pytest.raises(ValueError):
-        apply_mixture(0.5, 1.0, PopulationVector((1.0,)))
 
 
 @given(lam=st.floats(0.0, 1.0), bw=st.floats(0.0, 8.0))

@@ -6,10 +6,8 @@ drops the rows where no model operates, and figures writes sweep and tradeoff
 presets plus perf's object at beta_c = 3 beta_h as reference_point.json.
 A failing run prints its error alone; clamp warnings come only with output.
 
-verify prints one PASS or FAIL line per check.  The jc check adds one WARN
-line when the stated high-temperature exchange-coupling cap is measured above
-1: the bisected window where it is, its largest value and the drop of the
-clamped cap across the branch point.
+verify prints the line of each record that the checks in threestroke.checks
+return, and takes a non-negative --seed and distinct --only names.
 
 Exit codes: 0 success, 2 invalid input, 3 I/O error, 4 verification failure.
 CSV output starts with one '#' metadata line (tool version, command line and
@@ -39,29 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bath_oracle import (
-    MAX_GRID,
-    brute_force_performance,
-    jc_time_scan,
-    scan_lambda_max,
-)
-from .engine import (
-    BathTemperatures,
-    EngineParams,
-    check_laws_each,
-    cycle_map,
-    optimal_performance,
-    run_cycles,
-)
+from .bath_oracle import MAX_GRID
+from .checks import CHECKS
+from .engine import BathTemperatures
 from .populations import check_betas
-from .restrictions import (
-    JC_BRANCH_POINT,
-    RestrictionModel,
-    eta_finite_bath,
-    lambda_max_finite_bath,
-    lambda_max_jc,
-    lambda_max_jc_raw,
-)
+from .restrictions import RestrictionModel, lambda_max_jc_raw
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -436,181 +416,10 @@ def cmd_figures(args) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification checks
-
-
-def _check_thm3(seed: int, grid: int) -> list[tuple[str, str]]:
-    cases = [(d, beta_omega) for d in (1, 2, 3) for beta_omega in (0.2, 1.0)] + [(10, 0.5)]
-    worst = max(
-        abs(scan_lambda_max(beta_omega, d) - lambda_max_finite_bath(beta_omega, d))
-        for d, beta_omega in cases
-    )
-    level = "PASS" if worst <= 1e-6 else "FAIL"
-    return [(level, f"thm3: scanned ladder caps match the closed form (max dev {worst:.2e})")]
-
-
-def _check_thm2(seed: int, grid: int) -> list[tuple[str, str]]:
-    rng = np.random.default_rng(seed)
-    worst_w = 0.0
-    worst_eta = 0.0
-    compared = 0
-    for draw in range(10):
-        # Even draws lie where every engine operates: beta_h <= 0.4, beta_c >=
-        # 3 beta_h and caps >= 0.9 give w_max >= 0.018.  Odd draws range wider.
-        engine = draw % 2 == 0
-        beta_h = rng.uniform(0.05, 0.4 if engine else 1.0)
-        beta_c = beta_h * rng.uniform(3.0 if engine else 1.2, 6.0)
-        low = 0.9 if engine else 0.2
-        params = EngineParams(beta_h, beta_c, rng.uniform(low, 1.0), rng.uniform(low, 1.0))
-        point = optimal_performance(params)
-        oracle = brute_force_performance(params, grid)
-        worst_w = max(worst_w, abs(oracle.w_max - max(point.w_max, 0.0)))
-        if point.w_max > 1e-6:
-            compared += 1
-            worst_eta = max(worst_eta, abs(oracle.eta_max - point.eta_max))
-    ok = worst_w <= 1e-6 and worst_eta <= 1e-6
-    level = "PASS" if ok else "FAIL"
-    return [
-        (
-            level,
-            "thm2: grid search of the swap cycle over both mixing weights matches the "
-            f"closed form (work dev {worst_w:.2e}, efficiency dev {worst_eta:.2e} "
-            f"on {compared} of 10 draws)",
-        )
-    ]
-
-
-def _check_eta_d(seed: int, grid: int) -> list[tuple[str, str]]:
-    worst = 0.0
-    beta_h = 0.2
-    ratios = np.linspace(1.05, 10.0, 50)
-    temperatures = BathTemperatures(np.full(ratios.size, beta_h), beta_h * ratios)
-    for d in (5, 10, 15):
-        model = RestrictionModel.finite_bath(d)
-        lh, _ = model.resolve(temperatures.beta_h_omega)
-        lc, _ = model.resolve(temperatures.beta_c_omega)
-        _, _, eta_max = temperatures.optimum(lh, lc)
-        undefined = np.isnan(eta_max)
-        if undefined.any():
-            ratio = ratios[int(undefined.argmax())]
-            return [("FAIL", f"eta-d: efficiency undefined at d={d}, ratio={ratio}")]
-        # eta_finite_bath stays scalar: it is the side checked independently
-        for beta_c, eta in zip(temperatures.beta_c_omega.tolist(), eta_max.tolist()):
-            worst = max(worst, abs(eta_finite_bath(beta_h, beta_c, d) - eta))
-    ok = worst <= 1e-9
-    level = "PASS" if ok else "FAIL"
-    return [
-        (
-            level,
-            "eta-d: stated ladder-bath efficiency matches the general closed form "
-            f"(max dev {worst:.2e})",
-        )
-    ]
-
-
-def _jc_edge(above: float, below: float) -> tuple[float, float]:
-    """Bisect to 1e-12 between temperatures where the stated exchange-coupling
-    cap is above 1 and where it is not; returns the bracket's (below, above)."""
-    while abs(above - below) > 1e-12:
-        mid = 0.5 * (above + below)
-        if lambda_max_jc_raw(mid) > 1.0:
-            above = mid
-        else:
-            below = mid
-    return below, above
-
-
-def _check_jc(seed: int, grid: int) -> list[tuple[str, str]]:
-    lines = []
-    ok = True
-    details = []
-    for beta_omega in (0.5, 1.0, 2.0):
-        cap = lambda_max_jc(beta_omega)
-        scanned = jc_time_scan(beta_omega)
-        inside = cap - 5e-2 <= scanned <= cap + 1e-2
-        ok = ok and inside
-        details.append(f"bw={beta_omega:g}: stated {cap:.6f}, scanned {scanned:.6f}")
-    level = "PASS" if ok else "FAIL"
-    lines.append((level, "jc: time scan brackets the stated cap (" + "; ".join(details) + ")"))
-    # The stated high-temperature branch holds on [0, JC_BRANCH_POINT] (it is
-    # exactly 1 at 0) and the next float takes the other branch.  Probes
-    # bracket the window where the branch exceeds 1, and its edges are bisected.
-    probes = np.linspace(0.0, JC_BRANCH_POINT, 33).tolist()
-    probes.append(math.nextafter(JC_BRANCH_POINT, math.inf))
-    stated = [lambda_max_jc_raw(b) for b in probes[:-1]]
-    above = [i for i, value in enumerate(stated) if value > 1.0]
-    if above:
-        first, last = above[0], above[-1]
-        lower, _ = _jc_edge(probes[first], probes[first - 1])
-        _, upper = _jc_edge(probes[last], probes[last + 1])
-        top = int(np.argmax(stated))
-        drop = lambda_max_jc(JC_BRANCH_POINT) - lambda_max_jc(probes[-1])
-        lines.append(
-            (
-                "WARN",
-                f"jc: stated high-temperature expression exceeds 1 on ({lower:.9f}, {upper:.9f}] "
-                f"(max {stated[top]:.9f} at bw={probes[top]:.9f}); caps are clamped, and the "
-                f"clamped cap drops by {drop:.9f} across the branch point",
-            )
-        )
-    return lines
-
-
-def _check_carnot(seed: int, grid: int) -> list[tuple[str, str]]:
-    rng = np.random.default_rng(seed)
-    count = 2000
-    beta_h = rng.uniform(0.05, 2.0, count)
-    beta_c = beta_h * rng.uniform(1.01, 8.0, count)
-    caps_h = rng.uniform(0.05, 1.0, count)
-    caps_c = rng.uniform(0.05, 1.0, count)
-    lam_h = rng.uniform(0.0, caps_h)
-    lam_c = rng.uniform(0.0, caps_c)
-    swap = rng.integers(0, 2, count).astype(bool)
-    temperatures = BathTemperatures(beta_h, beta_c)
-    # Even cycles start at cycle_map's fixed point q / (p + q), on which the
-    # runner's own strokes must close; odd ones start from a random state
-    # that the runner settles.  Where p + q = 0 every state is fixed, and an
-    # even cycle starts from the random state too.
-    settle = np.arange(count) % 2 == 1
-    p, q = cycle_map(lam_h, lam_c, temperatures, swap)
-    with np.errstate(invalid="ignore"):
-        fixed = q / (p + q)
-    ground = np.where(settle | np.isnan(fixed), rng.uniform(0.0, 1.0, count), fixed)
-    batch = run_cycles(
-        np.stack([ground, 1.0 - ground], axis=-1), lam_h, lam_c, swap,
-        temperatures, caps_h, caps_c, settle,
-    )
-    kinds = ("fails to close", "first law", "heat intake", "carnot bound")
-    masks = [~batch.closes, *check_laws_each(batch, temperatures)]
-    singular = int(batch.singular.sum())
-    failed = np.any(masks, axis=0) & ~batch.singular
-    skipped = f"; {singular} singular draws skipped" if singular else ""
-    if failed.any():
-        first = int(failed.argmax())
-        kind = next(kind for kind, mask in zip(kinds, masks) if mask[first])
-        return [("FAIL", f"carnot: {int(failed.sum())}/{count} cycles violated the laws "
-                 f"(first: {kind} at beta_h={float(beta_h[first])!r}, "
-                 f"beta_c={float(beta_c[first])!r}, lambda_h={float(lam_h[first])!r}, "
-                 f"lambda_c={float(lam_c[first])!r}, "
-                 f"{'swap' if swap[first] else 'identity'}){skipped}")]
-    residual = float(np.abs(batch.residual[~batch.singular]).max(initial=0.0))
-    return [("PASS", f"carnot: closure, first law on the raw heat and Carnot bound hold on "
-             f"{count} cycles, {int(settle.sum())} settled from random starts "
-             f"(worst closure residual {residual:.1e}){skipped}")]
-
-
-_CHECKS = {
-    "thm3": _check_thm3,
-    "thm2": _check_thm2,
-    "eta-d": _check_eta_d,
-    "jc": _check_jc,
-    "carnot": _check_carnot,
-}
-
-
 def cmd_verify(args) -> int:
     seed = _as_int("--seed", args.seed if args.seed is not None else 0)
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     grid = _as_size("--grid", args.grid, 200, 2, MAX_VERIFY_GRID)
     if args.only is not None:
         if not isinstance(args.only, str):
@@ -618,16 +427,18 @@ def cmd_verify(args) -> int:
         names = [name.strip() for name in args.only.split(",") if name.strip()]
         if not names:
             raise ValueError("--only needs at least one check")
-        unknown = [name for name in names if name not in _CHECKS]
+        unknown = [name for name in names if name not in CHECKS]
         if unknown:
-            raise ValueError(f"unknown checks {unknown!r}, available: {sorted(_CHECKS)}")
+            raise ValueError(f"unknown checks {unknown!r}, available: {sorted(CHECKS)}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate checks in {names!r}")
     else:
-        names = list(_CHECKS)
+        names = list(CHECKS)
     failed = False
     for name in names:
-        for level, message in _CHECKS[name](seed, grid):
-            print(f"{level} {message}")
-            failed = failed or level == "FAIL"
+        for record in CHECKS[name](seed, grid):
+            print(record.line)
+            failed = failed or record.level == "FAIL"
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -690,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, help="seed for the randomized checks (default 0)")
     verify.add_argument("--grid", type=int, help="grid size for the brute-force search (default 200)")
     verify.add_argument("--only", metavar="NAMES",
-                        help=f"comma-separated subset of {sorted(_CHECKS)}")
+                        help=f"comma-separated subset of {sorted(CHECKS)}")
     verify.set_defaults(func=cmd_verify)
 
     return parser

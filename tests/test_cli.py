@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from threestroke import (
     RestrictionModel,
+    checks,
     cli,
     engine_params_from,
     eta_finite_bath,
@@ -297,7 +298,7 @@ def test_verify_thm2_compares_efficiency_on_most_draws(seed, capsys):
 
 
 def test_verify_thm2_fails_on_a_slightly_wrong_efficiency(monkeypatch, capsys):
-    exact = cli.optimal_performance
+    exact = checks.optimal_performance
 
     def shifted(params):
         point = exact(params)
@@ -305,7 +306,7 @@ def test_verify_thm2_fails_on_a_slightly_wrong_efficiency(monkeypatch, capsys):
             return point
         return dataclasses.replace(point, eta_max=point.eta_max + 1e-5)
 
-    monkeypatch.setattr(cli, "optimal_performance", shifted)
+    monkeypatch.setattr(checks, "optimal_performance", shifted)
     code, out, _ = run(["verify", "--only", "thm2", "--seed", "0"], capsys)
     assert code == 4
     assert out.startswith("FAIL thm2: ")
@@ -328,24 +329,18 @@ def test_verify_eta_d_line_is_the_scalar_comparison(capsys):
 
 
 def test_verify_eta_d_fails_at_the_first_undefined_efficiency(monkeypatch, capsys):
-    optimum = cli.BathTemperatures.optimum
+    optimum = checks.BathTemperatures.optimum
 
     def undefined_from_the_eighth(self, lambda_h_max, lambda_c_max):
         p_opt, w_max, eta_max = optimum(self, lambda_h_max, lambda_c_max)
         eta_max[7:] = np.nan
         return p_opt, w_max, eta_max
 
-    monkeypatch.setattr(cli.BathTemperatures, "optimum", undefined_from_the_eighth)
+    monkeypatch.setattr(checks.BathTemperatures, "optimum", undefined_from_the_eighth)
     code, out, _ = run(["verify", "--only", "eta-d"], capsys)
     ratio = np.linspace(1.05, 10.0, 50)[7]
     assert code == 4
     assert out == f"FAIL eta-d: efficiency undefined at d=5, ratio={ratio}\n"
-
-
-def test_verify_jc_check_warns(capsys):
-    code, out, _ = run(["verify", "--only", "jc"], capsys)
-    assert code == 0
-    assert any(line.startswith("WARN") and "exceeds 1" in line for line in out.splitlines())
 
 
 def test_verify_jc_reports_the_overshoot_window(capsys):
@@ -384,6 +379,7 @@ def test_verify_unknown_check(capsys):
         (["--only", ""], None, "--only needs at least one check"),
         (["--only", ","], None, "--only needs at least one check"),
         ([], {"only": ["jc"]}, "--only must be a string of check names, got ['jc']"),
+        (["--only", "thm3,thm3"], None, "duplicate checks in ['thm3', 'thm3']"),
     ],
 )
 def test_verify_only_needs_a_check_name(argv, config, message, tmp_path, capsys):
@@ -396,6 +392,13 @@ def test_verify_only_needs_a_check_name(argv, config, message, tmp_path, capsys)
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--only", "thm3", "--seed", "-1"]])
+def test_verify_negative_seed_fails_before_any_check(argv, capsys):
+    code, out, err = run(["verify"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("grid", ["1", "0", "-5"])
 def test_verify_grid_below_two_fails_before_any_check(grid, capsys):
     code, out, err = run(["verify", "--grid", grid], capsys)
@@ -404,7 +407,8 @@ def test_verify_grid_below_two_fails_before_any_check(grid, capsys):
 
 
 def test_verify_forced_failure(monkeypatch, capsys):
-    monkeypatch.setitem(cli._CHECKS, "thm3", lambda seed, grid: [("FAIL", "forced")])
+    forced = checks.CheckRecord("forced", "FAIL", 1.0, 0.0, "a stub")
+    monkeypatch.setitem(checks.CHECKS, "thm3", lambda seed, grid: [forced])
     code, out, _ = run(["verify", "--only", "thm3"], capsys)
     assert code == 4
     assert "FAIL forced" in out
@@ -428,8 +432,8 @@ def _first_open_and_singular(batch):
     ],
 )
 def test_verify_carnot_judges_the_runner(tamper, expected, monkeypatch, capsys):
-    run_cycles = cli.run_cycles
-    monkeypatch.setattr(cli, "run_cycles", lambda *args: tamper(run_cycles(*args)))
+    run_cycles = checks.run_cycles
+    monkeypatch.setattr(checks, "run_cycles", lambda *args: tamper(run_cycles(*args)))
     code, out, _ = run(["verify", "--only", "carnot"], capsys)
     assert out.startswith(expected)
     if expected.startswith("PASS"):

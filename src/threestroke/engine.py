@@ -508,12 +508,12 @@ class BathTemperatures:
     exp_hc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        bh = np.asarray(self.beta_h_omega, dtype=float)
-        bc = np.asarray(self.beta_c_omega, dtype=float)
+        bh = np.asarray(self.beta_h_omega)
+        bc = np.asarray(self.beta_c_omega)
         if bh.ndim != 1 or bh.shape != bc.shape:
             raise ValueError(f"need two 1-d arrays of one length, got {bh.shape} and {bc.shape}")
-        check_betas(bh, "beta_h_omega")
-        check_betas(bc, "beta_c_omega")
+        bh = check_betas(bh, "beta_h_omega")
+        bc = check_betas(bc, "beta_c_omega")
         object.__setattr__(self, "beta_h_omega", bh)
         object.__setattr__(self, "beta_c_omega", bc)
         object.__setattr__(self, "exp_h", elementwise(math.exp, -bh))

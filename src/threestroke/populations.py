@@ -33,6 +33,10 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 _DRIFT_TOL = 1e-9
+_ENTRY_MAX = 1.0 + _SUM_TOL
+# float() parses text, so every rule below rejects str and bytes before it:
+# no input is silently coerced.
+_TEXT = (str, bytes)
 
 
 # The input rules of the package: every module checks temperatures, caps in
@@ -41,14 +45,20 @@ _DRIFT_TOL = 1e-9
 
 def check_beta(value: float, name: str = "beta_omega") -> float:
     """value as a float, if it is finite and >= 0, as temperatures and times must be."""
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
+    if not isinstance(value, _TEXT):
+        value = float(value)
+        if math.isfinite(value) and value >= 0.0:
+            return value
+    raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:
     """check_beta over a 1-d array, with its message for the first bad entry."""
+    values = np.asarray(values)
+    if values.dtype.kind in "USO":  # text, or objects that may be text
+        for value in values.ravel().tolist():
+            if isinstance(value, _TEXT):
+                check_beta(value, name)
     values = np.asarray(values, dtype=float)
     ok = np.isfinite(values) & (values >= 0.0)
     if not ok.all():
@@ -58,10 +68,11 @@ def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:
 
 def check_unit_interval(value: float, name: str) -> float:
     """value as a float, if it lies in [0, 1]."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
+    if not isinstance(value, _TEXT):
+        value = float(value)
+        if 0.0 <= value <= 1.0:
+            return value
+    raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def check_size(value: int, name: str, minimum: int) -> int:
@@ -82,29 +93,51 @@ class PopulationVector:
     Entries must lie in [0, 1] and sum to one within 1e-12.  Sums drifting
     further (but staying within 1e-9) are renormalized and the instance is
     marked with ``renormalized=True`` so the correction is never silent;
-    anything worse is rejected as a caller bug.
+    anything worse is rejected as a caller bug, and so is text.
     """
 
     entries: tuple[float, ...]
     renormalized: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(float(x) for x in self.entries)
-        if len(entries) != 2:
-            raise ValueError(f"a qubit population has two entries, got {len(entries)}")
-        for x in entries:
-            if not math.isfinite(x):
-                raise ValueError(f"non-finite population entry {x!r}")
-            if x < -_SUM_TOL or x > 1.0 + _SUM_TOL:
-                raise ValueError(f"population entry {x!r} outside [0, 1]")
-        total = math.fsum(entries)
-        drift = abs(total - 1.0)
-        if drift > _DRIFT_TOL:
-            raise ValueError(f"population sum {total!r} too far from 1 to renormalize")
-        if drift > _SUM_TOL:
-            entries = tuple(x / total for x in entries)
-            object.__setattr__(self, "renormalized", True)
-        object.__setattr__(self, "entries", entries)
+        entries = tuple(self.entries)
+        if len(entries) == 2:
+            g, x = entries
+            if type(g) is not float or type(x) is not float:
+                if isinstance(g, _TEXT) or isinstance(x, _TEXT):
+                    raise _population_error(entries)
+                g, x = float(g), float(x)
+            total = g + x  # fsum's sum of two floats, up to the sign of a zero sum
+            drift = abs(total - 1.0)
+            # NaN fails every comparison
+            in_range = -_SUM_TOL <= g <= _ENTRY_MAX and -_SUM_TOL <= x <= _ENTRY_MAX
+            if in_range and drift <= _DRIFT_TOL:
+                if drift > _SUM_TOL:
+                    g, x = g / total, x / total
+                    object.__setattr__(self, "renormalized", True)
+                object.__setattr__(self, "entries", (g, x))
+                return
+        raise _population_error(entries)
+
+
+def _population_error(entries: tuple) -> ValueError:
+    """The error for entries that PopulationVector's check rejects.
+
+    The entries are taken one at a time, in the order of the rules, and the
+    sum is fsum's, so the message is the first rule's that fails.
+    """
+    for x in entries:
+        if isinstance(x, _TEXT):
+            return ValueError(f"population entry {x!r} outside [0, 1]")
+    entries = tuple(float(x) for x in entries)
+    if len(entries) != 2:
+        return ValueError(f"a qubit population has two entries, got {len(entries)}")
+    for x in entries:
+        if not math.isfinite(x):
+            return ValueError(f"non-finite population entry {x!r}")
+        if x < -_SUM_TOL or x > _ENTRY_MAX:
+            return ValueError(f"population entry {x!r} outside [0, 1]")
+    return ValueError(f"population sum {math.fsum(entries)!r} too far from 1 to renormalize")
 
 
 @dataclass(frozen=True)

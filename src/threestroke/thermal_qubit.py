@@ -28,11 +28,13 @@ _WEIGHT_SLACK = 1e-12
 
 
 def capped_weight(lam: float, cap: float = 1.0) -> float:
-    """The mixing weight as a float, held to [0, cap] with 1e-12 slack."""
-    value = float(lam)
-    if not math.isfinite(value) or value < 0.0 or value > cap + _WEIGHT_SLACK:
-        raise ValueError(f"mixing weight {value!r} outside [0, {cap!r}]")
-    return value
+    """The mixing weight as a float, held to [0, cap] with 1e-12 slack; text is rejected."""
+    value = lam
+    if not isinstance(value, (str, bytes)):
+        value = float(value)
+        if math.isfinite(value) and not (value < 0.0 or value > cap + _WEIGHT_SLACK):
+            return value
+    raise ValueError(f"mixing weight {value!r} outside [0, {cap!r}]")
 
 
 def capped_weights(lam: np.ndarray, cap: np.ndarray) -> np.ndarray:

@@ -117,17 +117,27 @@ def test_tuple_and_array_specs_simulate_the_same_floats(d):
     assert achieved_lambda(from_arrays, 0.7, d) == achieved_lambda(from_tuples, 0.7, d)
 
 
-@pytest.mark.parametrize("block_floats", [2, 6, 14])  # chunks of 1, 3 and 7 blocks
-def test_conjugation_is_exact_across_chunk_sizes(block_floats, monkeypatch):
-    rng = np.random.default_rng(block_floats)
+def chunk_blocks():
+    """Blocks per chunk of the conjugation at the current _GRID_BLOCK_FLOATS."""
+    return bath_oracle._rotation_chunks(10_000)[0].stop
+
+
+@pytest.mark.parametrize("chunk", [2, 6, 14])  # blocks per chunk
+def test_conjugation_is_exact_across_chunk_sizes(chunk, monkeypatch):
+    rng = np.random.default_rng(chunk)
     cases = []
     for d in range(1, 21):
-        state = JointState.product(qubit_population(rng.uniform()), rng.uniform(0.0, 5.0), d)
-        cases.append((state, random_spec(rng, d)))
-    expected = [state.conjugated(spec).blocks for state, spec in cases]
-    monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", block_floats)
-    for (state, spec), blocks in zip(cases, expected):
+        p, bw = qubit_population(rng.uniform()), rng.uniform(0.0, 5.0)
+        cases.append((p, bw, JointState.product(p, bw, d), random_spec(rng, d)))
+    expected = [
+        (state.conjugated(spec).blocks, simulate_finite_bath_map(p, bw, state.d, spec))
+        for p, bw, state, spec in cases
+    ]
+    monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", 8 * chunk)
+    assert chunk_blocks() == chunk
+    for (p, bw, state, spec), (blocks, simulated) in zip(cases, expected):
         assert np.array_equal(bits(state.conjugated(spec).blocks), bits(blocks))
+        assert simulate_finite_bath_map(p, bw, state.d, spec).entries == simulated.entries
 
 
 def test_conjugation_is_exact_in_one_chunk_at_the_largest_bath(monkeypatch):
@@ -135,7 +145,8 @@ def test_conjugation_is_exact_in_one_chunk_at_the_largest_bath(monkeypatch):
     state = JointState.product(qubit_population(0.3), 0.01, d)
     specs = (random_spec(np.random.default_rng(11), d), BlockUnitarySpec.full_swap(d))
     chunked = [state.conjugated(spec).blocks for spec in specs]
-    monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", 2 * d)
+    monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", 8 * d)
+    assert chunk_blocks() == d
     for spec, blocks in zip(specs, chunked):
         assert np.array_equal(bits(state.conjugated(spec).blocks), bits(blocks))
 
@@ -156,6 +167,54 @@ def test_conjugation_peak_memory_at_the_largest_bath():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+def test_simulation_peak_memory_at_the_largest_bath():
+    """The two (d,) diagonals (160 KB) and one chunk's temporaries; no block array.
+
+    Two (d, 2, 2) complex block arrays, 640 KB each, would take the peak far
+    past the bound.
+    """
+    d = 10_000
+    p, spec = qubit_population(0.3), random_spec(np.random.default_rng(4), d)
+    tracemalloc.start()
+    try:
+        simulate_finite_bath_map(p, 0.5, d, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 2**10
+
+
+SPECIAL_ANGLES = (0.0, -0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
+
+
+@given(
+    d=st.one_of(
+        st.integers(1, 25),
+        st.sampled_from([-1, 0, 1]).map(lambda k: chunk_blocks() + k),
+        st.just(10_000),
+    ),
+    ground=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    bw=st.one_of(st.sampled_from([0.0, 700.0]), st.floats(0.0, 5.0)),
+    full_swap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_simulation_is_the_joint_state_path_bit_for_bit(d, ground, bw, full_swap, seed):
+    """The one chunk pass gives the floats of product, conjugated and reduced_qubit."""
+    if full_swap:
+        spec = BlockUnitarySpec.full_swap(d)
+    else:
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-7.0, 7.0, (3, d))
+        special = rng.uniform(size=(3, d)) < 0.5
+        angles[special] = rng.choice(SPECIAL_ANGLES, int(special.sum()))
+        spec = BlockUnitarySpec(*angles)
+    p = qubit_population(ground)
+    expected = JointState.product(p, bw, d).conjugated(spec).reduced_qubit()
+    simulated = simulate_finite_bath_map(p, bw, d, spec)
+    assert [x.hex() for x in simulated.entries] == [x.hex() for x in expected.entries]
 
 
 def test_joint_state_holds_a_copy_of_given_blocks():
@@ -192,6 +251,16 @@ def test_joint_state_validation():
         JointState(0.0, 0.0, [[[0.5, 0.6], [0.6, 0.5]]])  # indefinite block
     with pytest.raises(ValueError):
         JointState(0.5, 0.5, ok_block)  # trace 1.5
+    # NaN fails every comparison, so each check must be written to reject it
+    nan_cases = [
+        (0.25, 0.25, [[[0.3, 0.0], [0.0, math.nan]]]),
+        (math.nan, 0.25, ok_block),
+        (0.25, 0.25, [[[0.3, math.nan], [math.nan, 0.2]]]),
+        (0.25, 0.25, [[[0.3, complex(0.0, math.nan)], [complex(0.0, math.nan), 0.2]]]),
+    ]
+    for corner_low, corner_high, blocks in nan_cases:
+        with pytest.raises(ValueError, match="finite"):
+            JointState(corner_low, corner_high, blocks)
 
 
 def test_conjugation_preserves_trace_and_shape():

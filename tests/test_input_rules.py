@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from threestroke import (
@@ -27,6 +28,7 @@ from threestroke import (
     simulate_finite_bath_map,
 )
 from threestroke.engine import BathTemperatures
+from threestroke.populations import check_beta, check_betas, check_unit_interval
 
 P = qubit_population(0.6)
 SPEC = BlockUnitarySpec.full_swap(3)
@@ -62,11 +64,31 @@ TAKES_A_TEMPERATURE = {
 }
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, "x"], ids=repr)
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, "x", "0.5"], ids=repr)
 @pytest.mark.parametrize("name", sorted(TAKES_A_TEMPERATURE))
 def test_every_temperature_input_rejects_bad_values(name, bad):
     with pytest.raises(ValueError):
         TAKES_A_TEMPERATURE[name](bad)
+
+
+# Text that float() would parse, given where a number belongs.
+TEXT_FOR_A_NUMBER = {
+    "PopulationVector": lambda: PopulationVector(("0.3", "0.7")),
+    "PopulationVector.bytes": lambda: PopulationVector((0.3, b"0.7")),
+    "PopulationVector.str": lambda: PopulationVector("01"),
+    "check_unit_interval": lambda: check_unit_interval("0.25", "lambda"),
+    "apply_mixture.lambda": lambda: apply_mixture("0.5", 0.3, P),
+    "check_beta.bytes": lambda: check_beta(b"0.5"),
+    "check_betas.list": lambda: check_betas([0.2, "0.5"]),
+    "check_betas.objects": lambda: check_betas(np.array([0.2, "0.5"], dtype=object)),
+    "jc_time_scan.time_grid": lambda: jc_time_scan(0.5, ["1.0", "2.0"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_FOR_A_NUMBER))
+def test_text_is_not_coerced(name):
+    with pytest.raises(ValueError):
+        TEXT_FOR_A_NUMBER[name]()
 
 
 # Every type that fixes the qubit's two levels, built with another number of them.

@@ -27,6 +27,9 @@ def test_entries_validated():
         PopulationVector(())
     with pytest.raises(ValueError):
         PopulationVector((0.5, math.nan))
+    # fsum's sum of two negative zeros is 0.0, where -0.0 + -0.0 is -0.0
+    with pytest.raises(ValueError, match=r"^population sum 0\.0 too far"):
+        PopulationVector((-0.0, -0.0))
 
 
 def test_sum_drift_tiers():

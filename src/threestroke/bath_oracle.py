@@ -319,7 +319,8 @@ class JointState:
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        blocks = np.array(self.blocks, dtype=complex)
+        # C order whatever the caller's layout: _entries views blocks entrywise
+        blocks = np.array(self.blocks, dtype=complex, order="C")
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
         self._check()
@@ -391,7 +392,7 @@ class JointState:
         """
         if spec.d != self.d:
             raise ValueError(f"spec has {spec.d} blocks but the state has {self.d}")
-        rotated = np.empty_like(self.blocks)
+        rotated = np.empty(self.blocks.shape, dtype=complex)
         for chunk in _rotation_chunks(self.d):
             _rotate(spec, chunk, _entries(self.blocks[chunk]), _entries(rotated[chunk]))
         return JointState._adopt(self.corner_low, self.corner_high, rotated)
@@ -409,7 +410,13 @@ class JointState:
 
 
 def _entries(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Views of the entries b00, b01, b10, b11 of a C-contiguous run of 2x2 blocks."""
+    """Views of the entries b00, b01, b10, b11 of a C-contiguous run of 2x2 blocks.
+
+    Any other layout is refused: its reshape would be a copy, and what
+    conjugated writes through the entries would be lost.
+    """
+    if not blocks.flags.c_contiguous:
+        raise ValueError("the entries of blocks are views only of a C-contiguous array")
     return tuple(blocks.reshape(-1, 4).T)
 
 

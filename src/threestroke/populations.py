@@ -21,6 +21,7 @@ __all__ = [
     "GibbsVector",
     "PopulationVector",
     "QUBIT",
+    "as_number",
     "average_energy",
     "check_beta",
     "check_betas",
@@ -33,9 +34,6 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 _DRIFT_TOL = 1e-9
-_ENTRY_MAX = 1.0 + _SUM_TOL
-# float() parses text, so every rule below rejects str and bytes before it:
-# no input is silently coerced.
 _TEXT = (str, bytes)
 
 
@@ -43,12 +41,20 @@ _TEXT = (str, bytes)
 # [0, 1] and integer sizes through these.
 
 
+def as_number(value: float) -> float:
+    """float(value), except that text (str or bytes), which float() would
+    parse, is returned as it is, for the calling rule to reject: no input is
+    silently coerced.  The rules here, PopulationVector and the mixing weight
+    take their numbers through this.
+    """
+    return value if isinstance(value, _TEXT) else float(value)
+
+
 def check_beta(value: float, name: str = "beta_omega") -> float:
     """value as a float, if it is finite and >= 0, as temperatures and times must be."""
-    if not isinstance(value, _TEXT):
-        value = float(value)
-        if math.isfinite(value) and value >= 0.0:
-            return value
+    value = as_number(value)
+    if isinstance(value, float) and math.isfinite(value) and value >= 0.0:
+        return value
     raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
@@ -68,10 +74,9 @@ def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:
 
 def check_unit_interval(value: float, name: str) -> float:
     """value as a float, if it lies in [0, 1]."""
-    if not isinstance(value, _TEXT):
-        value = float(value)
-        if 0.0 <= value <= 1.0:
-            return value
+    value = as_number(value)
+    if isinstance(value, float) and 0.0 <= value <= 1.0:
+        return value
     raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
@@ -101,43 +106,26 @@ class PopulationVector:
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
-        if len(entries) == 2:
-            g, x = entries
-            if type(g) is not float or type(x) is not float:
-                if isinstance(g, _TEXT) or isinstance(x, _TEXT):
-                    raise _population_error(entries)
-                g, x = float(g), float(x)
-            total = g + x  # fsum's sum of two floats, up to the sign of a zero sum
-            drift = abs(total - 1.0)
-            # NaN fails every comparison
-            in_range = -_SUM_TOL <= g <= _ENTRY_MAX and -_SUM_TOL <= x <= _ENTRY_MAX
-            if in_range and drift <= _DRIFT_TOL:
-                if drift > _SUM_TOL:
-                    g, x = g / total, x / total
-                    object.__setattr__(self, "renormalized", True)
-                object.__setattr__(self, "entries", (g, x))
-                return
-        raise _population_error(entries)
-
-
-def _population_error(entries: tuple) -> ValueError:
-    """The error for entries that PopulationVector's check rejects.
-
-    The entries are taken one at a time, in the order of the rules, and the
-    sum is fsum's, so the message is the first rule's that fails.
-    """
-    for x in entries:
-        if isinstance(x, _TEXT):
-            return ValueError(f"population entry {x!r} outside [0, 1]")
-    entries = tuple(float(x) for x in entries)
-    if len(entries) != 2:
-        return ValueError(f"a qubit population has two entries, got {len(entries)}")
-    for x in entries:
-        if not math.isfinite(x):
-            return ValueError(f"non-finite population entry {x!r}")
-        if x < -_SUM_TOL or x > _ENTRY_MAX:
-            return ValueError(f"population entry {x!r} outside [0, 1]")
-    return ValueError(f"population sum {math.fsum(entries)!r} too far from 1 to renormalize")
+        if not (len(entries) == 2 and entries[0].__class__ is entries[1].__class__ is float):
+            entries = tuple(map(as_number, entries))
+        if len(entries) != 2:
+            raise ValueError(f"a qubit population has two entries, got {len(entries)}")
+        for x in entries:
+            if not isinstance(x, float):
+                raise ValueError(f"population entry {x!r} outside [0, 1]")
+            if not math.isfinite(x):
+                raise ValueError(f"non-finite population entry {x!r}")
+            if x < -_SUM_TOL or x > 1.0 + _SUM_TOL:
+                raise ValueError(f"population entry {x!r} outside [0, 1]")
+        g, x = entries
+        total = (g + x) or 0.0  # fsum's sum of two floats, +0.0 for a zero sum
+        drift = abs(total - 1.0)
+        if drift > _DRIFT_TOL:
+            raise ValueError(f"population sum {total!r} too far from 1 to renormalize")
+        if drift > _SUM_TOL:
+            entries = (g / total, x / total)
+            object.__setattr__(self, "renormalized", True)
+        object.__setattr__(self, "entries", entries)
 
 
 @dataclass(frozen=True)

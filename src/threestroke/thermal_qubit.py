@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .populations import PopulationVector, check_beta
+from .populations import PopulationVector, as_number, check_beta
 
 __all__ = [
     "apply_mixture",
@@ -29,11 +29,11 @@ _WEIGHT_SLACK = 1e-12
 
 def capped_weight(lam: float, cap: float = 1.0) -> float:
     """The mixing weight as a float, held to [0, cap] with 1e-12 slack; text is rejected."""
-    value = lam
-    if not isinstance(value, (str, bytes)):
-        value = float(value)
-        if math.isfinite(value) and not (value < 0.0 or value > cap + _WEIGHT_SLACK):
-            return value
+    value = as_number(lam)
+    if isinstance(value, float) and math.isfinite(value) and not (
+        value < 0.0 or value > cap + _WEIGHT_SLACK
+    ):
+        return value
     raise ValueError(f"mixing weight {value!r} outside [0, {cap!r}]")
 
 

@@ -122,7 +122,7 @@ def chunk_blocks():
     return bath_oracle._rotation_chunks(10_000)[0].stop
 
 
-@pytest.mark.parametrize("chunk", [2, 6, 14])  # blocks per chunk
+@pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, 14])  # blocks per chunk
 def test_conjugation_is_exact_across_chunk_sizes(chunk, monkeypatch):
     rng = np.random.default_rng(chunk)
     cases = []
@@ -228,6 +228,28 @@ def test_joint_state_holds_a_copy_of_given_blocks():
         given[:] = 0.0  # the caller's array changes, the state does not
         assert np.array_equal(held.blocks, before)
         assert held.trace == pytest.approx(1.0)
+
+
+def test_conjugation_is_exact_for_any_layout_of_given_blocks():
+    """A Fortran-ordered, a transposed and a strided array conjugate as their C copies do."""
+    rng = np.random.default_rng(12)
+    d = 9
+    start = JointState.product(qubit_population(0.4), 0.6, d).conjugated(random_spec(rng, d))
+    spec = random_spec(rng, d)
+    blocks = np.array(start.blocks)
+    layouts = (
+        np.asfortranarray(blocks),
+        blocks.conj().transpose(0, 2, 1),  # Hermitian blocks, so a valid state
+        np.stack([blocks, blocks], axis=1)[:, 0],
+    )
+    for given in layouts:
+        assert not given.flags.c_contiguous
+        expected = JointState(start.corner_low, start.corner_high, np.ascontiguousarray(given))
+        state = JointState(start.corner_low, start.corner_high, given)
+        assert np.array_equal(bits(state.blocks), bits(expected.blocks))
+        assert np.array_equal(
+            bits(state.conjugated(spec).blocks), bits(expected.conjugated(spec).blocks)
+        )
 
 
 def test_joint_state_product():

@@ -9,7 +9,6 @@ temperature arguments throughout are the dimensionless products beta * omega.
 from .bath_oracle import (
     BlockUnitarySpec,
     BruteForceResult,
-    JointState,
     ResourceLimitError,
     achieved_lambda,
     brute_force_performance,
@@ -68,7 +67,6 @@ __all__ = [
     "EnergySpectrum",
     "EngineParams",
     "GibbsVector",
-    "JointState",
     "LawDiagnostics",
     "PerformancePoint",
     "PopulationVector",

@@ -4,17 +4,15 @@ The ladder-bath stroke is simulated explicitly: the joint Hilbert space of
 the qubit and a (d+1)-level ladder splits into two invariant corners plus d
 two-dimensional blocks, so conjugating by an energy-preserving unitary and
 tracing out the bath costs O(d) regardless of the angles.  The block angles
-are held as read-only float arrays, and one kernel (_rotate) writes the d
-2x2 conjugations out as elementwise products over chunks of blocks, one
-output entry at a time; one validator (_check_blocks) checks a chunk of
-blocks.  JointState.conjugated and simulate_finite_bath_map both use them.
-The simulation makes one pass over chunks and no (d, 2, 2) block array: it
-holds the product state's and the rotated state's diagonals only, every
-temporary is at most 64 KB, so it comes from the heap rather than from a
-fresh, page-faulted map, and a call takes no page faults once the heap has
-grown to it.  The partition function, the state's trace check and the
-reduced populations are pairwise numpy sums (their error bound is derived in
-JointState.trace).  Beside the simulation
+are held as read-only float arrays.  simulate_finite_bath_map holds the
+product state's two block diagonals, and in one pass over chunks of blocks
+rotates each chunk (_rotate, elementwise products one output entry at a
+time), checks it (_check_blocks) and writes its new diagonals back; it makes
+no (d, 2, 2) block array, every temporary is at most 64 KB, so it comes from
+the heap rather than from a fresh, page-faulted map, and a call takes no page
+faults once the heap has grown to it.  The partition function, the state's
+trace check and the reduced populations are pairwise numpy sums (their error
+bound is derived in _ladder_weights).  Beside the simulation
 sit a one-sweep coordinate search over the block angles and a brute-force
 grid over the mixing weights of the swap cycle (the identity, the
 qubit's other work permutation, releases exactly zero work); neither
@@ -41,7 +39,7 @@ from .engine import (
     CLOSURE_TOL, SINGULAR_TOL, EngineParams, check_laws, cycle_map, cyclic_state, run_cycle
 )
 from .ergotropy import WorkPermutation
-from .populations import PopulationVector, check_beta, check_betas, check_size
+from .populations import PopulationVector, as_numbers, check_beta, check_betas, check_size
 
 __all__ = [
     "MAX_GRID",
@@ -49,7 +47,6 @@ __all__ = [
     "MAX_TRUNCATION",
     "BlockUnitarySpec",
     "BruteForceResult",
-    "JointState",
     "ResourceLimitError",
     "achieved_lambda",
     "brute_force_performance",
@@ -84,6 +81,8 @@ _GRID_BLOCK_FLOATS = 8_192
 _TRACE_TOL = 2e-12
 _PSD_TOL = 1e-12
 _HERMITIAN_TOL = 1e-10
+# exp(-x) is 0 for every x past this (see _ladder_weights)
+_EXP_UNDERFLOW = 746.0
 # Pruned brute-force grid (see brute_force_performance): lattice stride,
 # corner floors of the slack and the intake, rounding margins.
 _PRUNE_STRIDE = 16
@@ -104,7 +103,7 @@ def _check_bounded(value: int, name: str, minimum: int, limit: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockUnitarySpec:
     """Angles of an energy-preserving joint unitary, one rotation per block.
 
@@ -118,19 +117,18 @@ class BlockUnitarySpec:
     The angles are held as read-only 1-d float64 arrays, the rows of one
     (3, d) copy of the inputs, so the simulation reads them without any
     per-angle Python and takes the two phases' cosines and sines at once.  An
-    empty, non-1-d or non-finite input, or unequal counts, raise ValueError.
-    Two specs are equal when their angles are, and hash alike then, as when
-    the angles were tuples of floats.
+    empty, non-1-d or non-finite input, unequal counts, or text, raise
+    ValueError.
     """
 
     thetas: np.ndarray
     phis: np.ndarray
     alphas: np.ndarray
-    _angles: np.ndarray = field(init=False, repr=False, compare=False)
+    _angles: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         names = ("thetas", "phis", "alphas")
-        angles = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        angles = [as_numbers(getattr(self, name), name) for name in names]
         for name, values in zip(names, angles):
             if values.ndim != 1:
                 raise ValueError(f"{name} must be 1-d, got shape {values.shape}")
@@ -150,14 +148,6 @@ class BlockUnitarySpec:
         for name, values in zip(names, stacked):
             object.__setattr__(self, name, values)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BlockUnitarySpec):
-            return NotImplemented
-        return np.array_equal(self._angles, other._angles)
-
-    def __hash__(self) -> int:
-        return hash(tuple(map(tuple, self._angles.tolist())))
-
     @property
     def d(self) -> int:
         return self.thetas.size
@@ -175,11 +165,30 @@ def _check_bath(beta_omega: float, d: int) -> tuple[float, int]:
 def _ladder_weights(beta_omega: float, d: int) -> tuple[np.ndarray, float]:
     """Boltzmann weights exp(-beta_omega n) of the ladder levels n = 0..d, and Z.
 
-    The partition function Z is numpy's pairwise sum of the d + 1 positive
-    weights; by the bound derived in JointState.trace, its relative error is
-    below 36 eps = 8e-15.
+    The weights are np.exp(-beta_omega * np.arange(d + 1)) bit for bit, but
+    exp is evaluated only on the levels with beta_omega n up to 746 and the
+    rest are zero-filled: exp(-x) rounds to 0 above 1075 ln 2 = 745.13 (746
+    leaves a margin for the rounding of x), and numpy takes a slow path for
+    each entry that does (about 13 ns against 1.2 ns).  Subnormal weights, from x = 708.4 on, are not zero and stay on
+    exp, at about 146 ns each.
+
+    The error bound of this module's sums: the partition function Z, the
+    simulation's trace checks and its reduced populations are numpy's
+    pairwise sums of at most d + 1 <= 10 001 terms.  numpy sums
+    with eight running partial sums in runs of at most 128 terms, so a term
+    passes through at most 25 additions in its run and ceil(log2(10 001 /
+    128)) = 7 levels above it; with the reduction's start, the one addition
+    that forms a term (a block's two diagonal entries) and the two corners
+    added after, that is at most 36 roundings.  Each sum therefore errs by
+    below 36 eps = 8e-15 times the sum of its magnitudes, about 1: more than
+    two orders of magnitude under the 2e-12 trace tolerance.
     """
-    weights = np.exp(-beta_omega * np.arange(d + 1))
+    weights = np.zeros(d + 1)
+    if beta_omega * d <= _EXP_UNDERFLOW:
+        live = d + 1
+    else:  # beta_omega * d > 746, so the quotient is finite and at most d
+        live = int(_EXP_UNDERFLOW / beta_omega) + 1
+    np.exp(-beta_omega * np.arange(live), out=weights[:live])
     return weights, float(weights.sum())
 
 
@@ -190,7 +199,7 @@ def _chunks(d: int, size: int) -> list[slice]:
 
 
 def _rotation_chunks(d: int) -> list[slice]:
-    """Chunks of _GRID_BLOCK_FLOATS / 8 blocks for the conjugation and the block checks.
+    """Chunks of _GRID_BLOCK_FLOATS / 8 blocks for the rotation and its checks.
 
     A rotation holds about a dozen complex temporaries per block at once, each
     of 2 floats a block, so a chunk's temporaries are 16 KB each and about
@@ -301,141 +310,24 @@ def _product(p: PopulationVector, beta_omega: float, d: int) -> tuple:
     return float(g * weights[0] / z), float(x * weights[-1] / z), ground, excited
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Qubit-ladder state held in the conserved-energy block basis.
-
-    The joint space splits into the unpaired corners |0, 0> and |1, d> plus d
-    two-dimensional blocks; blocks[j] is the 2x2 density block on the pair
-    (|0, j+1>, |1, j>) for j = 0..d-1.  Nothing here is ever materialized as a
-    dense 2(d+1) matrix, which keeps even d in the thousands cheap.  A state
-    holds finite, real, non-negative corners and finite, Hermitian, positive
-    semidefinite blocks (checked a chunk of blocks at a time, so the first
-    chunk with a defect names it), and its trace is 1 within 2e-12.
-    """
-
-    corner_low: float
-    corner_high: float
-    blocks: np.ndarray
-
-    def __post_init__(self) -> None:
-        # C order whatever the caller's layout: _entries views blocks entrywise
-        blocks = np.array(self.blocks, dtype=complex, order="C")
-        blocks.setflags(write=False)
-        object.__setattr__(self, "blocks", blocks)
-        self._check()
-
-    @classmethod
-    def _adopt(cls, corner_low: float, corner_high: float, blocks: np.ndarray) -> JointState:
-        """A state on a complex array that product or conjugated has just built.
-
-        No one else holds the array, so it is made read-only and kept without
-        the copy __post_init__ takes of a caller's blocks; every check still
-        runs.
-        """
-        blocks.setflags(write=False)
-        state = object.__new__(cls)
-        object.__setattr__(state, "corner_low", corner_low)
-        object.__setattr__(state, "corner_high", corner_high)
-        object.__setattr__(state, "blocks", blocks)
-        state._check()
-        return state
-
-    def _check(self) -> None:
-        blocks = self.blocks
-        if blocks.ndim != 3 or blocks.shape[1:] != (2, 2) or blocks.shape[0] < 1:
-            raise ValueError(f"blocks must have shape (d, 2, 2), got {blocks.shape}")
-        object.__setattr__(self, "corner_low", float(self.corner_low))
-        object.__setattr__(self, "corner_high", float(self.corner_high))
-        _check_corners(self.corner_low, self.corner_high)
-        for chunk in _rotation_chunks(self.d):
-            _check_blocks(*_entries(blocks[chunk]))
-        _check_trace(self.trace)
-
-    @property
-    def d(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def trace(self) -> float:
-        """Corners plus the block diagonals, the blocks' part by numpy's sum.
-
-        Each block contributes b00 + b11, one addition, the same bits as a
-        two-term trace of the block.  numpy sums the d terms pairwise, with
-        eight running partial sums in runs of at most 128 terms.  A term
-        passes through at most 25 additions in its run, ceil(log2(d / 128))
-        <= 7 levels above it, its own b00 + b11, the reduction's start and the
-        two corners: 36 roundings for d <= 10 000.  The error is therefore
-        below 36 eps = 8e-15 times the sum of the magnitudes, about 1, which
-        is more than two orders of magnitude under the 2e-12 trace tolerance.
-        """
-        diagonals = self.blocks[:, 0, 0].real + self.blocks[:, 1, 1].real
-        return self.corner_low + self.corner_high + float(diagonals.sum())
-
-    @classmethod
-    def product(cls, p: PopulationVector, beta_omega: float, d: int) -> JointState:
-        """rho_S tensor gamma_E for a diagonal qubit and a (d+1)-level ladder."""
-        beta_omega, d = _check_bath(beta_omega, d)
-        corner_low, corner_high, ground, excited = _product(p, beta_omega, d)
-        blocks = np.zeros((d, 2, 2), dtype=complex)
-        blocks[:, 0, 0] = ground
-        blocks[:, 1, 1] = excited
-        return cls._adopt(corner_low, corner_high, blocks)
-
-    def conjugated(self, spec: BlockUnitarySpec) -> JointState:
-        """Conjugate by the block unitary; the corners have no partner and stay.
-
-        The blocks are rotated a chunk at a time (see _rotate) straight into
-        the output, which is allocated once; the chunks' temporaries stay
-        below glibc's mmap threshold, so they come from the heap instead of
-        fresh, page-faulted maps.
-        """
-        if spec.d != self.d:
-            raise ValueError(f"spec has {spec.d} blocks but the state has {self.d}")
-        rotated = np.empty(self.blocks.shape, dtype=complex)
-        for chunk in _rotation_chunks(self.d):
-            _rotate(spec, chunk, _entries(self.blocks[chunk]), _entries(rotated[chunk]))
-        return JointState._adopt(self.corner_low, self.corner_high, rotated)
-
-    def reduced_qubit(self) -> PopulationVector:
-        """Trace out the ladder; block row 0 feeds ground, row 1 excited.
-
-        Each population adds its corner to numpy's pairwise sum of one block
-        diagonal.  By the bound derived in trace, each errs by below 36 eps =
-        8e-15 times the sum of the magnitudes, which is at most about 1.
-        """
-        ground = self.corner_low + float(self.blocks[:, 0, 0].real.sum())
-        excited = self.corner_high + float(self.blocks[:, 1, 1].real.sum())
-        return PopulationVector((ground, excited))
-
-
-def _entries(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Views of the entries b00, b01, b10, b11 of a C-contiguous run of 2x2 blocks.
-
-    Any other layout is refused: its reshape would be a copy, and what
-    conjugated writes through the entries would be lost.
-    """
-    if not blocks.flags.c_contiguous:
-        raise ValueError("the entries of blocks are views only of a C-contiguous array")
-    return tuple(blocks.reshape(-1, 4).T)
-
-
 def simulate_finite_bath_map(
     p: PopulationVector, beta_omega: float, d: int, spec: BlockUnitarySpec
 ) -> PopulationVector:
     """Conjugate the joint product state by the block unitary, trace the bath.
 
-    The floats and the checks of
-    JointState.product(p, beta_omega, d).conjugated(spec).reduced_qubit(),
-    in one pass over chunks of blocks that makes no (d, 2, 2) array.  The
-    product's blocks are diagonal, so only its two diagonals are held, as
-    (d,) arrays, and its checks run on them.  Each chunk is rotated by the
-    kernel conjugated uses, checked by the same validator, and its new
-    diagonals written over the product's; the populations and the trace are
-    numpy's pairwise sums of them, as in reduced_qubit and trace.  Every
-    temporary is at most 64 KB (the rotation's are 16 KB), about 370 KB are
-    live at d = 10 000, and the call takes no page faults once the heap has
-    grown to it.
+    Only the product state's corners and two block diagonals are held (see
+    _product), the diagonals as (d,) arrays.  They are checked first:
+    finite, non-negative corners, density blocks (_check_blocks, in chunks
+    of _GRID_BLOCK_FLOATS blocks) and trace 1 within 2e-12.  One pass over
+    chunks of 1 024 blocks then rotates each chunk into V B V^dagger
+    (_rotate), checks the rotated blocks and writes their new diagonals over
+    the old; the corners have no partner and stay.  The reduced populations
+    add each corner to the sum of its diagonal, and the rotated state's
+    trace is checked again; every sum is within 36 eps of exact (see
+    _ladder_weights).  No (d, 2, 2) array is made: every temporary is at
+    most 64 KB (the rotation's are 16 KB), about 370 KB are live at
+    d = 10 000, and the call takes no page faults once the heap has grown to
+    it.
 
     The 2x2 conjugations are carried out with their complex phases in place;
     that the reduced populations do not depend on the phases is a property to
@@ -472,9 +364,8 @@ def achieved_lambda(spec: BlockUnitarySpec, beta_omega: float, d: int) -> float:
 def _achieved_lambda_rows(rows: np.ndarray, beta_omega: float, d: int) -> np.ndarray:
     """achieved_lambda for every row of a (n, d) matrix of thetas.
 
-    The partition function is numpy's pairwise sum of the d + 1 positive
-    Boltzmann weights; by the bound derived in JointState.trace, its relative
-    error is below 36 eps = 8e-15.
+    The partition function is numpy's pairwise sum of the d + 1 Boltzmann
+    weights, within 36 eps = 8e-15 of exact (see _ladder_weights).
     """
     weights, z = _ladder_weights(beta_omega, d)
     return (np.sin(rows) ** 2 @ weights[:-1]) / z

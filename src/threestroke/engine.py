@@ -34,6 +34,7 @@ from .ergotropy import WorkPermutation
 from .populations import (
     QUBIT,
     PopulationVector,
+    as_numbers,
     average_energy,
     check_beta,
     check_betas,
@@ -329,7 +330,7 @@ def run_cycles(
     p + q < SINGULAR_TOL, where cyclic_state raises.
     """
     n = temperatures.beta_h_omega.size
-    start = np.asarray(start, dtype=float)
+    start = as_numbers(start, "start")
     if start.shape != (n, 2):
         raise ValueError(f"start has shape {start.shape}, expected {(n, 2)}")
     swap, settle = np.asarray(swap), np.broadcast_to(np.asarray(settle), (n,))
@@ -524,7 +525,7 @@ class BathTemperatures:
 
     def aligned(self, values: np.ndarray, name: str) -> np.ndarray:
         """values as a float array, if it has the temperatures' shape."""
-        values = np.asarray(values, dtype=float)
+        values = as_numbers(values, name)
         if values.shape != self.beta_h_omega.shape:
             raise ValueError(f"{name} has shape {values.shape}, expected {self.beta_h_omega.shape}")
         return values

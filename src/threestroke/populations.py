@@ -22,6 +22,7 @@ __all__ = [
     "PopulationVector",
     "QUBIT",
     "as_number",
+    "as_numbers",
     "average_energy",
     "check_beta",
     "check_betas",
@@ -44,8 +45,9 @@ _TEXT = (str, bytes)
 def as_number(value: float) -> float:
     """float(value), except that text (str or bytes), which float() would
     parse, is returned as it is, for the calling rule to reject: no input is
-    silently coerced.  The rules here, PopulationVector and the mixing weight
-    take their numbers through this.
+    silently coerced.  The rules here, PopulationVector, EnergySpectrum and
+    the mixing weight take their numbers through this, and arrays go through
+    as_numbers.
     """
     return value if isinstance(value, _TEXT) else float(value)
 
@@ -58,14 +60,22 @@ def check_beta(value: float, name: str = "beta_omega") -> float:
     raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:
-    """check_beta over a 1-d array, with its message for the first bad entry."""
+def as_numbers(values: np.ndarray, name: str) -> np.ndarray:
+    """np.asarray(values, dtype=float), except that text (str or bytes)
+    anywhere in values, which the conversion would parse, raises ValueError:
+    as_number's rule over an array.
+    """
     values = np.asarray(values)
     if values.dtype.kind in "USO":  # text, or objects that may be text
         for value in values.ravel().tolist():
             if isinstance(value, _TEXT):
-                check_beta(value, name)
-    values = np.asarray(values, dtype=float)
+                raise ValueError(f"{name} must be a number, got {value!r}")
+    return np.asarray(values, dtype=float)
+
+
+def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:
+    """check_beta over a 1-d array, with its message for the first bad entry."""
+    values = as_numbers(values, name)
     ok = np.isfinite(values) & (values >= 0.0)
     if not ok.all():
         check_beta(values[int(ok.argmin())], name)
@@ -145,13 +155,13 @@ class EnergySpectrum:
     levels: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(float(x) for x in self.levels)
+        levels = tuple(map(as_number, self.levels))
         if len(levels) != 2:
             raise ValueError(f"a qubit spectrum has two levels, got {len(levels)}")
         ground, excited = levels
         if ground != 0.0:
             raise ValueError(f"ground level must sit at 0, got {ground!r}")
-        if not math.isfinite(excited) or excited < 0.0:
+        if not (isinstance(excited, float) and math.isfinite(excited) and excited >= 0.0):
             raise ValueError(f"excited level must be finite and >= 0, got {excited!r}")
         object.__setattr__(self, "levels", levels)
 

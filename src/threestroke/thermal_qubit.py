@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .populations import PopulationVector, as_number, check_beta
+from .populations import PopulationVector, as_number, as_numbers, check_beta
 
 __all__ = [
     "apply_mixture",
@@ -39,7 +39,7 @@ def capped_weight(lam: float, cap: float = 1.0) -> float:
 
 def capped_weights(lam: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """capped_weight over aligned arrays, with its message for the first bad entry."""
-    lam = np.asarray(lam, dtype=float)
+    lam = as_numbers(lam, "mixing weight")
     ok = np.isfinite(lam) & (lam >= 0.0) & (lam <= cap + _WEIGHT_SLACK)
     if not ok.all():
         index = int(ok.argmin())

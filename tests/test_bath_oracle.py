@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from threestroke import (
     BlockUnitarySpec,
     EngineParams,
-    JointState,
     ResourceLimitError,
     RestrictionModel,
     achieved_lambda,
@@ -63,14 +62,6 @@ def test_spec_holds_read_only_float_arrays():
                 angles[0] = 1.0
     given[0] = 9.0  # the spec holds a copy
     assert spec.thetas.tolist() == [0.1, 0.2] and spec.alphas.tolist() == [2.0, 3.0]
-    # equal angles make equal specs with equal hashes, as with tuples of floats
-    same = BlockUnitarySpec((0.1, 0.2), (-0.0, 1.0), (2.0, 3.0))
-    assert spec == same and hash(spec) == hash(same)
-    assert hash(spec) == hash(((0.1, 0.2), (0.0, 1.0), (2.0, 3.0)))
-    assert spec != BlockUnitarySpec((0.1, 0.2), (0.0, 1.0), (2.0, 3.5))
-    assert spec != BlockUnitarySpec((0.1,), (0.0,), (2.0,))
-    assert spec != (spec.thetas, spec.phis, spec.alphas)
-    assert len({spec, same, BlockUnitarySpec.full_swap(4), BlockUnitarySpec.full_swap(4)}) == 2
 
 
 @pytest.mark.parametrize("field", range(3))
@@ -91,10 +82,6 @@ def test_spec_rejects_non_finite_angles(field, bad):
         BlockUnitarySpec(*angles)
 
 
-def bits(array):
-    return np.ascontiguousarray(array).view(np.uint64)
-
-
 @pytest.mark.parametrize("d", [1, 7, 5_000])
 def test_tuple_and_array_specs_simulate_the_same_floats(d):
     rng = np.random.default_rng(d)
@@ -110,10 +97,6 @@ def test_tuple_and_array_specs_simulate_the_same_floats(d):
         assert simulate_finite_bath_map(p, bw, d, from_arrays).entries == (
             simulate_finite_bath_map(p, bw, d, from_tuples).entries
         )
-        state = JointState.product(p, bw, d)
-        assert np.array_equal(
-            bits(state.conjugated(from_arrays).blocks), bits(state.conjugated(from_tuples).blocks)
-        )
     assert achieved_lambda(from_arrays, 0.7, d) == achieved_lambda(from_tuples, 0.7, d)
 
 
@@ -125,48 +108,25 @@ def chunk_blocks():
 @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7, 14])  # blocks per chunk
 def test_conjugation_is_exact_across_chunk_sizes(chunk, monkeypatch):
     rng = np.random.default_rng(chunk)
-    cases = []
-    for d in range(1, 21):
-        p, bw = qubit_population(rng.uniform()), rng.uniform(0.0, 5.0)
-        cases.append((p, bw, JointState.product(p, bw, d), random_spec(rng, d)))
-    expected = [
-        (state.conjugated(spec).blocks, simulate_finite_bath_map(p, bw, state.d, spec))
-        for p, bw, state, spec in cases
+    cases = [
+        (qubit_population(rng.uniform()), rng.uniform(0.0, 5.0), d, random_spec(rng, d))
+        for d in range(1, 21)
     ]
+    expected = [simulate_finite_bath_map(*case).entries for case in cases]
     monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", 8 * chunk)
     assert chunk_blocks() == chunk
-    for (p, bw, state, spec), (blocks, simulated) in zip(cases, expected):
-        assert np.array_equal(bits(state.conjugated(spec).blocks), bits(blocks))
-        assert simulate_finite_bath_map(p, bw, state.d, spec).entries == simulated.entries
+    for case, entries in zip(cases, expected):
+        assert simulate_finite_bath_map(*case).entries == entries
 
 
 def test_conjugation_is_exact_in_one_chunk_at_the_largest_bath(monkeypatch):
-    d = 10_000
-    state = JointState.product(qubit_population(0.3), 0.01, d)
+    d, p = 10_000, qubit_population(0.3)
     specs = (random_spec(np.random.default_rng(11), d), BlockUnitarySpec.full_swap(d))
-    chunked = [state.conjugated(spec).blocks for spec in specs]
+    chunked = [simulate_finite_bath_map(p, 0.01, d, spec).entries for spec in specs]
     monkeypatch.setattr(bath_oracle, "_GRID_BLOCK_FLOATS", 8 * d)
     assert chunk_blocks() == d
-    for spec, blocks in zip(specs, chunked):
-        assert np.array_equal(bits(state.conjugated(spec).blocks), bits(blocks))
-
-
-def test_conjugation_peak_memory_at_the_largest_bath():
-    """The 640 KB output, the chunks' temporaries and the validation's.
-
-    The output is allocated once and held without a copy; a second copy of it
-    would take the peak past the bound.
-    """
-    d = 10_000
-    state = JointState.product(qubit_population(0.3), 0.5, d)
-    spec = random_spec(np.random.default_rng(3), d)
-    tracemalloc.start()
-    try:
-        state.conjugated(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    for spec, entries in zip(specs, chunked):
+        assert simulate_finite_bath_map(p, 0.01, d, spec).entries == entries
 
 
 def test_simulation_peak_memory_at_the_largest_bath():
@@ -186,113 +146,45 @@ def test_simulation_peak_memory_at_the_largest_bath():
     assert peak < 400 * 2**10
 
 
-SPECIAL_ANGLES = (0.0, -0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
-
-
-@given(
-    d=st.one_of(
-        st.integers(1, 25),
-        st.sampled_from([-1, 0, 1]).map(lambda k: chunk_blocks() + k),
-        st.just(10_000),
-    ),
-    ground=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    bw=st.one_of(st.sampled_from([0.0, 700.0]), st.floats(0.0, 5.0)),
-    full_swap=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=100, deadline=None)
-def test_simulation_is_the_joint_state_path_bit_for_bit(d, ground, bw, full_swap, seed):
-    """The one chunk pass gives the floats of product, conjugated and reduced_qubit."""
-    if full_swap:
-        spec = BlockUnitarySpec.full_swap(d)
-    else:
-        rng = np.random.default_rng(seed)
-        angles = rng.uniform(-7.0, 7.0, (3, d))
-        special = rng.uniform(size=(3, d)) < 0.5
-        angles[special] = rng.choice(SPECIAL_ANGLES, int(special.sum()))
-        spec = BlockUnitarySpec(*angles)
-    p = qubit_population(ground)
-    expected = JointState.product(p, bw, d).conjugated(spec).reduced_qubit()
-    simulated = simulate_finite_bath_map(p, bw, d, spec)
-    assert [x.hex() for x in simulated.entries] == [x.hex() for x in expected.entries]
-
-
-def test_joint_state_holds_a_copy_of_given_blocks():
-    state = JointState.product(qubit_population(0.7), 0.5, 6)
-    # a caller's writable array, and another state's read-only one
-    for given in (np.array(state.blocks), state.blocks):
-        held = JointState(state.corner_low, state.corner_high, given)
-        assert held.blocks is not given and not held.blocks.flags.writeable
-        before = held.blocks.copy()
-        given.setflags(write=True)
-        given[:] = 0.0  # the caller's array changes, the state does not
-        assert np.array_equal(held.blocks, before)
-        assert held.trace == pytest.approx(1.0)
-
-
-def test_conjugation_is_exact_for_any_layout_of_given_blocks():
-    """A Fortran-ordered, a transposed and a strided array conjugate as their C copies do."""
-    rng = np.random.default_rng(12)
-    d = 9
-    start = JointState.product(qubit_population(0.4), 0.6, d).conjugated(random_spec(rng, d))
-    spec = random_spec(rng, d)
-    blocks = np.array(start.blocks)
-    layouts = (
-        np.asfortranarray(blocks),
-        blocks.conj().transpose(0, 2, 1),  # Hermitian blocks, so a valid state
-        np.stack([blocks, blocks], axis=1)[:, 0],
-    )
-    for given in layouts:
-        assert not given.flags.c_contiguous
-        expected = JointState(start.corner_low, start.corner_high, np.ascontiguousarray(given))
-        state = JointState(start.corner_low, start.corner_high, given)
-        assert np.array_equal(bits(state.blocks), bits(expected.blocks))
-        assert np.array_equal(
-            bits(state.conjugated(spec).blocks), bits(expected.conjugated(spec).blocks)
-        )
-
-
-def test_joint_state_product():
-    p = qubit_population(0.7)
-    state = JointState.product(p, 0.5, 6)
-    assert state.d == 6
-    assert state.trace == pytest.approx(1.0, abs=1e-15)
-    assert state.reduced_qubit().entries == pytest.approx(p.entries, abs=1e-14)
+def block_entries(*blocks):
+    """The entries b00, b01, b10, b11 of 2x2 blocks, each as an array over the blocks."""
+    return tuple(np.array(blocks, dtype=complex).reshape(-1, 4).T)
 
 
 def test_joint_state_validation():
-    ok_block = [[[0.3, 0.0], [0.0, 0.2]]]
-    JointState(0.25, 0.25, ok_block)
-    with pytest.raises(ValueError):
-        JointState(0.25, 0.25, [[0.3, 0.0], [0.0, 0.2]])  # missing block axis
-    with pytest.raises(ValueError):
-        JointState(-0.01, 0.51, ok_block)
-    with pytest.raises(ValueError):
-        JointState(0.25, 0.25, [[[0.3, 0.1], [0.3, 0.2]]])  # not Hermitian
-    with pytest.raises(ValueError):
-        JointState(0.0, 0.0, [[[0.5, 0.6], [0.6, 0.5]]])  # indefinite block
-    with pytest.raises(ValueError):
-        JointState(0.5, 0.5, ok_block)  # trace 1.5
+    """The corner, block and trace checks the simulation runs on its states."""
+    ok_block = block_entries([[0.3, 0.0], [0.0, 0.2]])
+    bath_oracle._check_corners(0.25, 0.25)
+    bath_oracle._check_blocks(*ok_block)
+    bath_oracle._check_trace(0.25 + 0.25 + (0.3 + 0.2))
+    with pytest.raises(ValueError, match="negative corner"):
+        bath_oracle._check_corners(-0.01, 0.51)
+    with pytest.raises(ValueError, match="Hermitian"):
+        bath_oracle._check_blocks(*block_entries([[0.3, 0.1], [0.3, 0.2]]))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        bath_oracle._check_blocks(*block_entries([[0.5, 0.6], [0.6, 0.5]]))  # indefinite
+    with pytest.raises(ValueError, match="trace 1.5 is not 1"):
+        bath_oracle._check_trace(0.5 + 0.5 + (0.3 + 0.2))
     # NaN fails every comparison, so each check must be written to reject it
-    nan_cases = [
-        (0.25, 0.25, [[[0.3, 0.0], [0.0, math.nan]]]),
-        (math.nan, 0.25, ok_block),
-        (0.25, 0.25, [[[0.3, math.nan], [math.nan, 0.2]]]),
-        (0.25, 0.25, [[[0.3, complex(0.0, math.nan)], [complex(0.0, math.nan), 0.2]]]),
+    nan_blocks = [
+        [[0.3, 0.0], [0.0, math.nan]],
+        [[0.3, math.nan], [math.nan, 0.2]],
+        [[0.3, complex(0.0, math.nan)], [complex(0.0, math.nan), 0.2]],
     ]
-    for corner_low, corner_high, blocks in nan_cases:
+    for block in nan_blocks:
         with pytest.raises(ValueError, match="finite"):
-            JointState(corner_low, corner_high, blocks)
+            bath_oracle._check_blocks(*block_entries(block))
+    with pytest.raises(ValueError, match="finite"):
+        bath_oracle._check_corners(math.nan, 0.25)
 
 
 def test_conjugation_preserves_trace_and_shape():
-    state = JointState.product(qubit_population(0.4), 0.3, 8)
-    rng = np.random.default_rng(7)
-    rotated = state.conjugated(random_spec(rng, 8))
-    assert rotated.trace == pytest.approx(1.0, abs=1e-12)
-    assert rotated.d == 8
-    with pytest.raises(ValueError):
-        state.conjugated(BlockUnitarySpec.full_swap(5))
+    p = qubit_population(0.4)
+    rotated = simulate_finite_bath_map(p, 0.3, 8, random_spec(np.random.default_rng(7), 8))
+    assert not rotated.renormalized
+    assert math.fsum(rotated.entries) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="5 blocks"):
+        simulate_finite_bath_map(p, 0.3, 8, BlockUnitarySpec.full_swap(5))
 
 
 def test_simulate_identity_angles():
@@ -325,6 +217,16 @@ def test_simulate_validation():
         achieved_lambda(BlockUnitarySpec.full_swap(2), 0.5, 2.9)
 
 
+@pytest.mark.parametrize("bw", [0.0, 1e-4, 0.0745, 0.5, 700.0, 745.1, 745.2, 746.0])
+def test_ladder_weights_are_numpys_exp_bit_for_bit(bw):
+    """exp is evaluated only where it does not round to 0; the rest is zero-filled."""
+    for d in (1, 2, 1_000, 1_491, 1_492, 9_999, 10_000):
+        weights, z = bath_oracle._ladder_weights(bw, d)
+        expected = np.exp(-bw * np.arange(d + 1))
+        assert weights.tobytes() == expected.tobytes()
+        assert z == float(expected.sum())
+
+
 def test_achieved_lambda_examples():
     bw = 0.8
     e = math.exp(-bw)
@@ -340,16 +242,31 @@ def test_achieved_lambda_examples():
     )
 
 
+SPECIAL_ANGLES = (0.0, -0.0, math.pi / 2.0, -math.pi / 2.0, math.pi)
+
+
 @given(
     ground=st.floats(0.0, 1.0),
-    bw=st.floats(0.0, 5.0),
-    d=st.integers(1, 25),
+    bw=st.one_of(st.floats(0.0, 5.0), st.sampled_from([0.0, 700.0])),
+    d=st.one_of(
+        st.integers(1, 25),
+        st.sampled_from([-1, 0, 1]).map(lambda k: chunk_blocks() + k),
+        st.just(10_000),
+    ),
+    wide=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=250, deadline=None)
-def test_simulation_is_a_mixture_with_the_achieved_weight(ground, bw, d, seed):
+def test_simulation_is_a_mixture_with_the_achieved_weight(ground, bw, d, wide, seed):
+    """Wide specs take angles in [-7, 7], half of them from SPECIAL_ANGLES."""
     rng = np.random.default_rng(seed)
-    spec = random_spec(rng, d)
+    if wide:
+        angles = rng.uniform(-7.0, 7.0, (3, d))
+        special = rng.uniform(size=(3, d)) < 0.5
+        angles[special] = rng.choice(SPECIAL_ANGLES, int(special.sum()))
+        spec = BlockUnitarySpec(*angles)
+    else:
+        spec = random_spec(rng, d)
     p = qubit_population(ground)
     out = simulate_finite_bath_map(p, bw, d, spec)
     lam = achieved_lambda(spec, bw, d)
@@ -396,17 +313,24 @@ def angle_lists(d):
 )
 @settings(max_examples=200, deadline=None)
 def test_conjugation_matches_the_dense_unitary(ground, bw, angles):
-    """Every block entry and both corners equal a dense conjugation; the rest is zero."""
+    """The simulated populations are the dense conjugation's partial trace, and
+    the kernel's block entries and the corners are its entries; the rest is zero."""
     spec = BlockUnitarySpec(*angles)
     d = spec.d
     p = qubit_population(ground)
-    rotated = JointState.product(p, bw, d).conjugated(spec)
+    dense = dense_conjugated(p, bw, spec)
+    traced = dense.diagonal().real.reshape(2, d + 1).sum(axis=1)
+    simulated = simulate_finite_bath_map(p, bw, d, spec)
+    np.testing.assert_allclose(simulated.entries, traced, rtol=0.0, atol=1e-14)
+    corner_low, corner_high, ground_diagonal, excited_diagonal = bath_oracle._product(p, bw, d)
+    rotated = tuple(np.empty((4, d), dtype=complex))
+    bath_oracle._rotate(spec, slice(0, d), (ground_diagonal, 0j, 0j, excited_diagonal), rotated)
     placed = np.zeros((2 * (d + 1), 2 * (d + 1)), dtype=complex)
-    placed[0, 0] = rotated.corner_low  # |0, 0>
-    placed[-1, -1] = rotated.corner_high  # |1, d>
-    for j, block in enumerate(rotated.blocks):
+    placed[0, 0] = corner_low  # |0, 0>
+    placed[-1, -1] = corner_high  # |1, d>
+    for j, block in enumerate(np.stack(rotated, axis=-1).reshape(d, 2, 2)):
         placed[np.ix_([j + 1, d + 1 + j], [j + 1, d + 1 + j])] = block
-    np.testing.assert_allclose(placed, dense_conjugated(p, bw, spec), rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(placed, dense, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("bw", [0.0, 1e-3, 2.0])
@@ -424,14 +348,15 @@ def test_trace_tolerance_at_the_largest_bath(excess, accepted):
     d = 10_000
     weights = np.random.default_rng(5).uniform(0.5, 1.5, 2 * d + 2)
     weights *= (1.0 + excess) / math.fsum(weights.tolist())
-    blocks = np.zeros((d, 2, 2))
-    blocks[:, 0, 0], blocks[:, 1, 1] = weights[2:].reshape(d, 2).T
+    ground, excited = weights[2:].reshape(d, 2).T
+    # the simulation's trace: the corners plus the pairwise sum of the block diagonals
+    trace = weights[0] + weights[1] + float((ground + excited).sum())
+    assert trace == pytest.approx(1.0 + excess, abs=1e-14)
     if accepted:
-        state = JointState(weights[0], weights[1], blocks)
-        assert state.trace == pytest.approx(1.0 + excess, abs=1e-14)
+        bath_oracle._check_trace(trace)
     else:
         with pytest.raises(ValueError, match="trace"):
-            JointState(weights[0], weights[1], blocks)
+            bath_oracle._check_trace(trace)
 
 
 def test_scan_matches_closed_form_small_baths():

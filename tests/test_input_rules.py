@@ -10,7 +10,6 @@ from threestroke import (
     BlockUnitarySpec,
     EnergySpectrum,
     EngineParams,
-    JointState,
     PopulationVector,
     RestrictionModel,
     WorkPermutation,
@@ -27,8 +26,9 @@ from threestroke import (
     scan_lambda_max,
     simulate_finite_bath_map,
 )
-from threestroke.engine import BathTemperatures
+from threestroke.engine import BathTemperatures, run_cycles
 from threestroke.populations import check_beta, check_betas, check_unit_interval
+from threestroke.thermal_qubit import capped_weights
 
 P = qubit_population(0.6)
 SPEC = BlockUnitarySpec.full_swap(3)
@@ -56,7 +56,6 @@ TAKES_A_TEMPERATURE = {
     "engine_params_from.beta_c": lambda b: engine_params_from(MODELS[1], MODELS[1], 0.2, b),
     "eta_finite_bath.beta_h": lambda b: eta_finite_bath(b, 1.0, 3),
     "eta_finite_bath.beta_c": lambda b: eta_finite_bath(0.2, b, 3),
-    "JointState.product": lambda b: JointState.product(P, b, 3),
     "simulate_finite_bath_map": lambda b: simulate_finite_bath_map(P, b, 3, SPEC),
     "achieved_lambda": lambda b: achieved_lambda(SPEC, b, 3),
     "scan_lambda_max": lambda b: scan_lambda_max(b, 2),
@@ -82,6 +81,14 @@ TEXT_FOR_A_NUMBER = {
     "check_betas.list": lambda: check_betas([0.2, "0.5"]),
     "check_betas.objects": lambda: check_betas(np.array([0.2, "0.5"], dtype=object)),
     "jc_time_scan.time_grid": lambda: jc_time_scan(0.5, ["1.0", "2.0"]),
+    "BlockUnitarySpec": lambda: BlockUnitarySpec(("0.1",), ("0",), ("0",)),
+    "EnergySpectrum": lambda: EnergySpectrum(("0", "1")),
+    "EnergySpectrum.excited": lambda: EnergySpectrum((0.0, "1")),
+    "capped_weights": lambda: capped_weights(np.array(["0.5"]), np.array([1.0])),
+    "BathTemperatures.caps": lambda: BathTemperatures([0.2], [1.0]).caps(["0.5"], ["1"]),
+    "run_cycles.start": lambda: run_cycles(
+        [["0.5", "0.5"]], [0.5], [0.5], [True], BathTemperatures([0.2], [1.0]), [1.0], [1.0]
+    ),
 }
 
 

@@ -25,14 +25,11 @@ from .engine import (
     UndefinedEfficiencyError,
     UnsupportedRestrictionError,
     check_laws,
-    cold_stroke,
     cyclic_state,
-    heat_stroke,
     open_cycle_performance,
     optimal_performance,
     positive_work_condition,
     run_cycle,
-    work_stroke,
 )
 from .ergotropy import WorkPermutation, ergotropy, passive_rearrangement
 from .majorization import thermomajorizes
@@ -81,13 +78,11 @@ __all__ = [
     "average_energy",
     "brute_force_performance",
     "check_laws",
-    "cold_stroke",
     "cyclic_state",
     "engine_params_from",
     "ergotropy",
     "eta_finite_bath",
     "gibbs_vector",
-    "heat_stroke",
     "jc_time_scan",
     "lambda_max_finite_bath",
     "lambda_max_jc",
@@ -101,5 +96,4 @@ __all__ = [
     "scan_lambda_max",
     "simulate_finite_bath_map",
     "thermomajorizes",
-    "work_stroke",
 ]

@@ -16,12 +16,9 @@ bound is derived in _ladder_weights).  Beside the simulation
 sit a one-sweep coordinate search over the block angles and a brute-force
 grid over the mixing weights of the swap cycle (the identity, the
 qubit's other work permutation, releases exactly zero work); neither
-evaluates the closed-form optima it is meant to check.  The grid returns the
-maxima of every cell but evaluates only a corner lattice and the blocks
-whose corner bounds can reach them: work, intake and efficiency are
-linear-fractional in each mixing weight (the lemma, the margins and the
-floors are in brute_force_performance), and closure is asserted on every
-evaluated cell.  The exchange-coupling time scan returns the largest weight
+evaluates the closed-form optima it is meant to check.  The grid evaluates
+every cell, in row-major chunks, and asserts closure on each.  The
+exchange-coupling time scan returns the largest weight
 over its time grid, each time's value summed along its own row so that it
 does not depend on the other times evaluated with it; it halves, level by
 level, only the windows of sorted times whose curvature bound can still reach
@@ -56,7 +53,7 @@ __all__ = [
 ]
 
 # Sizes are bounded before anything is allocated: the bath by its O(d) block
-# arrays, the brute-force grid by its grid**2 floats per array, the angle scan
+# arrays, the brute-force grid by its grid**2 cells per pass, the angle scan
 # by the same MAX_GRID**2 floats in its rows of angles, the
 # exchange-coupling truncation by its per-manifold arrays, and its time grid by
 # the sorted copy the scan makes of an unsorted grid.
@@ -83,13 +80,6 @@ _PSD_TOL = 1e-12
 _HERMITIAN_TOL = 1e-10
 # exp(-x) is 0 for every x past this (see _ladder_weights)
 _EXP_UNDERFLOW = 746.0
-# Pruned brute-force grid (see brute_force_performance): lattice stride,
-# corner floors of the slack and the intake, rounding margins.
-_PRUNE_STRIDE = 16
-_PRUNE_SLACK = 2.0**-6
-_PRUNE_INTAKE = 2.0**-10
-_WORK_MARGIN = 2.0**-39
-_ETA_MARGIN = 2.0**-20
 
 
 class ResourceLimitError(RuntimeError):
@@ -414,8 +404,8 @@ class BruteForceResult:
 
 def _cycle_grid(
     lh: np.ndarray, lc: np.ndarray, params: EngineParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Work, heat intake and slack p + q of the swap cycle on a (lambda_h, lambda_c) grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Work and heat intake of the swap cycle on a (lambda_h, lambda_c) grid.
 
     For each grid point the cyclic ground entry q / (p + q) is solved from
     the stroke product (p, q) of cycle_map, the cycle is run once on it with
@@ -436,23 +426,10 @@ def _cycle_grid(
         raise RuntimeError("fixed-point cycle failed to close on the grid")
     work = after_work - after_heat
     intake = p_star - after_heat
-    return work, intake, slack
+    return work, intake
 
 
-def _lattice(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block corners along one grid axis (at most 65; 0 twice on a one-point
-    axis) and the end of each block's cells; the last block ends past size - 1."""
-    stride = max(_PRUNE_STRIDE, -(-size // 64))
-    corners = np.append(np.arange(0, max(size - 1, 1), stride), size - 1)
-    return corners, np.append(corners[1:-1], size)
-
-
-def _corner_extreme(values: np.ndarray, reduce) -> np.ndarray:
-    """reduce (np.maximum or np.minimum) over each block's four corners; NaN stays NaN."""
-    return reduce(reduce(values[:-1, :-1], values[1:, :-1]), reduce(values[:-1, 1:], values[1:, 1:]))
-
-
-def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForceResult:
+def brute_force_performance(params: EngineParams, grid: int = 64) -> BruteForceResult:
     """Grid search over both mixing weights of the swap cycle.
 
     The qubit's only other work stroke, the identity, is not searched: its
@@ -460,97 +437,35 @@ def brute_force_performance(params: EngineParams, grid: int = 200) -> BruteForce
     every cell and never has a positive gain.  The swap grid's corner (0, 0)
     always closes (p = q = 1, p* = 1/2) and releases exactly 0.0, and a cell
     replaces the best only when strictly higher, so no identity cell could
-    replace the swap's first maxima.
+    replace the swap's first maxima.  Work, intake and efficiency are
+    linear-fractional, hence monotone, in each mixing weight while p + q > 0,
+    which is why the maxima sit at the caps; the search does not use this.
 
-    One refinement pass re-grids a one-cell neighborhood of each argmax.  The
-    work winner is re-run through run_cycle and check_laws as a final spot
-    check, so a silent bookkeeping bug in the vectorized path cannot survive.
-
-    Each grid yields the first maxima, in row-major order, of all its cells
-    but evaluates only the cells that could hold them.  Lemma: with
-    cycle_map's stroke product (p, q), the slack D = p + q, b = q,
-    s_h = lh (1 + e_h) - 1 and N_h = lh - s_h (1 - lc e_c), the work is
-    (D - 2 N_h) / D, the intake (b - N_h) / D and the efficiency
-    (D - 2 N_h) / (b - N_h).  Each numerator and denominator is bilinear in
-    (lh, lc), so each quantity is linear-fractional, hence monotone, along
-    either axis while its denominator keeps its sign, and a bilinear
-    denominator positive at a block's four corners is positive on the block:
-    there the extremes lie at the corners.
-
-    The corner lattice, every 16th row and column (more above 1 024) and the
-    last, is evaluated first.  A block is skipped when its corner slacks D are
-    at least 2^-6 and neither its largest corner work nor, where its corner
-    intakes are also at least 2^-10, its largest corner ratio work / intake
-    reaches the best value so far less a margin; a largest corner work below
-    minus the work margin rules out any efficiency.  A NaN bound never skips.
-    Margins, with u = 2^-53 and all weights and Boltzmann factors in [0, 1]:
-    p and q are sums of two products of factors in [0, 1], each factor
-    within 3u, so they come out within 9u and D within 20u.  At D >= 2^-6
-    the fixed point q / D is then within 29u 2^6 + u < 2^-42, the work and
-    intake within E = 2^-40, and a cell's work exceeds its block's
-    corners by at most 2E, the work margin.  The floors keep every intake in
-    the block above 2^-17 (b - N_h is bilinear and D <= 2), and an efficiency
-    is at most 1 (Carnot), so a cell's efficiency exceeds the corner ratios
-    by at most 5e-7 < 2^-20, the efficiency margin.  Kept blocks are
-    evaluated per block row from its first to its last kept block, block rows
-    over the same columns together, in chunks of whole rows of at most
-    _GRID_BLOCK_FLOATS cells; closure is asserted on every evaluated cell,
-    the lattice included.
+    Every cell of the grid is evaluated, in row-major chunks of whole rows of
+    at most _GRID_BLOCK_FLOATS cells, and closure is asserted on each.  One
+    refinement pass re-grids a one-cell neighborhood of each argmax the same
+    way.  Chunks and grids come in order and a cell replaces the best only
+    when strictly higher, so the result is each quantity's first maximum in
+    row-major order.  The work winner is re-run through run_cycle and
+    check_laws as a final spot check, so a silent bookkeeping bug in the
+    vectorized path cannot survive.
     """
     grid = _check_bounded(grid, "grid", 2, MAX_GRID)
     # Work and efficiency: best value, its grid indices and (lambda_h, lambda_c).
     best = [[-math.inf, (0, 0), None], [-math.inf, (0, 0), None]]
 
     def evaluate(lh: np.ndarray, lc: np.ndarray) -> None:
-        # This grid's first maxima: value and indices; the start sorts after every cell.
-        found = [[-math.inf, (lh.size, 0)], [-math.inf, (lh.size, 0)]]
-
-        def scan(rows: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, ...]:
-            # The indices increase, so a piece's first maximum is the grid's
-            # row-major first among the piece's cells that hold its value.
-            work, intake, slack = _cycle_grid(lh[rows], lc[columns], params)
-            scored = np.where(np.isnan(work), -np.inf, work)
-            gain = (scored > 0.0) & (intake > 0.0)
-            eta = np.divide(scored, intake, out=np.full(work.shape, -np.inf), where=gain)
-            for entry, values in zip(found, (scored, eta)):
-                row, column = divmod(int(values.argmax()), columns.size)
-                at = (int(rows[row]), int(columns[column]))
-                value = values[row, column]
-                if value > entry[0] or (value == entry[0] and at < entry[1]):
-                    entry[:] = float(value), at
-            return work, intake, slack
-
-        rows, row_ends = _lattice(lh.size)
-        columns, column_ends = _lattice(lc.size)
-        work, intake, slack = scan(rows, columns)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            top_ratio = _corner_extreme(work / intake, np.maximum)
-        top_work = _corner_extreme(work, np.maximum)
-        settled = _corner_extreme(slack, np.minimum) >= _PRUNE_SLACK
-        heated = settled & (_corner_extreme(intake, np.minimum) >= _PRUNE_INTAKE)
-        best_w, best_eta = (max(entry[0], value) for entry, (value, _) in zip(best, found))
-        skip = settled & (top_work < best_w - _WORK_MARGIN) & (
-            (top_work < -_WORK_MARGIN) | (heated & (top_ratio < best_eta - _ETA_MARGIN))
-        )
-        # A block row is evaluated from its first to its last kept block, and
-        # consecutive block rows over the same columns as one band.
-        bands = []  # [first row, end row, first column, end column]
-        for i, kept in enumerate((~skip).tolist()):
-            if True not in kept:
-                continue
-            first, last = kept.index(True), len(kept) - 1 - kept[::-1].index(True)
-            band = [int(rows[i]), int(row_ends[i]), int(columns[first]), int(column_ends[last])]
-            if bands and bands[-1][1] == band[0] and bands[-1][2:] == band[2:]:
-                bands[-1][1] = band[1]
-            else:
-                bands.append(band)
-        for first, end, lo, hi in bands:  # a row of MAX_GRID cells fits in a chunk
-            height = max(1, _GRID_BLOCK_FLOATS // (hi - lo))
-            for row in range(first, end, height):
-                scan(np.arange(row, min(row + height, end)), np.arange(lo, hi))
-        for entry, (value, at) in zip(best, found):
-            if value > entry[0]:
-                entry[:] = value, at, (float(lh[at[0]]), float(lc[at[1]]))
+        height = max(1, _GRID_BLOCK_FLOATS // lc.size)  # a row of MAX_GRID cells fits in a chunk
+        for first in range(0, lh.size, height):
+            work, intake = _cycle_grid(lh[first : first + height], lc, params)
+            work = np.where(np.isnan(work), -np.inf, work)
+            gain = (work > 0.0) & (intake > 0.0)
+            eta = np.divide(work, intake, out=np.full(work.shape, -np.inf), where=gain)
+            for entry, values in zip(best, (work, eta)):
+                row, column = divmod(int(values.argmax()), lc.size)
+                if values[row, column] > entry[0]:
+                    at = (float(lh[first + row]), float(lc[column]))
+                    entry[:] = float(values[row, column]), (first + row, column), at
 
     def refine_axis(axis: np.ndarray, index: int, cap: float) -> np.ndarray:
         lo = axis[max(index - 1, 0)]

@@ -420,7 +420,7 @@ def cmd_verify(args) -> int:
     seed = _as_int("--seed", args.seed if args.seed is not None else 0)
     if seed < 0:
         raise ValueError(f"--seed must be >= 0, got {seed}")
-    grid = _as_size("--grid", args.grid, 200, 2, MAX_VERIFY_GRID)
+    grid = _as_size("--grid", args.grid, 64, 2, MAX_VERIFY_GRID)
     if args.only is not None:
         if not isinstance(args.only, str):
             raise ValueError(f"--only must be a string of check names, got {args.only!r}")
@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subparsers.add_parser("verify", help="run the oracle cross-checks")
     verify.add_argument("--config", metavar="PATH", help="JSON file supplying defaults for any flag")
     verify.add_argument("--seed", type=int, help="seed for the randomized checks (default 0)")
-    verify.add_argument("--grid", type=int, help="grid size for the brute-force search (default 200)")
+    verify.add_argument("--grid", type=int, help="grid size for the brute-force search (default 64)")
     verify.add_argument("--only", metavar="NAMES",
                         help=f"comma-separated subset of {sorted(CHECKS)}")
     verify.set_defaults(func=cmd_verify)

@@ -32,17 +32,15 @@ import numpy as np
 
 from .ergotropy import WorkPermutation
 from .populations import (
-    QUBIT,
     PopulationVector,
     as_numbers,
-    average_energy,
     check_beta,
     check_betas,
     check_unit_interval,
     qubit_population,
     qubit_populations,
 )
-from .thermal_qubit import apply_mixture, capped_weight, capped_weights, mixture_entries
+from .thermal_qubit import capped_weight, capped_weights, mixture_entries
 
 __all__ = [
     "CLOSURE_TOL",
@@ -59,17 +57,14 @@ __all__ = [
     "UnsupportedRestrictionError",
     "check_laws",
     "check_laws_each",
-    "cold_stroke",
     "cycle_map",
     "cyclic_state",
     "elementwise",
-    "heat_stroke",
     "open_cycle_performance",
     "optimal_performance",
     "positive_work_condition",
     "run_cycle",
     "run_cycles",
-    "work_stroke",
 ]
 
 CLOSURE_TOL = 1e-10
@@ -192,39 +187,6 @@ class LawDiagnostics:
     ok: bool
     failures: tuple[str, ...]
     skipped: tuple[str, ...]
-
-
-def _thermal_stroke(
-    p: PopulationVector, lam: float, cap: float, beta_omega: float
-) -> tuple[PopulationVector, float]:
-    out = apply_mixture(capped_weight(lam, cap), beta_omega, p)
-    return out, average_energy(out, QUBIT) - average_energy(p, QUBIT)
-
-
-def heat_stroke(
-    p: PopulationVector, lam: float, params: EngineParams
-) -> tuple[PopulationVector, float]:
-    """Couple to the hot bath; returns the new populations and q_hot."""
-    return _thermal_stroke(p, lam, params.lambda_h_max, params.beta_h_omega)
-
-
-def work_stroke(
-    p: PopulationVector, perm: WorkPermutation
-) -> tuple[PopulationVector, float]:
-    """Permute the populations; returns the new populations and the work released."""
-    out = PopulationVector(tuple(p.entries[i] for i in perm.mapping))
-    return out, average_energy(p, QUBIT) - average_energy(out, QUBIT)
-
-
-def cold_stroke(
-    p: PopulationVector, lam: float, params: EngineParams
-) -> tuple[PopulationVector, float]:
-    """Couple to the cold bath; returns the new populations and their energy change.
-
-    The returned heat is the energy change of the working body, so it is
-    negative when the body dumps heat into the cold bath.
-    """
-    return _thermal_stroke(p, lam, params.lambda_c_max, params.beta_c_omega)
 
 
 def _cycle_pass(g, x, lh, lc, eh, ec, s, population):

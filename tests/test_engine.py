@@ -17,21 +17,20 @@ from threestroke import (
     UndefinedEfficiencyError,
     UnsupportedRestrictionError,
     WorkPermutation,
+    apply_mixture,
+    average_energy,
     check_laws,
-    cold_stroke,
     cyclic_state,
     engine_params_from,
-    gibbs_vector,
-    heat_stroke,
     lambda_max_jc_raw,
     open_cycle_performance,
     optimal_performance,
     positive_work_condition,
     qubit_population,
     run_cycle,
-    work_stroke,
 )
 from threestroke.engine import SINGULAR_TOL, BathTemperatures, cycle_map, run_cycles
+from threestroke.thermal_qubit import capped_weight
 
 # reference point used throughout: beta_h * omega = 0.2, beta_c * omega = 0.6
 REF = EngineParams(0.2, 0.6, 1.0, 1.0)
@@ -62,50 +61,6 @@ def test_params_validation():
     assert REF.carnot_efficiency() == pytest.approx(2 / 3)
     with pytest.raises(UndefinedEfficiencyError):
         EngineParams(0.2, 0.0).carnot_efficiency()
-
-
-def test_heat_stroke_examples():
-    p = qubit_population(0.4)
-    out, q = heat_stroke(p, 0.0, REF)
-    assert out.entries == p.entries and q == 0.0
-
-    hot_gibbs = gibbs_vector(0.2, QUBIT)
-    _, q = heat_stroke(hot_gibbs, 0.7, REF)
-    assert q == pytest.approx(0.0, abs=1e-15)
-
-    out, q = heat_stroke(qubit_population(1.0), 1.0, REF)
-    e = math.exp(-0.2)
-    assert out.entries == pytest.approx((1.0 - e, e), abs=1e-15)
-    assert q == pytest.approx(e, abs=1e-15)
-
-    with pytest.raises(ValueError):
-        heat_stroke(p, 0.9, EngineParams(0.2, 0.6, lambda_h_max=0.5))
-
-
-def test_work_stroke_examples():
-    p = qubit_population(0.3)
-    out, w = work_stroke(p, WorkPermutation.identity(2))
-    assert out.entries == p.entries and w == 0.0
-    out, w = work_stroke(p, WorkPermutation.swap())
-    assert out.entries == (0.7, 0.3)
-    assert w == pytest.approx(0.4)  # energy drops from 0.7 to 0.3
-
-
-def test_cold_stroke_examples():
-    p = qubit_population(0.3)
-    out, q = cold_stroke(p, 0.0, REF)
-    assert out.entries == p.entries and q == 0.0
-
-    cold_gibbs = gibbs_vector(0.6, QUBIT)
-    _, q = cold_stroke(cold_gibbs, 1.0, REF)
-    assert q == pytest.approx(0.0, abs=1e-15)
-
-    out, _ = cold_stroke(p, 1.0, REF)
-    e = math.exp(-0.6)
-    assert out.entries == pytest.approx((1.0 - 0.3 * e, 0.3 * e), abs=1e-15)
-
-    with pytest.raises(ValueError):
-        cold_stroke(p, 0.9, EngineParams(0.2, 0.6, lambda_c_max=0.5))
 
 
 def test_zero_cycle_closes_trivially():
@@ -387,13 +342,28 @@ cycle_rows = st.tuples(
 )
 
 
+def _strokes(p0, lam_h, lam_c, perm, params):
+    """The cycle one stroke at a time: states after heat, work and cold, and
+    (work, q_hot, raw q_cold) as energy differences of those states."""
+
+    def thermal(p, lam, cap, beta_omega):
+        out = apply_mixture(capped_weight(lam, cap), beta_omega, p)
+        return out, average_energy(out, QUBIT) - average_energy(p, QUBIT)
+
+    after_heat, q_hot = thermal(p0, lam_h, params.lambda_h_max, params.beta_h_omega)
+    after_work = PopulationVector(tuple(after_heat.entries[i] for i in perm.mapping))
+    work = average_energy(after_heat, QUBIT) - average_energy(after_work, QUBIT)
+    after_cold, q_cold = thermal(after_work, lam_c, params.lambda_c_max, params.beta_c_omega)
+    return (after_heat, after_work, after_cold), (work, q_hot, q_cold)
+
+
 @given(rows=st.lists(cycle_rows, min_size=1, max_size=20))
 @example(rows=[(0.2, 0.6, 1.0, 1.0, 1.0, 1.0, True, REF_P, 0.0)])
 @example(rows=[(0.2, 0.6, 0.0, 1.0, 0.0, 1.0, False, 0.25, 5e-10),
                (1.5, 0.3, 1.0, 0.0, 1.0, 0.0, True, 0.9, -9e-13)])
 @settings(max_examples=200, deadline=None)
 def test_run_cycles_equals_run_cycle_and_the_strokes(rows):
-    """run_cycles, run_cycle and the composed public strokes agree bit for bit."""
+    """run_cycles, run_cycle and the cycle composed stroke by stroke agree bit for bit."""
     raw_starts = []
     for *_, ground, drift in rows:
         excited = 1.0 - ground + drift
@@ -410,10 +380,8 @@ def test_run_cycles_equals_run_cycle_and_the_strokes(rows):
         perm = WorkPermutation.swap() if swap else WorkPermutation.identity(2)
         p0 = PopulationVector(raw_starts[i])
         report = run_cycle(p0, lam_h[i], lam_c[i], perm, params)
-        after_heat, q_hot = heat_stroke(p0, lam_h[i], params)
-        after_work, work = work_stroke(after_heat, perm)
-        after_cold, q_cold = cold_stroke(after_work, lam_c[i], params)
-        states = (after_heat, after_work, after_cold)
+        states, (work, q_hot, q_cold) = _strokes(p0, lam_h[i], lam_c[i], perm, params)
+        _, after_work, after_cold = states
         assert [p.entries for p in report.populations] == [p.entries for p in states]
         assert (report.work, report.q_hot, report.q_cold_raw) == (work, q_hot, q_cold)
         assert report.residual == after_cold.entries[1] - p0.entries[1]

@@ -26,7 +26,6 @@ from .engine import (
     UnsupportedRestrictionError,
     check_laws,
     cyclic_state,
-    open_cycle_performance,
     optimal_performance,
     positive_work_condition,
     run_cycle,
@@ -87,7 +86,6 @@ __all__ = [
     "lambda_max_finite_bath",
     "lambda_max_jc",
     "lambda_max_jc_raw",
-    "open_cycle_performance",
     "optimal_performance",
     "passive_rearrangement",
     "positive_work_condition",

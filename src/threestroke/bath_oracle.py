@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
-    CLOSURE_TOL, SINGULAR_TOL, EngineParams, check_laws, cycle_map, cyclic_state, run_cycle
+    CLOSURE_TOL, EngineParams, check_laws, cycle_map, cyclic_state, fixed_ground, run_cycle
 )
 from .ergotropy import WorkPermutation
 from .populations import PopulationVector, as_numbers, check_beta, check_betas, check_size
@@ -407,17 +407,15 @@ def _cycle_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Work and heat intake of the swap cycle on a (lambda_h, lambda_c) grid.
 
-    For each grid point the cyclic ground entry q / (p + q) is solved from
-    the stroke product (p, q) of cycle_map, the cycle is run once on it with
-    the strokes written out here and its closure is asserted before anything
-    is recorded.  Work and intake are NaN where p + q < SINGULAR_TOL, where
+    For each grid point the cyclic ground entry is fixed_ground of the
+    stroke product (p, q) of cycle_map, the cycle is run once on it with the
+    strokes written out here and its closure is asserted before anything is
+    recorded.  Work and intake are NaN where fixed_ground is, where
     cyclic_state raises.
     """
     lh_col = lh[:, None]
     lc_row = lc[None, :]
-    p, q = cycle_map(lh_col, lc_row, params, swap=True)
-    slack = p + q
-    p_star = np.divide(q, slack, out=np.full(slack.shape, np.nan), where=slack >= SINGULAR_TOL)
+    p_star = fixed_ground(*cycle_map(lh_col, lc_row, params, swap=True))
     after_heat = lh_col + p_star * (1.0 - lh_col * (1.0 + params.exp_h))
     after_work = 1.0 - after_heat
     final = lc_row + (1.0 - lc_row * (1.0 + params.exp_c)) * after_work

@@ -13,7 +13,8 @@ worst and tol per check:
   bracket is one-sided: a scan above the cap by more than 1e-2 fails too.  The
   WARN record (window, largest value and clamped drop of the stated
   high-temperature branch above 1) has worst its largest value minus 1; tol 0.
-- carnot: cycles that do not close or break a law, singular ones skipped; tol 0.
+- carnot: cycles that do not close or break a law at their fixed point,
+  singular ones (fixed_ground NaN) run from random starts and skipped; tol 0.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from .bath_oracle import brute_force_performance, jc_time_scan, scan_lambda_max
 from .engine import (
-    BathTemperatures, EngineParams, check_laws_each, cycle_map, optimal_performance, run_cycles,
+    BathTemperatures, EngineParams, check_laws_each, cycle_map, fixed_ground, optimal_performance,
+    run_cycles,
 )
 from .restrictions import (
     JC_BRANCH_POINT, RestrictionModel, eta_finite_bath, lambda_max_finite_bath, lambda_max_jc,
@@ -72,6 +74,10 @@ def thm2(params_list, grid: int) -> list[CheckRecord]:
         # the grid holds the do-nothing cycle, so its best is w_max floored at zero
         worst_w = max(worst_w, abs(oracle.w_max - max(point.w_max, 0.0)))
         if point.w_max > ENGINE_WORK_FLOOR:
+            if oracle.eta_max is None:
+                return [CheckRecord("thm2", "FAIL", math.inf, 1e-6,
+                                    f"grid found no engine where the closed form has one "
+                                    f"at {params}")]
             compared += 1
             worst_eta = max(worst_eta, abs(oracle.eta_max - point.eta_max))
     return [_judged(
@@ -153,25 +159,23 @@ def jc(betas) -> list[CheckRecord]:
 def carnot(beta_h, beta_c, caps_h, caps_c, lam_h, lam_c, swap, starts) -> list[CheckRecord]:
     """The laws on one run_cycles call, one cycle per array entry.
 
-    Even cycles start at cycle_map's fixed point q / (p + q), where it is
-    defined, and must close there; the others start from starts and settle.
+    Every cycle starts at fixed_ground, cycle_map's fixed point, and must
+    close there.  Where that is NaN the cycle is singular: it runs from
+    starts and is skipped.
     """
     count = beta_h.size
     temperatures = BathTemperatures(beta_h, beta_c)
-    settle = np.arange(count) % 2 == 1
-    p, q = cycle_map(lam_h, lam_c, temperatures, swap)
-    with np.errstate(invalid="ignore"):
-        fixed = q / (p + q)
-    ground = np.where(settle | np.isnan(fixed), starts, fixed)
+    fixed = fixed_ground(*cycle_map(lam_h, lam_c, temperatures, swap))
+    singular = np.isnan(fixed)
+    ground = np.where(singular, starts, fixed)
     batch = run_cycles(
         np.stack([ground, 1.0 - ground], axis=-1), lam_h, lam_c, swap,
-        temperatures, caps_h, caps_c, settle,
+        temperatures, caps_h, caps_c,
     )
     kinds = ("fails to close", "first law", "heat intake", "carnot bound")
     masks = [~batch.closes, *check_laws_each(batch, temperatures)]
-    singular = int(batch.singular.sum())
-    failed = np.any(masks, axis=0) & ~batch.singular
-    skipped = f"; {singular} singular draws skipped" if singular else ""
+    failed = np.any(masks, axis=0) & ~singular
+    skipped = f"; {int(singular.sum())} singular draws skipped" if singular.any() else ""
     if failed.any():
         first = int(failed.argmax())
         kind = next(kind for kind, mask in zip(kinds, masks) if mask[first])
@@ -182,10 +186,10 @@ def carnot(beta_h, beta_c, caps_h, caps_c, lam_h, lam_c, swap, starts) -> list[C
             f"lambda_c={float(lam_c[first])!r}, {'swap' if swap[first] else 'identity'})"
         )
     else:
-        residual = float(np.abs(batch.residual[~batch.singular]).max(initial=0.0))
+        residual = float(np.abs(batch.residual[~singular]).max(initial=0.0))
         message = (
-            f"closure, first law on the raw heat and Carnot bound hold on {count} cycles, "
-            f"{int(settle.sum())} settled from random starts "
+            f"closure, first law on the raw heat and Carnot bound hold on "
+            f"{int((~singular).sum())} cycles at their fixed points "
             f"(worst closure residual {residual:.1e})"
         )
     return [_judged("carnot", float(failed.sum()), 0.0, message + skipped)]

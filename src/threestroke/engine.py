@@ -10,14 +10,12 @@ stroke, and the first law reads work = q_hot + q_cold for a closing cycle.
 
 cycle_map composes the three strokes, each a column-stochastic 2x2 matrix
 [[1 - p, q], [p, 1 - q]], into one-cycle (p, q), whose fixed ground entry
-q / (p + q) is cyclic_state (singular where p + q < SINGULAR_TOL).
-run_cycle runs one cycle on Python floats and run_cycles runs many at once on
-arrays, through one stroke pass (_cycle_pass) with the same bits.  The pass
-never calls cycle_map, so the runner, not the product, is the independent
-oracle of cyclic_state and of the closed-form optimum.  run_cycles can also
-settle any start first: it squares cycle_map's product SETTLE_SQUARINGS times,
-which runs the cycle 2**SETTLE_SQUARINGS times, and then runs one plain pass
-whose closure (within CLOSURE_TOL) is measured.  check_laws (and
+q / (p + q) is cyclic_state on floats and fixed_ground on arrays (singular
+where p + q < SINGULAR_TOL).  run_cycle runs one cycle on Python floats and
+run_cycles runs many at once on arrays, through one stroke pass (_cycle_pass)
+with the same bits.  Neither calls cycle_map, so the runner, not the product,
+is the independent oracle of the fixed point and of the closed-form optimum:
+its closure (within CLOSURE_TOL) is measured.  check_laws (and
 check_laws_each over arrays) test the first law on the cold stroke's raw
 heat, within the closure residual, so neither closure nor the first law holds
 by construction.
@@ -44,7 +42,6 @@ from .thermal_qubit import capped_weight, capped_weights, mixture_entries
 
 __all__ = [
     "CLOSURE_TOL",
-    "SETTLE_SQUARINGS",
     "SINGULAR_TOL",
     "BathTemperatures",
     "CycleBatch",
@@ -60,7 +57,7 @@ __all__ = [
     "cycle_map",
     "cyclic_state",
     "elementwise",
-    "open_cycle_performance",
+    "fixed_ground",
     "optimal_performance",
     "positive_work_condition",
     "run_cycle",
@@ -70,10 +67,6 @@ __all__ = [
 CLOSURE_TOL = 1e-10
 SINGULAR_TOL = 1e-14
 _SWAP = WorkPermutation.swap()
-# run_cycles settles a start by 2**SETTLE_SQUARINGS cycles; that contracts it
-# to the fixed point wherever the slope of the ground-entry map is below
-# 1 - 1e-17 in size, beyond the singular tolerance above
-SETTLE_SQUARINGS = 64
 
 
 class SingularCycleError(ValueError):
@@ -150,13 +143,11 @@ class CycleReport:
 class CycleBatch:
     """run_cycles' results, one entry per cycle.
 
-    start holds the (n, 2) populations the strokes ran from, settled where
-    asked, and populations the (n, 3, 2) states after the heat, work and
-    cold strokes, ground entry first.  work, q_hot, q_cold_raw, residual and
-    closes are CycleReport's fields; there is no rebase.  renormalized marks
-    the cycles where one of those states was renormalized, and singular the
-    ones whose stroke product has no unique fixed point (cyclic_state's
-    SingularCycleError); their figures are computed all the same.
+    start holds the (n, 2) populations the strokes ran from and populations
+    the (n, 3, 2) states after the heat, work and cold strokes, ground entry
+    first.  work, q_hot, q_cold_raw, residual and closes are CycleReport's
+    fields; there is no rebase.  renormalized marks the cycles where the
+    start or one of those states was renormalized.
     """
 
     start: np.ndarray
@@ -167,7 +158,6 @@ class CycleBatch:
     residual: np.ndarray
     closes: np.ndarray
     renormalized: np.ndarray
-    singular: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -274,48 +264,26 @@ def run_cycles(
     temperatures: BathTemperatures,
     lambda_h_max: np.ndarray,
     lambda_c_max: np.ndarray,
-    settle: np.ndarray | bool = False,
 ) -> CycleBatch:
     """run_cycle at every index of aligned 1-d arrays, without the rebase.
 
     start is an (n, 2) array of populations, swap a boolean array choosing
     the swap or the identity work stroke, and the weights, caps and
     temperatures are aligned with it; each is validated as a whole by
-    run_cycle's rules.  From an unsettled start every figure equals
-    run_cycle's bit for bit.
-
-    Where settle (a boolean, or a boolean array) is true, the start is first
-    advanced by the product M = [[1 - p, q], [p, 1 - q]] of the three strokes
-    (cycle_map) raised to the power 2**SETTLE_SQUARINGS, by repeated
-    squaring; a start settles wherever the slope 1 - p - q of the
-    ground-entry map is inside (-1, 1) by more than 1e-17.  singular marks
-    p + q < SINGULAR_TOL, where cyclic_state raises.
+    run_cycle's rules.  Every figure equals run_cycle's bit for bit, and a
+    cycle whose stroke product is singular is run all the same.
     """
     n = temperatures.beta_h_omega.size
     start = as_numbers(start, "start")
     if start.shape != (n, 2):
         raise ValueError(f"start has shape {start.shape}, expected {(n, 2)}")
-    swap, settle = np.asarray(swap), np.broadcast_to(np.asarray(settle), (n,))
-    if swap.shape != (n,) or swap.dtype != bool or settle.dtype != bool:
-        raise ValueError(f"swap and settle must be boolean arrays of shape {(n,)}")
+    swap = np.asarray(swap)
+    if swap.shape != (n,) or swap.dtype != bool:
+        raise ValueError(f"swap must be a boolean array of shape {(n,)}")
     caps_h, caps_c = temperatures.caps(lambda_h_max, lambda_c_max)
     lh = capped_weights(temperatures.aligned(lambda_h, "lambda_h"), caps_h)
     lc = capped_weights(temperatures.aligned(lambda_c, "lambda_c"), caps_c)
-    p, q = cycle_map(lh, lc, temperatures, swap)
-    singular = p + q < SINGULAR_TOL
     g, x, renormalized = qubit_populations(start[:, 0], start[:, 1])
-    if settle.any():
-        p_k, q_k = p[settle], q[settle]
-        for _ in range(SETTLE_SQUARINGS):
-            # M^2 = [[1 - p', q'], [p', 1 - q']] with p' = p (2 - p - q), q' = q (2 - p - q)
-            factor = 2.0 - (p_k + q_k)
-            p_k, q_k = p_k * factor, q_k * factor
-        g_k, x_k = g[settle], x[settle]
-        g, x = g.copy(), x.copy()
-        g[settle] = (1.0 - p_k) * g_k + q_k * x_k
-        x[settle] = p_k * g_k + (1.0 - q_k) * x_k
-        g, x, settled = qubit_populations(g, x)
-        renormalized = renormalized | settled
     states = []
 
     def population(ground: np.ndarray, excited: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,7 +305,6 @@ def run_cycles(
         residual=residual,
         closes=closes,
         renormalized=renormalized,
-        singular=singular,
     )
 
 
@@ -363,6 +330,16 @@ def cyclic_state(
             f"cycle map is the identity at lambda_h={lh!r}, lambda_c={lc!r}"
         )
     return qubit_population(q / (p + q))
+
+
+def fixed_ground(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """cyclic_state's ground entry q / (p + q) over arrays of cycle_map's (p, q).
+
+    NaN where p + q < SINGULAR_TOL, where cyclic_state raises; elsewhere
+    every entry equals cyclic_state's bit for bit.
+    """
+    slack = p + q
+    return np.divide(q, slack, out=np.full(slack.shape, np.nan), where=slack >= SINGULAR_TOL)
 
 
 def elementwise(func, values: np.ndarray) -> np.ndarray:
@@ -529,19 +506,6 @@ def positive_work_condition(params: EngineParams) -> bool:
             "positive-work condition assumes mixing caps of 1 on both strokes"
         )
     return 2.0 > math.exp(params.beta_h_omega) + math.exp(-params.beta_c_omega)
-
-
-def open_cycle_performance(params: EngineParams) -> PerformancePoint:
-    """Optimum when every cycle starts from a fresh cold-thermal qubit.
-
-    A full cold reset is the mixture whose weight equals the cold Gibbs ground
-    population: at that weight the cold stroke maps every input to the cold
-    Gibbs state.  The hot stroke stays unrestricted.
-    """
-    lc = 1.0 / (1.0 + params.exp_c)
-    return optimal_performance(
-        EngineParams(params.beta_h_omega, params.beta_c_omega, 1.0, lc)
-    )
 
 
 def _law_violations(work, q_hot, q_cold_raw, residual, beta_h, beta_c, tol, positive):

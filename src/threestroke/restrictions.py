@@ -56,6 +56,15 @@ def _jc_low_temperature(beta_omega, exp):
     return exp(-4.0 * beta_omega) - exp(-3.0 * beta_omega) + 1.0
 
 
+def _check_bath_size(d: int) -> int:
+    """d, if it is an integer in [1, 2**53]; above 2**53 float(d) is inexact,
+    and d and d + 1 would give one cap."""
+    d = check_size(d, "bath size", 1)
+    if d > 2**53:
+        raise ValueError(f"bath size must be <= 2**53, got {d}")
+    return d
+
+
 def _exp_each(values: np.ndarray) -> np.ndarray:
     return elementwise(math.exp, values)
 
@@ -72,7 +81,7 @@ def lambda_max_finite_bath(beta_omega: float, d: int) -> float:
     the bath grows or the temperature drops.
     """
     beta_omega = check_beta(beta_omega)
-    d = check_size(d, "bath size", 1)
+    d = _check_bath_size(d)
     if beta_omega == 0.0:
         return d / (d + 1.0)
     return _ladder_cap(beta_omega, d, math.exp, math.expm1)
@@ -113,7 +122,7 @@ class RestrictionModel:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown restriction kind {self.kind!r}")
         if self.kind == "finite_bath":
-            object.__setattr__(self, "d", check_size(self.d, "bath size", 1))
+            object.__setattr__(self, "d", _check_bath_size(self.d))
         elif self.d is not None:
             raise ValueError(f"restriction {self.kind!r} takes no bath size")
         if self.kind == "explicit":
@@ -166,7 +175,9 @@ class RestrictionModel:
         if self.kind == "jaynes_cummings":
             return "jc"
         if self.kind == "explicit":
-            return f"lam{self.lam:g}"
+            # the short form only where it reads back as the same cap
+            text = f"{self.lam:g}"
+            return f"lam{text if float(text) == self.lam else repr(self.lam)}"
         return "unrestricted"
 
     def lambda_max(self, beta_omega: float) -> float:
@@ -223,7 +234,7 @@ def eta_finite_bath(beta_h_omega: float, beta_c_omega: float, d: int) -> float:
     """Optimal efficiency with (d+1)-level ladder baths on both strokes."""
     bh = check_beta(beta_h_omega)
     bc = check_beta(beta_c_omega)
-    d = check_size(d, "bath size", 1)
+    d = _check_bath_size(d)
     num = (
         -math.expm1(-d * bc) * -math.expm1(-bh) * -math.expm1(-(bc + d * bh))
     )

@@ -8,8 +8,8 @@ from threestroke import checks, cli
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_verify_prints_the_records_lines(seed, capsys):
-    records = [record for check in checks.CHECKS.values() for record in check(seed, 200)]
-    code = cli.main(["verify", "--seed", str(seed)])
+    records = [record for check in checks.CHECKS.values() for record in check(seed, 64)]
+    code = cli.main(["verify", "--seed", str(seed), "--grid", "64"])
     assert capsys.readouterr().out == "".join(record.line + "\n" for record in records)
     failed = any(record.level == "FAIL" for record in records)
     assert code == (cli.EXIT_VERIFY if failed else cli.EXIT_OK)

@@ -414,14 +414,46 @@ def test_verify_forced_failure(monkeypatch, capsys):
     assert "FAIL forced" in out
 
 
-def _sign_slip(batch):
-    return dataclasses.replace(batch, q_cold_raw=-batch.q_cold_raw)
+def test_verify_thm2_fails_where_the_grid_finds_no_engine(monkeypatch, capsys):
+    brute_force = checks.brute_force_performance
+    monkeypatch.setattr(
+        checks, "brute_force_performance",
+        lambda params, grid: dataclasses.replace(brute_force(params, grid), eta_max=None),
+    )
+    (record,) = checks.CHECKS["thm2"](0, 64)
+    assert record.level == "FAIL" and record.worst == math.inf
+    assert "EngineParams(beta_h_omega=" in record.message
+    code, out, _ = run(["verify", "--only", "thm2"], capsys)
+    assert code == 4 and out == f"FAIL thm2: {record.message}\n"
 
 
-def _first_open_and_singular(batch):
-    closes, singular = batch.closes.copy(), batch.singular.copy()
-    closes[0], singular[0] = False, True
-    return dataclasses.replace(batch, closes=closes, singular=singular)
+def _tamper_runner(monkeypatch, tamper):
+    run_cycles = checks.run_cycles
+    monkeypatch.setattr(checks, "run_cycles", lambda *args: tamper(run_cycles(*args)))
+
+
+def _sign_slip(monkeypatch):
+    _tamper_runner(
+        monkeypatch, lambda batch: dataclasses.replace(batch, q_cold_raw=-batch.q_cold_raw)
+    )
+
+
+def _first_open_and_singular(monkeypatch):
+    """Draw 0 is singular by fixed_ground and left open by the runner."""
+    fixed_ground = checks.fixed_ground
+
+    def first_singular(p, q):
+        ground = fixed_ground(p, q)
+        ground[0] = math.nan
+        return ground
+
+    def first_open(batch):
+        closes = batch.closes.copy()
+        closes[0] = False
+        return dataclasses.replace(batch, closes=closes)
+
+    monkeypatch.setattr(checks, "fixed_ground", first_singular)
+    _tamper_runner(monkeypatch, first_open)
 
 
 @pytest.mark.parametrize(
@@ -432,14 +464,32 @@ def _first_open_and_singular(batch):
     ],
 )
 def test_verify_carnot_judges_the_runner(tamper, expected, monkeypatch, capsys):
-    run_cycles = checks.run_cycles
-    monkeypatch.setattr(checks, "run_cycles", lambda *args: tamper(run_cycles(*args)))
+    tamper(monkeypatch)
     code, out, _ = run(["verify", "--only", "carnot"], capsys)
     assert out.startswith(expected)
     if expected.startswith("PASS"):
         assert code == 0 and out.endswith("; 1 singular draws skipped\n")
     else:
         assert code == 4 and "(first: first law at " in out
+
+
+@pytest.mark.parametrize("command", ["perf --bh 0.2 --bc 0.6 --hot", "sweep --models"])
+@pytest.mark.parametrize("d", [2**53 + 1, 10**400 - 1])
+def test_bath_size_above_2_53_is_an_input_error(command, d, capsys):
+    code, out, err = run(command.split() + [f"fb:{d}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_distinct_explicit_caps_get_distinct_labels(capsys):
+    models = "lam:0.1234567,lam:0.1234568"
+    code, out, err = run(["sweep", "--ratio-steps", "2", "--models", models], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == (
+        "ratio,eta_lam0.1234567,bhw_lam0.1234567,eta_lam0.1234568,bhw_lam0.1234568"
+    )
+    code, out, _ = run(["perf", "--bh", "0.2", "--bc", "0.6", "--hot", "lam:0.1234567"], capsys)
+    assert code == 0 and json.loads(out)["hot"] == "lam0.1234567"
 
 
 def _float_options():

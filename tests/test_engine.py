@@ -23,13 +23,15 @@ from threestroke import (
     cyclic_state,
     engine_params_from,
     lambda_max_jc_raw,
-    open_cycle_performance,
     optimal_performance,
     positive_work_condition,
     qubit_population,
     run_cycle,
 )
-from threestroke.engine import SINGULAR_TOL, BathTemperatures, cycle_map, run_cycles
+from threestroke import engine
+from threestroke.engine import (
+    SINGULAR_TOL, BathTemperatures, cycle_map, fixed_ground, run_cycles,
+)
 from threestroke.thermal_qubit import capped_weight
 
 # reference point used throughout: beta_h * omega = 0.2, beta_c * omega = 0.6
@@ -135,16 +137,21 @@ _CORNER_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 1e-12, 1e-9]), la
 @example(bh=4.6177, bc=16.168, lh=0.0, lc=1e-12, swap=False)
 @example(bh=0.0, bc=18.0, lh=1.0, lc=1e-9, swap=True)
 def test_cyclic_state_at_the_singular_corners(bh, bc, lh, lc, swap):
-    """cyclic_state raises SingularCycleError exactly where p + q < SINGULAR_TOL;
-    elsewhere its ground entry is a population and the runner's strokes close on it."""
+    """cyclic_state raises SingularCycleError exactly where p + q < SINGULAR_TOL,
+    and fixed_ground on one-element arrays is NaN there; elsewhere fixed_ground
+    is cyclic_state's ground entry bit for bit, a population, and the runner's
+    strokes close on it."""
     params = EngineParams(bh, bc)
     perm = WorkPermutation.swap() if swap else WorkPermutation.identity(2)
     p, q = cycle_map(lh, lc, params, swap)
+    (ground,) = fixed_ground(*cycle_map(np.array([lh]), np.array([lc]), params, np.array([swap])))
     if p + q < SINGULAR_TOL:
+        assert math.isnan(ground)
         with pytest.raises(SingularCycleError):
             cyclic_state(lh, lc, params, perm)
         return
     start = cyclic_state(lh, lc, params, perm)
+    assert ground == start.entries[0]
     assert 0.0 <= start.entries[0] <= 1.0
     assert run_cycle(start, lh, lc, perm, params).closes
 
@@ -218,17 +225,23 @@ def test_positive_work_condition():
         positive_work_condition(EngineParams(0.2, 0.6, 0.9, 1.0))
 
 
+def _open_cycle(bh, bc):
+    """The optimum when every cycle starts from a fresh cold-thermal qubit: a
+    cold stroke at the cold Gibbs ground population 1 / (1 + e_c) maps every
+    input to the cold Gibbs state, and the hot stroke stays unrestricted."""
+    return optimal_performance(EngineParams(bh, bc, 1.0, 1.0 / (1.0 + math.exp(-bc))))
+
+
 def test_open_cycle_reference_point():
-    point = open_cycle_performance(REF)
+    point = _open_cycle(0.2, 0.6)
     assert point.w_max == pytest.approx(OPEN_W, abs=1e-12)
     assert point.eta_max == pytest.approx(OPEN_ETA, abs=1e-12)
     assert point.operational
     # equal temperatures: never operational
-    assert not open_cycle_performance(EngineParams(0.5, 0.5, 1.0, 1.0)).operational
+    assert not _open_cycle(0.5, 0.5).operational
     # a very cold bath approaches the unrestricted optimum
-    far = EngineParams(0.2, 60.0, 1.0, 1.0)
-    assert open_cycle_performance(far).w_max == pytest.approx(
-        optimal_performance(far).w_max, abs=1e-12
+    assert _open_cycle(0.2, 60.0).w_max == pytest.approx(
+        optimal_performance(EngineParams(0.2, 60.0, 1.0, 1.0)).w_max, abs=1e-12
     )
 
 
@@ -397,38 +410,36 @@ def test_run_cycles_equals_run_cycle_and_the_strokes(rows):
             assert report.q_cold == q_cold
 
 
-def _two_cycles(ground, lam, swap, settle):
+def _two_cycles(ground, lam, swap):
     """run_cycles at the reference temperatures with caps 1, the same weight on both strokes."""
     temperatures = BathTemperatures(np.array([0.2, 0.2]), np.array([0.6, 0.6]))
     return run_cycles(
         np.array([[g, 1.0 - g] for g in ground]), np.array(lam), np.array(lam),
-        np.array(swap), temperatures, np.ones(2), np.ones(2), np.array(settle),
+        np.array(swap), temperatures, np.ones(2), np.ones(2),
     )
 
 
-def test_run_cycles_settles_starts_that_converge_and_reports_the_rest():
-    # row 0 runs once from a start off the fixed point; row 1 idles around the
-    # swap, whose ground-entry map g -> 1 - g has slope -1, so no number of
-    # cycles settles it
-    batch = _two_cycles([0.3, 0.3], [1.0, 0.0], [True, True], [False, True])
-    assert batch.closes.tolist() == [False, False]
-    assert not batch.singular.any()
-    settled = _two_cycles([0.3, 0.95], [1.0, 0.01], [True, False], [True, True])
-    assert settled.closes.all()
-    assert settled.start[0, 0] == pytest.approx(REF_P, abs=1e-15)
-    assert np.abs(settled.residual).max() <= 1e-15
-
-
-def test_run_cycles_reports_a_singular_draw():
+def test_run_cycles_runs_a_singular_draw():
     # without the swap, idle strokes leave every state fixed; cyclic_state
-    # raises there, the runner marks the cycle and runs it all the same
+    # raises there, and the runner runs the cycle all the same
     with pytest.raises(SingularCycleError):
         cyclic_state(0.0, 0.0, REF, WorkPermutation.identity(2))
-    for settle in (False, True):
-        batch = _two_cycles([0.3, 0.3], [0.0, 1.0], [False, True], [settle, settle])
-        assert batch.singular.tolist() == [True, False]
-        assert batch.start[0].tolist() == [0.3, 0.7]
-        assert batch.closes[0] and batch.work[0] == 0.0
+    batch = _two_cycles([0.3, 0.3], [0.0, 1.0], [False, True])
+    assert batch.start[0].tolist() == [0.3, 0.7]
+    assert batch.closes[0] and batch.work[0] == 0.0
+
+
+def test_run_cycles_never_uses_the_stroke_product(monkeypatch):
+    """The runner is the independent measure of closure: it runs with cycle_map broken."""
+    expected = _two_cycles([0.3, REF_P], [0.0, 1.0], [False, True])
+
+    def broken(*args):
+        raise AssertionError("run_cycles called cycle_map")
+
+    monkeypatch.setattr(engine, "cycle_map", broken)
+    batch = _two_cycles([0.3, REF_P], [0.0, 1.0], [False, True])
+    for name, values in vars(expected).items():
+        assert np.array_equal(getattr(batch, name), values), name
 
 
 def test_run_cycles_validation():
@@ -449,8 +460,6 @@ def test_run_cycles_validation():
     ):
         with pytest.raises(ValueError, match=message):
             run_cycles(**{**ok, name: value})
-    with pytest.raises(ValueError, match="boolean"):
-        run_cycles(**ok, settle=np.array([0]))
 
 
 # temperatures around the exchange-coupling branch point and its clamp

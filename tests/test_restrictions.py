@@ -98,6 +98,9 @@ def test_model_construction_and_labels():
     assert RestrictionModel.finite_bath(7).label == "fb7"
     assert RestrictionModel.jaynes_cummings().label == "jc"
     assert RestrictionModel.explicit(0.7).label == "lam0.7"
+    # the short form only where it reads back as the same cap
+    labels = [RestrictionModel.explicit(lam).label for lam in (0.37, 1.0, 0.05, 0.1234567)]
+    assert labels == ["lam0.37", "lam1", "lam0.05", "lam0.1234567"]
     with pytest.raises(ValueError):
         RestrictionModel("bogus")
     with pytest.raises(ValueError):
@@ -108,6 +111,20 @@ def test_model_construction_and_labels():
         RestrictionModel("unrestricted", d=3)
     with pytest.raises(ValueError):
         RestrictionModel("finite_bath", d=3, lam=0.5)
+
+
+def test_bath_size_is_an_integer_up_to_2_53():
+    assert lambda_max_finite_bath(0.0, 2**53) == 1.0
+    assert RestrictionModel.finite_bath(2**53).d == 2**53
+    for d in (2**53 + 1, 10**400 - 1):
+        for call in (
+            lambda: lambda_max_finite_bath(0.0, d),
+            lambda: lambda_max_finite_bath(0.5, d),
+            lambda: RestrictionModel.finite_bath(d),
+            lambda: eta_finite_bath(0.2, 0.6, d),
+        ):
+            with pytest.raises(ValueError, match=r"bath size must be <= 2\*\*53"):
+                call()
 
 
 def test_model_parse():

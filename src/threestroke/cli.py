@@ -3,7 +3,8 @@
 Every closed-form command evaluates the optimum column-wise through one
 function, _sweep_cells: perf is a one-point sweep, tradeoff is a sweep that
 drops the rows where no model operates, and figures writes sweep and tradeoff
-presets plus perf's object at beta_c = 3 beta_h as reference_point.json.
+presets plus perf's object at beta_c = 3 beta_h as reference_point.json;
+fig2.csv and fig3.csv share a preset, so they are one table written twice.
 A failing run prints its error alone; clamp warnings come only with output.
 
 verify prints the line of each record that the checks in threestroke.checks
@@ -27,9 +28,12 @@ a size with a fractional part, is an invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import shlex
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,9 +54,11 @@ EXIT_VERIFY = 4
 
 _AXIS_COLUMNS = {"ratio": "ratio", "bh": "beta_h_omega", "bc": "beta_c_omega"}
 
-# Swept values are held as arrays for the whole sweep.
+# Swept values are held as arrays for the whole sweep; their CSV text is
+# written out _CSV_CHUNK_ROWS rows at a time.
 MAX_RATIO_STEPS = 1_000_000
 MAX_VERIFY_GRID = MAX_GRID
+_CSV_CHUNK_ROWS = 4096
 
 
 def _as_float(name: str, value) -> float:
@@ -320,22 +326,28 @@ def _meta_line(args, cfg: SweepConfig) -> str:
 def _emit_csv(path, meta: str, header: list[str], table: np.ndarray, blank: np.ndarray) -> None:
     """Write the table with 9 significant digits, leaving the blank cells empty.
 
-    '%.9g' % x and format(x, '.9g') give the same text for every float, so a
-    row without empty cells is formatted in one go.
+    The rows go out in chunks of _CSV_CHUNK_ROWS as they are formatted, so
+    no more than one chunk's text is held.  '%.9g' % x and format(x, '.9g')
+    give the same text for every float, so a row without empty cells is
+    formatted in one go.
     """
-    lines = [meta, ",".join(header)]
     full = ",".join(["%.9g"] * len(header))
-    for row, gaps in zip(table.tolist(), blank.tolist()):
-        if any(gaps):
-            lines.append(",".join("" if gap else format(x, ".9g") for x, gap in zip(row, gaps)))
-        else:
-            lines.append(full % tuple(row))
-    text = "\n".join(lines) + "\n"
     if path in (None, "-"):
-        sys.stdout.write(text)
+        target = contextlib.nullcontext(sys.stdout)
     else:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
+        target = open(path, "w", newline="")
+    with target as handle:
+        handle.write(f"{meta}\n{','.join(header)}\n")
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = slice(start, start + _CSV_CHUNK_ROWS)
+            lines = []
+            for row, gaps in zip(table[chunk].tolist(), blank[chunk].tolist()):
+                if any(gaps):
+                    cells = ("" if gap else format(x, ".9g") for x, gap in zip(row, gaps))
+                    lines.append(",".join(cells))
+                else:
+                    lines.append(full % tuple(row))
+            handle.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +393,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# file -> (command, models, eta_carnot column)
+# files -> (command, models, eta_carnot column); files that share a preset
+# get one table, computed and formatted once
 _FIGURES = {
-    "fig2.csv": ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
-    "fig3.csv": ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
-    "fig4.csv": ("sweep", "unrestricted,fb:10,jc", True),
-    "fig5.csv": ("tradeoff", "unrestricted,fb:10,fb:5,jc", False),
+    ("fig2.csv", "fig3.csv"): ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
+    ("fig4.csv",): ("sweep", "unrestricted,fb:10,jc", True),
+    ("fig5.csv",): ("tradeoff", "unrestricted,fb:10,fb:5,jc", False),
 }
 
 
@@ -405,11 +417,14 @@ def cmd_figures(args) -> int:
     with np.errstate(over="ignore"):
         check_betas(_axis_betas(cfg)[1])
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (command, models, carnot) in _FIGURES.items():
+    for (name, *copies), (command, models, carnot) in _FIGURES.items():
         target = str(out_dir / name)
         overrides = {"command": command, "models": models, "carnot": carnot, "out": target}
         cmd_sweep(argparse.Namespace(**{**vars(args), **overrides}))
         print(f"wrote {target}")
+        for copy in copies:
+            shutil.copyfile(target, out_dir / copy)
+            print(f"wrote {out_dir / copy}")
     target = out_dir / "reference_point.json"
     target.write_text(reference + "\n")
     print(f"wrote {target}")
@@ -532,8 +547,14 @@ def _joined_negative_floats(argv: list[str]) -> list[str]:
     return joined
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use; parse_args never changes it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     given = list(argv) if argv is not None else sys.argv[1:]
     args = parser.parse_args(_joined_negative_floats(given))
     args._argv = given

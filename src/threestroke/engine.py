@@ -347,8 +347,13 @@ def elementwise(func, values: np.ndarray) -> np.ndarray:
 
     numpy's exp and expm1 differ from the C library's by one ulp on a few
     percent of inputs.  Going through math keeps the array results bit for
-    bit equal to the scalar functions' results.
+    bit equal to the scalar functions' results.  An array whose entries all
+    share one bit pattern (so 0.0 and -0.0 stay apart), such as a sweep's
+    fixed temperature, takes a single call.
     """
+    bits = values.view(np.int64)
+    if values.size and (bits == bits[0]).all():
+        return np.full(values.shape, func(float(values[0])))
     return np.fromiter(map(func, values.tolist()), float, values.size)
 
 

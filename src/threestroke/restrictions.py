@@ -154,16 +154,20 @@ class RestrictionModel:
             return cls.unrestricted()
         if text == "jc":
             return cls.jaynes_cummings()
+        # only a malformed number is the spec's fault; the model's own checks
+        # name the bound a well-formed number breaks
         if text.startswith("fb:"):
             try:
-                return cls.finite_bath(int(text[3:]))
+                d = int(text[3:])
             except ValueError:
                 raise ValueError(f"bad finite-bath spec {text!r}, expected fb:D") from None
+            return cls.finite_bath(d)
         if text.startswith("lam:"):
             try:
-                return cls.explicit(float(text[4:]))
+                lam = float(text[4:])
             except ValueError:
                 raise ValueError(f"bad explicit-cap spec {text!r}, expected lam:X") from None
+            return cls.explicit(lam)
         raise ValueError(
             f"bad restriction spec {text!r}, expected unrestricted, fb:D, jc or lam:X"
         )

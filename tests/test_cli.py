@@ -6,7 +6,9 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -184,6 +186,18 @@ def test_sweep_model_flag_conflicts(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(base + ["--models", "bogus"], capsys)
     assert code == 2 and "error:" in err
+    # a malformed spec says so; a well-formed one out of range names the bound
+    for spec, message in (
+        ("fb:0", "bath size must be >= 1, got 0"),
+        ("fb:9007199254740993", "bath size must be <= 2**53, got 9007199254740993"),
+        ("lam:1.5", "explicit cap must lie in [0, 1], got 1.5"),
+        ("lam:nan", "explicit cap must lie in [0, 1], got nan"),
+        ("fb:x", "bad finite-bath spec 'fb:x', expected fb:D"),
+        ("lam:", "bad explicit-cap spec 'lam:', expected lam:X"),
+    ):
+        perf = ["perf", "--bh", "0.2", "--bc", "0.6", "--hot", spec]
+        for argv in (base + ["--models", spec], perf):
+            assert run(argv, capsys) == (2, "", f"error: {message}\n")
 
 
 def test_sweep_range_validation(capsys):
@@ -208,6 +222,44 @@ def test_sweep_to_file_is_deterministic(tmp_path, capsys):
     code, out, _ = run(argv, capsys)
     assert code == 0
     assert out.splitlines()[1:] == first.decode().splitlines()[1:]
+
+
+def test_csv_chunks_leave_the_bytes_alone(tmp_path, monkeypatch, capsys):
+    """Any chunk size writes the same file, and stdout gets its rows too."""
+    argv = [
+        "tradeoff", "--bh", "0.4", "--ratio-min", "0.5", "--ratio-steps", "40",
+        "--models", "jc,fb:2", "--carnot",
+    ]
+    target = tmp_path / "a.csv"
+    assert run(argv + ["--out", str(target)], capsys)[0] == 0
+    whole = target.read_bytes()
+    assert 2 < whole.count(b"\n") < 42  # tradeoff drops the rows below ratio 1
+    for rows in (1, 3, 40):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", rows)
+        assert run(argv + ["--out", str(target)], capsys)[0] == 0
+        assert target.read_bytes() == whole
+        code, out, _ = run(argv + ["--out", "-"], capsys)
+        assert code == 0
+        assert out.encode().split(b"\n")[1:] == whole.split(b"\n")[1:]
+
+
+def test_large_sweep_streams_its_csv(tmp_path, capsys):
+    """A 200 000-step sweep holds one chunk of rows as text, never the whole file."""
+    target = tmp_path / "big.csv"
+    argv = ["sweep", "--ratio-steps", "200000", "--models", "unrestricted", "--out", str(target)]
+    assert run(["sweep", "--ratio-steps", "2"], capsys)[0] == 0  # the parser, built untraced
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # the swept arrays take about 20 MB; every row's text, the rows as lists
+    # of floats and the joined text, all held at once, took 75 MB
+    assert peak < 40_000_000
+    with open(target, "rb") as handle:
+        assert sum(1 for _ in handle) == 2 + 200_000
 
 
 def test_sweep_unwritable_path(tmp_path, capsys):
@@ -276,6 +328,36 @@ def test_figures_presets(tmp_path, capsys):
     assert "eta_jc" in fig4_header
     fig2_header = (out_dir / "fig2.csv").read_text().splitlines()[1]
     assert "eta_fb15" in fig2_header and "eta_carnot" not in fig2_header
+
+
+_FIGURE_PRESETS = (
+    ("fig2.csv", "sweep", "unrestricted,fb:15,fb:10,fb:5", False),
+    ("fig3.csv", "sweep", "unrestricted,fb:15,fb:10,fb:5", False),
+    ("fig4.csv", "sweep", "unrestricted,fb:10,jc", True),
+    ("fig5.csv", "tradeoff", "unrestricted,fb:10,fb:5,jc", False),
+)
+
+
+def test_figures_are_the_sweeps_of_their_presets(tmp_path, monkeypatch, capsys):
+    """fig2.csv and fig3.csv share a preset: one table, formatted once, written twice."""
+    emitted = []
+    emit = cli._emit_csv
+
+    def counted(path, *rest):
+        emitted.append(path)
+        emit(path, *rest)
+
+    monkeypatch.setattr(cli, "_emit_csv", counted)
+    out_dir = tmp_path / "figs"
+    # the clamp window of the jc cap, and rows that tradeoff drops
+    common = ["--bh", "0.4", "--ratio-min", "0.5", "--ratio-steps", "60"]
+    assert run(["figures", "--out", str(out_dir), *common], capsys)[0] == 0
+    assert emitted == [str(out_dir / name) for name in ("fig2.csv", "fig4.csv", "fig5.csv")]
+    assert (out_dir / "fig3.csv").read_bytes() == (out_dir / "fig2.csv").read_bytes()
+    for name, command, models, carnot in _FIGURE_PRESETS:
+        code, out, _ = run([command, *common, "--models", models] + ["--carnot"] * carnot, capsys)
+        assert code == 0
+        assert (out_dir / name).read_text().split("\n")[1:] == out.split("\n")[1:]
 
 
 def test_verify_single_check(capsys):
@@ -478,7 +560,7 @@ def test_verify_carnot_judges_the_runner(tamper, expected, monkeypatch, capsys):
 def test_bath_size_above_2_53_is_an_input_error(command, d, capsys):
     code, out, err = run(command.split() + [f"fb:{d}"], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == f"error: bath size must be <= 2**53, got {d}\n"
 
 
 def test_distinct_explicit_caps_get_distinct_labels(capsys):
@@ -543,6 +625,55 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert excinfo.value.code == 0
     assert "threestroke" in capsys.readouterr().out
+
+
+# in-process calls in a row, each as it must run in a fresh process: flags
+# and config values of one call never reach the next, and a usage error
+# leaves the parser as it was
+_CALL_SEQUENCE = (
+    ["sweep", "--bh", "0.4", "--ratio-steps", "30", "--models", "jc,fb:5", "--carnot", "--raw",
+     "--out", "a.csv"],
+    ["sweep", "--bh", "0.4", "--ratio-steps", "30", "--models", "jc,fb:5", "--out", "a.csv"],
+    ["sweep", "--config", "run.json", "--out", "b.csv"],
+    ["sweep", "--bh", "0.3", "--ratio-steps", "7", "--out", "b.csv"],
+    ["sweep", "--axis", "diagonal"],
+    ["tradeoff", "--bh", "0.2", "--ratio-steps", "9", "--models", "unrestricted,fb:2"],
+    ["verify", "--only", "thm3"],
+    ["sweep", "--ratio-steps", "5"],
+)
+_CALL_CONFIG = {
+    "axis": "bc", "bh": 0.25, "ratio-min": 0.3, "ratio-max": 2, "ratio-steps": 11,
+    "models": "unrestricted,lam:0.5", "carnot": True, "raw": True,
+}
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    for directory in (fresh, here):
+        directory.mkdir()
+        (directory / "run.json").write_text(json.dumps(_CALL_CONFIG))
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    monkeypatch.chdir(here)
+    for argv in _CALL_SEQUENCE:
+        done = subprocess.run(
+            [sys.executable, "-m", "threestroke.cli", *argv],
+            cwd=fresh, env=env, capture_output=True, text=True, check=False,
+        )
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (done.returncode, done.stdout, done.stderr)
+        assert _files(here) == _files(fresh)
+    assert sorted(_files(here)) == ["a.csv", "b.csv", "run.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -728,25 +859,19 @@ def test_sweep_and_tradeoff_match_the_point_by_point_reference(
 )
 @settings(max_examples=20, deadline=None)
 def test_figures_match_the_point_by_point_reference(bh, lo, steps):
-    presets = {
-        "fig2.csv": ("unrestricted,fb:15,fb:10,fb:5", False, False),
-        "fig3.csv": ("unrestricted,fb:15,fb:10,fb:5", False, False),
-        "fig4.csv": ("unrestricted,fb:10,jc", True, False),
-        "fig5.csv": ("unrestricted,fb:10,fb:5,jc", False, True),
-    }
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["figures", "--out", tmp, "--ratio-steps", str(steps)]
         argv += ["--bh", bh] * (bh is not None) + ["--ratio-min", lo] * (lo is not None)
         code, _, err = quiet_main(argv)
         want_err = ""
-        for name, (models, carnot, tradeoff) in presets.items():
+        for name, command, models, carnot in _FIGURE_PRESETS:
             args = argparse.Namespace(
                 axis="ratio", bh=None if bh is None else float(bh), bc=None,
                 ratio_min=None if lo is None else float(lo), ratio_max=None,
                 ratio_steps=steps, models=models, hot=None, cold=None,
                 carnot=carnot, raw=None,
             )
-            want_code, want_lines, file_err = reference_run(args, tradeoff)
+            want_code, want_lines, file_err = reference_run(args, command == "tradeoff")
             want_err += file_err
             assert code == want_code
             if want_code == 0:

@@ -531,3 +531,29 @@ def test_array_validation_names_the_first_bad_entry():
         temperatures.optimum(np.array([1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         BathTemperatures(np.array([0.2]), np.array([0.6, 0.7]))
+
+
+# entries that repeat, mix the two zeros, or sit at the subnormal end
+_FLOAT_POOL = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, 0.5, -745.2, -math.inf]
+)
+_ANY_FLOAT = st.one_of(st.floats(max_value=700.0), st.just(math.nan), _FLOAT_POOL)
+
+
+@given(
+    values=st.one_of(
+        st.lists(_ANY_FLOAT, max_size=8),
+        st.lists(_FLOAT_POOL, max_size=8),
+        st.tuples(_ANY_FLOAT, st.integers(0, 6)).map(lambda pair: [pair[0]] * pair[1]),
+    ),
+    func=st.sampled_from([math.exp, math.expm1]),
+)
+@example(values=[0.0, -0.0], func=math.expm1)
+@example(values=[-0.0] * 3, func=math.expm1)
+@settings(max_examples=300)
+def test_elementwise_is_the_scalar_function_bit_for_bit(values, func):
+    """Constant arrays take one call; 0.0 and -0.0 are never merged."""
+    got = engine.elementwise(func, np.array(values, dtype=float))
+    want = np.array([func(v) for v in values], dtype=float)
+    assert got.shape == want.shape
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

@@ -132,9 +132,22 @@ def test_model_parse():
     assert RestrictionModel.parse("fb:5") == RestrictionModel.finite_bath(5)
     assert RestrictionModel.parse(" jc ") == RestrictionModel.jaynes_cummings()
     assert RestrictionModel.parse("lam:0.25") == RestrictionModel.explicit(0.25)
-    for bad in ("fb:0", "fb:x", "lam:1.5", "lam:", "bogus", ""):
-        with pytest.raises(ValueError):
+    # a malformed number is the spec's fault; a well-formed one out of range
+    # gets the model's own message, which names the bound
+    for bad, message in (
+        ("fb:0", "bath size must be >= 1, got 0"),
+        (f"fb:{2**53 + 1}", f"bath size must be <= 2**53, got {2**53 + 1}"),
+        ("fb:x", "bad finite-bath spec 'fb:x', expected fb:D"),
+        ("fb:2.0", "bad finite-bath spec 'fb:2.0', expected fb:D"),
+        ("lam:1.5", "explicit cap must lie in [0, 1], got 1.5"),
+        ("lam:nan", "explicit cap must lie in [0, 1], got nan"),
+        ("lam:", "bad explicit-cap spec 'lam:', expected lam:X"),
+        ("bogus", "bad restriction spec 'bogus', expected unrestricted, fb:D, jc or lam:X"),
+        ("", "bad restriction spec '', expected unrestricted, fb:D, jc or lam:X"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
             RestrictionModel.parse(bad)
+        assert str(excinfo.value) == message
 
 
 def test_model_lambda_max_dispatch():
@@ -148,6 +161,30 @@ def test_model_lambda_max_dispatch():
     assert clamped.tolist() == [True, False]
     assert not RestrictionModel.finite_bath(5).resolve([0.4])[1].any()
     assert not RestrictionModel.unrestricted().resolve([0.4])[1].any()
+
+
+# where the jc cap clamps: lambda_max_jc_raw exceeds 1 on (0.3504, 0.4621]
+_CONSTANT_TEMPERATURES = st.one_of(
+    st.floats(0.0, 50.0),
+    st.floats(0.35, 0.47),
+    st.sampled_from([0.0, 5e-324, JC_BRANCH_POINT, math.nextafter(JC_BRANCH_POINT, 1.0)]),
+)
+
+
+@given(
+    beta=_CONSTANT_TEMPERATURES,
+    size=st.integers(1, 5),
+    spec=st.sampled_from(["fb:1", "fb:10", f"fb:{2**53}", "jc"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_resolve_on_one_temperature_is_lambda_max(beta, size, spec):
+    """A sweep's fixed side: resolve on a constant array gives lambda_max's bits."""
+    model = RestrictionModel.parse(spec)
+    caps, clamped = model.resolve(np.full(size, beta))
+    want = np.full(size, model.lambda_max(beta))
+    assert caps.view(np.int64).tolist() == want.view(np.int64).tolist()
+    raw = lambda_max_jc_raw(beta)
+    assert clamped.tolist() == [spec == "jc" and not 0.0 <= raw <= 1.0] * size
 
 
 def test_engine_params_from():

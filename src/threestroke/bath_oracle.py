@@ -12,17 +12,18 @@ no (d, 2, 2) block array, every temporary is at most 64 KB, so it comes from
 the heap rather than from a fresh, page-faulted map, and a call takes no page
 faults once the heap has grown to it.  The partition function, the state's
 trace check and the reduced populations are pairwise numpy sums (their error
-bound is derived in _ladder_weights).  Beside the simulation
-sit a one-sweep coordinate search over the block angles and a brute-force
-grid over the mixing weights of the swap cycle (the identity, the
-qubit's other work permutation, releases exactly zero work); neither
-evaluates the closed-form optima it is meant to check.  The grid evaluates
-every cell, in row-major chunks, and asserts closure on each.  The
-exchange-coupling time scan returns the largest weight
-over its time grid, each time's value summed along its own row so that it
-does not depend on the other times evaluated with it; it halves, level by
-level, only the windows of sorted times whose curvature bound can still reach
-the best value (the bound and the margin are in jc_time_scan).
+bound is derived in _ladder_weights).  The oracles simulate fresh ladder baths
+only, so the kernel rotates the diagonal product state's blocks.  Beside the
+simulation sit a one-sweep coordinate search over the block angles and a
+brute-force grid over the mixing weights of the swap cycle (the identity, the
+qubit's other work permutation, releases exactly zero work); neither evaluates
+the closed-form optima it is meant to check.  The grid evaluates every cell,
+in row-major chunks, and asserts closure on each.  The exchange-coupling time
+scan returns the largest weight over its time grid, each time's value summed
+along its own row so that it does not depend on the other times evaluated with
+it; it halves, level by level, only the windows of sorted times whose
+curvature bound can still reach the best value (the bound and the margin are
+in jc_time_scan).
 """
 
 from __future__ import annotations
@@ -53,19 +54,19 @@ __all__ = [
 ]
 
 # Sizes are bounded before anything is allocated: the bath by its O(d) block
-# arrays, the brute-force grid by its grid**2 cells per pass, the angle scan
-# by the same MAX_GRID**2 floats in its rows of angles, the
+# arrays (and so the angle scan's rows of _SCAN_POINTS * d floats, 650 000 at
+# most), the brute-force grid by its grid**2 cells per pass, the
 # exchange-coupling truncation by its per-manifold arrays, and its time grid by
 # the sorted copy the scan makes of an unsorted grid.
 _MAX_BATH_SIZE = 10_000
 MAX_GRID = 2_000
-_MAX_SCAN_FLOATS = MAX_GRID**2
 MAX_TRUNCATION = 100_000
 MAX_TIME_POINTS = 10_000_000
 _JC_TAIL_TOL = 1e-12
 _JC_CHUNK_FLOATS = 2_000_000  # sines evaluated at once by the coupling-time scan
 _JC_STRIDE = 512  # the scan evaluates every this many sorted times before halving
 _JC_PRUNE_MARGIN = 1e-12
+_SCAN_POINTS = 65  # grid points per angle of the coordinate-ascent scan
 # Floats per temporary of the brute-force grid and of the product state's
 # checks, evaluated in chunks of at most this size (the block conjugation
 # takes an eighth of it, see _rotation_chunks): 64 KB stays below glibc's
@@ -144,7 +145,9 @@ class BlockUnitarySpec:
 
     @classmethod
     def full_swap(cls, d: int) -> BlockUnitarySpec:
-        """All blocks rotated by pi/2; achieves the ladder-bath cap."""
+        """All blocks rotated by pi/2; achieves the ladder-bath cap.  d is
+        checked by the simulation's bath-size rule before any array is made."""
+        d = _check_bounded(d, "bath size", 1, _MAX_BATH_SIZE)
         return cls(np.full(d, math.pi / 2.0), np.zeros(d), np.zeros(d))
 
 
@@ -211,20 +214,19 @@ def _phase(angles: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _rotate(spec: BlockUnitarySpec, chunk: slice, blocks: tuple, out: tuple) -> None:
-    """Write V B V^dagger for a chunk of blocks, each given and written entrywise.
+def _rotate(spec: BlockUnitarySpec, chunk: slice, ground, excited, out: tuple) -> None:
+    """Write V B V^dagger for a chunk of diagonal blocks B = diag(ground, excited).
 
-    blocks and out are (b00, b01, b10, b11): arrays over the chunk's blocks,
-    or, in blocks, scalars for entries that every block shares.  Block j's
+    ground and excited are the blocks' diagonals over the chunk, and out is
+    (b00, b01, b10, b11), arrays over the chunk's blocks.  Block j's
     rotation V has rows (a, b) and (-conj(b), conj(a)), with
     a = exp(i phi) cos(theta) and b = exp(i alpha) sin(theta), and the rows
     of conj(V) are (conj(a), conj(b)) and (-b, a), exactly.  V B V^dagger is
     formed by elementwise products one output row at a time: the row (x, y)
-    times B, m = (x B00 + y B10, x B01 + y B11), then m against each row
-    (u, v) of conj(V), m0 u + m1 v.  Every operation is elementwise, so a
-    block's entries do not depend on the chunk it falls in.
+    times B, m = (x ground, y excited), then m against each row (u, v) of
+    conj(V), m0 u + m1 v.  Every operation is elementwise, so a block's
+    entries do not depend on the chunk it falls in.
     """
-    b00, b01, b10, b11 = blocks
     thetas = spec.thetas[chunk]
     a, b = _phase(spec._angles[1:, chunk])
     a *= np.cos(thetas)
@@ -232,18 +234,16 @@ def _rotate(spec: BlockUnitarySpec, chunk: slice, blocks: tuple, out: tuple) -> 
     conj_a, conj_b = np.conj(a), np.conj(b)
     m0, m1, term = np.empty((3, a.size), dtype=complex)
 
-    def times_blocks(x: np.ndarray, y: np.ndarray) -> None:
-        np.add(np.multiply(x, b00, out=m0), np.multiply(y, b10, out=term), out=m0)
-        np.add(np.multiply(x, b01, out=m1), np.multiply(y, b11, out=term), out=m1)
-
     def against(u: np.ndarray, v: np.ndarray, entry: np.ndarray) -> None:
         np.add(np.multiply(m0, u, out=entry), np.multiply(m1, v, out=term), out=entry)
 
-    times_blocks(a, b)
+    np.multiply(a, ground, out=m0)
+    np.multiply(b, excited, out=m1)
     minus_b = np.negative(b, out=b)  # b itself is not used again
     against(conj_a, conj_b, out[0])
     against(minus_b, a, out[1])
-    times_blocks(-conj_b, conj_a)
+    np.multiply(np.negative(conj_b, out=m0), ground, out=m0)
+    np.multiply(conj_a, excited, out=m1)
     against(conj_a, conj_b, out[2])
     against(minus_b, a, out[3])
 
@@ -333,7 +333,7 @@ def simulate_finite_bath_map(
     _check_trace(corner_low + corner_high + float((ground + excited).sum()))
     for chunk in _rotation_chunks(d):
         rotated = tuple(np.empty((4, chunk.stop - chunk.start), dtype=complex))
-        _rotate(spec, chunk, (ground[chunk], 0j, 0j, excited[chunk]), rotated)
+        _rotate(spec, chunk, ground[chunk], excited[chunk], rotated)
         _check_blocks(*rotated)
         ground[chunk] = rotated[0].real
         excited[chunk] = rotated[3].real
@@ -361,28 +361,25 @@ def _achieved_lambda_rows(rows: np.ndarray, beta_omega: float, d: int) -> np.nda
     return (np.sin(rows) ** 2 @ weights[:-1]) / z
 
 
-def scan_lambda_max(beta_omega: float, d: int, grid: int = 65) -> float:
+def scan_lambda_max(beta_omega: float, d: int) -> float:
     """Best mixing weight over block-rotation angles, found by plain search.
 
     One sweep of coordinate ascent from all angles at pi/4: each angle in
-    turn is scanned over grid points in [0, pi/2] with the others held.
+    turn is scanned over 65 grid points in [0, pi/2] with the others held.
     achieved_lambda is separable, a sum of one-angle terms, so the best grid
     value of each angle does not depend on the others, and one sweep reaches
     the grid's maximum.  Only achieved_lambda is evaluated, on explicit
     angle tuples, which keeps the result independent of the closed-form cap.
     A point replaces the best only when strictly higher, so ties resolve to
-    the smallest grid index.  A grid below 3 raises ValueError, and rows of
-    more than MAX_GRID**2 floats (grid * d) raise ResourceLimitError before
-    anything is allocated.
+    the smallest grid index.  Each angle's rows hold 65 d floats, bounded by
+    the bath size.
     """
     beta_omega, d = _check_bath(beta_omega, d)
-    points = check_size(grid, "grid", 3)
-    _check_bounded(points * d, "angle rows (grid * d floats)", 1, _MAX_SCAN_FLOATS)
-    line = np.linspace(0.0, math.pi / 2.0, points)
+    line = np.linspace(0.0, math.pi / 2.0, _SCAN_POINTS)
     thetas = np.full(d, math.pi / 4.0)
     best_value = float(_achieved_lambda_rows(thetas[None, :], beta_omega, d)[0])
     for j in range(d):
-        rows = np.tile(thetas, (points, 1))
+        rows = np.tile(thetas, (_SCAN_POINTS, 1))
         rows[:, j] = line
         values = _achieved_lambda_rows(rows, beta_omega, d)
         index = int(np.argmax(values))
@@ -394,12 +391,13 @@ def scan_lambda_max(beta_omega: float, d: int, grid: int = 65) -> float:
 
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Best work and efficiency found by the grid search, with their argmaxes."""
+    """Best work and efficiency found by the grid search of the swap cycle, with
+    their argmaxes (lambda_h, lambda_c)."""
 
     w_max: float
     eta_max: float | None
-    w_arg: tuple[float, float, str]
-    eta_arg: tuple[float, float, str] | None
+    w_arg: tuple[float, float]
+    eta_arg: tuple[float, float] | None
 
 
 def _cycle_grid(
@@ -496,8 +494,8 @@ def brute_force_performance(params: EngineParams, grid: int = 64) -> BruteForceR
             f"vectorized work {w_max!r} disagrees with run_cycle {report.work!r}"
         )
     if not math.isfinite(eta):
-        return BruteForceResult(w_max, None, (*w_at, "swap"), None)
-    return BruteForceResult(w_max, eta, (*w_at, "swap"), (*eta_at, "swap"))
+        return BruteForceResult(w_max, None, w_at, None)
+    return BruteForceResult(w_max, eta, w_at, eta_at)
 
 
 def _mixing_weights(

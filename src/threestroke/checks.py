@@ -14,7 +14,7 @@ worst and tol per check:
   WARN record (window, largest value and clamped drop of the stated
   high-temperature branch above 1) has worst its largest value minus 1; tol 0.
 - carnot: cycles that do not close or break a law at their fixed point,
-  singular ones (fixed_ground NaN) run from random starts and skipped; tol 0.
+  singular ones (fixed_ground NaN) run from ground 0.5 and skipped; tol 0.
 """
 
 from __future__ import annotations
@@ -156,18 +156,18 @@ def jc(betas) -> list[CheckRecord]:
     return records
 
 
-def carnot(beta_h, beta_c, caps_h, caps_c, lam_h, lam_c, swap, starts) -> list[CheckRecord]:
+def carnot(beta_h, beta_c, caps_h, caps_c, lam_h, lam_c, swap) -> list[CheckRecord]:
     """The laws on one run_cycles call, one cycle per array entry.
 
     Every cycle starts at fixed_ground, cycle_map's fixed point, and must
     close there.  Where that is NaN the cycle is singular: it runs from
-    starts and is skipped.
+    ground 0.5 and is skipped.
     """
     count = beta_h.size
     temperatures = BathTemperatures(beta_h, beta_c)
     fixed = fixed_ground(*cycle_map(lam_h, lam_c, temperatures, swap))
     singular = np.isnan(fixed)
-    ground = np.where(singular, starts, fixed)
+    ground = np.where(singular, 0.5, fixed)
     batch = run_cycles(
         np.stack([ground, 1.0 - ground], axis=-1), lam_h, lam_c, swap,
         temperatures, caps_h, caps_c,
@@ -209,7 +209,8 @@ def _thm2_draws(seed: int) -> list[EngineParams]:
     return draws
 
 
-def _carnot_draws(seed: int, count: int = 2000) -> tuple[np.ndarray, ...]:
+def _carnot_draws(seed: int) -> tuple[np.ndarray, ...]:
+    count = 2000
     rng = np.random.default_rng(seed)
     beta_h = rng.uniform(0.05, 2.0, count)
     beta_c = beta_h * rng.uniform(1.01, 8.0, count)
@@ -218,8 +219,7 @@ def _carnot_draws(seed: int, count: int = 2000) -> tuple[np.ndarray, ...]:
     lam_h = rng.uniform(0.0, caps_h)
     lam_c = rng.uniform(0.0, caps_c)
     swap = rng.integers(0, 2, count).astype(bool)
-    starts = rng.uniform(0.0, 1.0, count)
-    return beta_h, beta_c, caps_h, caps_c, lam_h, lam_c, swap, starts
+    return beta_h, beta_c, caps_h, caps_c, lam_h, lam_c, swap
 
 
 # verify's checks in the order it runs them: name -> (seed, grid) -> records

@@ -16,13 +16,14 @@ the sweep geometry), uses 9 significant digits and LF line endings, and leaves
 fields empty where the engine is non-operational unless --raw is given.
 
 A config file value must already have its flag's JSON type: a number for a
-number or size, a string for a model, path or check list, true or false for
-an on/off flag.  A float flag takes a following value that starts with '-'
-(-1e-3, -inf) as its own, so the input rules judge it.  Sizes the user sets
-are bounded before anything is allocated: --ratio-steps (sweep, tradeoff,
-figures) by MAX_RATIO_STEPS and verify --grid by MAX_VERIFY_GRID, which is
-the brute-force oracle's own bound bath_oracle.MAX_GRID.  A larger value, or
-a size with a fractional part, is an invalid input.
+number, an integer for a size or seed (3.0 is not one), a string for a model,
+path or check list, true or false for an on/off flag.  A float flag takes a
+following value that starts with '-' (-1e-3, -inf) as its own, so the input
+rules judge it.  Sizes the user sets are bounded before anything is
+allocated: --ratio-steps (sweep, tradeoff, figures) by MAX_RATIO_STEPS and
+verify --grid by MAX_VERIFY_GRID, which is the brute-force oracle's own bound
+bath_oracle.MAX_GRID.  A larger value, or a size that is not an integer, is
+an invalid input.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from . import __version__
 from .bath_oracle import MAX_GRID
 from .checks import CHECKS
 from .engine import BathTemperatures
-from .populations import check_betas
+from .populations import check_betas, check_size
 from .restrictions import RestrictionModel, lambda_max_jc_raw
 
 EXIT_OK = 0
@@ -74,24 +75,9 @@ def _as_float(name: str, value) -> float:
     return result
 
 
-def _as_int(name: str, value) -> int:
-    """An integer option: a config file must give a JSON number without a fractional part."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        result = int(value)
-    except (ValueError, OverflowError):
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value != result:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return result
-
-
 def _as_size(flag: str, value, default: int, minimum: int, maximum: int) -> int:
-    """The integer value of a size option (default if unset), within [minimum, maximum]."""
-    size = _as_int(flag, value if value is not None else default)
-    if size < minimum:
-        raise ValueError(f"{flag} must be >= {minimum}, got {size}")
+    """A size option (default if unset) by the package's size rule, at most maximum."""
+    size = check_size(value if value is not None else default, flag, minimum)
     if size > maximum:
         raise ValueError(f"{flag} must be <= {maximum}, got {size}")
     return size
@@ -432,9 +418,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _as_int("--seed", args.seed if args.seed is not None else 0)
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
+    seed = check_size(args.seed if args.seed is not None else 0, "--seed", 0)
     grid = _as_size("--grid", args.grid, 64, 2, MAX_VERIFY_GRID)
     if args.only is not None:
         if not isinstance(args.only, str):

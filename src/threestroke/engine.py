@@ -66,6 +66,8 @@ __all__ = [
 
 CLOSURE_TOL = 1e-10
 SINGULAR_TOL = 1e-14
+# check_laws' slack on the first law and its threshold for an engine's work
+_LAW_TOL = 1e-12
 _SWAP = WorkPermutation.swap()
 
 
@@ -513,21 +515,21 @@ def positive_work_condition(params: EngineParams) -> bool:
     return 2.0 > math.exp(params.beta_h_omega) + math.exp(-params.beta_c_omega)
 
 
-def _law_violations(work, q_hot, q_cold_raw, residual, beta_h, beta_c, tol, positive):
+def _law_violations(work, q_hot, q_cold_raw, residual, beta_h, beta_c, positive):
     """First-law, heat-intake and Carnot-bound violations, on floats or on arrays.
 
-    The first law is tested on the raw cold heat, within tol plus the
+    The first law is tested on the raw cold heat, within 1e-12 plus the
     closure residual.  The heat-intake and Carnot tests apply to engines:
-    cycles that release more than tol of work with the cold bath colder, so
+    cycles that release more than 1e-12 of work with the cold bath colder, so
     rounding noise in a cycle that releases nothing is not an engine.
     positive(v) replaces the entries of v that are not > 0 by nan, so no
     division raises and a cycle without heat intake is not tested against the
     bound.
     """
-    first_law = abs(work - q_hot - q_cold_raw) > tol + abs(residual)
-    engine = (work > tol) & (beta_c > beta_h)
+    first_law = abs(work - q_hot - q_cold_raw) > _LAW_TOL + abs(residual)
+    engine = (work > _LAW_TOL) & (beta_c > beta_h)
     intake = engine & (q_hot <= 0.0)
-    carnot = engine & (work / positive(q_hot) > 1.0 - beta_h / positive(beta_c) + tol)
+    carnot = engine & (work / positive(q_hot) > 1.0 - beta_h / positive(beta_c) + _LAW_TOL)
     return first_law, intake, carnot
 
 
@@ -539,41 +541,41 @@ def _positive_each(values: np.ndarray) -> np.ndarray:
     return np.where(values > 0.0, values, np.nan)
 
 
-def check_laws(
-    report: CycleReport, params: EngineParams, tol: float = 1e-12
-) -> LawDiagnostics:
+def check_laws(report: CycleReport, params: EngineParams) -> LawDiagnostics:
     """Check the first law and, for engines, heat intake and the Carnot bound.
 
     The first law is checked on the raw cold heat: |work - q_hot -
-    q_cold_raw| may exceed tol by the closure residual at most.  The
-    heat-intake and Carnot checks apply to cycles releasing more than tol of
-    work; they compare the hot and cold roles, so they are skipped (and
+    q_cold_raw| may exceed 1e-12 by the closure residual at most.  The
+    heat-intake and Carnot checks apply to cycles releasing more than 1e-12
+    of work; they compare the hot and cold roles, so they are skipped (and
     reported as skipped) when the cold bath is not colder.
     """
     if not report.closes:
         raise ValueError("law checks need a closing cycle")
     first_law, intake, carnot = _law_violations(
         report.work, report.q_hot, report.q_cold_raw, report.residual,
-        params.beta_h_omega, params.beta_c_omega, tol, _positive,
+        params.beta_h_omega, params.beta_c_omega, _positive,
     )
     failures: list[str] = []
     if first_law:
         gap = abs(report.work - report.q_hot - report.q_cold_raw)
         failures.append(
             f"first law: |work - q_hot - q_cold_raw| = {gap:.3e} exceeds "
-            f"{tol:.1e} + |residual| = {tol + abs(report.residual):.3e}"
+            f"{_LAW_TOL:.1e} + |residual| = {_LAW_TOL + abs(report.residual):.3e}"
         )
     if intake:
         failures.append(f"heat intake: work = {report.work!r} > 0 but q_hot = {report.q_hot!r}")
     if carnot:
         eta = report.work / report.q_hot
         failures.append(f"carnot bound: eta = {eta!r} outside (0, {params.carnot_efficiency()!r}]")
-    skipped = ("heat intake", "carnot bound") if report.work > tol and params.cold_hotter else ()
+    skipped = (
+        ("heat intake", "carnot bound") if report.work > _LAW_TOL and params.cold_hotter else ()
+    )
     return LawDiagnostics(ok=not failures, failures=tuple(failures), skipped=skipped)
 
 
 def check_laws_each(
-    batch: CycleBatch, temperatures: BathTemperatures, tol: float = 1e-12
+    batch: CycleBatch, temperatures: BathTemperatures
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """check_laws' first-law, heat-intake and Carnot violations at every index.
 
@@ -582,6 +584,6 @@ def check_laws_each(
     with np.errstate(invalid="ignore"):
         violations = _law_violations(
             batch.work, batch.q_hot, batch.q_cold_raw, batch.residual,
-            temperatures.beta_h_omega, temperatures.beta_c_omega, tol, _positive_each,
+            temperatures.beta_h_omega, temperatures.beta_c_omega, _positive_each,
         )
     return tuple(v & batch.closes for v in violations)

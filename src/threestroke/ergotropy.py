@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .populations import EnergySpectrum, PopulationVector, average_energy
+from .populations import EnergySpectrum, PopulationVector, average_energy, check_size
 
 __all__ = [
     "WorkPermutation",
@@ -20,12 +20,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WorkPermutation:
-    """Relabeling of the two levels, (0, 1) or (1, 0); entry j names the source of slot j."""
+    """Relabeling of the two levels, (0, 1) or (1, 0); entry j names the source of slot j.
+
+    The entries are sizes (check_size): a float, text or a boolean is rejected."""
 
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple(int(i) for i in self.mapping)
+        mapping = tuple(check_size(i, "permutation entry", 0) for i in self.mapping)
         if mapping not in ((0, 1), (1, 0)):
             raise ValueError(f"{mapping!r} is not a permutation of the two qubit levels")
         object.__setattr__(self, "mapping", mapping)
@@ -33,7 +35,9 @@ class WorkPermutation:
     @classmethod
     def identity(cls, dim: int) -> WorkPermutation:
         """The identity of a dim-level system; only dim = 2 exists."""
-        return cls(tuple(range(dim)))
+        if check_size(dim, "dimension", 2) != 2:
+            raise ValueError(f"only the qubit's identity exists, got dimension {dim}")
+        return cls((0, 1))
 
     @classmethod
     def swap(cls) -> WorkPermutation:

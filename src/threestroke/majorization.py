@@ -14,6 +14,10 @@ from .populations import GibbsVector, PopulationVector
 
 __all__ = ["thermomajorizes"]
 
+# Slack on the curves' heights: the population rule lets entries sum to 1
+# within 1e-12, so curves that meet can end that far apart.
+_HEIGHT_TOL = 1e-12
+
 
 def _curve(p: PopulationVector, gamma: GibbsVector) -> tuple[float, float, float, float]:
     """Elbow (x, y) and end (x, y) of p's curve relative to gamma: the level with
@@ -33,10 +37,8 @@ def _height(curve: tuple[float, float, float, float], t: float) -> float:
     return (y_end - y) / (x_end - x) * (t - x) + y
 
 
-def thermomajorizes(
-    p: PopulationVector, q: PopulationVector, gamma: GibbsVector, tol: float = 1e-12
-) -> bool:
-    """True when the curve of p lies on or above the curve of q, within tol.
+def thermomajorizes(p: PopulationVector, q: PopulationVector, gamma: GibbsVector) -> bool:
+    """True when the curve of p lies on or above the curve of q, within 1e-12.
 
     Both curves are piecewise linear and start at the origin, so comparing
     them at the union of their elbows and ends is exact.
@@ -44,6 +46,6 @@ def thermomajorizes(
     curve_p = _curve(p, gamma)
     curve_q = _curve(q, gamma)
     return all(
-        _height(curve_p, t) >= _height(curve_q, t) - tol
+        _height(curve_p, t) >= _height(curve_q, t) - _HEIGHT_TOL
         for t in (curve_p[0], curve_q[0], curve_p[2])
     )

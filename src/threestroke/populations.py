@@ -35,7 +35,8 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 _DRIFT_TOL = 1e-9
-_TEXT = (str, bytes)
+# Inputs that float() or operator.index would take as numbers but are not.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
 
 # The input rules of the package: every module checks temperatures, caps in
@@ -44,12 +45,12 @@ _TEXT = (str, bytes)
 
 def as_number(value: float) -> float:
     """float(value), except that text (str or bytes), which float() would
-    parse, is returned as it is, for the calling rule to reject: no input is
-    silently coerced.  The rules here, PopulationVector, EnergySpectrum and
-    the mixing weight take their numbers through this, and arrays go through
-    as_numbers.
+    parse, and booleans are returned as they are, for the calling rule to
+    reject: no input is silently coerced.  The rules here, PopulationVector,
+    EnergySpectrum and the mixing weight take their numbers through this, and
+    arrays go through as_numbers.
     """
-    return value if isinstance(value, _TEXT) else float(value)
+    return value if isinstance(value, _NOT_NUMBERS) else float(value)
 
 
 def check_beta(value: float, name: str = "beta_omega") -> float:
@@ -61,14 +62,16 @@ def check_beta(value: float, name: str = "beta_omega") -> float:
 
 
 def as_numbers(values: np.ndarray, name: str) -> np.ndarray:
-    """np.asarray(values, dtype=float), except that text (str or bytes)
-    anywhere in values, which the conversion would parse, raises ValueError:
-    as_number's rule over an array.
+    """np.asarray(values, dtype=float), except that text (str or bytes) or
+    booleans anywhere in values, which the conversion would take as numbers,
+    raise ValueError: as_number's rule over an array.
     """
     values = np.asarray(values)
-    if values.dtype.kind in "USO":  # text, or objects that may be text
+    if values.dtype.kind == "b":
+        raise ValueError(f"{name} must be a number, got a boolean array")
+    if values.dtype.kind in "USO":  # text, or objects that may be text or booleans
         for value in values.ravel().tolist():
-            if isinstance(value, _TEXT):
+            if isinstance(value, _NOT_NUMBERS):
                 raise ValueError(f"{name} must be a number, got {value!r}")
     return np.asarray(values, dtype=float)
 
@@ -91,8 +94,10 @@ def check_unit_interval(value: float, name: str) -> float:
 
 
 def check_size(value: int, name: str, minimum: int) -> int:
-    """value, if it is an integer of at least minimum; a float, even 3.0, is rejected."""
+    """value, if it is an integer of at least minimum; a float, even 3.0, or a bool is rejected."""
     try:
+        if isinstance(value, _NOT_NUMBERS):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -107,12 +112,13 @@ class PopulationVector:
 
     Entries must lie in [0, 1] and sum to one within 1e-12.  Sums drifting
     further (but staying within 1e-9) are renormalized and the instance is
-    marked with ``renormalized=True`` so the correction is never silent;
-    anything worse is rejected as a caller bug, and so is text.
+    marked with ``renormalized=True`` so the correction is never silent; the
+    mark is set here only, never by the caller.  Anything worse is rejected
+    as a caller bug, and so are text and booleans.
     """
 
     entries: tuple[float, ...]
-    renormalized: bool = field(default=False, compare=False)
+    renormalized: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)
@@ -159,7 +165,7 @@ class EnergySpectrum:
         if len(levels) != 2:
             raise ValueError(f"a qubit spectrum has two levels, got {len(levels)}")
         ground, excited = levels
-        if ground != 0.0:
+        if not (isinstance(ground, float) and ground == 0.0):
             raise ValueError(f"ground level must sit at 0, got {ground!r}")
         if not (isinstance(excited, float) and math.isfinite(excited) and excited >= 0.0):
             raise ValueError(f"excited level must be finite and >= 0, got {excited!r}")

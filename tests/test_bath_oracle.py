@@ -325,7 +325,7 @@ def test_conjugation_matches_the_dense_unitary(ground, bw, angles):
     np.testing.assert_allclose(simulated.entries, traced, rtol=0.0, atol=1e-14)
     corner_low, corner_high, ground_diagonal, excited_diagonal = bath_oracle._product(p, bw, d)
     rotated = tuple(np.empty((4, d), dtype=complex))
-    bath_oracle._rotate(spec, slice(0, d), (ground_diagonal, 0j, 0j, excited_diagonal), rotated)
+    bath_oracle._rotate(spec, slice(0, d), ground_diagonal, excited_diagonal, rotated)
     placed = np.zeros((2 * (d + 1), 2 * (d + 1)), dtype=complex)
     placed[0, 0] = corner_low  # |0, 0>
     placed[-1, -1] = corner_high  # |1, d>
@@ -380,10 +380,6 @@ def test_scan_never_beats_the_cap():
 
 
 def test_scan_validation():
-    with pytest.raises(ValueError):
-        scan_lambda_max(0.5, 2, grid=2)
-    with pytest.raises(ValueError):
-        scan_lambda_max(0.5, 6, grid=2)
     with pytest.raises(ResourceLimitError):
         scan_lambda_max(0.5, 10_001)
 
@@ -392,8 +388,8 @@ def test_brute_force_reference_point():
     result = brute_force_performance(REF)
     assert result.w_max == pytest.approx(0.12980665307639971, abs=1e-9)
     assert result.eta_max == pytest.approx(0.5092897426620918, abs=1e-9)
-    assert result.w_arg == (1.0, 1.0, "swap")
-    assert result.eta_arg == (1.0, 1.0, "swap")
+    assert result.w_arg == (1.0, 1.0)
+    assert result.eta_arg == (1.0, 1.0)
 
 
 def test_brute_force_idle_hot_stroke():
@@ -494,8 +490,6 @@ def test_brute_force_never_raises_and_the_swap_wins(bh, bc, lh, lc, grid):
     """The swap grid's corner releases exactly 0.0, so the best work is never negative."""
     result = brute_force_performance(EngineParams(bh, bc, lh, lc), grid)
     assert result.w_max >= 0.0
-    assert result.w_arg[2] == "swap"
-    assert result.eta_arg is None or result.eta_arg[2] == "swap"
 
 
 def full_swap_grid(params, grid):
@@ -529,8 +523,8 @@ def full_swap_grid(params, grid):
         evaluate(refine(lh, row, params.lambda_h_max), refine(lc, column, params.lambda_c_max))
     (w_max, _, w_at), (eta, _, eta_at) = best
     if not math.isfinite(eta):
-        return w_max, None, (*w_at, "swap"), None
-    return w_max, eta, (*w_at, "swap"), (*eta_at, "swap")
+        return w_max, None, w_at, None
+    return w_max, eta, w_at, eta_at
 
 
 _EDGE_CAPS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0))
@@ -587,12 +581,9 @@ def test_brute_force_validation():
         lambda: jc_time_scan(0.5, truncation=MAX_TRUNCATION + 1),
         # a read-only view of one float, so only the size check can allocate
         lambda: jc_time_scan(0.5, time_grid=np.broadcast_to(0.0, (MAX_TIME_POINTS + 1,))),
-        # grid * d = MAX_GRID**2 + 1 floats in the coordinate-ascent rows at d = 1
-        lambda: scan_lambda_max(0.5, 1, grid=MAX_GRID**2 + 1),
-        # grid * d = MAX_GRID**2 + 5 floats in the coordinate-ascent rows
-        lambda: scan_lambda_max(0.5, 5, grid=MAX_GRID**2 // 5 + 1),
+        lambda: BlockUnitarySpec.full_swap(10**6),
     ],
-    ids=["grid", "truncation", "time_grid", "scan_rows_d1", "ascent_rows"],
+    ids=["grid", "truncation", "time_grid", "full_swap"],
 )
 def test_oracle_sizes_fail_before_allocating(call):
     tracemalloc.start()
@@ -610,12 +601,10 @@ def test_oracle_sizes_fail_before_allocating(call):
     [
         lambda: brute_force_performance(REF, grid=2.9),
         lambda: jc_time_scan(0.5, truncation=200.5),
-        lambda: scan_lambda_max(0.5, 2, grid=9.5),
-        lambda: scan_lambda_max(0.5, 6, grid=65.5),
         lambda: lambda_max_finite_bath(0.5, 2.9),
         lambda: RestrictionModel.finite_bath(2.9),
     ],
-    ids=["brute_force_grid", "truncation", "scan_grid", "ascent_grid", "cap_bath", "model_bath"],
+    ids=["brute_force_grid", "truncation", "cap_bath", "model_bath"],
 )
 def test_fractional_sizes_are_rejected(call):
     with pytest.raises(ValueError, match="integer"):

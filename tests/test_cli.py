@@ -97,6 +97,8 @@ def test_config_sizes_must_be_whole_numbers(tmp_path, capsys):
         (["perf", "--bh", "0.2", "--bc", "0.6"], {"hot": ""}, "bad restriction spec ''"),
         (["perf", "--bh", "0.2", "--bc", "0.6"], {"cold": ""}, "bad restriction spec ''"),
         (["perf", "--bc", "0.6"], {"bh": 10**400}, "--bh must be finite"),
+        (["sweep", "--bh", "0.2"], {"ratio-steps": 3.0}, "--ratio-steps must be an integer"),
+        (["verify", "--only", "thm3"], {"seed": 1.0}, "--seed must be an integer"),
     ],
 )
 def test_config_values_are_not_coerced(argv, config, message, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Passive rearrangement, ergotropy and the work permutations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,18 @@ def test_permutation_validation():
         WorkPermutation((0, 0))
     with pytest.raises(ValueError):
         WorkPermutation((0, 2))
+    assert WorkPermutation((np.int64(1), np.int64(0))).mapping == (1, 0)
+
+
+def test_identity_dimension_fails_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            WorkPermutation.identity(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_passive_examples():

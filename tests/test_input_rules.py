@@ -1,4 +1,4 @@
-"""The input rules shared by every module: temperatures, and the qubit's two levels."""
+"""The input rules shared by every module: temperatures, numbers, sizes, and the qubit's two levels."""
 
 import math
 
@@ -15,6 +15,7 @@ from threestroke import (
     WorkPermutation,
     achieved_lambda,
     apply_mixture,
+    brute_force_performance,
     engine_params_from,
     eta_finite_bath,
     gibbs_vector,
@@ -28,7 +29,7 @@ from threestroke import (
 )
 from threestroke.engine import BathTemperatures, run_cycles
 from threestroke.populations import check_beta, check_betas, check_unit_interval
-from threestroke.thermal_qubit import capped_weights
+from threestroke.thermal_qubit import capped_weight, capped_weights
 
 P = qubit_population(0.6)
 SPEC = BlockUnitarySpec.full_swap(3)
@@ -96,6 +97,66 @@ TEXT_FOR_A_NUMBER = {
 def test_text_is_not_coerced(name):
     with pytest.raises(ValueError):
         TEXT_FOR_A_NUMBER[name]()
+
+
+# A boolean, which float() takes as 0 or 1, given where a number belongs: True
+# at every scalar temperature input, and at each cap, weight, population and
+# spectrum; a boolean array where an array of numbers belongs.  numpy converts
+# a list that mixes floats and booleans to floats before any rule sees it.
+BOOL_FOR_A_NUMBER = {
+    **{
+        name: (lambda call: lambda: call(True))(call)
+        for name, call in TAKES_A_TEMPERATURE.items()
+        if not name.startswith(("BathTemperatures", "resolve"))
+    },
+    "EngineParams.lambda_h_max": lambda: EngineParams(0.2, 1.0, True, 1.0),
+    "EngineParams.lambda_c_max": lambda: EngineParams(0.2, 1.0, 1.0, True),
+    "RestrictionModel.explicit": lambda: RestrictionModel.explicit(True),
+    "check_unit_interval": lambda: check_unit_interval(True, "lambda"),
+    "capped_weight": lambda: capped_weight(True),
+    "apply_mixture.lambda": lambda: apply_mixture(True, 0.3, P),
+    "PopulationVector": lambda: PopulationVector((True, False)),
+    "PopulationVector.numpy": lambda: PopulationVector((np.True_, np.False_)),
+    "qubit_population": lambda: qubit_population(True),
+    "EnergySpectrum.ground": lambda: EnergySpectrum((False, 1.0)),
+    "EnergySpectrum.excited": lambda: EnergySpectrum((0.0, True)),
+    "check_betas": lambda: check_betas(np.array([True, False])),
+    "BathTemperatures.beta_h": lambda: BathTemperatures(np.array([True]), np.array([1.0])),
+    "BathTemperatures.beta_c": lambda: BathTemperatures(np.array([0.2]), np.array([True])),
+    "BathTemperatures.caps": lambda: BathTemperatures([0.2], [1.0]).caps(np.array([True]), [1.0]),
+    "capped_weights": lambda: capped_weights(np.array([True]), np.array([1.0])),
+    "BlockUnitarySpec": lambda: BlockUnitarySpec(np.array([True]), (0.0,), (0.0,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_FOR_A_NUMBER))
+def test_booleans_are_not_numbers(name):
+    with pytest.raises(ValueError):
+        BOOL_FOR_A_NUMBER[name]()
+
+
+# Every public entry point that takes an integer size, with the bad one as n.
+TAKES_A_SIZE = {
+    "lambda_max_finite_bath": lambda n: lambda_max_finite_bath(0.5, n),
+    "eta_finite_bath": lambda n: eta_finite_bath(0.2, 1.0, n),
+    "RestrictionModel.finite_bath": RestrictionModel.finite_bath,
+    "simulate_finite_bath_map": lambda n: simulate_finite_bath_map(P, 0.5, n, SPEC),
+    "achieved_lambda": lambda n: achieved_lambda(SPEC, 0.5, n),
+    "scan_lambda_max": lambda n: scan_lambda_max(0.5, n),
+    "brute_force_performance": lambda n: brute_force_performance(EngineParams(0.2, 0.6), n),
+    "jc_time_scan.truncation": lambda n: jc_time_scan(0.5, truncation=n),
+    "BlockUnitarySpec.full_swap": BlockUnitarySpec.full_swap,
+    "WorkPermutation.identity": WorkPermutation.identity,
+    "WorkPermutation.first": lambda n: WorkPermutation((n, 0)),
+    "WorkPermutation.second": lambda n: WorkPermutation((1, n)),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3", -1], ids=repr)
+@pytest.mark.parametrize("name", sorted(TAKES_A_SIZE))
+def test_every_size_input_rejects_non_integers(name, bad):
+    with pytest.raises(ValueError):
+        TAKES_A_SIZE[name](bad)
 
 
 # Every type that fixes the qubit's two levels, built with another number of them.

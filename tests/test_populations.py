@@ -44,6 +44,11 @@ def test_sum_drift_tiers():
     # beyond 1e-9: rejected
     with pytest.raises(ValueError):
         PopulationVector((0.5, 0.6))
+    # the mark is the rule's alone: a caller cannot set it
+    with pytest.raises(TypeError):
+        PopulationVector((0.5, 0.5), True)
+    with pytest.raises(TypeError):
+        PopulationVector((0.5, 0.5), renormalized=True)
 
 
 def test_qubit_population():

@@ -35,7 +35,6 @@ from .majorization import thermomajorizes
 from .populations import (
     QUBIT,
     EnergySpectrum,
-    GibbsVector,
     PopulationVector,
     average_energy,
     gibbs_vector,
@@ -62,7 +61,6 @@ __all__ = [
     "CycleReport",
     "EnergySpectrum",
     "EngineParams",
-    "GibbsVector",
     "LawDiagnostics",
     "PerformancePoint",
     "PopulationVector",

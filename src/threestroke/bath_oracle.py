@@ -481,9 +481,8 @@ def brute_force_performance(params: EngineParams, grid: int = 64) -> BruteForceR
         )
 
     (w_max, _, w_at), (eta, _, eta_at) = best
-    swap = WorkPermutation.swap()
-    p_probe = cyclic_state(*w_at, params, swap)
-    report = run_cycle(p_probe, *w_at, swap, params)
+    p_probe = cyclic_state(*w_at, params)
+    report = run_cycle(p_probe, *w_at, WorkPermutation.swap(), params)
     if not report.closes:
         raise RuntimeError("brute-force winner does not close under run_cycle")
     diagnostics = check_laws(report, params)
@@ -565,7 +564,7 @@ def jc_time_scan(
     if times.ndim != 1 or times.size == 0:
         raise ValueError("time grid must be a nonempty 1-d array")
     _check_bounded(times.size, "time grid size", 1, MAX_TIME_POINTS)
-    times = check_betas(times, "time grid entry")
+    times = check_betas(time_grid, "time grid entry")
     if np.any(times[1:] < times[:-1]):
         times = np.sort(times)
     n = np.arange(1, truncation + 1)

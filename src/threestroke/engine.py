@@ -68,7 +68,6 @@ CLOSURE_TOL = 1e-10
 SINGULAR_TOL = 1e-14
 # check_laws' slack on the first law and its threshold for an engine's work
 _LAW_TOL = 1e-12
-_SWAP = WorkPermutation.swap()
 
 
 class SingularCycleError(ValueError):
@@ -125,16 +124,13 @@ class EngineParams:
 class CycleReport:
     """Bookkeeping for one pass of heat, work and cold strokes.
 
-    q_cold_raw is the cold stroke's own energy change and residual the
-    closure residual E(final) - E(start).  q_cold is q_cold_raw rebased to
-    E(start) - E(after work) when the cycle closes, a correction of
-    -residual, and q_cold_raw otherwise.
+    populations holds the states after the heat, work and cold strokes,
+    q_cold_raw the cold stroke's own energy change and residual the closure
+    residual E(final) - E(start).
     """
 
     work: float
     q_hot: float
-    q_cold: float
-    efficiency: float | None
     closes: bool
     populations: tuple[PopulationVector, PopulationVector, PopulationVector]
     q_cold_raw: float
@@ -145,15 +141,11 @@ class CycleReport:
 class CycleBatch:
     """run_cycles' results, one entry per cycle.
 
-    start holds the (n, 2) populations the strokes ran from and populations
-    the (n, 3, 2) states after the heat, work and cold strokes, ground entry
-    first.  work, q_hot, q_cold_raw, residual and closes are CycleReport's
-    fields; there is no rebase.  renormalized marks the cycles where the
-    start or one of those states was renormalized.
+    work, q_hot, q_cold_raw, residual and closes are CycleReport's fields.
+    renormalized marks the cycles where the start or the state after one of
+    the strokes was renormalized.
     """
 
-    start: np.ndarray
-    populations: np.ndarray
     work: np.ndarray
     q_hot: np.ndarray
     q_cold_raw: np.ndarray
@@ -209,9 +201,9 @@ def run_cycle(
 ) -> CycleReport:
     """Run heat -> work -> cold once from p0.
 
-    When the final populations return to p0 within 1e-10 the cycle closes and
-    q_cold is rebased to E(p0) - E(after work); the report keeps the raw
-    q_cold and the closure residual beside it.
+    The cycle closes when the final populations return to p0 within
+    CLOSURE_TOL.  Each heat is its stroke's own energy change, and the
+    closure residual is reported beside them.
     """
     lh = capped_weight(lambda_h, params.lambda_h_max)
     lc = capped_weight(lambda_c, params.lambda_c_max)
@@ -229,8 +221,6 @@ def run_cycle(
     return CycleReport(
         work=work,
         q_hot=q_hot,
-        q_cold=x - states[1].entries[1] if closes else q_cold_raw,
-        efficiency=work / q_hot if q_hot != 0.0 else None,
         closes=closes,
         populations=tuple(states),
         q_cold_raw=q_cold_raw,
@@ -267,7 +257,7 @@ def run_cycles(
     lambda_h_max: np.ndarray,
     lambda_c_max: np.ndarray,
 ) -> CycleBatch:
-    """run_cycle at every index of aligned 1-d arrays, without the rebase.
+    """run_cycle at every index of aligned 1-d arrays.
 
     start is an (n, 2) array of populations, swap a boolean array choosing
     the swap or the identity work stroke, and the weights, caps and
@@ -286,21 +276,17 @@ def run_cycles(
     lh = capped_weights(temperatures.aligned(lambda_h, "lambda_h"), caps_h)
     lc = capped_weights(temperatures.aligned(lambda_c, "lambda_c"), caps_c)
     g, x, renormalized = qubit_populations(start[:, 0], start[:, 1])
-    states = []
 
     def population(ground: np.ndarray, excited: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nonlocal renormalized
         ground, excited, flags = qubit_populations(ground, excited)
         renormalized = renormalized | flags
-        states.append((ground, excited))
         return ground, excited
 
     work, q_hot, q_cold_raw, residual, closes = _cycle_pass(
         g, x, lh, lc, temperatures.exp_h, temperatures.exp_c, swap.astype(float), population
     )
     return CycleBatch(
-        start=np.stack([g, x], axis=-1),
-        populations=np.stack([np.stack(state, axis=-1) for state in states], axis=1),
         work=work,
         q_hot=q_hot,
         q_cold_raw=q_cold_raw,
@@ -310,23 +296,17 @@ def run_cycles(
     )
 
 
-def cyclic_state(
-    lambda_h: float,
-    lambda_c: float,
-    params: EngineParams,
-    perm: WorkPermutation = _SWAP,
-) -> PopulationVector:
-    """Fixed point of cold(perm(hot(p))): the ground entry q / (p + q) of cycle_map.
+def cyclic_state(lambda_h: float, lambda_c: float, params: EngineParams) -> PopulationVector:
+    """Fixed point of cold(swap(hot(p))): the ground entry q / (p + q) of cycle_map.
 
-    The work stroke is the swap (the default) or the qubit identity.  The
-    fixed point is solved from the stroke product directly instead of
+    The fixed point is solved from the stroke product directly instead of
     through any closed-form display.  Where p + q < SINGULAR_TOL the product
     is the identity within rounding, every state is (nearly) fixed, and
     SingularCycleError is raised.
     """
     lh = capped_weight(lambda_h, params.lambda_h_max)
     lc = capped_weight(lambda_c, params.lambda_c_max)
-    p, q = cycle_map(lh, lc, params, not perm.is_identity)
+    p, q = cycle_map(lh, lc, params, True)
     if p + q < SINGULAR_TOL:
         raise SingularCycleError(
             f"cycle map is the identity at lambda_h={lh!r}, lambda_c={lc!r}"
@@ -335,10 +315,11 @@ def cyclic_state(
 
 
 def fixed_ground(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """cyclic_state's ground entry q / (p + q) over arrays of cycle_map's (p, q).
+    """The fixed ground entry q / (p + q) over arrays of cycle_map's (p, q).
 
-    NaN where p + q < SINGULAR_TOL, where cyclic_state raises; elsewhere
-    every entry equals cyclic_state's bit for bit.
+    NaN where p + q < SINGULAR_TOL.  At a swap cycle that is where
+    cyclic_state raises, and every other entry equals its ground entry bit
+    for bit.
     """
     slack = p + q
     return np.divide(q, slack, out=np.full(slack.shape, np.nan), where=slack >= SINGULAR_TOL)
@@ -455,12 +436,11 @@ class BathTemperatures:
     exp_hc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        bh = np.asarray(self.beta_h_omega)
-        bc = np.asarray(self.beta_c_omega)
-        if bh.ndim != 1 or bh.shape != bc.shape:
-            raise ValueError(f"need two 1-d arrays of one length, got {bh.shape} and {bc.shape}")
-        bh = check_betas(bh, "beta_h_omega")
-        bc = check_betas(bc, "beta_c_omega")
+        shape_h, shape_c = np.shape(self.beta_h_omega), np.shape(self.beta_c_omega)
+        if len(shape_h) != 1 or shape_h != shape_c:
+            raise ValueError(f"need two 1-d arrays of one length, got {shape_h} and {shape_c}")
+        bh = check_betas(self.beta_h_omega, "beta_h_omega")
+        bc = check_betas(self.beta_c_omega, "beta_c_omega")
         object.__setattr__(self, "beta_h_omega", bh)
         object.__setattr__(self, "beta_c_omega", bc)
         object.__setattr__(self, "exp_h", elementwise(math.exp, -bh))

@@ -10,7 +10,7 @@ elbow to its end, so two curves are compared at the two elbows and the end.
 
 from __future__ import annotations
 
-from .populations import GibbsVector, PopulationVector
+from .populations import PopulationVector
 
 __all__ = ["thermomajorizes"]
 
@@ -19,7 +19,7 @@ __all__ = ["thermomajorizes"]
 _HEIGHT_TOL = 1e-12
 
 
-def _curve(p: PopulationVector, gamma: GibbsVector) -> tuple[float, float, float, float]:
+def _curve(p: PopulationVector, gamma: PopulationVector) -> tuple[float, float, float, float]:
     """Elbow (x, y) and end (x, y) of p's curve relative to gamma: the level with
     the larger p_i / gamma_i comes first, the ground level on a tie."""
     (p0, p1), (g0, g1) = p.entries, gamma.entries
@@ -37,12 +37,15 @@ def _height(curve: tuple[float, float, float, float], t: float) -> float:
     return (y_end - y) / (x_end - x) * (t - x) + y
 
 
-def thermomajorizes(p: PopulationVector, q: PopulationVector, gamma: GibbsVector) -> bool:
+def thermomajorizes(p: PopulationVector, q: PopulationVector, gamma: PopulationVector) -> bool:
     """True when the curve of p lies on or above the curve of q, within 1e-12.
 
     Both curves are piecewise linear and start at the origin, so comparing
-    them at the union of their elbows and ends is exact.
+    them at the union of their elbows and ends is exact.  The curves divide
+    by the Gibbs entries, so an entry that is not > 0 raises ValueError.
     """
+    if min(gamma.entries) <= 0.0:
+        raise ValueError("Gibbs vector entries must be strictly positive")
     curve_p = _curve(p, gamma)
     curve_q = _curve(q, gamma)
     return all(

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "EnergySpectrum",
-    "GibbsVector",
     "PopulationVector",
     "QUBIT",
     "as_number",
@@ -64,8 +63,12 @@ def check_beta(value: float, name: str = "beta_omega") -> float:
 def as_numbers(values: np.ndarray, name: str) -> np.ndarray:
     """np.asarray(values, dtype=float), except that text (str or bytes) or
     booleans anywhere in values, which the conversion would take as numbers,
-    raise ValueError: as_number's rule over an array.
+    raise ValueError: as_number's rule over an array.  A list or tuple is
+    read as objects first, since numpy turns [0.2, True] into floats; an
+    array is taken as it is.
     """
+    if isinstance(values, (list, tuple)):
+        values = np.array(values, dtype=object)
     values = np.asarray(values)
     if values.dtype.kind == "b":
         raise ValueError(f"{name} must be a number, got a boolean array")
@@ -128,7 +131,7 @@ class PopulationVector:
             raise ValueError(f"a qubit population has two entries, got {len(entries)}")
         for x in entries:
             if not isinstance(x, float):
-                raise ValueError(f"population entry {x!r} outside [0, 1]")
+                raise ValueError(f"population entry {x!r} must be a number")
             if not math.isfinite(x):
                 raise ValueError(f"non-finite population entry {x!r}")
             if x < -_SUM_TOL or x > 1.0 + _SUM_TOL:
@@ -142,16 +145,6 @@ class PopulationVector:
             entries = (g / total, x / total)
             object.__setattr__(self, "renormalized", True)
         object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True)
-class GibbsVector(PopulationVector):
-    """Thermal population vector; entries are strictly positive."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if any(x <= 0.0 for x in self.entries):
-            raise ValueError("Gibbs vector entries must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -207,12 +200,16 @@ def qubit_populations(
     return ground, excited, renormalized
 
 
-def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> GibbsVector:
-    """Gibbs populations exp(-beta * E_i) / Z over the given spectrum."""
+def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> PopulationVector:
+    """Gibbs populations exp(-beta * E_i) / Z over the given spectrum.
+
+    An entry that underflows is 0.0; thermomajorizes, which divides by the
+    entries, rejects it.
+    """
     beta = check_beta(beta, "inverse temperature")
     weights = [math.exp(-beta * e) for e in spectrum.levels]
     z = math.fsum(weights)
-    return GibbsVector(tuple(w / z for w in weights))
+    return PopulationVector(tuple(w / z for w in weights))
 
 
 def average_energy(p: PopulationVector, spectrum: EnergySpectrum) -> float:

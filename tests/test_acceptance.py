@@ -16,7 +16,6 @@ import numpy as np
 from threestroke import (
     BlockUnitarySpec,
     EngineParams,
-    GibbsVector,
     PopulationVector,
     achieved_lambda,
     apply_mixture,

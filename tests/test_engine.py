@@ -68,8 +68,7 @@ def test_params_validation():
 def test_zero_cycle_closes_trivially():
     report = run_cycle(qubit_population(0.25), 0.0, 0.0, WorkPermutation.identity(2), REF)
     assert report.closes
-    assert report.work == report.q_hot == report.q_cold == 0.0
-    assert report.efficiency is None
+    assert report.work == report.q_hot == report.q_cold_raw == 0.0
     diagnostics = check_laws(report, REF)
     assert diagnostics.ok and not diagnostics.failures
 
@@ -78,8 +77,8 @@ def test_optimal_protocol_cycle():
     report = run_cycle(qubit_population(REF_P), 1.0, 1.0, WorkPermutation.swap(), REF)
     assert report.closes
     assert report.work == pytest.approx(REF_W, abs=1e-12)
-    assert report.efficiency == pytest.approx(REF_ETA, abs=1e-12)
-    assert report.work == pytest.approx(report.q_hot + report.q_cold, abs=1e-15)
+    assert report.work / report.q_hot == pytest.approx(REF_ETA, abs=1e-12)
+    assert report.work == pytest.approx(report.q_hot + report.q_cold_raw, abs=1e-15)
     assert check_laws(report, REF).ok
 
 
@@ -88,6 +87,22 @@ def test_negative_work_cycle():
     assert report.closes
     assert report.work < 0.0
     assert check_laws(report, REF).ok  # first law still holds; Carnot is vacuous
+
+
+def _identity_ground(lh, lc, params):
+    """The identity cycle's fixed ground entry, NaN where its stroke product is singular."""
+    (ground,) = fixed_ground(*cycle_map(np.array([lh]), np.array([lc]), params, False))
+    return float(ground)
+
+
+def _fixed_start(lh, lc, params, swap):
+    """cyclic_state for the swap; fixed_ground of the identity cycle's product otherwise."""
+    if swap:
+        return cyclic_state(lh, lc, params)
+    ground = _identity_ground(lh, lc, params)
+    if math.isnan(ground):
+        raise SingularCycleError(f"identity cycle is singular at ({lh!r}, {lc!r})")
+    return qubit_population(ground)
 
 
 def test_cyclic_state_examples():
@@ -101,12 +116,10 @@ def test_cyclic_state_examples():
     with pytest.raises(ValueError):
         cyclic_state(0.9, 1.0, EngineParams(0.2, 0.6, lambda_h_max=0.5))
     # without the swap, idle strokes leave every state fixed
-    with pytest.raises(SingularCycleError):
-        cyclic_state(0.0, 0.0, REF, WorkPermutation.identity(2))
+    assert math.isnan(_identity_ground(0.0, 0.0, REF))
     # identity work stroke with full strokes: p -> 1 - e_c * (1 - e_h * p)
-    identity = cyclic_state(1.0, 1.0, REF, WorkPermutation.identity(2))
     expected = -math.expm1(-0.6) / -math.expm1(-0.8)
-    assert identity.entries[0] == pytest.approx(expected, abs=1e-15)
+    assert _identity_ground(1.0, 1.0, REF) == pytest.approx(expected, abs=1e-15)
 
 
 @given(bh=betas, ratio=st.floats(0.5, 8.0), lh=lams, lc=lams, swap=st.booleans())
@@ -118,12 +131,12 @@ def test_cycle_closes_at_fixed_point(bh, ratio, lh, lc, swap):
     params = well_conditioned_params(bh, ratio, lh, lc)
     perm = WorkPermutation.swap() if swap else WorkPermutation.identity(2)
     try:
-        p0 = cyclic_state(lh, lc, params, perm)
+        p0 = _fixed_start(lh, lc, params, swap)
     except SingularCycleError:
         return
     report = run_cycle(p0, lh, lc, perm, params)
     assert report.closes
-    assert abs(report.work - report.q_hot - report.q_cold) <= 1e-12
+    assert abs(report.work - report.q_hot - report.q_cold_raw) <= 1e-12
 
 
 _CORNER_BETAS = st.one_of(st.just(0.0), st.floats(0.0, 40.0))
@@ -140,7 +153,8 @@ def test_cyclic_state_at_the_singular_corners(bh, bc, lh, lc, swap):
     """cyclic_state raises SingularCycleError exactly where p + q < SINGULAR_TOL,
     and fixed_ground on one-element arrays is NaN there; elsewhere fixed_ground
     is cyclic_state's ground entry bit for bit, a population, and the runner's
-    strokes close on it."""
+    strokes close on it.  The identity cycle, which cyclic_state does not
+    solve, starts from fixed_ground of its own stroke product."""
     params = EngineParams(bh, bc)
     perm = WorkPermutation.swap() if swap else WorkPermutation.identity(2)
     p, q = cycle_map(lh, lc, params, swap)
@@ -148,9 +162,9 @@ def test_cyclic_state_at_the_singular_corners(bh, bc, lh, lc, swap):
     if p + q < SINGULAR_TOL:
         assert math.isnan(ground)
         with pytest.raises(SingularCycleError):
-            cyclic_state(lh, lc, params, perm)
+            _fixed_start(lh, lc, params, swap)
         return
-    start = cyclic_state(lh, lc, params, perm)
+    start = _fixed_start(lh, lc, params, swap)
     assert ground == start.entries[0]
     assert 0.0 <= start.entries[0] <= 1.0
     assert run_cycle(start, lh, lc, perm, params).closes
@@ -214,7 +228,7 @@ def test_closed_form_matches_the_simulated_cyclic_cycle(bh, ratio, lh, lc):
     # off the operational region the heat intake can cross zero, where both
     # efficiencies blow up and agreement is only relative at best
     if point.operational:
-        assert point.eta_max == pytest.approx(report.efficiency, rel=1e-9, abs=1e-9)
+        assert point.eta_max == pytest.approx(report.work / report.q_hot, rel=1e-9, abs=1e-9)
 
 
 def test_positive_work_condition():
@@ -265,8 +279,6 @@ def test_check_laws_skips_carnot_when_cold_hotter():
     fake = CycleReport(
         work=0.1,
         q_hot=0.05,
-        q_cold=0.05,
-        efficiency=2.0,
         closes=True,
         populations=(p0, p0, p0),
         q_cold_raw=0.05,
@@ -291,11 +303,9 @@ def test_check_laws_counts_engines_above_tol(work, q_hot, failures, skipped):
     report = CycleReport(
         work=work,
         q_hot=q_hot,
-        q_cold=work,  # first law: work = q_hot + q_cold
-        efficiency=None,
         closes=True,
         populations=(p0, p0, p0),
-        q_cold_raw=work,
+        q_cold_raw=work,  # first law: work = q_hot + q_cold_raw
         residual=0.0,
     )
     diagnostics = check_laws(report, REF)
@@ -394,20 +404,14 @@ def test_run_cycles_equals_run_cycle_and_the_strokes(rows):
         p0 = PopulationVector(raw_starts[i])
         report = run_cycle(p0, lam_h[i], lam_c[i], perm, params)
         states, (work, q_hot, q_cold) = _strokes(p0, lam_h[i], lam_c[i], perm, params)
-        _, after_work, after_cold = states
+        after_cold = states[2]
         assert [p.entries for p in report.populations] == [p.entries for p in states]
         assert (report.work, report.q_hot, report.q_cold_raw) == (work, q_hot, q_cold)
         assert report.residual == after_cold.entries[1] - p0.entries[1]
-        assert tuple(batch.start[i]) == p0.entries
-        assert [tuple(entries) for entries in batch.populations[i]] == [p.entries for p in states]
         assert batch.work[i] == work and batch.q_hot[i] == q_hot and batch.q_cold_raw[i] == q_cold
         assert batch.residual[i] == report.residual and batch.closes[i] == report.closes
         renormalized = p0.renormalized or any(p.renormalized for p in states)
         assert batch.renormalized[i] == renormalized
-        if report.closes:
-            assert report.q_cold == p0.entries[1] - after_work.entries[1]
-        else:
-            assert report.q_cold == q_cold
 
 
 def _two_cycles(ground, lam, swap):
@@ -420,13 +424,16 @@ def _two_cycles(ground, lam, swap):
 
 
 def test_run_cycles_runs_a_singular_draw():
-    # without the swap, idle strokes leave every state fixed; cyclic_state
-    # raises there, and the runner runs the cycle all the same
-    with pytest.raises(SingularCycleError):
-        cyclic_state(0.0, 0.0, REF, WorkPermutation.identity(2))
+    # without the swap, idle strokes leave every state fixed; fixed_ground
+    # is NaN there, and the runner runs the cycle all the same
+    assert math.isnan(_identity_ground(0.0, 0.0, REF))
     batch = _two_cycles([0.3, 0.3], [0.0, 1.0], [False, True])
-    assert batch.start[0].tolist() == [0.3, 0.7]
+    report = run_cycle(qubit_population(0.3), 0.0, 0.0, WorkPermutation.identity(2), REF)
+    assert report.closes and report.residual == 0.0
     assert batch.closes[0] and batch.work[0] == 0.0
+    for name in ("work", "q_hot", "q_cold_raw", "residual", "closes"):
+        assert getattr(batch, name)[0] == getattr(report, name), name
+    assert not batch.renormalized[0]
 
 
 def test_run_cycles_never_uses_the_stroke_product(monkeypatch):

@@ -1,6 +1,7 @@
 """The input rules shared by every module: temperatures, numbers, sizes, and the qubit's two levels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,14 +101,14 @@ def test_text_is_not_coerced(name):
 
 
 # A boolean, which float() takes as 0 or 1, given where a number belongs: True
-# at every scalar temperature input, and at each cap, weight, population and
-# spectrum; a boolean array where an array of numbers belongs.  numpy converts
-# a list that mixes floats and booleans to floats before any rule sees it.
+# at every temperature input, also inside a list of floats (the rows named
+# .list), and at each cap, weight, population and spectrum; a boolean array
+# where an array of numbers belongs.
 BOOL_FOR_A_NUMBER = {
     **{
-        name: (lambda call: lambda: call(True))(call)
+        f"{name}.list" if name.startswith("BathTemperatures") else name:
+            (lambda call: lambda: call(True))(call)
         for name, call in TAKES_A_TEMPERATURE.items()
-        if not name.startswith(("BathTemperatures", "resolve"))
     },
     "EngineParams.lambda_h_max": lambda: EngineParams(0.2, 1.0, True, 1.0),
     "EngineParams.lambda_c_max": lambda: EngineParams(0.2, 1.0, 1.0, True),
@@ -121,6 +122,8 @@ BOOL_FOR_A_NUMBER = {
     "EnergySpectrum.ground": lambda: EnergySpectrum((False, 1.0)),
     "EnergySpectrum.excited": lambda: EnergySpectrum((0.0, True)),
     "check_betas": lambda: check_betas(np.array([True, False])),
+    "check_betas.list": lambda: check_betas([0.2, True]),
+    "jc_time_scan.time_grid": lambda: jc_time_scan(0.5, [1.0, True]),
     "BathTemperatures.beta_h": lambda: BathTemperatures(np.array([True]), np.array([1.0])),
     "BathTemperatures.beta_c": lambda: BathTemperatures(np.array([0.2]), np.array([True])),
     "BathTemperatures.caps": lambda: BathTemperatures([0.2], [1.0]).caps(np.array([True]), [1.0]),
@@ -133,6 +136,13 @@ BOOL_FOR_A_NUMBER = {
 def test_booleans_are_not_numbers(name):
     with pytest.raises(ValueError):
         BOOL_FOR_A_NUMBER[name]()
+
+
+@pytest.mark.parametrize("entry", [True, np.True_, "0.5", b"0.5"], ids=repr)
+def test_a_population_entry_that_is_not_a_number_is_named(entry):
+    message = f"^population entry {re.escape(repr(entry))} must be a number$"
+    with pytest.raises(ValueError, match=message):
+        PopulationVector((entry, 0.5))
 
 
 # Every public entry point that takes an integer size, with the bad one as n.

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from threestroke import (
@@ -141,3 +142,12 @@ def test_exhaustive_two_level_search_matches():
                 continue  # boundary pairs are below the scan resolution
             found = float(np.min(np.abs(grounds - q0))) <= step / 2.0 + 1e-12
             assert thermomajorizes(qubit_population(p0), qubit_population(q0), gamma) == found
+
+
+@pytest.mark.parametrize("gamma", [(1.0, 0.0), (0.0, 1.0)], ids=repr)
+def test_a_gibbs_entry_that_is_not_positive_is_rejected(gamma):
+    """The curves divide by the Gibbs entries, so a zero entry, such as the
+    excited weight of gibbs_vector(800.0, QUBIT), is rejected by name."""
+    p = qubit_population(0.3)
+    with pytest.raises(ValueError, match="^Gibbs vector entries must be strictly positive$"):
+        thermomajorizes(p, p, PopulationVector(gamma))

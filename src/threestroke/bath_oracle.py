@@ -66,6 +66,11 @@ _JC_TAIL_TOL = 1e-12
 _JC_CHUNK_FLOATS = 2_000_000  # sines evaluated at once by the coupling-time scan
 _JC_STRIDE = 512  # the scan evaluates every this many sorted times before halving
 _JC_PRUNE_MARGIN = 1e-12
+# The default time grid, np.linspace(0.0, _JC_DEFAULT_END, _JC_DEFAULT_POINTS),
+# read from its indices (_default_times) rather than built.
+_JC_DEFAULT_END = 200.0
+_JC_DEFAULT_POINTS = 100_000
+_JC_DEFAULT_STEP = _JC_DEFAULT_END / (_JC_DEFAULT_POINTS - 1)
 _SCAN_POINTS = 65  # grid points per angle of the coordinate-ascent scan
 # Floats per temporary of the brute-force grid and of the product state's
 # checks, evaluated in chunks of at most this size (the block conjugation
@@ -517,6 +522,13 @@ def _mixing_weights(
     return prefactor * sums
 
 
+def _default_times(index: np.ndarray) -> np.ndarray:
+    """np.linspace(0.0, 200.0, 100_000)[index], bit for bit, by linspace's own
+    arithmetic: index * step, with the last time set to 200.0 exactly (the
+    product rounds below it there)."""
+    return np.where(index == _JC_DEFAULT_POINTS - 1, _JC_DEFAULT_END, index * _JC_DEFAULT_STEP)
+
+
 def jc_time_scan(
     beta_omega: float,
     time_grid: np.ndarray | None = None,
@@ -527,9 +539,11 @@ def jc_time_scan(
     The weight at scaled coupling time t is f(t) = P sum_n w_n sin^2(t sqrt(n))
     over the excitation manifolds n >= 1 with thermal weights w_n and
     P = 1 - exp(-beta_omega); the truncation must be deep enough that the
-    dropped tail is negligible at this temperature.  The default grid covers
-    t in [0, 200] with 100000 points; a grid of more than MAX_TIME_POINTS
-    raises ResourceLimitError.
+    dropped tail is negligible at this temperature.  The default grid is
+    np.linspace(0.0, 200.0, 100000); the scan computes each time it reads from
+    its index, equal to that grid's entry bit for bit, so the grid is never
+    built, validated or sorted.  A caller's grid is validated, and a grid of
+    more than MAX_TIME_POINTS raises ResourceLimitError.
 
     The result equals the largest of jc_time_scan(beta_omega, [t]) over the
     grid's times t, bit for bit: each time's value is summed along its own
@@ -559,14 +573,16 @@ def jc_time_scan(
             f"need at least {needed}"
         )
     if time_grid is None:
-        time_grid = np.linspace(0.0, 200.0, 100_000)
-    times = np.asarray(time_grid)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("time grid must be a nonempty 1-d array")
-    _check_bounded(times.size, "time grid size", 1, MAX_TIME_POINTS)
-    times = check_betas(time_grid, "time grid entry")
-    if np.any(times[1:] < times[:-1]):
-        times = np.sort(times)
+        size, time_at = _JC_DEFAULT_POINTS, _default_times
+    else:
+        times = np.asarray(time_grid)
+        if times.ndim != 1 or times.size == 0:
+            raise ValueError("time grid must be a nonempty 1-d array")
+        _check_bounded(times.size, "time grid size", 1, MAX_TIME_POINTS)
+        times = check_betas(time_grid, "time grid entry")
+        if np.any(times[1:] < times[:-1]):
+            times = np.sort(times)
+        size, time_at = times.size, times.__getitem__
     n = np.arange(1, truncation + 1)
     weights = np.exp(-beta_omega * (n - 1))
     keep = weights > 1e-18
@@ -575,25 +591,30 @@ def jc_time_scan(
     weights = weights[keep]
     prefactor = -math.expm1(-beta_omega)
 
-    edges = np.append(np.arange(0, times.size - 1, _JC_STRIDE), times.size - 1)
-    values = _mixing_weights(times[edges], roots, weights, prefactor)
+    edges = np.append(np.arange(0, size - 1, _JC_STRIDE), size - 1)
+    t_edges = time_at(edges)
+    values = _mixing_weights(t_edges, roots, weights, prefactor)
     best = float(values.max())
     curvature = 2.0 * prefactor * float(weights @ n)
     # A computed value is within about eps * (manifolds kept + t P sum_n w_n sqrt(n))
     # of f, from the sum's rounding and that of the sine's argument t sqrt(n);
     # the margin allows that error at a window's ends and again inside it.
-    slack = weights.size + times[-1] * prefactor * float(weights @ roots)
+    slack = weights.size + t_edges[-1] * prefactor * float(weights @ roots)
     margin = _JC_PRUNE_MARGIN + 2.0 * np.finfo(float).eps * slack
-    # Live windows: first and last index, and f there.
-    lo, hi, f_lo, f_hi = edges[:-1], edges[1:], values[:-1], values[1:]
+    # Live windows: first and last index, and the time and f there.
+    lo, hi, t_lo, t_hi = edges[:-1], edges[1:], t_edges[:-1], t_edges[1:]
+    f_lo, f_hi = values[:-1], values[1:]
     while True:
-        bound = np.maximum(f_lo, f_hi) + curvature * (times[hi] - times[lo]) ** 2 / 8.0
-        live = (bound >= best - margin) & (hi - lo > 1) & (times[hi] > times[lo])
+        bound = np.maximum(f_lo, f_hi) + curvature * (t_hi - t_lo) ** 2 / 8.0
+        live = (bound >= best - margin) & (hi - lo > 1) & (t_hi > t_lo)
         if not live.any():
             return best
-        lo, hi, f_lo, f_hi = lo[live], hi[live], f_lo[live], f_hi[live]
+        lo, hi, t_lo, t_hi = lo[live], hi[live], t_lo[live], t_hi[live]
+        f_lo, f_hi = f_lo[live], f_hi[live]
         mid = (lo + hi) // 2
-        f_mid = _mixing_weights(times[mid], roots, weights, prefactor)
+        t_mid = time_at(mid)
+        f_mid = _mixing_weights(t_mid, roots, weights, prefactor)
         best = max(best, float(f_mid.max()))
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        t_lo, t_hi = np.concatenate((t_lo, t_mid)), np.concatenate((t_mid, t_hi))
         f_lo, f_hi = np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi))

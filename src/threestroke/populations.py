@@ -34,8 +34,9 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 _DRIFT_TOL = 1e-9
-# Inputs that float() or operator.index would take as numbers but are not.
-_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+# Inputs that float() or operator.index would take as numbers but are not:
+# text, booleans, and complex numbers, whose imaginary part numpy would drop.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_, complex, np.complexfloating)
 
 
 # The input rules of the package: every module checks temperatures, caps in
@@ -44,12 +45,22 @@ _NOT_NUMBERS = (str, bytes, bool, np.bool_)
 
 def as_number(value: float) -> float:
     """float(value), except that text (str or bytes), which float() would
-    parse, and booleans are returned as they are, for the calling rule to
-    reject: no input is silently coerced.  The rules here, PopulationVector,
-    EnergySpectrum and the mixing weight take their numbers through this, and
-    arrays go through as_numbers.
+    parse, booleans, complex numbers (each also as a 0-d array) and whatever
+    float() refuses or overflows on, such as None or 10**400, are returned as
+    they are, for the calling rule to reject: no input is silently coerced.
+    The rules here, PopulationVector, EnergySpectrum and the mixing weight
+    take their numbers through this, and arrays go through as_numbers.
     """
-    return value if isinstance(value, _NOT_NUMBERS) else float(value)
+    if value.__class__ is float:
+        return value
+    if isinstance(value, _NOT_NUMBERS) or (
+        isinstance(value, np.ndarray) and value.dtype.kind in "bcSU"
+    ):
+        return value
+    try:
+        return float(value)
+    except (TypeError, OverflowError):
+        return value
 
 
 def check_beta(value: float, name: str = "beta_omega") -> float:
@@ -61,20 +72,21 @@ def check_beta(value: float, name: str = "beta_omega") -> float:
 
 
 def as_numbers(values: np.ndarray, name: str) -> np.ndarray:
-    """np.asarray(values, dtype=float), except that text (str or bytes) or
-    booleans anywhere in values, which the conversion would take as numbers,
-    raise ValueError: as_number's rule over an array.  A list or tuple is
-    read as objects first, since numpy turns [0.2, True] into floats; an
-    array is taken as it is.
+    """np.asarray(values, dtype=float), except that a boolean or complex
+    array, and text (str or bytes), booleans, complex numbers or anything
+    else float() refuses anywhere in values, raise ValueError: as_number's
+    rule over an array.  A list or tuple is read as objects first, since
+    numpy turns [0.2, True] into floats; an array is taken as it is.
     """
     if isinstance(values, (list, tuple)):
         values = np.array(values, dtype=object)
     values = np.asarray(values)
-    if values.dtype.kind == "b":
-        raise ValueError(f"{name} must be a number, got a boolean array")
-    if values.dtype.kind in "USO":  # text, or objects that may be text or booleans
+    if values.dtype.kind in "bc":
+        kind = "boolean" if values.dtype.kind == "b" else "complex"
+        raise ValueError(f"{name} must be a number, got a {kind} array")
+    if values.dtype.kind in "USO":  # text, or objects that may not be numbers
         for value in values.ravel().tolist():
-            if isinstance(value, _NOT_NUMBERS):
+            if not isinstance(as_number(value), float):
                 raise ValueError(f"{name} must be a number, got {value!r}")
     return np.asarray(values, dtype=float)
 
@@ -82,6 +94,8 @@ def as_numbers(values: np.ndarray, name: str) -> np.ndarray:
 def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:
     """check_beta over a 1-d array, with its message for the first bad entry."""
     values = as_numbers(values, name)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array, got shape {values.shape}")
     ok = np.isfinite(values) & (values >= 0.0)
     if not ok.all():
         check_beta(values[int(ok.argmin())], name)
@@ -170,7 +184,8 @@ QUBIT = EnergySpectrum((0.0, 1.0))
 
 def qubit_population(ground: float) -> PopulationVector:
     """Two-level population vector with the given ground occupation."""
-    return PopulationVector((ground, 1.0 - float(ground)))
+    ground = as_number(ground)
+    return PopulationVector((ground, 1.0 - ground if isinstance(ground, float) else ground))
 
 
 def qubit_populations(

@@ -632,6 +632,24 @@ def test_jc_time_scan_default_grid_values_are_exact():
         assert full_time_scan(bw, DEFAULT_TIMES, 200) == pinned
 
 
+def test_default_time_grid_is_read_from_its_indices():
+    """The scan reads the default grid by index, equal to the built grid bit for bit."""
+    read = bath_oracle._default_times(np.arange(DEFAULT_TIMES.size))
+    assert read.dtype == DEFAULT_TIMES.dtype
+    assert np.array_equal(read.view(np.int64), DEFAULT_TIMES.view(np.int64))
+
+
+def test_default_grid_scan_builds_no_grid():
+    jc_time_scan(0.5)
+    tracemalloc.start()
+    try:
+        jc_time_scan(0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000  # the 100 000-point grid alone is 800 000 bytes
+
+
 def full_time_scan(beta_omega, times, truncation):
     """Largest mixing weight, every time evaluated, each summed along its own row."""
     n = np.arange(1, truncation + 1)

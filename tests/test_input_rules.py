@@ -65,11 +65,112 @@ TAKES_A_TEMPERATURE = {
 }
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, "x", "0.5"], ids=repr)
+# Values that float() refuses, overflows on, or takes from a complex number by
+# dropping its imaginary part.
+NOT_REAL_NUMBERS = [
+    None, object(), 0.5 + 0j, np.complex128(0.5), np.complex64(0.5), np.array(0.5 + 0j), 10**400
+]
+NOT_REAL_IDS = [
+    "None", "object", "complex", "complex128", "complex64", "complex-0d-array", "10**400"
+]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [-1.0, math.nan, math.inf, "x", "0.5", *NOT_REAL_NUMBERS],
+    ids=[repr(bad) for bad in (-1.0, math.nan, math.inf, "x", "0.5")] + NOT_REAL_IDS,
+)
 @pytest.mark.parametrize("name", sorted(TAKES_A_TEMPERATURE))
 def test_every_temperature_input_rejects_bad_values(name, bad):
     with pytest.raises(ValueError):
         TAKES_A_TEMPERATURE[name](bad)
+
+
+# Every public entry point that takes a number that is not a temperature: caps,
+# mixing weights, population entries and levels, with the bad one as x.
+TAKES_A_NUMBER = {
+    "EngineParams.lambda_h_max": lambda x: EngineParams(0.2, 1.0, x, 1.0),
+    "EngineParams.lambda_c_max": lambda x: EngineParams(0.2, 1.0, 1.0, x),
+    "RestrictionModel.explicit": RestrictionModel.explicit,
+    "check_unit_interval": lambda x: check_unit_interval(x, "lambda"),
+    "capped_weight": capped_weight,
+    "capped_weights": lambda x: capped_weights([x], np.array([1.0])),
+    "apply_mixture.lambda": lambda x: apply_mixture(x, 0.3, P),
+    "PopulationVector": lambda x: PopulationVector((x, 0.5)),
+    "qubit_population": qubit_population,
+    "EnergySpectrum.excited": lambda x: EnergySpectrum((0.0, x)),
+    "BathTemperatures.caps": lambda x: BathTemperatures([0.2], [1.0]).caps([x], [1.0]),
+    "BlockUnitarySpec": lambda x: BlockUnitarySpec([x], [0.0], [0.0]),
+    "run_cycles.start": lambda x: run_cycles(
+        [[x, 0.5]], [0.5], [0.5], [True], BathTemperatures([0.2], [1.0]), [1.0], [1.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL_NUMBERS, ids=NOT_REAL_IDS)
+@pytest.mark.parametrize("name", sorted(TAKES_A_NUMBER))
+def test_every_number_input_rejects_values_that_are_not_real_numbers(name, bad):
+    with pytest.raises(ValueError):
+        TAKES_A_NUMBER[name](bad)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: EngineParams(None, 1.0), r"^beta_h_omega must be finite and >= 0, got None$"),
+        (lambda: EngineParams(0.2, 10**400), r"^beta_c_omega must be finite and >= 0, got 1000"),
+        (
+            lambda: EngineParams(0.2, 1.0, 0.5 + 0j),
+            r"^lambda_h_max must lie in \[0, 1\], got \(0\.5\+0j\)$",
+        ),
+        (lambda: PopulationVector((None, 0.5)), r"^population entry None must be a number$"),
+        (
+            lambda: MODELS[1].resolve([0.5, 0.5 + 0j]),
+            r"^beta_omega must be a number, got \(0\.5\+0j\)$",
+        ),
+    ],
+    ids=["None", "10**400", "complex", "population", "complex-entry"],
+)
+def test_a_value_that_is_not_a_real_number_is_named_by_its_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+# Every public entry point that takes an array of numbers, given a complex one.
+COMPLEX = np.array([0.5 + 0j])
+COMPLEX_FOR_AN_ARRAY = {
+    "check_betas": lambda: check_betas(COMPLEX),
+    "BathTemperatures.beta_h": lambda: BathTemperatures(COMPLEX, np.array([1.0])),
+    "BathTemperatures.caps": lambda: BathTemperatures([0.2], [1.0]).caps(COMPLEX, [1.0]),
+    "capped_weights": lambda: capped_weights(COMPLEX, np.array([1.0])),
+    "BlockUnitarySpec": lambda: BlockUnitarySpec(COMPLEX, (0.0,), (0.0,)),
+    "jc_time_scan.time_grid": lambda: jc_time_scan(0.5, COMPLEX),
+    **{f"resolve[{m.label}]": (lambda m: lambda: m.resolve(COMPLEX))(m) for m in MODELS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_FOR_AN_ARRAY))
+def test_a_complex_array_is_not_an_array_of_numbers(name):
+    with pytest.raises(ValueError, match=" must be a number, got a complex array$"):
+        COMPLEX_FOR_AN_ARRAY[name]()
+
+
+# Every public entry point documented to take a 1-d array of temperatures.
+TAKES_A_TEMPERATURE_ARRAY = {
+    "check_betas": check_betas,
+    **{f"resolve[{m.label}]": m.resolve for m in MODELS},
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [-1.0, math.nan, 0.5, np.array(0.5), np.array([[0.5]])],
+    ids=["-1.0", "nan", "0.5", "0-d", "2-d"],
+)
+@pytest.mark.parametrize("name", sorted(TAKES_A_TEMPERATURE_ARRAY))
+def test_a_temperature_array_must_be_1d(name, bad):
+    shape = re.escape(str(np.shape(bad)))
+    with pytest.raises(ValueError, match=f"^beta_omega must be a 1-d array, got shape {shape}$"):
+        TAKES_A_TEMPERATURE_ARRAY[name](bad)
 
 
 # Text that float() would parse, given where a number belongs.
@@ -80,6 +181,7 @@ TEXT_FOR_A_NUMBER = {
     "check_unit_interval": lambda: check_unit_interval("0.25", "lambda"),
     "apply_mixture.lambda": lambda: apply_mixture("0.5", 0.3, P),
     "check_beta.bytes": lambda: check_beta(b"0.5"),
+    "check_beta.0-d": lambda: check_beta(np.array("0.5")),
     "check_betas.list": lambda: check_betas([0.2, "0.5"]),
     "check_betas.objects": lambda: check_betas(np.array([0.2, "0.5"], dtype=object)),
     "jc_time_scan.time_grid": lambda: jc_time_scan(0.5, ["1.0", "2.0"]),
@@ -118,6 +220,8 @@ BOOL_FOR_A_NUMBER = {
     "apply_mixture.lambda": lambda: apply_mixture(True, 0.3, P),
     "PopulationVector": lambda: PopulationVector((True, False)),
     "PopulationVector.numpy": lambda: PopulationVector((np.True_, np.False_)),
+    "PopulationVector.0-d": lambda: PopulationVector((np.array(True), 0.0)),
+    "EngineParams.0-d": lambda: EngineParams(np.array(True), 1.0),
     "qubit_population": lambda: qubit_population(True),
     "EnergySpectrum.ground": lambda: EnergySpectrum((False, 1.0)),
     "EnergySpectrum.excited": lambda: EnergySpectrum((0.0, True)),

@@ -4,18 +4,14 @@ The working body is a single two-level system; the hot and cold strokes are
 restricted thermal processes on that system, and the work stroke is a level
 permutation. Everything is expressed per unit of the level splitting, so the
 temperature arguments throughout are the dimensionless products beta * omega.
+
+Importing the package loads populations, thermal_qubit, ergotropy, engine and
+restrictions.  The oracle names (bath_oracle's and thermomajorizes) load on
+first access: the first one read binds every name of its module here.
 """
 
-from .bath_oracle import (
-    BlockUnitarySpec,
-    BruteForceResult,
-    ResourceLimitError,
-    achieved_lambda,
-    brute_force_performance,
-    jc_time_scan,
-    scan_lambda_max,
-    simulate_finite_bath_map,
-)
+import importlib
+
 from .engine import (
     CycleReport,
     EngineParams,
@@ -31,7 +27,6 @@ from .engine import (
     run_cycle,
 )
 from .ergotropy import WorkPermutation, ergotropy, passive_rearrangement
-from .majorization import thermomajorizes
 from .populations import (
     QUBIT,
     EnergySpectrum,
@@ -52,6 +47,21 @@ from .restrictions import (
 from .thermal_qubit import apply_mixture
 
 __version__ = "0.1.0"
+
+# module -> the names it exports here, imported on first access
+_DEFERRED = {
+    "bath_oracle": (
+        "BlockUnitarySpec",
+        "BruteForceResult",
+        "ResourceLimitError",
+        "achieved_lambda",
+        "brute_force_performance",
+        "jc_time_scan",
+        "scan_lambda_max",
+        "simulate_finite_bath_map",
+    ),
+    "majorization": ("thermomajorizes",),
+}
 
 __all__ = [
     "QUBIT",
@@ -93,3 +103,24 @@ __all__ = [
     "simulate_finite_bath_map",
     "thermomajorizes",
 ]
+
+
+def __getattr__(name: str):
+    """A deferred name: import its module and bind all of that module's names here.
+
+    Once every deferred name is bound the hook deletes itself: CPython does not
+    specialize attribute reads on a module that defines __getattr__, so each
+    threestroke.<name> would stay several times slower while it is there.
+    """
+    for module, names in _DEFERRED.items():
+        if name in names:
+            source = importlib.import_module(f"{__name__}.{module}")
+            globals().update((each, getattr(source, each)) for each in names)
+            if all(each in globals() for each in __all__):
+                del globals()["__getattr__"]
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -37,7 +37,9 @@ from .engine import (
     CLOSURE_TOL, EngineParams, check_laws, cycle_map, cyclic_state, fixed_ground, run_cycle
 )
 from .ergotropy import WorkPermutation
-from .populations import PopulationVector, as_numbers, check_beta, check_betas, check_size
+from .populations import (
+    PopulationVector, as_numbers, check_beta, check_betas, check_population, check_size,
+)
 
 __all__ = [
     "MAX_GRID",
@@ -331,7 +333,7 @@ def simulate_finite_bath_map(
     beta_omega, d = _check_bath(beta_omega, d)
     if spec.d != d:
         raise ValueError(f"spec has {spec.d} blocks but the bath needs {d}")
-    corner_low, corner_high, ground, excited = _product(p, beta_omega, d)
+    corner_low, corner_high, ground, excited = _product(check_population(p, "p"), beta_omega, d)
     _check_corners(corner_low, corner_high)
     for chunk in _chunks(d, _GRID_BLOCK_FLOATS):
         _check_blocks(ground[chunk], 0.0, 0.0, excited[chunk])

@@ -8,7 +8,9 @@ fig2.csv and fig3.csv share a preset, so they are one table written twice.
 A failing run prints its error alone; clamp warnings come only with output.
 
 verify prints the line of each record that the checks in threestroke.checks
-return, and takes a non-negative --seed and distinct --only names.
+return, and takes a non-negative --seed and distinct --only names.  It
+imports the checks, and with them the oracles, on its first call, so the
+other commands never load them.
 
 Exit codes: 0 success, 2 invalid input, 3 I/O error, 4 verification failure.
 CSV output starts with one '#' metadata line (tool version, command line and
@@ -22,8 +24,8 @@ following value that starts with '-' (-1e-3, -inf) as its own, so the input
 rules judge it.  Sizes the user sets are bounded before anything is
 allocated: --ratio-steps (sweep, tradeoff, figures) by MAX_RATIO_STEPS and
 verify --grid by MAX_VERIFY_GRID, which is the brute-force oracle's own bound
-bath_oracle.MAX_GRID.  A larger value, or a size that is not an integer, is
-an invalid input.
+bath_oracle.MAX_GRID, written out here and pinned to it by a test.  A larger
+value, or a size that is not an integer, is an invalid input.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bath_oracle import MAX_GRID
-from .checks import CHECKS
 from .engine import BathTemperatures
 from .populations import check_betas, check_size
 from .restrictions import RestrictionModel, lambda_max_jc_raw
@@ -58,7 +58,7 @@ _AXIS_COLUMNS = {"ratio": "ratio", "bh": "beta_h_omega", "bc": "beta_c_omega"}
 # Swept values are held as arrays for the whole sweep; their CSV text is
 # written out _CSV_CHUNK_ROWS rows at a time.
 MAX_RATIO_STEPS = 1_000_000
-MAX_VERIFY_GRID = MAX_GRID
+MAX_VERIFY_GRID = 2_000  # bath_oracle.MAX_GRID, which cli does not import
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -420,6 +420,8 @@ def cmd_figures(args) -> int:
 def cmd_verify(args) -> int:
     seed = check_size(args.seed if args.seed is not None else 0, "--seed", 0)
     grid = _as_size("--grid", args.grid, 64, 2, MAX_VERIFY_GRID)
+    from .checks import CHECKS  # the oracles load here, on verify's first call
+
     if args.only is not None:
         if not isinstance(args.only, str):
             raise ValueError(f"--only must be a string of check names, got {args.only!r}")
@@ -499,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--config", metavar="PATH", help="JSON file supplying defaults for any flag")
     verify.add_argument("--seed", type=int, help="seed for the randomized checks (default 0)")
     verify.add_argument("--grid", type=int, help="grid size for the brute-force search (default 64)")
+    # the list is sorted(checks.CHECKS), written out so the parser needs no oracle
     verify.add_argument("--only", metavar="NAMES",
-                        help=f"comma-separated subset of {sorted(CHECKS)}")
+                        help="comma-separated subset of ['carnot', 'eta-d', 'jc', 'thm2', 'thm3']")
     verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -34,6 +34,7 @@ from .populations import (
     as_numbers,
     check_beta,
     check_betas,
+    check_population,
     check_unit_interval,
     qubit_population,
     qubit_populations,
@@ -213,7 +214,7 @@ def run_cycle(
         states.append(PopulationVector((ground, excited)))
         return states[-1].entries
 
-    g, x = p0.entries
+    g, x = check_population(p0, "p0").entries
     s = 0.0 if perm.is_identity else 1.0
     work, q_hot, q_cold_raw, residual, closes = _cycle_pass(
         g, x, lh, lc, params.exp_h, params.exp_c, s, population

@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .populations import EnergySpectrum, PopulationVector, average_energy, check_size
+from .populations import (
+    EnergySpectrum,
+    PopulationVector,
+    average_energy,
+    check_population,
+    check_size,
+)
 
 __all__ = [
     "WorkPermutation",
@@ -57,7 +63,7 @@ def passive_rearrangement(
     A population tie keeps the identity, and so does the degenerate spectrum
     (0, 0), where trading the two populations is free.
     """
-    ground, excited = p.entries
+    ground, excited = check_population(p, "p").entries
     if spectrum.levels[1] == 0.0 or ground >= excited:
         return PopulationVector((ground, excited)), WorkPermutation.identity(2)
     return PopulationVector((excited, ground)), WorkPermutation.swap()

@@ -10,7 +10,7 @@ elbow to its end, so two curves are compared at the two elbows and the end.
 
 from __future__ import annotations
 
-from .populations import PopulationVector
+from .populations import PopulationVector, check_population
 
 __all__ = ["thermomajorizes"]
 
@@ -44,7 +44,9 @@ def thermomajorizes(p: PopulationVector, q: PopulationVector, gamma: PopulationV
     them at the union of their elbows and ends is exact.  The curves divide
     by the Gibbs entries, so an entry that is not > 0 raises ValueError.
     """
-    if min(gamma.entries) <= 0.0:
+    check_population(p, "p")
+    check_population(q, "q")
+    if min(check_population(gamma, "gamma").entries) <= 0.0:
         raise ValueError("Gibbs vector entries must be strictly positive")
     curve_p = _curve(p, gamma)
     curve_q = _curve(q, gamma)

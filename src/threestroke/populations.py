@@ -25,6 +25,7 @@ __all__ = [
     "average_energy",
     "check_beta",
     "check_betas",
+    "check_population",
     "check_size",
     "check_unit_interval",
     "gibbs_vector",
@@ -48,14 +49,18 @@ def as_number(value: float) -> float:
     parse, booleans, complex numbers (each also as a 0-d array) and whatever
     float() refuses or overflows on, such as None or 10**400, are returned as
     they are, for the calling rule to reject: no input is silently coerced.
+    A 0-d object array is read as the object it holds, by the same rule.
     The rules here, PopulationVector, EnergySpectrum and the mixing weight
     take their numbers through this, and arrays go through as_numbers.
     """
     if value.__class__ is float:
         return value
-    if isinstance(value, _NOT_NUMBERS) or (
-        isinstance(value, np.ndarray) and value.dtype.kind in "bcSU"
-    ):
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "O" and value.ndim == 0:
+            return as_number(value.item())
+        if value.dtype.kind in "bcSU":
+            return value
+    if isinstance(value, _NOT_NUMBERS):
         return value
     try:
         return float(value)
@@ -161,6 +166,13 @@ class PopulationVector:
         object.__setattr__(self, "entries", entries)
 
 
+def check_population(value: PopulationVector, name: str) -> PopulationVector:
+    """value, if it is a PopulationVector, whose entries were checked when it was built."""
+    if isinstance(value, PopulationVector):
+        return value
+    raise ValueError(f"{name} must be a PopulationVector, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnergySpectrum:
     """The two levels (0, E) of a qubit, with E finite and >= 0 (E = 0 is degenerate)."""
@@ -229,4 +241,4 @@ def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> PopulationVector:
 
 def average_energy(p: PopulationVector, spectrum: EnergySpectrum) -> float:
     """Mean energy sum_i p_i E_i."""
-    return math.fsum(x * e for x, e in zip(p.entries, spectrum.levels))
+    return math.fsum(x * e for x, e in zip(check_population(p, "p").entries, spectrum.levels))

@@ -149,6 +149,8 @@ class RestrictionModel:
     @classmethod
     def parse(cls, text: str) -> RestrictionModel:
         """Parse the command-line form: unrestricted | fb:D | jc | lam:X."""
+        if not isinstance(text, str):
+            raise ValueError(f"a restriction spec must be a string, got {text!r}")
         text = text.strip()
         if text == "unrestricted":
             return cls.unrestricted()

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .populations import PopulationVector, as_number, as_numbers, check_beta
+from .populations import PopulationVector, as_number, as_numbers, check_beta, check_population
 
 __all__ = [
     "apply_mixture",
@@ -69,4 +69,5 @@ def apply_mixture(lam: float, beta_omega: float, p: PopulationVector) -> Populat
     """
     beta_omega = check_beta(beta_omega)
     value = capped_weight(lam)
-    return PopulationVector(mixture_entries(value, math.exp(-beta_omega), *p.entries))
+    entries = check_population(p, "p").entries
+    return PopulationVector(mixture_entries(value, math.exp(-beta_omega), *entries))

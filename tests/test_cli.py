@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from threestroke import (
     RestrictionModel,
+    bath_oracle,
     checks,
     cli,
     engine_params_from,
@@ -488,6 +489,24 @@ def test_verify_grid_below_two_fails_before_any_check(grid, capsys):
     code, out, err = run(["verify", "--grid", grid], capsys)
     assert code == 2 and out == ""
     assert err == f"error: --grid must be >= 2, got {grid}\n"
+
+
+def test_verify_help_lists_every_check(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert exit_info.value.code == 0
+    assert f"--only NAMES comma-separated subset of {sorted(checks.CHECKS)}" in out
+
+
+def test_verify_grid_bound_is_the_brute_force_bound(monkeypatch, capsys):
+    bound = bath_oracle.MAX_GRID
+    assert cli.MAX_VERIFY_GRID == bound
+    for name in list(checks.CHECKS):
+        monkeypatch.setitem(checks.CHECKS, name, lambda seed, grid: pytest.fail("a check ran"))
+    code, out, err = run(["verify", "--grid", str(bound + 1)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: --grid must be <= {bound}, got {bound + 1}\n"
 
 
 def test_verify_forced_failure(monkeypatch, capsys):

@@ -16,17 +16,22 @@ from threestroke import (
     WorkPermutation,
     achieved_lambda,
     apply_mixture,
+    average_energy,
     brute_force_performance,
     engine_params_from,
+    ergotropy,
     eta_finite_bath,
     gibbs_vector,
     jc_time_scan,
     lambda_max_finite_bath,
     lambda_max_jc,
     lambda_max_jc_raw,
+    passive_rearrangement,
     qubit_population,
+    run_cycle,
     scan_lambda_max,
     simulate_finite_bath_map,
+    thermomajorizes,
 )
 from threestroke.engine import BathTemperatures, run_cycles
 from threestroke.populations import check_beta, check_betas, check_unit_interval
@@ -182,6 +187,8 @@ TEXT_FOR_A_NUMBER = {
     "apply_mixture.lambda": lambda: apply_mixture("0.5", 0.3, P),
     "check_beta.bytes": lambda: check_beta(b"0.5"),
     "check_beta.0-d": lambda: check_beta(np.array("0.5")),
+    "check_beta.0-d-object": lambda: check_beta(np.array("0.5", dtype=object)),
+    "EngineParams.0-d-object": lambda: EngineParams(np.array(b"0.5", dtype=object), 1.0),
     "check_betas.list": lambda: check_betas([0.2, "0.5"]),
     "check_betas.objects": lambda: check_betas(np.array([0.2, "0.5"], dtype=object)),
     "jc_time_scan.time_grid": lambda: jc_time_scan(0.5, ["1.0", "2.0"]),
@@ -222,6 +229,9 @@ BOOL_FOR_A_NUMBER = {
     "PopulationVector.numpy": lambda: PopulationVector((np.True_, np.False_)),
     "PopulationVector.0-d": lambda: PopulationVector((np.array(True), 0.0)),
     "EngineParams.0-d": lambda: EngineParams(np.array(True), 1.0),
+    "EngineParams.0-d-object": lambda: EngineParams(np.array(True, dtype=object), 1.0),
+    "PopulationVector.0-d-object": lambda: PopulationVector((np.array(False, dtype=object), 1.0)),
+    "capped_weight.0-d-object": lambda: capped_weight(np.array(np.True_, dtype=object)),
     "qubit_population": lambda: qubit_population(True),
     "EnergySpectrum.ground": lambda: EnergySpectrum((False, 1.0)),
     "EnergySpectrum.excited": lambda: EnergySpectrum((0.0, True)),
@@ -240,6 +250,20 @@ BOOL_FOR_A_NUMBER = {
 def test_booleans_are_not_numbers(name):
     with pytest.raises(ValueError):
         BOOL_FOR_A_NUMBER[name]()
+
+
+@pytest.mark.parametrize(
+    "bad", [None, 0.5 + 0j, np.array(0.5 + 0j, dtype=object)], ids=["None", "complex", "nested"]
+)
+def test_a_0d_object_array_is_judged_by_what_it_holds(bad):
+    with pytest.raises(ValueError, match="^beta_h_omega must be finite and >= 0, got "):
+        EngineParams(np.array(bad, dtype=object), 1.0)
+
+
+@pytest.mark.parametrize("value", [0.25, np.float64(0.25), 1, np.array(0.25)], ids=repr)
+def test_a_0d_object_array_holding_a_number_is_that_number(value):
+    assert EngineParams(np.array(value, dtype=object), 1.0).beta_h_omega == float(value)
+    assert check_beta(np.array(value, dtype=object)) == float(value)
 
 
 @pytest.mark.parametrize("entry", [True, np.True_, "0.5", b"0.5"], ids=repr)
@@ -287,3 +311,34 @@ NOT_A_QUBIT = {
 def test_every_qubit_type_rejects_other_dimensions(name):
     with pytest.raises(ValueError):
         NOT_A_QUBIT[name]()
+
+
+# Every public entry point that takes a PopulationVector, given something else,
+# with the parameter its message names.
+GIBBS = gibbs_vector(0.5, QUBIT)
+NOT_A_POPULATION = {
+    "apply_mixture": ("p", lambda: apply_mixture(0.5, 0.3, None)),
+    "average_energy": ("p", lambda: average_energy((0.5, 0.5), QUBIT)),
+    "simulate_finite_bath_map": ("p", lambda: simulate_finite_bath_map((0.5, 0.5), 0.5, 3, SPEC)),
+    "ergotropy": ("p", lambda: ergotropy(None, QUBIT)),
+    "passive_rearrangement": ("p", lambda: passive_rearrangement((0.5, 0.5), QUBIT)),
+    "thermomajorizes": ("p", lambda: thermomajorizes(None, None, None)),
+    "thermomajorizes.q": ("q", lambda: thermomajorizes(P, [0.5, 0.5], GIBBS)),
+    "thermomajorizes.gamma": ("gamma", lambda: thermomajorizes(P, P, GIBBS.entries)),
+    "run_cycle": ("p0", lambda: run_cycle(
+        None, 0.5, 0.5, WorkPermutation.swap(), EngineParams(0.2, 0.6)
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_POPULATION))
+def test_every_population_input_rejects_other_types(name):
+    parameter, call = NOT_A_POPULATION[name]
+    with pytest.raises(ValueError, match=f"^{parameter} must be a PopulationVector, got "):
+        call()
+
+
+@pytest.mark.parametrize("spec", [None, b"jc", 10, ["jc"]], ids=repr)
+def test_a_restriction_spec_must_be_a_string(spec):
+    with pytest.raises(ValueError, match="^a restriction spec must be a string, got "):
+        RestrictionModel.parse(spec)

@@ -7,7 +7,7 @@ temperature arguments throughout are the dimensionless products beta * omega.
 
 Importing the package loads populations, thermal_qubit, ergotropy, engine and
 restrictions.  The oracle names (bath_oracle's and thermomajorizes) load on
-first access: the first one read binds every name of its module here.
+first access: the first one read imports both modules and binds all of them here.
 """
 
 import importlib
@@ -48,7 +48,7 @@ from .thermal_qubit import apply_mixture
 
 __version__ = "0.1.0"
 
-# module -> the names it exports here, imported on first access
+# module -> the names it exports here, all imported on the first access to one
 _DEFERRED = {
     "bath_oracle": (
         "BlockUnitarySpec",
@@ -106,20 +106,19 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """A deferred name: import its module and bind all of that module's names here.
+    """A deferred name: import both deferred modules and bind all their names here.
 
-    Once every deferred name is bound the hook deletes itself: CPython does not
-    specialize attribute reads on a module that defines __getattr__, so each
-    threestroke.<name> would stay several times slower while it is there.
+    The hook then deletes itself: CPython does not specialize attribute reads
+    on a module that defines __getattr__, so each threestroke.<name> would
+    stay several times slower while it is there.
     """
+    if not any(name in names for names in _DEFERRED.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     for module, names in _DEFERRED.items():
-        if name in names:
-            source = importlib.import_module(f"{__name__}.{module}")
-            globals().update((each, getattr(source, each)) for each in names)
-            if all(each in globals() for each in __all__):
-                del globals()["__getattr__"]
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        source = importlib.import_module(f"{__name__}.{module}")
+        globals().update((each, getattr(source, each)) for each in names)
+    del globals()["__getattr__"]
+    return globals()[name]
 
 
 def __dir__() -> list[str]:

@@ -38,7 +38,7 @@ from .engine import (
 )
 from .ergotropy import WorkPermutation
 from .populations import (
-    PopulationVector, as_numbers, check_beta, check_betas, check_population, check_size,
+    PopulationVector, as_numbers, check_beta, check_betas, check_instance, check_size,
 )
 
 __all__ = [
@@ -160,6 +160,11 @@ class BlockUnitarySpec:
 
 def _check_bath(beta_omega: float, d: int) -> tuple[float, int]:
     return check_beta(beta_omega), _check_bounded(d, "bath size", 1, _MAX_BATH_SIZE)
+
+
+def _check_spec(spec: BlockUnitarySpec, d: int) -> None:
+    if check_instance(spec, "spec", BlockUnitarySpec).d != d:
+        raise ValueError(f"spec has {spec.d} blocks but the bath needs {d}")
 
 
 def _ladder_weights(beta_omega: float, d: int) -> tuple[np.ndarray, float]:
@@ -331,9 +336,10 @@ def simulate_finite_bath_map(
     be checked against this function, not an assumption baked into it.
     """
     beta_omega, d = _check_bath(beta_omega, d)
-    if spec.d != d:
-        raise ValueError(f"spec has {spec.d} blocks but the bath needs {d}")
-    corner_low, corner_high, ground, excited = _product(check_population(p, "p"), beta_omega, d)
+    _check_spec(spec, d)
+    corner_low, corner_high, ground, excited = _product(
+        check_instance(p, "p", PopulationVector), beta_omega, d
+    )
     _check_corners(corner_low, corner_high)
     for chunk in _chunks(d, _GRID_BLOCK_FLOATS):
         _check_blocks(ground[chunk], 0.0, 0.0, excited[chunk])
@@ -353,8 +359,7 @@ def simulate_finite_bath_map(
 def achieved_lambda(spec: BlockUnitarySpec, beta_omega: float, d: int) -> float:
     """Mixing weight realized by the block unitary at the given bath size."""
     beta_omega, d = _check_bath(beta_omega, d)
-    if spec.d != d:
-        raise ValueError(f"spec has {spec.d} blocks but the bath needs {d}")
+    _check_spec(spec, d)
     return float(_achieved_lambda_rows(spec.thetas[None, :], beta_omega, d)[0])
 
 
@@ -453,6 +458,7 @@ def brute_force_performance(params: EngineParams, grid: int = 64) -> BruteForceR
     check_laws as a final spot check, so a silent bookkeeping bug in the
     vectorized path cannot survive.
     """
+    params = check_instance(params, "params", EngineParams)
     grid = _check_bounded(grid, "grid", 2, MAX_GRID)
     # Work and efficiency: best value, its grid indices and (lambda_h, lambda_c).
     best = [[-math.inf, (0, 0), None], [-math.inf, (0, 0), None]]

@@ -34,7 +34,7 @@ from .populations import (
     as_numbers,
     check_beta,
     check_betas,
-    check_population,
+    check_instance,
     check_unit_interval,
     qubit_population,
     qubit_populations,
@@ -206,6 +206,7 @@ def run_cycle(
     CLOSURE_TOL.  Each heat is its stroke's own energy change, and the
     closure residual is reported beside them.
     """
+    params = check_instance(params, "params", EngineParams)
     lh = capped_weight(lambda_h, params.lambda_h_max)
     lc = capped_weight(lambda_c, params.lambda_c_max)
     states = []
@@ -214,8 +215,8 @@ def run_cycle(
         states.append(PopulationVector((ground, excited)))
         return states[-1].entries
 
-    g, x = check_population(p0, "p0").entries
-    s = 0.0 if perm.is_identity else 1.0
+    g, x = check_instance(p0, "p0", PopulationVector).entries
+    s = 0.0 if check_instance(perm, "perm", WorkPermutation).is_identity else 1.0
     work, q_hot, q_cold_raw, residual, closes = _cycle_pass(
         g, x, lh, lc, params.exp_h, params.exp_c, s, population
     )
@@ -305,6 +306,7 @@ def cyclic_state(lambda_h: float, lambda_c: float, params: EngineParams) -> Popu
     is the identity within rounding, every state is (nearly) fixed, and
     SingularCycleError is raised.
     """
+    params = check_instance(params, "params", EngineParams)
     lh = capped_weight(lambda_h, params.lambda_h_max)
     lc = capped_weight(lambda_c, params.lambda_c_max)
     p, q = cycle_map(lh, lc, params, True)
@@ -402,6 +404,7 @@ def optimal_performance(params: EngineParams) -> PerformancePoint:
     corner.  A vanishing heat intake leaves the efficiency undefined and the
     point reports as non-operational.
     """
+    params = check_instance(params, "params", EngineParams)
     bh, bc = params.beta_h_omega, params.beta_c_omega
     p_opt, w_max, eta_max = _closed_form(
         math.exp(-bh),
@@ -489,6 +492,7 @@ class BathTemperatures:
 
 def positive_work_condition(params: EngineParams) -> bool:
     """Strict positive-work test; only valid without restrictions on the strokes."""
+    params = check_instance(params, "params", EngineParams)
     if params.lambda_h_max != 1.0 or params.lambda_c_max != 1.0:
         raise UnsupportedRestrictionError(
             "positive-work condition assumes mixing caps of 1 on both strokes"
@@ -531,6 +535,8 @@ def check_laws(report: CycleReport, params: EngineParams) -> LawDiagnostics:
     of work; they compare the hot and cold roles, so they are skipped (and
     reported as skipped) when the cold bath is not colder.
     """
+    report = check_instance(report, "report", CycleReport)
+    params = check_instance(params, "params", EngineParams)
     if not report.closes:
         raise ValueError("law checks need a closing cycle")
     first_law, intake, carnot = _law_violations(

@@ -13,7 +13,7 @@ from .populations import (
     EnergySpectrum,
     PopulationVector,
     average_energy,
-    check_population,
+    check_instance,
     check_size,
 )
 
@@ -63,7 +63,8 @@ def passive_rearrangement(
     A population tie keeps the identity, and so does the degenerate spectrum
     (0, 0), where trading the two populations is free.
     """
-    ground, excited = check_population(p, "p").entries
+    ground, excited = check_instance(p, "p", PopulationVector).entries
+    spectrum = check_instance(spectrum, "spectrum", EnergySpectrum)
     if spectrum.levels[1] == 0.0 or ground >= excited:
         return PopulationVector((ground, excited)), WorkPermutation.identity(2)
     return PopulationVector((excited, ground)), WorkPermutation.swap()

@@ -10,7 +10,7 @@ elbow to its end, so two curves are compared at the two elbows and the end.
 
 from __future__ import annotations
 
-from .populations import PopulationVector, check_population
+from .populations import PopulationVector, check_instance
 
 __all__ = ["thermomajorizes"]
 
@@ -44,9 +44,9 @@ def thermomajorizes(p: PopulationVector, q: PopulationVector, gamma: PopulationV
     them at the union of their elbows and ends is exact.  The curves divide
     by the Gibbs entries, so an entry that is not > 0 raises ValueError.
     """
-    check_population(p, "p")
-    check_population(q, "q")
-    if min(check_population(gamma, "gamma").entries) <= 0.0:
+    check_instance(p, "p", PopulationVector)
+    check_instance(q, "q", PopulationVector)
+    if min(check_instance(gamma, "gamma", PopulationVector).entries) <= 0.0:
         raise ValueError("Gibbs vector entries must be strictly positive")
     curve_p = _curve(p, gamma)
     curve_q = _curve(q, gamma)

@@ -25,7 +25,7 @@ __all__ = [
     "average_energy",
     "check_beta",
     "check_betas",
-    "check_population",
+    "check_instance",
     "check_size",
     "check_unit_interval",
     "gibbs_vector",
@@ -166,11 +166,12 @@ class PopulationVector:
         object.__setattr__(self, "entries", entries)
 
 
-def check_population(value: PopulationVector, name: str) -> PopulationVector:
-    """value, if it is a PopulationVector, whose entries were checked when it was built."""
-    if isinstance(value, PopulationVector):
+def check_instance(value, name: str, kind: type):
+    """value, if it is an instance of kind, whose fields were checked when it was built."""
+    if isinstance(value, kind):
         return value
-    raise ValueError(f"{name} must be a PopulationVector, got {value!r}")
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -234,6 +235,7 @@ def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> PopulationVector:
     entries, rejects it.
     """
     beta = check_beta(beta, "inverse temperature")
+    spectrum = check_instance(spectrum, "spectrum", EnergySpectrum)
     weights = [math.exp(-beta * e) for e in spectrum.levels]
     z = math.fsum(weights)
     return PopulationVector(tuple(w / z for w in weights))
@@ -241,4 +243,6 @@ def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> PopulationVector:
 
 def average_energy(p: PopulationVector, spectrum: EnergySpectrum) -> float:
     """Mean energy sum_i p_i E_i."""
-    return math.fsum(x * e for x, e in zip(check_population(p, "p").entries, spectrum.levels))
+    entries = check_instance(p, "p", PopulationVector).entries
+    levels = check_instance(spectrum, "spectrum", EnergySpectrum).levels
+    return math.fsum(x * e for x, e in zip(entries, levels))

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EngineParams, UndefinedEfficiencyError, elementwise
-from .populations import check_beta, check_betas, check_size, check_unit_interval
+from .populations import (
+    check_beta, check_betas, check_instance, check_size, check_unit_interval,
+)
 
 __all__ = [
     "JC_BRANCH_POINT",
@@ -231,8 +233,8 @@ def engine_params_from(
     return EngineParams(
         beta_h_omega=beta_h_omega,
         beta_c_omega=beta_c_omega,
-        lambda_h_max=hot.lambda_max(beta_h_omega),
-        lambda_c_max=cold.lambda_max(beta_c_omega),
+        lambda_h_max=check_instance(hot, "hot", RestrictionModel).lambda_max(beta_h_omega),
+        lambda_c_max=check_instance(cold, "cold", RestrictionModel).lambda_max(beta_c_omega),
     )
 
 

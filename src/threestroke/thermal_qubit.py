@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .populations import PopulationVector, as_number, as_numbers, check_beta, check_population
+from .populations import PopulationVector, as_number, as_numbers, check_beta, check_instance
 
 __all__ = [
     "apply_mixture",
@@ -69,5 +69,5 @@ def apply_mixture(lam: float, beta_omega: float, p: PopulationVector) -> Populat
     """
     beta_omega = check_beta(beta_omega)
     value = capped_weight(lam)
-    entries = check_population(p, "p").entries
+    entries = check_instance(p, "p", PopulationVector).entries
     return PopulationVector(mixture_entries(value, math.exp(-beta_omega), *entries))

@@ -18,6 +18,8 @@ from threestroke import (
     apply_mixture,
     average_energy,
     brute_force_performance,
+    check_laws,
+    cyclic_state,
     engine_params_from,
     ergotropy,
     eta_finite_bath,
@@ -26,7 +28,9 @@ from threestroke import (
     lambda_max_finite_bath,
     lambda_max_jc,
     lambda_max_jc_raw,
+    optimal_performance,
     passive_rearrangement,
+    positive_work_condition,
     qubit_population,
     run_cycle,
     scan_lambda_max,
@@ -335,6 +339,45 @@ NOT_A_POPULATION = {
 def test_every_population_input_rejects_other_types(name):
     parameter, call = NOT_A_POPULATION[name]
     with pytest.raises(ValueError, match=f"^{parameter} must be a PopulationVector, got "):
+        call()
+
+
+# Every other public parameter that takes one of the package's types, given
+# None, with the parameter and the type its message names.
+PARAMS = EngineParams(0.2, 0.6)
+SWAP = WorkPermutation.swap()
+NOT_THE_TYPE = {
+    "run_cycle.perm": ("perm", "WorkPermutation", lambda: run_cycle(P, 0.5, 0.5, None, PARAMS)),
+    "run_cycle.params": ("params", "EngineParams", lambda: run_cycle(P, 0.5, 0.5, SWAP, None)),
+    "cyclic_state": ("params", "EngineParams", lambda: cyclic_state(0.5, 0.5, None)),
+    "check_laws.report": ("report", "CycleReport", lambda: check_laws(None, PARAMS)),
+    "check_laws.params": ("params", "EngineParams", lambda: check_laws(
+        run_cycle(P, 0.5, 0.5, SWAP, PARAMS), None
+    )),
+    "optimal_performance": ("params", "EngineParams", lambda: optimal_performance(None)),
+    "positive_work_condition": ("params", "EngineParams", lambda: positive_work_condition(None)),
+    "engine_params_from.hot": ("hot", "RestrictionModel", lambda: engine_params_from(
+        None, None, 0.2, 0.6
+    )),
+    "engine_params_from.cold": ("cold", "RestrictionModel", lambda: engine_params_from(
+        MODELS[1], None, 0.2, 0.6
+    )),
+    "brute_force_performance": ("params", "EngineParams", lambda: brute_force_performance(None)),
+    "gibbs_vector": ("spectrum", "EnergySpectrum", lambda: gibbs_vector(0.5, None)),
+    "ergotropy": ("spectrum", "EnergySpectrum", lambda: ergotropy(P, None)),
+    "passive_rearrangement": ("spectrum", "EnergySpectrum", lambda: passive_rearrangement(P, None)),
+    "average_energy": ("spectrum", "EnergySpectrum", lambda: average_energy(P, None)),
+    "simulate_finite_bath_map": ("spec", "BlockUnitarySpec", lambda: simulate_finite_bath_map(
+        P, 0.5, 3, None
+    )),
+    "achieved_lambda": ("spec", "BlockUnitarySpec", lambda: achieved_lambda(None, 0.5, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_THE_TYPE))
+def test_every_typed_input_rejects_other_types(name):
+    parameter, kind, call = NOT_THE_TYPE[name]
+    with pytest.raises(ValueError, match=f"^{parameter} must be an? {kind}, got None$"):
         call()
 
 

@@ -110,6 +110,20 @@ def test_every_export_resolves_to_its_module_object():
     assert result["ergotropy_is_function"]
 
 
+def test_one_deferred_read_removes_the_hook():
+    """Reading one bath_oracle name binds every deferred name and drops __getattr__."""
+    result = fresh_python(
+        "import json\n"
+        "import threestroke\n"
+        "threestroke.jc_time_scan\n"
+        "print(json.dumps({\n"
+        "    'hook_left': '__getattr__' in vars(threestroke),\n"
+        "    'unbound': sorted(set(threestroke.__all__) - set(vars(threestroke))),\n"
+        "}))\n"
+    )
+    assert result == {"hook_left": False, "unbound": []}
+
+
 def test_star_import_binds_every_export():
     names = fresh_python(
         "import json\n"

@@ -54,7 +54,6 @@ _DEFERRED = {
         "BlockUnitarySpec",
         "BruteForceResult",
         "ResourceLimitError",
-        "achieved_lambda",
         "brute_force_performance",
         "jc_time_scan",
         "scan_lambda_max",
@@ -80,7 +79,6 @@ __all__ = [
     "UndefinedEfficiencyError",
     "UnsupportedRestrictionError",
     "WorkPermutation",
-    "achieved_lambda",
     "apply_mixture",
     "average_energy",
     "brute_force_performance",

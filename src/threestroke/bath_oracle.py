@@ -4,13 +4,14 @@ The ladder-bath stroke is simulated explicitly: the joint Hilbert space of
 the qubit and a (d+1)-level ladder splits into two invariant corners plus d
 two-dimensional blocks, so conjugating by an energy-preserving unitary and
 tracing out the bath costs O(d) regardless of the angles.  The block angles
-are held as read-only float arrays.  simulate_finite_bath_map holds the
-product state's two block diagonals, and in one pass over chunks of blocks
-rotates each chunk (_rotate, elementwise products one output entry at a
-time), checks it (_check_blocks) and writes its new diagonals back; it makes
-no (d, 2, 2) block array, every temporary is at most 64 KB, so it comes from
-the heap rather than from a fresh, page-faulted map, and a call takes no page
-faults once the heap has grown to it.  The partition function, the state's
+are held as read-only float arrays.  simulate_finite_bath_map builds the
+product state's two block diagonals from inputs that passed the input rules,
+and in one pass over chunks of blocks rotates each chunk (_rotate,
+elementwise products one output entry at a time), checks the rotated blocks
+(_check_blocks) and writes their new diagonals back; it makes no (d, 2, 2)
+block array, every temporary is at most 64 KB, so it comes from the heap
+rather than from a fresh, page-faulted map, and a call takes no page faults
+once the heap has grown to it.  The partition function, the rotated state's
 trace check and the reduced populations are pairwise numpy sums (their error
 bound is derived in _ladder_weights).  The oracles simulate fresh ladder baths
 only, so the kernel rotates the diagonal product state's blocks.  Beside the
@@ -48,7 +49,6 @@ __all__ = [
     "BlockUnitarySpec",
     "BruteForceResult",
     "ResourceLimitError",
-    "achieved_lambda",
     "brute_force_performance",
     "jc_time_scan",
     "scan_lambda_max",
@@ -74,14 +74,14 @@ _JC_DEFAULT_END = 200.0
 _JC_DEFAULT_POINTS = 100_000
 _JC_DEFAULT_STEP = _JC_DEFAULT_END / (_JC_DEFAULT_POINTS - 1)
 _SCAN_POINTS = 65  # grid points per angle of the coordinate-ascent scan
-# Floats per temporary of the brute-force grid and of the product state's
-# checks, evaluated in chunks of at most this size (the block conjugation
-# takes an eighth of it, see _rotation_chunks): 64 KB stays below glibc's
-# default mmap threshold (128 KB), so the temporaries come from the heap
-# instead of fresh, page-faulted maps.
+# Floats per temporary of the brute-force grid, evaluated in chunks of at most
+# this size (the block conjugation takes an eighth of it, see
+# _rotation_chunks): 64 KB stays below glibc's default mmap threshold
+# (128 KB), so the temporaries come from the heap instead of fresh,
+# page-faulted maps.
 _GRID_BLOCK_FLOATS = 8_192
-# Tolerances of a joint state: its trace may drift (qubit inputs carry
-# normalization slack), its blocks' imaginary diagonals and negative
+# Tolerances of the rotated joint state: its trace may drift (qubit inputs
+# carry normalization slack), its blocks' imaginary diagonals and negative
 # eigenvalues may be rounding, and so may their departure from Hermitian.
 _TRACE_TOL = 2e-12
 _PSD_TOL = 1e-12
@@ -197,20 +197,15 @@ def _ladder_weights(beta_omega: float, d: int) -> tuple[np.ndarray, float]:
     return weights, float(weights.sum())
 
 
-def _chunks(d: int, size: int) -> list[slice]:
-    """The runs of at most size (>= 1) blocks that a chunked pass takes at once."""
-    size = max(1, size)
-    return [slice(lo, min(lo + size, d)) for lo in range(0, d, size)]
-
-
 def _rotation_chunks(d: int) -> list[slice]:
-    """Chunks of _GRID_BLOCK_FLOATS / 8 blocks for the rotation and its checks.
+    """Runs of max(1, _GRID_BLOCK_FLOATS // 8) blocks for the rotation and its checks.
 
     A rotation holds about a dozen complex temporaries per block at once, each
     of 2 floats a block, so a chunk's temporaries are 16 KB each and about
     200 KB in all: below glibc's mmap threshold, they come from the heap.
     """
-    return _chunks(d, _GRID_BLOCK_FLOATS // 8)
+    size = max(1, _GRID_BLOCK_FLOATS // 8)
+    return [slice(lo, min(lo + size, d)) for lo in range(0, d, size)]
 
 
 def _phase(angles: np.ndarray) -> np.ndarray:
@@ -263,7 +258,7 @@ def _rotate(spec: BlockUnitarySpec, chunk: slice, ground, excited, out: tuple) -
 def _check_blocks(b00, b01, b10, b11) -> None:
     """Raise ValueError unless every block [[b00, b01], [b10, b11]] is a density block.
 
-    The entries are arrays over a chunk of blocks, or scalars.  In order:
+    The entries are complex arrays over a chunk of blocks.  In order:
     finite entries (a non-finite entry makes the block's determinant
     non-finite, and otherwise only an overflow does), real diagonals,
     Hermitian, positive semidefinite.  Each test is one reduction per
@@ -284,13 +279,6 @@ def _check_blocks(b00, b01, b10, b11) -> None:
         raise ValueError("blocks must be positive semidefinite")
 
 
-def _check_corners(corner_low: float, corner_high: float) -> None:
-    if not (math.isfinite(corner_low) and math.isfinite(corner_high)):
-        raise ValueError("corner populations must be finite")
-    if corner_low < -_PSD_TOL or corner_high < -_PSD_TOL:
-        raise ValueError("negative corner population")
-
-
 def _check_trace(trace: float) -> None:
     if abs(trace - 1.0) > _TRACE_TOL:
         raise ValueError(f"joint state trace {trace!r} is not 1")
@@ -301,7 +289,10 @@ def _product(p: PopulationVector, beta_omega: float, d: int) -> tuple:
 
     Returns (corner_low, corner_high, ground, excited) with ground[j] on
     |0, j+1> and excited[j] on |1, j>, j = 0..d-1; the blocks' off-diagonal
-    entries are zero.
+    entries are zero.  With PopulationVector's bounds and weights in [0, 1],
+    w_0 = 1, it is a density state within the rotated state's tolerances,
+    so it is not checked; a fault here fails the checks after the rotation,
+    which keeps the trace and each block's spectrum.
     """
     weights, z = _ladder_weights(beta_omega, d)
     g, x = p.entries
@@ -318,14 +309,13 @@ def simulate_finite_bath_map(
     """Conjugate the joint product state by the block unitary, trace the bath.
 
     Only the product state's corners and two block diagonals are held (see
-    _product), the diagonals as (d,) arrays.  They are checked first:
-    finite, non-negative corners, density blocks (_check_blocks, in chunks
-    of _GRID_BLOCK_FLOATS blocks) and trace 1 within 2e-12.  One pass over
-    chunks of 1 024 blocks then rotates each chunk into V B V^dagger
-    (_rotate), checks the rotated blocks and writes their new diagonals over
-    the old; the corners have no partner and stay.  The reduced populations
+    _product), the diagonals as (d,) arrays; built from inputs that passed the
+    input rules, they are not checked.  One pass over chunks of 1 024 blocks
+    rotates each chunk into V B V^dagger (_rotate), checks the rotated blocks
+    and writes their new diagonals over the old; the corners have no partner
+    and stay.  The reduced populations
     add each corner to the sum of its diagonal, and the rotated state's
-    trace is checked again; every sum is within 36 eps of exact (see
+    trace must be 1 within 2e-12; every sum is within 36 eps of exact (see
     _ladder_weights).  No (d, 2, 2) array is made: every temporary is at
     most 64 KB (the rotation's are 16 KB), about 370 KB are live at
     d = 10 000, and the call takes no page faults once the heap has grown to
@@ -340,10 +330,6 @@ def simulate_finite_bath_map(
     corner_low, corner_high, ground, excited = _product(
         check_instance(p, "p", PopulationVector), beta_omega, d
     )
-    _check_corners(corner_low, corner_high)
-    for chunk in _chunks(d, _GRID_BLOCK_FLOATS):
-        _check_blocks(ground[chunk], 0.0, 0.0, excited[chunk])
-    _check_trace(corner_low + corner_high + float((ground + excited).sum()))
     for chunk in _rotation_chunks(d):
         rotated = tuple(np.empty((4, chunk.stop - chunk.start), dtype=complex))
         _rotate(spec, chunk, ground[chunk], excited[chunk], rotated)
@@ -356,15 +342,8 @@ def simulate_finite_bath_map(
     return PopulationVector(populations)
 
 
-def achieved_lambda(spec: BlockUnitarySpec, beta_omega: float, d: int) -> float:
-    """Mixing weight realized by the block unitary at the given bath size."""
-    beta_omega, d = _check_bath(beta_omega, d)
-    _check_spec(spec, d)
-    return float(_achieved_lambda_rows(spec.thetas[None, :], beta_omega, d)[0])
-
-
 def _achieved_lambda_rows(rows: np.ndarray, beta_omega: float, d: int) -> np.ndarray:
-    """achieved_lambda for every row of a (n, d) matrix of thetas.
+    """The mixing weight sum_j sin^2(theta_j) w_(j-1) / Z of each row of (n, d) thetas.
 
     The partition function is numpy's pairwise sum of the d + 1 Boltzmann
     weights, within 36 eps = 8e-15 of exact (see _ladder_weights).
@@ -378,12 +357,12 @@ def scan_lambda_max(beta_omega: float, d: int) -> float:
 
     One sweep of coordinate ascent from all angles at pi/4: each angle in
     turn is scanned over 65 grid points in [0, pi/2] with the others held.
-    achieved_lambda is separable, a sum of one-angle terms, so the best grid
-    value of each angle does not depend on the others, and one sweep reaches
-    the grid's maximum.  Only achieved_lambda is evaluated, on explicit
-    angle tuples, which keeps the result independent of the closed-form cap.
-    A point replaces the best only when strictly higher, so ties resolve to
-    the smallest grid index.  Each angle's rows hold 65 d floats, bounded by
+    The achieved weight is separable, a sum of one-angle terms, so the best
+    grid value of each angle does not depend on the others, and one sweep
+    reaches the grid's maximum.  Only the achieved weight is evaluated, on
+    explicit angle tuples, which keeps the result independent of the
+    closed-form cap.  A point replaces the best only when strictly higher, so
+    ties resolve to the smallest grid index.  Each angle's rows hold 65 d floats, bounded by
     the bath size.
     """
     beta_omega, d = _check_bath(beta_omega, d)

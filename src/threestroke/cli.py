@@ -25,8 +25,9 @@ number, an integer for a size or seed (3.0 is not one), a string for a model,
 path or check list, true or false for an on/off flag.  A float flag takes a
 following value that starts with '-' (-1e-3, -inf) as its own, so the input
 rules judge it.  Sizes the user sets are bounded before anything is
-allocated: --ratio-steps (sweep, tradeoff, figures) by MAX_RATIO_STEPS and
-verify --grid by MAX_VERIFY_GRID, which is the brute-force oracle's own bound
+allocated: --ratio-steps (sweep, tradeoff, figures) by MAX_RATIO_STEPS, and
+times the --models entries by MAX_SWEEP_CELLS; verify --grid by
+MAX_VERIFY_GRID, which is the brute-force oracle's own bound
 bath_oracle.MAX_GRID, written out here and pinned to it by a test.  A larger
 value, or a size that is not an integer, is an invalid input.
 """
@@ -59,6 +60,9 @@ EXIT_VERIFY = 4
 _AXIS_COLUMNS = {"ratio": "ratio", "bh": "beta_h_omega", "bc": "beta_c_omega"}
 
 MAX_RATIO_STEPS = 1_000_000
+# Each model adds about 62 MB of peak RSS per 1 000 000 swept values (2-core VM):
+# figures' four-model presets at MAX_RATIO_STEPS peak at 320-330 MB, as may any sweep.
+MAX_SWEEP_CELLS = 4 * MAX_RATIO_STEPS
 MAX_VERIFY_GRID = 2_000  # bath_oracle.MAX_GRID, which cli does not import
 # Swept values are held as arrays for the whole sweep; their CSV text is
 # formatted and written _CSV_CHUNK_ROWS rows at a time.  A piece's cells become
@@ -211,12 +215,16 @@ def _sweep_config(args) -> SweepConfig:
         beta_h = 0.2 if beta_h is None else beta_h
     if axis == "bh" and beta_c is None:
         raise ValueError("--bc is required when sweeping beta_h_omega")
+    models = _sweep_models(args)
+    if steps * len(models) > MAX_SWEEP_CELLS:
+        raise ValueError(f"--ratio-steps {steps} times {len(models)} --models entries "
+                         f"exceeds the supported {MAX_SWEEP_CELLS}")
     return SweepConfig(
         axis=axis,
         values=np.linspace(lo, hi, steps),
         beta_h_omega=beta_h,
         beta_c_omega=beta_c,
-        models=_sweep_models(args),
+        models=models,
         include_carnot=_as_flag("--carnot", getattr(args, "carnot", None)),
         raw=_as_flag("--raw", getattr(args, "raw", None)),
     )

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .populations import (
     EnergySpectrum,
     PopulationVector,
+    as_entries,
     average_energy,
     check_instance,
     check_size,
@@ -33,7 +34,8 @@ class WorkPermutation:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mapping = tuple(check_size(i, "permutation entry", 0) for i in self.mapping)
+        mapping = as_entries(self.mapping, "permutation entries",
+                             lambda i: check_size(i, "permutation entry", 0))
         if mapping not in ((0, 1), (1, 0)):
             raise ValueError(f"{mapping!r} is not a permutation of the two qubit levels")
         object.__setattr__(self, "mapping", mapping)

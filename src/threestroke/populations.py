@@ -20,6 +20,7 @@ __all__ = [
     "EnergySpectrum",
     "PopulationVector",
     "QUBIT",
+    "as_entries",
     "as_number",
     "as_numbers",
     "average_energy",
@@ -66,6 +67,16 @@ def as_number(value: float) -> float:
         return float(value)
     except (TypeError, OverflowError):
         return value
+
+
+def as_entries(values, name: str, convert=as_number) -> tuple:
+    """tuple(map(convert, values)), the entries of the qubit types; a value that
+    is not a container, such as None or a bare number, raises ValueError."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a container, got {values!r}") from None
+    return tuple(map(convert, values))
 
 
 def check_beta(value: float, name: str = "beta_omega") -> float:
@@ -136,16 +147,19 @@ class PopulationVector:
     further (but staying within 1e-9) are renormalized and the instance is
     marked with ``renormalized=True`` so the correction is never silent; the
     mark is set here only, never by the caller.  Anything worse is rejected
-    as a caller bug, and so are text and booleans.
+    as a caller bug, and so are text and booleans.  A renormalized entry is
+    held in [-1e-12, 1 + 1e-12]: the division by the sum can take an entry
+    at a bound up to 1e-21 past it.
     """
 
     entries: tuple[float, ...]
     renormalized: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        if not (len(entries) == 2 and entries[0].__class__ is entries[1].__class__ is float):
-            entries = tuple(map(as_number, entries))
+        entries = self.entries
+        if not (entries.__class__ is tuple and len(entries) == 2
+                and entries[0].__class__ is entries[1].__class__ is float):
+            entries = as_entries(entries, "population entries")
         if len(entries) != 2:
             raise ValueError(f"a qubit population has two entries, got {len(entries)}")
         for x in entries:
@@ -161,7 +175,8 @@ class PopulationVector:
         if drift > _DRIFT_TOL:
             raise ValueError(f"population sum {total!r} too far from 1 to renormalize")
         if drift > _SUM_TOL:
-            entries = (g / total, x / total)
+            entries = (min(max(g / total, -_SUM_TOL), 1.0 + _SUM_TOL),
+                       min(max(x / total, -_SUM_TOL), 1.0 + _SUM_TOL))
             object.__setattr__(self, "renormalized", True)
         object.__setattr__(self, "entries", entries)
 
@@ -181,7 +196,7 @@ class EnergySpectrum:
     levels: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        levels = tuple(map(as_number, self.levels))
+        levels = as_entries(self.levels, "spectrum levels")
         if len(levels) != 2:
             raise ValueError(f"a qubit spectrum has two levels, got {len(levels)}")
         ground, excited = levels
@@ -207,7 +222,8 @@ def qubit_populations(
     """PopulationVector's rule over aligned arrays of qubit entries.
 
     Returns the entries, divided by their sum where it drifts from 1 by more
-    than 1e-12 (the sum of two floats is fsum's), and the mask of those rows.
+    than 1e-12 (the sum of two floats is fsum's) and held in the bounds, and
+    the mask of those rows.
     The first row PopulationVector rejects raises its error.
     """
     total = ground + excited
@@ -223,8 +239,8 @@ def qubit_populations(
         PopulationVector((ground[index], excited[index]))
     renormalized = drift > _SUM_TOL
     if renormalized.any():
-        ground = np.where(renormalized, ground / total, ground)
-        excited = np.where(renormalized, excited / total, excited)
+        ground = np.where(renormalized, np.clip(ground / total, -_SUM_TOL, 1 + _SUM_TOL), ground)
+        excited = np.where(renormalized, np.clip(excited / total, -_SUM_TOL, 1 + _SUM_TOL), excited)
     return ground, excited, renormalized
 
 

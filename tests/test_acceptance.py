@@ -17,7 +17,6 @@ from threestroke import (
     BlockUnitarySpec,
     EngineParams,
     PopulationVector,
-    achieved_lambda,
     apply_mixture,
     checks,
     cli,
@@ -87,6 +86,13 @@ def test_02_ladder_caps_match_angle_scans():
     )
 
 
+def achieved_weight(spec, bw, d):
+    """sum_j sin^2(theta_j) w_j / Z, the mixing weight a block unitary realizes,
+    from this test's own Boltzmann weights w_n = exp(-bw n), n = 0..d."""
+    weights = np.exp(-bw * np.arange(d + 1))
+    return float(np.sin(spec.thetas) ** 2 @ weights[:-1] / weights.sum())
+
+
 def test_03_bath_simulation_is_an_exact_mixture():
     start = time.perf_counter()
     rng = np.random.default_rng(1)
@@ -102,7 +108,7 @@ def test_03_bath_simulation_is_an_exact_mixture():
             tuple(rng.uniform(-math.pi, math.pi, d)),
         )
         out = simulate_finite_bath_map(p, bw, d, spec)
-        expect = apply_mixture(achieved_lambda(spec, bw, d), bw, p)
+        expect = apply_mixture(achieved_weight(spec, bw, d), bw, p)
         worst = max(worst, abs(out.entries[0] - expect.entries[0]))
         respec = BlockUnitarySpec(
             thetas, tuple(rng.uniform(-math.pi, math.pi, d)),

@@ -7,14 +7,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from threestroke import (
     BlockUnitarySpec,
     EngineParams,
+    PopulationVector,
     ResourceLimitError,
     RestrictionModel,
-    achieved_lambda,
     apply_mixture,
     brute_force_performance,
     engine_params_from,
@@ -98,7 +98,6 @@ def test_tuple_and_array_specs_simulate_the_same_floats(d):
         assert simulate_finite_bath_map(p, bw, d, from_arrays).entries == (
             simulate_finite_bath_map(p, bw, d, from_tuples).entries
         )
-    assert achieved_lambda(from_arrays, 0.7, d) == achieved_lambda(from_tuples, 0.7, d)
 
 
 def chunk_blocks():
@@ -153,13 +152,10 @@ def block_entries(*blocks):
 
 
 def test_joint_state_validation():
-    """The corner, block and trace checks the simulation runs on its states."""
+    """The block and trace checks the simulation runs on its rotated state."""
     ok_block = block_entries([[0.3, 0.0], [0.0, 0.2]])
-    bath_oracle._check_corners(0.25, 0.25)
     bath_oracle._check_blocks(*ok_block)
     bath_oracle._check_trace(0.25 + 0.25 + (0.3 + 0.2))
-    with pytest.raises(ValueError, match="negative corner"):
-        bath_oracle._check_corners(-0.01, 0.51)
     with pytest.raises(ValueError, match="Hermitian"):
         bath_oracle._check_blocks(*block_entries([[0.3, 0.1], [0.3, 0.2]]))
     with pytest.raises(ValueError, match="positive semidefinite"):
@@ -175,8 +171,64 @@ def test_joint_state_validation():
     for block in nan_blocks:
         with pytest.raises(ValueError, match="finite"):
             bath_oracle._check_blocks(*block_entries(block))
-    with pytest.raises(ValueError, match="finite"):
-        bath_oracle._check_corners(math.nan, 0.25)
+
+
+# Population entries at the rule's bounds, and sum drifts at its two tolerances.
+EDGE_ENTRIES = [-1e-12, -5e-324, 0.0, 5e-324, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12]
+EDGE_DRIFTS = [0.0, -1e-12, 1e-12, -5e-10, 5e-10, -1e-9, 1e-9]
+
+
+@given(
+    entry=st.one_of(st.sampled_from(EDGE_ENTRIES), st.floats(-1e-12, 1.0 + 1e-12)),
+    drift=st.one_of(st.sampled_from(EDGE_DRIFTS), st.floats(-1e-9, 1e-9)),
+    ground_first=st.booleans(),
+    bw=st.one_of(st.just(0.0), st.floats(1e-6, 800.0)),
+    d=st.one_of(st.integers(1, 30), st.integers(1, 10_000)),
+)
+# an entry at -1e-12 that the division by the sum would take past the bound
+@example(entry=-1e-12, drift=-5e-10, ground_first=True, bw=800.0, d=1)
+@example(entry=-1e-12, drift=-5e-10, ground_first=False, bw=800.0, d=1)
+@settings(max_examples=300, deadline=None)
+def test_the_product_state_passes_the_checks_the_simulation_skips(
+    entry, drift, ground_first, bw, d
+):
+    """The simulation rotates rho_S x gamma_E unchecked: from every population,
+    beta_omega and d the input rules admit, the product has finite corners
+    >= -1e-12, density blocks and trace 1 within 2e-12, checked here."""
+    entries = (entry, 1.0 - entry + drift)
+    try:
+        p = PopulationVector(entries if ground_first else entries[::-1])
+    except ValueError:
+        assume(False)
+    corner_low, corner_high, ground_diagonal, excited_diagonal = bath_oracle._product(p, bw, d)
+    for corner in (corner_low, corner_high):
+        assert math.isfinite(corner) and corner >= -1e-12
+    zero = np.zeros(d, dtype=complex)
+    bath_oracle._check_blocks(ground_diagonal.astype(complex), zero, zero, excited_diagonal + 0j)
+    bath_oracle._check_trace(
+        corner_low + corner_high + float((ground_diagonal + excited_diagonal).sum())
+    )
+
+
+@pytest.mark.parametrize("bad, message", [(-0.5, "positive semidefinite"), (math.nan, "finite")])
+@pytest.mark.parametrize("level", range(5))
+def test_a_faulty_product_fails_a_check_after_the_rotation(bad, message, level, monkeypatch):
+    """A ladder weight made negative or NaN, with Z their sum, fails the rotated
+    blocks' checks: every level n is in a block (|0, n> for n >= 1, |1, n> for
+    n < d), and the rotation keeps each block's spectrum."""
+    d = 4
+    ladder_weights = bath_oracle._ladder_weights
+
+    def faulty(beta_omega, d):
+        weights, _ = ladder_weights(beta_omega, d)
+        weights[level] = bad
+        return weights, float(weights.sum())
+
+    monkeypatch.setattr(bath_oracle, "_ladder_weights", faulty)
+    p = qubit_population(0.3)
+    for spec in (BlockUnitarySpec.full_swap(d), random_spec(np.random.default_rng(level), d)):
+        with pytest.raises(ValueError, match=message):
+            simulate_finite_bath_map(p, 0.5, d, spec)
 
 
 def test_conjugation_preserves_trace_and_shape():
@@ -214,8 +266,6 @@ def test_simulate_validation():
     # a non-integer bath size is rejected, not truncated to 2
     with pytest.raises(ValueError, match="integer"):
         simulate_finite_bath_map(p, 0.5, 2.7, BlockUnitarySpec.full_swap(2))
-    with pytest.raises(ValueError, match="integer"):
-        achieved_lambda(BlockUnitarySpec.full_swap(2), 0.5, 2.9)
 
 
 @pytest.mark.parametrize("bw", [0.0, 1e-4, 0.0745, 0.5, 700.0, 745.1, 745.2, 746.0])
@@ -228,17 +278,30 @@ def test_ladder_weights_are_numpys_exp_bit_for_bit(bw):
         assert z == float(expected.sum())
 
 
+def achieved_weight(spec, bw, d):
+    """sum_j sin^2(theta_j) w_j / Z, the mixing weight a block unitary realizes,
+    from this test's own Boltzmann weights w_n = exp(-bw n), n = 0..d."""
+    weights = np.exp(-bw * np.arange(d + 1))
+    return float(np.sin(spec.thetas) ** 2 @ weights[:-1] / weights.sum())
+
+
 def test_achieved_lambda_examples():
+    """From the excited state (0, 1), the simulated ground entry is the weight."""
     bw = 0.8
     e = math.exp(-bw)
     z = 1.0 + e + e * e
+    excited = PopulationVector((0.0, 1.0))
+
+    def weight(spec):
+        return simulate_finite_bath_map(excited, bw, spec.d, spec).entries[0]
+
     # only the first block swaps: picks up the n = 0 thermal weight
     spec = BlockUnitarySpec((math.pi / 2.0, 0.0), (0.0, 0.0), (0.0, 0.0))
-    assert achieved_lambda(spec, bw, 2) == pytest.approx(1.0 / z, abs=1e-15)
+    assert weight(spec) == pytest.approx(1.0 / z, abs=1e-15)
     # half-swaps on both blocks
     spec = BlockUnitarySpec((math.pi / 4.0,) * 2, (0.0,) * 2, (0.0,) * 2)
-    assert achieved_lambda(spec, bw, 2) == pytest.approx(0.5 * (1.0 + e) / z, abs=1e-15)
-    assert achieved_lambda(BlockUnitarySpec.full_swap(5), bw, 5) == pytest.approx(
+    assert weight(spec) == pytest.approx(0.5 * (1.0 + e) / z, abs=1e-15)
+    assert weight(BlockUnitarySpec.full_swap(5)) == pytest.approx(
         lambda_max_finite_bath(bw, 5), abs=1e-13
     )
 
@@ -270,8 +333,7 @@ def test_simulation_is_a_mixture_with_the_achieved_weight(ground, bw, d, wide, s
         spec = random_spec(rng, d)
     p = qubit_population(ground)
     out = simulate_finite_bath_map(p, bw, d, spec)
-    lam = achieved_lambda(spec, bw, d)
-    expect = apply_mixture(lam, bw, p)
+    expect = apply_mixture(achieved_weight(spec, bw, d), bw, p)
     assert out.entries == pytest.approx(expect.entries, abs=1e-12)
 
 

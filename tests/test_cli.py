@@ -997,6 +997,8 @@ def test_percent_and_format_agree_at_nine_digits(x):
         ["sweep", "--bh", "0.2", "--ratio-steps", str(cli.MAX_RATIO_STEPS + 1)],
         ["tradeoff", "--bh", "0.2", "--ratio-steps", str(cli.MAX_RATIO_STEPS + 1)],
         ["figures", "--ratio-steps", str(cli.MAX_RATIO_STEPS + 1)],
+        # five models at the largest step count: 5 000 000 cells, each model about 62 MB
+        ["sweep", "--ratio-steps", str(cli.MAX_RATIO_STEPS), "--models", "jc,fb:1,fb:2,fb:3,fb:4"],
         ["verify", "--only", "thm2", "--grid", str(cli.MAX_VERIFY_GRID + 1)],
         ["figures", "--bh", "nan"],
         ["figures", "--ratio-min", "3", "--ratio-max", "2"],

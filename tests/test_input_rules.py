@@ -14,7 +14,6 @@ from threestroke import (
     PopulationVector,
     RestrictionModel,
     WorkPermutation,
-    achieved_lambda,
     apply_mixture,
     average_energy,
     brute_force_performance,
@@ -68,7 +67,6 @@ TAKES_A_TEMPERATURE = {
     "eta_finite_bath.beta_h": lambda b: eta_finite_bath(b, 1.0, 3),
     "eta_finite_bath.beta_c": lambda b: eta_finite_bath(0.2, b, 3),
     "simulate_finite_bath_map": lambda b: simulate_finite_bath_map(P, b, 3, SPEC),
-    "achieved_lambda": lambda b: achieved_lambda(SPEC, b, 3),
     "scan_lambda_max": lambda b: scan_lambda_max(b, 2),
     "jc_time_scan": jc_time_scan,
 }
@@ -283,7 +281,6 @@ TAKES_A_SIZE = {
     "eta_finite_bath": lambda n: eta_finite_bath(0.2, 1.0, n),
     "RestrictionModel.finite_bath": RestrictionModel.finite_bath,
     "simulate_finite_bath_map": lambda n: simulate_finite_bath_map(P, 0.5, n, SPEC),
-    "achieved_lambda": lambda n: achieved_lambda(SPEC, 0.5, n),
     "scan_lambda_max": lambda n: scan_lambda_max(0.5, n),
     "brute_force_performance": lambda n: brute_force_performance(EngineParams(0.2, 0.6), n),
     "jc_time_scan.truncation": lambda n: jc_time_scan(0.5, truncation=n),
@@ -315,6 +312,25 @@ NOT_A_QUBIT = {
 def test_every_qubit_type_rejects_other_dimensions(name):
     with pytest.raises(ValueError):
         NOT_A_QUBIT[name]()
+
+
+# Every type that holds the qubit's two levels, given a value that is not a
+# container of entries, with the input its message names.
+NOT_A_CONTAINER = {
+    "PopulationVector[None]": ("population entries", None, lambda: PopulationVector(None)),
+    "PopulationVector[0.5]": ("population entries", 0.5, lambda: PopulationVector(0.5)),
+    "EnergySpectrum[None]": ("spectrum levels", None, lambda: EnergySpectrum(None)),
+    "EnergySpectrum[1.0]": ("spectrum levels", 1.0, lambda: EnergySpectrum(1.0)),
+    "WorkPermutation[None]": ("permutation entries", None, lambda: WorkPermutation(None)),
+    "WorkPermutation[1]": ("permutation entries", 1, lambda: WorkPermutation(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_CONTAINER))
+def test_every_qubit_type_rejects_a_value_that_is_not_a_container(name):
+    field, value, call = NOT_A_CONTAINER[name]
+    with pytest.raises(ValueError, match=f"^{field} must be a container, got {value!r}$"):
+        call()
 
 
 # Every public entry point that takes a PopulationVector, given something else,
@@ -370,7 +386,6 @@ NOT_THE_TYPE = {
     "simulate_finite_bath_map": ("spec", "BlockUnitarySpec", lambda: simulate_finite_bath_map(
         P, 0.5, 3, None
     )),
-    "achieved_lambda": ("spec", "BlockUnitarySpec", lambda: achieved_lambda(None, 0.5, 3)),
 }
 
 

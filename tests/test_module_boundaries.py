@@ -99,7 +99,7 @@ print(json.dumps({
 
 def test_every_export_resolves_to_its_module_object():
     result = fresh_python(_EXPORTS)
-    assert result["count"] == 38
+    assert result["count"] == 37
     assert result["listed"] and result["unbound"] == []
     # with every name bound the hook is gone, so attribute reads specialize again
     assert not result["hook_left"]
@@ -131,7 +131,7 @@ def test_star_import_binds_every_export():
         "exec('from threestroke import *', namespace)\n"
         "print(json.dumps(sorted(set(namespace) - {'__builtins__'})))\n"
     )
-    assert len(names) == 38 and names == sorted(threestroke.__all__)
+    assert len(names) == 37 and names == sorted(threestroke.__all__)
 
 
 def test_an_unknown_package_name_is_an_attribute_error():

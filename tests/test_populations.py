@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from threestroke import (
     gibbs_vector,
     qubit_population,
 )
+from threestroke.populations import qubit_populations
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -43,6 +45,13 @@ def test_sum_drift_tiers():
     # beyond 1e-9: rejected
     with pytest.raises(ValueError):
         PopulationVector((0.5, 0.6))
+    # an entry at a bound, which the division would take past it, is held there
+    for entries in ((-1e-12, 1.0 + 1e-12 - 5e-10), (1.0 - 1e-12, -1e-12)):
+        held = PopulationVector(entries)
+        assert held.renormalized and -1e-12 in held.entries
+        assert all(-1e-12 <= x <= 1.0 + 1e-12 for x in held.entries)
+        rows = qubit_populations(*(np.array([x]) for x in entries))
+        assert (rows[0][0], rows[1][0]) == held.entries and rows[2][0]
     # the mark is the rule's alone: a caller cannot set it
     with pytest.raises(TypeError):
         PopulationVector((0.5, 0.5), True)

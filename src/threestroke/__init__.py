@@ -31,7 +31,6 @@ from .populations import (
     QUBIT,
     EnergySpectrum,
     PopulationVector,
-    average_energy,
     gibbs_vector,
     qubit_population,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "UnsupportedRestrictionError",
     "WorkPermutation",
     "apply_mixture",
-    "average_energy",
     "brute_force_performance",
     "check_laws",
     "cyclic_state",

@@ -22,7 +22,8 @@ of columns.
 
 A config file value must already have its flag's JSON type: a number for a
 number, an integer for a size or seed (3.0 is not one), a string for a model,
-path or check list, true or false for an on/off flag.  A float flag takes a
+path or check list, true or false for an on/off flag; null is rejected, never
+read as unset, and so is an empty --out or --config path.  A float flag takes a
 following value that starts with '-' (-1e-3, -inf) as its own, so the input
 rules judge it.  Sizes the user sets are bounded before anything is
 allocated: --ratio-steps (sweep, tradeoff, figures) by MAX_RATIO_STEPS, and
@@ -104,9 +105,11 @@ def _as_flag(name: str, value) -> bool:
 
 
 def _as_path(name: str, value) -> str | None:
-    """An output path option: unset is None; a config file must give a string."""
+    """A path option: unset is None; a config file must give a string, and "" names no path."""
     if value is not None and not isinstance(value, str):
         raise ValueError(f"{name} must be a path string, got {value!r}")
+    if value == "":
+        raise ValueError(f"{name} must be a nonempty path string, got ''")
     return value
 
 
@@ -118,9 +121,9 @@ def _required(args, name: str, flag: str):
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the JSON config file; flags take precedence."""
-    path = getattr(args, "config", None)
-    if not path:
+    """Fill unset options from the JSON config file (a null is an error); flags take precedence."""
+    path = _as_path("--config", getattr(args, "config", None))
+    if path is None:
         return
     with open(path) as handle:
         data = json.load(handle)
@@ -130,6 +133,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         attr = key.replace("-", "_")
         if attr in ("config", "func", "command") or not hasattr(args, attr):
             raise ValueError(f"unknown config key {key!r}")
+        if value is None:
+            raise ValueError(f"--{attr.replace('_', '-')} must not be null in a config file")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
 
@@ -390,9 +395,10 @@ def cmd_perf(args) -> int:
 
 def cmd_sweep(args) -> int:
     """sweep, and tradeoff, which drops the rows where no model operates."""
+    out = _as_path("--out", args.out)
     cfg = _sweep_config(args)
     table, blank = _sweep_table(cfg, drop_inoperative_rows=args.command == "tradeoff")
-    _emit_csv(_as_path("--out", args.out), _meta_line(args, cfg), _sweep_header(cfg), table, blank)
+    _emit_csv(out, _meta_line(args, cfg), _sweep_header(cfg), table, blank)
     return EXIT_OK
 
 

@@ -38,6 +38,7 @@ from .populations import (
     check_unit_interval,
     qubit_population,
     qubit_populations,
+    shape_of,
 )
 from .thermal_qubit import capped_weight, capped_weights, mixture_entries
 
@@ -440,9 +441,11 @@ class BathTemperatures:
     exp_hc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        shape_h, shape_c = np.shape(self.beta_h_omega), np.shape(self.beta_c_omega)
+        shape_h = shape_of(self.beta_h_omega, "beta_h_omega")
+        shape_c = shape_of(self.beta_c_omega, "beta_c_omega")
         if len(shape_h) != 1 or shape_h != shape_c:
-            raise ValueError(f"need two 1-d arrays of one length, got {shape_h} and {shape_c}")
+            raise ValueError("beta_h_omega and beta_c_omega must be 1-d arrays of one length, "
+                             f"got {shape_h} and {shape_c}")
         bh = check_betas(self.beta_h_omega, "beta_h_omega")
         bc = check_betas(self.beta_c_omega, "beta_c_omega")
         object.__setattr__(self, "beta_h_omega", bh)

@@ -13,7 +13,6 @@ from .populations import (
     EnergySpectrum,
     PopulationVector,
     as_entries,
-    average_energy,
     check_instance,
     check_size,
 )
@@ -45,16 +44,19 @@ class WorkPermutation:
         """The identity of a dim-level system; only dim = 2 exists."""
         if check_size(dim, "dimension", 2) != 2:
             raise ValueError(f"only the qubit's identity exists, got dimension {dim}")
-        return cls((0, 1))
+        return _IDENTITY
 
     @classmethod
     def swap(cls) -> WorkPermutation:
         """The population swap of a two-level system."""
-        return cls((1, 0))
+        return _SWAP
 
     @property
     def is_identity(self) -> bool:
         return self.mapping == (0, 1)
+
+
+_IDENTITY, _SWAP = WorkPermutation((0, 1)), WorkPermutation((1, 0))
 
 
 def passive_rearrangement(
@@ -68,13 +70,13 @@ def passive_rearrangement(
     ground, excited = check_instance(p, "p", PopulationVector).entries
     spectrum = check_instance(spectrum, "spectrum", EnergySpectrum)
     if spectrum.levels[1] == 0.0 or ground >= excited:
-        return PopulationVector((ground, excited)), WorkPermutation.identity(2)
-    return PopulationVector((excited, ground)), WorkPermutation.swap()
+        return PopulationVector((ground, excited)), _IDENTITY
+    return PopulationVector((excited, ground)), _SWAP
 
 
 def ergotropy(p: PopulationVector, spectrum: EnergySpectrum) -> float:
-    """Maximal average energy extractable by permuting the populations."""
-    passive, _ = passive_rearrangement(p, spectrum)
-    # a state passive up to rounding can come out an ulp below zero; the
-    # rearrangement inequality makes the true gap nonnegative
-    return max(0.0, average_energy(p, spectrum) - average_energy(passive, spectrum))
+    """Maximal average energy extractable by permuting the populations: on the
+    spectrum (0, E) the swap's drop x E - g E, or 0 for a passive state."""
+    ground, excited = check_instance(p, "p", PopulationVector).entries
+    gap = check_instance(spectrum, "spectrum", EnergySpectrum).levels[1]
+    return max(0.0, excited * gap - ground * gap)

@@ -23,7 +23,6 @@ __all__ = [
     "as_entries",
     "as_number",
     "as_numbers",
-    "average_energy",
     "check_beta",
     "check_betas",
     "check_instance",
@@ -32,6 +31,7 @@ __all__ = [
     "gibbs_vector",
     "qubit_population",
     "qubit_populations",
+    "shape_of",
 ]
 
 _SUM_TOL = 1e-12
@@ -105,6 +105,15 @@ def as_numbers(values: np.ndarray, name: str) -> np.ndarray:
             if not isinstance(as_number(value), float):
                 raise ValueError(f"{name} must be a number, got {value!r}")
     return np.asarray(values, dtype=float)
+
+
+def shape_of(values, name: str) -> tuple[int, ...]:
+    """np.shape(values); a ragged nesting such as [0.2, [0.5]] raises as_numbers' ValueError."""
+    try:
+        return np.shape(values)
+    except ValueError:
+        as_numbers(values, name)
+        raise
 
 
 def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:
@@ -255,10 +264,3 @@ def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> PopulationVector:
     weights = [math.exp(-beta * e) for e in spectrum.levels]
     z = math.fsum(weights)
     return PopulationVector(tuple(w / z for w in weights))
-
-
-def average_energy(p: PopulationVector, spectrum: EnergySpectrum) -> float:
-    """Mean energy sum_i p_i E_i."""
-    entries = check_instance(p, "p", PopulationVector).entries
-    levels = check_instance(spectrum, "spectrum", EnergySpectrum).levels
-    return math.fsum(x * e for x, e in zip(entries, levels))

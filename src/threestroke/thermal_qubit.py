@@ -38,8 +38,10 @@ def capped_weight(lam: float, cap: float = 1.0) -> float:
 
 
 def capped_weights(lam: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """capped_weight over aligned arrays, with its message for the first bad entry."""
+    """capped_weight over an array of cap's shape, with its message for the first bad entry."""
     lam = as_numbers(lam, "mixing weight")
+    if lam.shape != cap.shape:
+        raise ValueError(f"mixing weight has shape {lam.shape}, expected {cap.shape}")
     ok = np.isfinite(lam) & (lam >= 0.0) & (lam <= cap + _WEIGHT_SLACK)
     if not ok.all():
         index = int(ok.argmin())

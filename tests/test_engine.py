@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from threestroke import (
     JC_BRANCH_POINT,
-    QUBIT,
     CycleReport,
     EngineParams,
     PopulationVector,
@@ -18,7 +17,6 @@ from threestroke import (
     UnsupportedRestrictionError,
     WorkPermutation,
     apply_mixture,
-    average_energy,
     check_laws,
     cyclic_state,
     engine_params_from,
@@ -367,15 +365,16 @@ cycle_rows = st.tuples(
 
 def _strokes(p0, lam_h, lam_c, perm, params):
     """The cycle one stroke at a time: states after heat, work and cold, and
-    (work, q_hot, raw q_cold) as energy differences of those states."""
+    (work, q_hot, raw q_cold) as energy differences of those states, each
+    energy the excited entry."""
 
     def thermal(p, lam, cap, beta_omega):
         out = apply_mixture(capped_weight(lam, cap), beta_omega, p)
-        return out, average_energy(out, QUBIT) - average_energy(p, QUBIT)
+        return out, out.entries[1] - p.entries[1]
 
     after_heat, q_hot = thermal(p0, lam_h, params.lambda_h_max, params.beta_h_omega)
     after_work = PopulationVector(tuple(after_heat.entries[i] for i in perm.mapping))
-    work = average_energy(after_heat, QUBIT) - average_energy(after_work, QUBIT)
+    work = after_heat.entries[1] - after_work.entries[1]
     after_cold, q_cold = thermal(after_work, lam_c, params.lambda_c_max, params.beta_c_omega)
     return (after_heat, after_work, after_cold), (work, q_hot, q_cold)
 

@@ -1,5 +1,6 @@
 """Passive rearrangement, ergotropy and the work permutations."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from threestroke import (
     QUBIT,
     EnergySpectrum,
+    EngineParams,
     PopulationVector,
     WorkPermutation,
-    average_energy,
     ergotropy,
     passive_rearrangement,
     qubit_population,
+    run_cycle,
 )
 
 
@@ -28,6 +30,19 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         WorkPermutation((0, 2))
     assert WorkPermutation((np.int64(1), np.int64(0))).mapping == (1, 0)
+
+
+def test_each_permutation_is_built_once():
+    assert WorkPermutation.swap() is WorkPermutation.swap()
+    assert WorkPermutation.identity(2) is WorkPermutation.identity(2)
+    assert passive_rearrangement(qubit_population(0.2), QUBIT)[1] is WorkPermutation.swap()
+    assert passive_rearrangement(qubit_population(0.8), QUBIT)[1] is WorkPermutation.identity(2)
+    # a permutation built by hand runs the same cycle
+    params = EngineParams(0.2, 0.6, 0.9, 0.7)
+    for built, mapping in ((WorkPermutation.swap(), (1, 0)), (WorkPermutation.identity(2), (0, 1))):
+        p0 = qubit_population(0.3)
+        assert run_cycle(p0, 0.8, 0.5, built, params) == run_cycle(
+            p0, 0.8, 0.5, WorkPermutation(mapping), params)
 
 
 def test_identity_dimension_fails_before_allocating():
@@ -70,11 +85,13 @@ def test_ergotropy_examples():
 
 
 def exhaustive_ergotropy(p, spectrum):
-    """The largest energy drop over both qubit permutations, each applied by hand."""
+    """The largest energy drop over both qubit permutations, each applied by hand;
+    a state's energy is its excited entry times the gap."""
+    gap = spectrum.levels[1]
     best = 0.0
     for mapping in ((0, 1), (1, 0)):
         rearranged = PopulationVector(tuple(p.entries[i] for i in mapping))
-        best = max(best, average_energy(p, spectrum) - average_energy(rearranged, spectrum))
+        best = max(best, p.entries[1] * gap - rearranged.entries[1] * gap)
     return best
 
 
@@ -99,3 +116,28 @@ def test_passive_output_has_zero_ergotropy(ground, gap):
     passive, perm = passive_rearrangement(p, spectrum)
     assert ergotropy(passive, spectrum) == 0.0
     assert tuple(p.entries[i] for i in perm.mapping) == passive.entries
+
+
+def fsum_ergotropy(p, spectrum):
+    """ergotropy as it was first written: the fsum energies of p and of its
+    passive rearrangement, their difference held at 0 or above."""
+    (g, x), levels = p.entries, spectrum.levels
+    passive = (g, x) if levels[1] == 0.0 or g >= x else (x, g)
+    energy = [math.fsum(a * e for a, e in zip(entries, levels)) for entries in ((g, x), passive)]
+    return max(0.0, energy[0] - energy[1])
+
+
+@given(
+    ground=st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.5, 1.0]),
+    # 1 - 5e-10 leaves a sum that PopulationVector renormalizes
+    scale=st.sampled_from([1.0, 1.0 - 5e-13, 1.0 - 5e-10]),
+    signed_zero=st.booleans(),
+    gap=st.floats(0.0, 5.0) | st.sampled_from([0.0, 1e-300, 1.0, 2.5, 1e300]),
+)
+@settings(max_examples=300)
+def test_ergotropy_is_the_fsum_form_bit_for_bit(ground, scale, signed_zero, gap):
+    excited = (1.0 - ground) * scale
+    p = PopulationVector((ground * scale, -excited if signed_zero and excited == 0.0 else excited))
+    spectrum = EnergySpectrum((0.0, gap))
+    value, reference = ergotropy(p, spectrum), fsum_ergotropy(p, spectrum)
+    assert value == reference and math.copysign(1.0, value) == math.copysign(1.0, reference)

@@ -1,265 +1,346 @@
-"""The input rules shared by every module: temperatures, numbers, sizes, and the qubit's two levels."""
+"""The input rules of the public API and of the CLI config, as tables of hostile inputs.
 
+ROWS holds one valid call per (callable, parameter), with that parameter or
+one entry of it ("entries[0]") left open, and the pattern its error must
+match.  Every row is crossed with HOSTILE: each case raises ValueError (a
+ResourceLimitError for 10**400 as a bounded size) matching the row's
+pattern, or EXACT's where it has one, or is one that its row accepts, for
+the reason REASONS gives.  A guard keeps ROWS complete over
+threestroke.__all__.  The CLI half crosses every --config key of every
+subcommand with hostile JSON.
+"""
+
+import argparse
+import dataclasses
+import inspect
+import json
 import math
+import os
 import re
+import types
 
 import numpy as np
 import pytest
 
+import threestroke
 from threestroke import (
-    QUBIT,
-    BlockUnitarySpec,
-    EnergySpectrum,
-    EngineParams,
-    PopulationVector,
-    RestrictionModel,
-    WorkPermutation,
-    apply_mixture,
-    average_energy,
-    brute_force_performance,
-    check_laws,
-    cyclic_state,
-    engine_params_from,
-    ergotropy,
-    eta_finite_bath,
-    gibbs_vector,
-    jc_time_scan,
-    lambda_max_finite_bath,
-    lambda_max_jc,
-    lambda_max_jc_raw,
-    optimal_performance,
-    passive_rearrangement,
-    positive_work_condition,
-    qubit_population,
-    run_cycle,
-    scan_lambda_max,
-    simulate_finite_bath_map,
-    thermomajorizes,
+    QUBIT, BlockUnitarySpec, EnergySpectrum, EngineParams, PopulationVector, ResourceLimitError,
+    RestrictionModel, WorkPermutation, apply_mixture, brute_force_performance, check_laws, cli,
+    cyclic_state, engine_params_from, ergotropy, eta_finite_bath, gibbs_vector, jc_time_scan,
+    lambda_max_finite_bath, lambda_max_jc, lambda_max_jc_raw, optimal_performance,
+    passive_rearrangement, positive_work_condition, qubit_population, run_cycle, scan_lambda_max,
+    simulate_finite_bath_map, thermomajorizes,
 )
 from threestroke.engine import BathTemperatures, run_cycles
 from threestroke.populations import check_beta, check_betas, check_unit_interval
 from threestroke.thermal_qubit import capped_weight, capped_weights
 
+# id -> value; "shape" is [0.5] where a scalar belongs and 0.5 where an array
+# does, and -1 is an integer below every range (float(-1) below every number's)
+HOSTILE = {
+    "None": None, "object": object(), "complex": 0.5 + 0j, "complex128": np.complex128(0.5),
+    "complex-array": np.array([0.5 + 0j]), "shape": None, "0-d": np.array(0.5),
+    "2-d": np.array([[0.5]]), "10**400": 10**400, "-1": -1, "-0.0": -0.0, "nan": math.nan,
+    "inf": math.inf, "-inf": -math.inf, "str": "0.5", "bytes": b"0.5", "True": True,
+    "np.True_": np.True_,
+    # 0-d arrays holding what float() would read as a number; an object array
+    # is read as what it holds, here None and a 0-d complex array
+    "0-d-str": np.array("0.5"), "0-d-bool": np.array(True),
+    "0-d-None": np.array(None, dtype=object),
+    "0-d-complex": np.array(np.array(0.5 + 0j), dtype=object),
+}
+
+# Decision on -0.0 and 0-d float arrays, accepted wherever the float they
+# stand for is: each accepted case must give the result of the call at 0.0 or
+# 0.5, compared with ==.
+REASONS = {
+    "-0.0": "-0.0 == 0.0 under every comparison a rule makes and gives 0.0's result, so "
+            "rejecting it would reject a value equal to one the rule accepts",
+    "0-d": "a 0-d float array is the float it holds, as np.float64 is: float() reads it "
+           "exactly; its text, boolean and object kinds are rejected (the 0-d-* values)",
+    "None": "None is the parameter's default",
+    "-1": "an angle is any finite number",
+}
+TWINS = {"-0.0": 0.0, "0-d": 0.5}
+NUMBER = ("-0.0", "0-d")
+
+
+def scalar(pattern, call, accepts=()):
+    """A row whose slot takes a scalar, and the hostile ids it accepts."""
+    return call, pattern, [0.5], accepts
+
+
+def array(pattern, call, accepts=()):
+    """A row whose slot takes an array."""
+    return call, pattern, 0.5, accepts
+
+
 P = qubit_population(0.6)
+GIBBS = gibbs_vector(0.5, QUBIT)
+PARAMS = EngineParams(0.2, 0.6)
+SWAP = WorkPermutation.swap()
+REPORT = run_cycle(P, 0.5, 0.5, SWAP, PARAMS)
 SPEC = BlockUnitarySpec.full_swap(3)
-MODELS = (
-    RestrictionModel.unrestricted(),
-    RestrictionModel.finite_bath(3),
-    RestrictionModel.jaynes_cummings(),
-    RestrictionModel.explicit(0.5),
-)
+TEMPS = BathTemperatures([0.2], [1.0])
+FB3 = RestrictionModel.finite_bath(3)
+MODELS = (RestrictionModel.unrestricted(), FB3, RestrictionModel.jaynes_cummings(),
+          RestrictionModel.explicit(0.5))
 
-# Every public entry point that takes a temperature, with the bad one as b.
-TAKES_A_TEMPERATURE = {
-    "EngineParams.beta_h": lambda b: EngineParams(b, 1.0),
-    "EngineParams.beta_c": lambda b: EngineParams(0.2, b),
-    "BathTemperatures.beta_h": lambda b: BathTemperatures([0.2, b], [1.0, 1.0]),
-    "BathTemperatures.beta_c": lambda b: BathTemperatures([0.2, 0.2], [1.0, b]),
-    "gibbs_vector": lambda b: gibbs_vector(b, QUBIT),
-    "apply_mixture": lambda b: apply_mixture(0.5, b, P),
-    "lambda_max_finite_bath": lambda b: lambda_max_finite_bath(b, 3),
-    "lambda_max_jc_raw": lambda_max_jc_raw,
-    "lambda_max_jc": lambda_max_jc,
-    **{f"lambda_max[{m.label}]": (lambda m: lambda b: m.lambda_max(b))(m) for m in MODELS},
-    **{f"resolve[{m.label}]": (lambda m: lambda b: m.resolve([0.2, b]))(m) for m in MODELS},
-    "engine_params_from.beta_h": lambda b: engine_params_from(MODELS[1], MODELS[1], b, 1.0),
-    "engine_params_from.beta_c": lambda b: engine_params_from(MODELS[1], MODELS[1], 0.2, b),
-    "eta_finite_bath.beta_h": lambda b: eta_finite_bath(b, 1.0, 3),
-    "eta_finite_bath.beta_c": lambda b: eta_finite_bath(0.2, b, 3),
-    "simulate_finite_bath_map": lambda b: simulate_finite_bath_map(P, b, 3, SPEC),
-    "scan_lambda_max": lambda b: scan_lambda_max(b, 2),
-    "jc_time_scan": jc_time_scan,
+BETA = "^beta_omega must be finite and >= 0, got "
+BETAS = "^beta_omega must be "
+WEIGHT = "^mixing weight "
+SIZE = "^bath size "
+
+
+def typed(parameter, kind):
+    """The pattern of check_instance's error, which shows the value as given."""
+    return f"^{parameter} must be an? {kind}, got <value>$"
+
+
+ROWS = {
+    # populations
+    "PopulationVector:entries": array("population", PopulationVector),
+    "PopulationVector:entries[0]": scalar(
+        "population", lambda v: PopulationVector((v, 0.5)), ("0-d",)),
+    "qubit_population:ground": scalar("population", qubit_population, NUMBER),
+    "EnergySpectrum:levels": array("spectrum", EnergySpectrum),
+    "EnergySpectrum:levels[0]": scalar(
+        "^ground level ", lambda v: EnergySpectrum((v, 1.0)), ("-0.0",)),
+    "EnergySpectrum:levels[1]": scalar(
+        "^excited level ", lambda v: EnergySpectrum((0.0, v)), NUMBER),
+    "gibbs_vector:beta": scalar("^inverse temperature ", lambda v: gibbs_vector(v, QUBIT), NUMBER),
+    "gibbs_vector:spectrum": scalar(typed("spectrum", "EnergySpectrum"),
+                                    lambda v: gibbs_vector(0.5, v)),
+    "check_beta:value": scalar(BETA, check_beta, NUMBER),
+    "check_betas:values": array(BETAS, check_betas),
+    "check_betas:values[1]": scalar(BETAS, lambda v: check_betas([0.2, v]), NUMBER),
+    "check_unit_interval:value": scalar(
+        r"^lambda must lie in \[0, 1\], got ", lambda v: check_unit_interval(v, "lambda"), NUMBER),
+    # ergotropy and majorization
+    "WorkPermutation:mapping": array("permutation", WorkPermutation),
+    "WorkPermutation:mapping[0]": scalar("permutation", lambda v: WorkPermutation((v, 0))),
+    "WorkPermutation.identity:dim": scalar("dimension", WorkPermutation.identity),
+    "passive_rearrangement:p": scalar(typed("p", "PopulationVector"),
+                                      lambda v: passive_rearrangement(v, QUBIT)),
+    "passive_rearrangement:spectrum": scalar(typed("spectrum", "EnergySpectrum"),
+                                             lambda v: passive_rearrangement(P, v)),
+    "ergotropy:p": scalar(typed("p", "PopulationVector"), lambda v: ergotropy(v, QUBIT)),
+    "ergotropy:spectrum": scalar(typed("spectrum", "EnergySpectrum"), lambda v: ergotropy(P, v)),
+    "thermomajorizes:p": scalar(typed("p", "PopulationVector"),
+                                lambda v: thermomajorizes(v, P, GIBBS)),
+    "thermomajorizes:q": scalar(typed("q", "PopulationVector"),
+                                lambda v: thermomajorizes(P, v, GIBBS)),
+    "thermomajorizes:gamma": scalar(typed("gamma", "PopulationVector"),
+                                    lambda v: thermomajorizes(P, P, v)),
+    # thermal_qubit
+    "apply_mixture:lam": scalar(WEIGHT, lambda v: apply_mixture(v, 0.3, P), NUMBER),
+    "apply_mixture:beta_omega": scalar(BETA, lambda v: apply_mixture(0.5, v, P), NUMBER),
+    "apply_mixture:p": scalar(typed("p", "PopulationVector"), lambda v: apply_mixture(0.5, 0.3, v)),
+    "capped_weight:lam": scalar(WEIGHT, capped_weight, NUMBER),
+    "capped_weights:lam": array(WEIGHT, lambda v: capped_weights(v, np.array([1.0]))),
+    "capped_weights:lam[0]": scalar(WEIGHT, lambda v: capped_weights([v], np.array([1.0])), NUMBER),
+    # engine
+    "EngineParams:beta_h_omega": scalar(
+        "^beta_h_omega must be finite and >= 0, got ", lambda v: EngineParams(v, 1.0), NUMBER),
+    "EngineParams:beta_c_omega": scalar(
+        "^beta_c_omega must be finite and >= 0, got ", lambda v: EngineParams(0.2, v), NUMBER),
+    "EngineParams:lambda_h_max": scalar(
+        r"^lambda_h_max must lie in \[0, 1\], got ", lambda v: EngineParams(0.2, 1.0, v), NUMBER),
+    "EngineParams:lambda_c_max": scalar(r"^lambda_c_max must lie in \[0, 1\], got ",
+                                        lambda v: EngineParams(0.2, 1.0, 1.0, v), NUMBER),
+    "run_cycle:p0": scalar(typed("p0", "PopulationVector"),
+                           lambda v: run_cycle(v, 0.5, 0.5, SWAP, PARAMS)),
+    "run_cycle:lambda_h": scalar(WEIGHT, lambda v: run_cycle(P, v, 0.5, SWAP, PARAMS), NUMBER),
+    "run_cycle:lambda_c": scalar(WEIGHT, lambda v: run_cycle(P, 0.5, v, SWAP, PARAMS), NUMBER),
+    "run_cycle:perm": scalar(typed("perm", "WorkPermutation"),
+                             lambda v: run_cycle(P, 0.5, 0.5, v, PARAMS)),
+    "run_cycle:params": scalar(typed("params", "EngineParams"),
+                               lambda v: run_cycle(P, 0.5, 0.5, SWAP, v)),
+    "cyclic_state:lambda_h": scalar(WEIGHT, lambda v: cyclic_state(v, 0.5, PARAMS), NUMBER),
+    "cyclic_state:lambda_c": scalar(WEIGHT, lambda v: cyclic_state(0.5, v, PARAMS), NUMBER),
+    "cyclic_state:params": scalar(typed("params", "EngineParams"),
+                                  lambda v: cyclic_state(0.5, 0.5, v)),
+    "check_laws:report": scalar(typed("report", "CycleReport"), lambda v: check_laws(v, PARAMS)),
+    "check_laws:params": scalar(typed("params", "EngineParams"), lambda v: check_laws(REPORT, v)),
+    "optimal_performance:params": scalar(typed("params", "EngineParams"), optimal_performance),
+    "positive_work_condition:params": scalar(typed("params", "EngineParams"),
+                                             positive_work_condition),
+    "BathTemperatures:beta_h_omega": array("^beta_h_omega ", lambda v: BathTemperatures(v, [1.0])),
+    "BathTemperatures:beta_c_omega": array(" beta_c_omega ", lambda v: BathTemperatures([0.2], v)),
+    "BathTemperatures:beta_h_omega[1]": scalar(
+        "^beta_h_omega must be ", lambda v: BathTemperatures([0.2, v], [1.0, 1.0]), NUMBER),
+    "BathTemperatures:beta_c_omega[1]": scalar(
+        "^beta_c_omega must be ", lambda v: BathTemperatures([0.2, 0.2], [1.0, v]), NUMBER),
+    "BathTemperatures.caps:lambda_h_max": array("^lambda_h_max ", lambda v: TEMPS.caps(v, [1.0])),
+    "BathTemperatures.caps:lambda_h_max[0]": scalar(
+        "^lambda_h_max ", lambda v: TEMPS.caps([v], [1.0]), NUMBER),
+    # the start's other entry is 0.5, so its population error names no parameter
+    "run_cycles:start[0][0]": scalar(r"^start must be a number, got |population", lambda v: (
+        run_cycles([[v, 0.5]], [0.5], [0.5], [True], TEMPS, [1.0], [1.0])), ("0-d",)),
+    # restrictions
+    "lambda_max_finite_bath:beta_omega": scalar(
+        BETA, lambda v: lambda_max_finite_bath(v, 3), NUMBER),
+    "lambda_max_finite_bath:d": scalar(SIZE, lambda v: lambda_max_finite_bath(0.5, v)),
+    "lambda_max_jc_raw:beta_omega": scalar(BETA, lambda_max_jc_raw, NUMBER),
+    "lambda_max_jc:beta_omega": scalar(BETA, lambda_max_jc, NUMBER),
+    "RestrictionModel:kind": scalar("^unknown restriction kind ", RestrictionModel),
+    "RestrictionModel:d": scalar(SIZE, lambda v: RestrictionModel("finite_bath", d=v)),
+    "RestrictionModel:lam": scalar(
+        "^explicit cap ", lambda v: RestrictionModel("explicit", lam=v), NUMBER),
+    "RestrictionModel.finite_bath:d": scalar(SIZE, RestrictionModel.finite_bath),
+    "RestrictionModel.explicit:lam": scalar("^explicit cap ", RestrictionModel.explicit, NUMBER),
+    "RestrictionModel.parse:text": scalar("restriction spec", RestrictionModel.parse),
+    **{f"RestrictionModel({m.label}).lambda_max:beta_omega": scalar(BETA, m.lambda_max, NUMBER)
+       for m in MODELS},
+    **{f"RestrictionModel({m.label}).resolve:beta_omega": array(BETAS, m.resolve)
+       for m in MODELS},
+    **{f"RestrictionModel({m.label}).resolve:beta_omega[1]": scalar(
+        BETAS, (lambda m: lambda v: m.resolve([0.2, v]))(m), NUMBER) for m in MODELS},
+    "engine_params_from:hot": scalar(typed("hot", "RestrictionModel"),
+                                     lambda v: engine_params_from(v, FB3, 0.2, 1.0)),
+    "engine_params_from:cold": scalar(typed("cold", "RestrictionModel"),
+                                      lambda v: engine_params_from(FB3, v, 0.2, 1.0)),
+    "engine_params_from:beta_h_omega": scalar(
+        BETA, lambda v: engine_params_from(FB3, FB3, v, 1.0), NUMBER),
+    "engine_params_from:beta_c_omega": scalar(
+        BETA, lambda v: engine_params_from(FB3, FB3, 0.2, v), NUMBER),
+    "eta_finite_bath:beta_h_omega": scalar(BETA, lambda v: eta_finite_bath(v, 1.0, 3), ("0-d",)),
+    "eta_finite_bath:beta_c_omega": scalar(BETA, lambda v: eta_finite_bath(0.2, v, 3), ("0-d",)),
+    "eta_finite_bath:d": scalar(SIZE, lambda v: eta_finite_bath(0.2, 1.0, v)),
+    # bath_oracle
+    "BlockUnitarySpec:thetas": array("^thetas ", lambda v: BlockUnitarySpec(v, [0.0], [0.0])),
+    "BlockUnitarySpec:thetas[0]": scalar(
+        "^thetas |^non-finite angle ", lambda v: BlockUnitarySpec([v], [0.0], [0.0]),
+        (*NUMBER, "-1")),
+    "BlockUnitarySpec:phis": array("^phis ", lambda v: BlockUnitarySpec([0.5], v, [0.0])),
+    "BlockUnitarySpec:alphas": array("^alphas ", lambda v: BlockUnitarySpec([0.5], [0.0], v)),
+    "BlockUnitarySpec.full_swap:d": scalar(SIZE, BlockUnitarySpec.full_swap),
+    "simulate_finite_bath_map:p": scalar(typed("p", "PopulationVector"),
+                                         lambda v: simulate_finite_bath_map(v, 0.5, 3, SPEC)),
+    "simulate_finite_bath_map:beta_omega": scalar(
+        BETA, lambda v: simulate_finite_bath_map(P, v, 3, SPEC), NUMBER),
+    "simulate_finite_bath_map:d": scalar(SIZE, lambda v: simulate_finite_bath_map(P, 0.5, v, SPEC)),
+    "simulate_finite_bath_map:spec": scalar(typed("spec", "BlockUnitarySpec"),
+                                            lambda v: simulate_finite_bath_map(P, 0.5, 3, v)),
+    "scan_lambda_max:beta_omega": scalar(BETA, lambda v: scan_lambda_max(v, 2), NUMBER),
+    "scan_lambda_max:d": scalar(SIZE, lambda v: scan_lambda_max(0.5, v)),
+    "brute_force_performance:params": scalar(typed("params", "EngineParams"),
+                                             lambda v: brute_force_performance(v, 8)),
+    "brute_force_performance:grid": scalar("^grid ", lambda v: brute_force_performance(PARAMS, v)),
+    "jc_time_scan:beta_omega": scalar("^beta_omega must be finite and >", jc_time_scan, ("0-d",)),
+    "jc_time_scan:time_grid": array("^time grid ", lambda v: jc_time_scan(0.5, v), ("None",)),
+    "jc_time_scan:time_grid[1]": scalar(
+        "^time grid entry ", lambda v: jc_time_scan(0.5, [1.0, v]), NUMBER),
+    "jc_time_scan:truncation": scalar("^truncation ", lambda v: jc_time_scan(0.5, truncation=v)),
 }
 
-
-# Values that float() refuses, overflows on, or takes from a complex number by
-# dropping its imaginary part.
-NOT_REAL_NUMBERS = [
-    None, object(), 0.5 + 0j, np.complex128(0.5), np.complex64(0.5), np.array(0.5 + 0j), 10**400
+# Whole messages, among them each one an earlier test asserted.
+WHOLE_ARRAYS = [
+    "check_betas:values", "BathTemperatures:beta_h_omega", "BathTemperatures:beta_c_omega",
+    "BathTemperatures.caps:lambda_h_max", "capped_weights:lam", "BlockUnitarySpec:thetas",
+    "BlockUnitarySpec:phis", "BlockUnitarySpec:alphas", "jc_time_scan:time_grid",
+    *(row for row in ROWS if row.endswith("resolve:beta_omega")),
 ]
-NOT_REAL_IDS = [
-    "None", "object", "complex", "complex128", "complex64", "complex-0d-array", "10**400"
-]
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [-1.0, math.nan, math.inf, "x", "0.5", *NOT_REAL_NUMBERS],
-    ids=[repr(bad) for bad in (-1.0, math.nan, math.inf, "x", "0.5")] + NOT_REAL_IDS,
-)
-@pytest.mark.parametrize("name", sorted(TAKES_A_TEMPERATURE))
-def test_every_temperature_input_rejects_bad_values(name, bad):
-    with pytest.raises(ValueError):
-        TAKES_A_TEMPERATURE[name](bad)
-
-
-# Every public entry point that takes a number that is not a temperature: caps,
-# mixing weights, population entries and levels, with the bad one as x.
-TAKES_A_NUMBER = {
-    "EngineParams.lambda_h_max": lambda x: EngineParams(0.2, 1.0, x, 1.0),
-    "EngineParams.lambda_c_max": lambda x: EngineParams(0.2, 1.0, 1.0, x),
-    "RestrictionModel.explicit": RestrictionModel.explicit,
-    "check_unit_interval": lambda x: check_unit_interval(x, "lambda"),
-    "capped_weight": capped_weight,
-    "capped_weights": lambda x: capped_weights([x], np.array([1.0])),
-    "apply_mixture.lambda": lambda x: apply_mixture(x, 0.3, P),
-    "PopulationVector": lambda x: PopulationVector((x, 0.5)),
-    "qubit_population": qubit_population,
-    "EnergySpectrum.excited": lambda x: EnergySpectrum((0.0, x)),
-    "BathTemperatures.caps": lambda x: BathTemperatures([0.2], [1.0]).caps([x], [1.0]),
-    "BlockUnitarySpec": lambda x: BlockUnitarySpec([x], [0.0], [0.0]),
-    "run_cycles.start": lambda x: run_cycles(
-        [[x, 0.5]], [0.5], [0.5], [True], BathTemperatures([0.2], [1.0]), [1.0], [1.0]
-    ),
+NOT_FINITE = "must be finite and >= 0, got"
+EXACT = {
+    ("EngineParams:beta_h_omega", "None"): f"^beta_h_omega {NOT_FINITE} None$",
+    ("EngineParams:beta_c_omega", "10**400"): f"^beta_c_omega {NOT_FINITE} 10{{400}}$",
+    ("EngineParams:lambda_h_max", "complex"):
+        r"^lambda_h_max must lie in \[0, 1\], got \(0\.5\+0j\)$",
+    ("RestrictionModel(fb3).resolve:beta_omega[1]", "complex"):
+        r"^beta_omega must be a number, got \(0\.5\+0j\)$",
+    # at -0.0, as at 0.0, the efficiency is 0 / 0
+    ("eta_finite_bath:beta_h_omega", "-0.0"): r"^efficiency undefined at beta_h_omega=-0\.0, ",
+    ("eta_finite_bath:beta_c_omega", "-0.0"): r"^efficiency undefined at .* beta_c_omega=-0\.0, ",
+    **{("PopulationVector:entries[0]", h): f"^population entry {re.escape(repr(HOSTILE[h]))} "
+       "must be a number$" for h in ("None", "True", "np.True_", "str", "bytes")},
+    **{(row, h): f"^{entries} must be a container, got {value}$" for row, entries in (
+        ("PopulationVector:entries", "population entries"),
+        ("EnergySpectrum:levels", "spectrum levels"),
+        ("WorkPermutation:mapping", "permutation entries"),
+    ) for h, value in (("None", "None"), ("shape", r"0\.5"))},
+    **{(row, "complex-array"): " must be a number, got a complex array$" for row in WHOLE_ARRAYS},
+    **{(row, h): f"^beta_omega must be a 1-d array, got shape {re.escape(shape)}$"
+       for row in WHOLE_ARRAYS if row.startswith(("check_betas", "RestrictionModel"))
+       for h, shape in (("shape", "()"), ("0-d", "()"), ("2-d", "(1, 1)"), ("-0.0", "()"),
+                        ("nan", "()"), ("inf", "()"), ("-1", "()"))},
+    # a float is no size, even an integral one, and each qubit type counts its entries
+    **{(row, "-0.0"): r" must be an integer, got -0\.0$" for row, (_, pattern, *_) in ROWS.items()
+       if pattern in (SIZE, "^grid ", "^truncation ", "dimension")},
+    ("PopulationVector:entries", "str"): "^a qubit population has two entries, got 3$",
+    ("EnergySpectrum:levels", "str"): "^a qubit spectrum has two levels, got 3$",
+    ("WorkPermutation:mapping", "bytes"):
+        r"^\(48, 46, 53\) is not a permutation of the two qubit levels$",
+    ("WorkPermutation.identity:dim", "10**400"):
+        "^only the qubit's identity exists, got dimension 10{400}$",
+    **{("RestrictionModel.parse:text", h): "^a restriction spec must be a string, got "
+       for h in ("None", "bytes", "shape", "10**400", "-1")},
 }
 
 
-@pytest.mark.parametrize("bad", NOT_REAL_NUMBERS, ids=NOT_REAL_IDS)
-@pytest.mark.parametrize("name", sorted(TAKES_A_NUMBER))
-def test_every_number_input_rejects_values_that_are_not_real_numbers(name, bad):
-    with pytest.raises(ValueError):
-        TAKES_A_NUMBER[name](bad)
+def same(a, b) -> bool:
+    """a == b, field by field for records and entry by entry for arrays."""
+    if dataclasses.is_dataclass(a):
+        a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same, a, b))
+    return np.array_equal(a, b)
 
 
-@pytest.mark.parametrize(
-    ("call", "message"),
-    [
-        (lambda: EngineParams(None, 1.0), r"^beta_h_omega must be finite and >= 0, got None$"),
-        (lambda: EngineParams(0.2, 10**400), r"^beta_c_omega must be finite and >= 0, got 1000"),
-        (
-            lambda: EngineParams(0.2, 1.0, 0.5 + 0j),
-            r"^lambda_h_max must lie in \[0, 1\], got \(0\.5\+0j\)$",
-        ),
-        (lambda: PopulationVector((None, 0.5)), r"^population entry None must be a number$"),
-        (
-            lambda: MODELS[1].resolve([0.5, 0.5 + 0j]),
-            r"^beta_omega must be a number, got \(0\.5\+0j\)$",
-        ),
-    ],
-    ids=["None", "10**400", "complex", "population", "complex-entry"],
-)
-def test_a_value_that_is_not_a_real_number_is_named_by_its_rule(call, message):
-    with pytest.raises(ValueError, match=message):
-        call()
+@pytest.mark.parametrize("row", ROWS)
+def test_every_parameter_rejects_every_hostile_value(row):
+    call, pattern, shape, accepts = ROWS[row]
+    assert set(accepts) <= set(REASONS)
+    wrong = []
+    for hostile, value in HOSTILE.items():
+        value = shape if hostile == "shape" else value
+        if hostile in accepts:
+            if hostile in TWINS and not same(call(value), call(TWINS[hostile])):
+                wrong.append((hostile, "accepted, with a result other than its twin's"))
+            continue
+        try:
+            call(value)
+        except (ValueError, ResourceLimitError) as exc:
+            expected = EXACT.get((row, hostile), pattern).replace("<value>", re.escape(repr(value)))
+            if not (re.search(expected, str(exc))
+                    and (isinstance(exc, ValueError) or hostile == "10**400")):
+                wrong.append((hostile, repr(exc)))
+        else:
+            wrong.append((hostile, "accepted"))
+    assert wrong == []
 
 
-# Every public entry point that takes an array of numbers, given a complex one.
-COMPLEX = np.array([0.5 + 0j])
-COMPLEX_FOR_AN_ARRAY = {
-    "check_betas": lambda: check_betas(COMPLEX),
-    "BathTemperatures.beta_h": lambda: BathTemperatures(COMPLEX, np.array([1.0])),
-    "BathTemperatures.caps": lambda: BathTemperatures([0.2], [1.0]).caps(COMPLEX, [1.0]),
-    "capped_weights": lambda: capped_weights(COMPLEX, np.array([1.0])),
-    "BlockUnitarySpec": lambda: BlockUnitarySpec(COMPLEX, (0.0,), (0.0,)),
-    "jc_time_scan.time_grid": lambda: jc_time_scan(0.5, COMPLEX),
-    **{f"resolve[{m.label}]": (lambda m: lambda: m.resolve(COMPLEX))(m) for m in MODELS},
+# Public names that take no input: exception classes, constants, and the
+# records the package builds from checked values (check_laws takes a
+# CycleReport back through check_instance: see its rows).
+EXEMPT = {
+    "SingularCycleError", "UndefinedEfficiencyError", "UnsupportedRestrictionError",
+    "ResourceLimitError", "QUBIT", "JC_BRANCH_POINT", "CycleReport", "LawDiagnostics",
+    "PerformancePoint", "BruteForceResult",
 }
 
 
-@pytest.mark.parametrize("name", sorted(COMPLEX_FOR_AN_ARRAY))
-def test_a_complex_array_is_not_an_array_of_numbers(name):
-    with pytest.raises(ValueError, match=" must be a number, got a complex array$"):
-        COMPLEX_FOR_AN_ARRAY[name]()
-
-
-# Every public entry point documented to take a 1-d array of temperatures.
-TAKES_A_TEMPERATURE_ARRAY = {
-    "check_betas": check_betas,
-    **{f"resolve[{m.label}]": m.resolve for m in MODELS},
-}
-
-
-@pytest.mark.parametrize(
-    "bad", [-1.0, math.nan, 0.5, np.array(0.5), np.array([[0.5]])],
-    ids=["-1.0", "nan", "0.5", "0-d", "2-d"],
-)
-@pytest.mark.parametrize("name", sorted(TAKES_A_TEMPERATURE_ARRAY))
-def test_a_temperature_array_must_be_1d(name, bad):
-    shape = re.escape(str(np.shape(bad)))
-    with pytest.raises(ValueError, match=f"^beta_omega must be a 1-d array, got shape {shape}$"):
-        TAKES_A_TEMPERATURE_ARRAY[name](bad)
-
-
-# Text that float() would parse, given where a number belongs.
-TEXT_FOR_A_NUMBER = {
-    "PopulationVector": lambda: PopulationVector(("0.3", "0.7")),
-    "PopulationVector.bytes": lambda: PopulationVector((0.3, b"0.7")),
-    "PopulationVector.str": lambda: PopulationVector("01"),
-    "check_unit_interval": lambda: check_unit_interval("0.25", "lambda"),
-    "apply_mixture.lambda": lambda: apply_mixture("0.5", 0.3, P),
-    "check_beta.bytes": lambda: check_beta(b"0.5"),
-    "check_beta.0-d": lambda: check_beta(np.array("0.5")),
-    "check_beta.0-d-object": lambda: check_beta(np.array("0.5", dtype=object)),
-    "EngineParams.0-d-object": lambda: EngineParams(np.array(b"0.5", dtype=object), 1.0),
-    "check_betas.list": lambda: check_betas([0.2, "0.5"]),
-    "check_betas.objects": lambda: check_betas(np.array([0.2, "0.5"], dtype=object)),
-    "jc_time_scan.time_grid": lambda: jc_time_scan(0.5, ["1.0", "2.0"]),
-    "BlockUnitarySpec": lambda: BlockUnitarySpec(("0.1",), ("0",), ("0",)),
-    "EnergySpectrum": lambda: EnergySpectrum(("0", "1")),
-    "EnergySpectrum.excited": lambda: EnergySpectrum((0.0, "1")),
-    "capped_weights": lambda: capped_weights(np.array(["0.5"]), np.array([1.0])),
-    "BathTemperatures.caps": lambda: BathTemperatures([0.2], [1.0]).caps(["0.5"], ["1"]),
-    "run_cycles.start": lambda: run_cycles(
-        [["0.5", "0.5"]], [0.5], [0.5], [True], BathTemperatures([0.2], [1.0]), [1.0], [1.0]
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(TEXT_FOR_A_NUMBER))
-def test_text_is_not_coerced(name):
-    with pytest.raises(ValueError):
-        TEXT_FOR_A_NUMBER[name]()
-
-
-# A boolean, which float() takes as 0 or 1, given where a number belongs: True
-# at every temperature input, also inside a list of floats (the rows named
-# .list), and at each cap, weight, population and spectrum; a boolean array
-# where an array of numbers belongs.
-BOOL_FOR_A_NUMBER = {
-    **{
-        f"{name}.list" if name.startswith("BathTemperatures") else name:
-            (lambda call: lambda: call(True))(call)
-        for name, call in TAKES_A_TEMPERATURE.items()
-    },
-    "EngineParams.lambda_h_max": lambda: EngineParams(0.2, 1.0, True, 1.0),
-    "EngineParams.lambda_c_max": lambda: EngineParams(0.2, 1.0, 1.0, True),
-    "RestrictionModel.explicit": lambda: RestrictionModel.explicit(True),
-    "check_unit_interval": lambda: check_unit_interval(True, "lambda"),
-    "capped_weight": lambda: capped_weight(True),
-    "apply_mixture.lambda": lambda: apply_mixture(True, 0.3, P),
-    "PopulationVector": lambda: PopulationVector((True, False)),
-    "PopulationVector.numpy": lambda: PopulationVector((np.True_, np.False_)),
-    "PopulationVector.0-d": lambda: PopulationVector((np.array(True), 0.0)),
-    "EngineParams.0-d": lambda: EngineParams(np.array(True), 1.0),
-    "EngineParams.0-d-object": lambda: EngineParams(np.array(True, dtype=object), 1.0),
-    "PopulationVector.0-d-object": lambda: PopulationVector((np.array(False, dtype=object), 1.0)),
-    "capped_weight.0-d-object": lambda: capped_weight(np.array(np.True_, dtype=object)),
-    "qubit_population": lambda: qubit_population(True),
-    "EnergySpectrum.ground": lambda: EnergySpectrum((False, 1.0)),
-    "EnergySpectrum.excited": lambda: EnergySpectrum((0.0, True)),
-    "check_betas": lambda: check_betas(np.array([True, False])),
-    "check_betas.list": lambda: check_betas([0.2, True]),
-    "jc_time_scan.time_grid": lambda: jc_time_scan(0.5, [1.0, True]),
-    "BathTemperatures.beta_h": lambda: BathTemperatures(np.array([True]), np.array([1.0])),
-    "BathTemperatures.beta_c": lambda: BathTemperatures(np.array([0.2]), np.array([True])),
-    "BathTemperatures.caps": lambda: BathTemperatures([0.2], [1.0]).caps(np.array([True]), [1.0]),
-    "capped_weights": lambda: capped_weights(np.array([True]), np.array([1.0])),
-    "BlockUnitarySpec": lambda: BlockUnitarySpec(np.array([True]), (0.0,), (0.0,)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BOOL_FOR_A_NUMBER))
-def test_booleans_are_not_numbers(name):
-    with pytest.raises(ValueError):
-        BOOL_FOR_A_NUMBER[name]()
-
-
-@pytest.mark.parametrize(
-    "bad", [None, 0.5 + 0j, np.array(0.5 + 0j, dtype=object)], ids=["None", "complex", "nested"]
-)
-def test_a_0d_object_array_is_judged_by_what_it_holds(bad):
-    with pytest.raises(ValueError, match="^beta_h_omega must be finite and >= 0, got "):
-        EngineParams(np.array(bad, dtype=object), 1.0)
+def test_every_public_parameter_has_rows():
+    """Each parameter of each public callable, and of each public method of a
+    public class, has a row; so has each name that is not exempt."""
+    covered = {re.sub(r"\(.*?\)|\[.*?\]", "", row) for row in ROWS}
+    roots = {re.match(r"\w+", row)[0] for row in ROWS}
+    missing = []
+    for name in threestroke.__all__:
+        if name in EXEMPT:
+            continue
+        home = getattr(threestroke, name)
+        members = {name: home}
+        if inspect.isclass(home):
+            members.update((f"{name}.{attr}", getattr(home, attr))
+                           for attr, member in vars(home).items() if not attr.startswith("_")
+                           and isinstance(member, (classmethod, types.FunctionType)))
+        missing += [name] * (name not in roots)
+        missing += [f"{label}:{parameter}" for label, member in members.items()
+                    for parameter in inspect.signature(member).parameters
+                    if parameter != "self" and f"{label}:{parameter}" not in covered]
+    assert missing == []
+    assert EXEMPT <= set(threestroke.__all__)
 
 
 @pytest.mark.parametrize("value", [0.25, np.float64(0.25), 1, np.array(0.25)], ids=repr)
@@ -268,135 +349,90 @@ def test_a_0d_object_array_holding_a_number_is_that_number(value):
     assert check_beta(np.array(value, dtype=object)) == float(value)
 
 
-@pytest.mark.parametrize("entry", [True, np.True_, "0.5", b"0.5"], ids=repr)
-def test_a_population_entry_that_is_not_a_number_is_named(entry):
-    message = f"^population entry {re.escape(repr(entry))} must be a number$"
-    with pytest.raises(ValueError, match=message):
-        PopulationVector((entry, 0.5))
-
-
-# Every public entry point that takes an integer size, with the bad one as n.
-TAKES_A_SIZE = {
-    "lambda_max_finite_bath": lambda n: lambda_max_finite_bath(0.5, n),
-    "eta_finite_bath": lambda n: eta_finite_bath(0.2, 1.0, n),
-    "RestrictionModel.finite_bath": RestrictionModel.finite_bath,
-    "simulate_finite_bath_map": lambda n: simulate_finite_bath_map(P, 0.5, n, SPEC),
-    "scan_lambda_max": lambda n: scan_lambda_max(0.5, n),
-    "brute_force_performance": lambda n: brute_force_performance(EngineParams(0.2, 0.6), n),
-    "jc_time_scan.truncation": lambda n: jc_time_scan(0.5, truncation=n),
-    "BlockUnitarySpec.full_swap": BlockUnitarySpec.full_swap,
-    "WorkPermutation.identity": WorkPermutation.identity,
-    "WorkPermutation.first": lambda n: WorkPermutation((n, 0)),
-    "WorkPermutation.second": lambda n: WorkPermutation((1, n)),
+# The CLI: each --config key's kind, the message stem of a value of another
+# JSON type, and the hostile JSON each kind is given.
+KINDS = {
+    "bh": "number", "bc": "number", "ratio-min": "number", "ratio-max": "number",
+    "ratio-steps": "integer", "seed": "integer", "grid": "integer",
+    "carnot": "flag", "raw": "flag", "out": "path", "hot": "model", "cold": "model",
+    "models": "models", "axis": "axis", "only": "only",
 }
-
-
-@pytest.mark.parametrize("bad", [True, 2.5, "3", -1], ids=repr)
-@pytest.mark.parametrize("name", sorted(TAKES_A_SIZE))
-def test_every_size_input_rejects_non_integers(name, bad):
-    with pytest.raises(ValueError):
-        TAKES_A_SIZE[name](bad)
-
-
-# Every type that fixes the qubit's two levels, built with another number of them.
-NOT_A_QUBIT = {
-    "PopulationVector[1]": lambda: PopulationVector((1.0,)),
-    "PopulationVector[3]": lambda: PopulationVector((0.2, 0.3, 0.5)),
-    "EnergySpectrum[3]": lambda: EnergySpectrum((0.0, 1.0, 2.0)),
-    "WorkPermutation[3]": lambda: WorkPermutation((0, 1, 2)),
-    "WorkPermutation.identity[3]": lambda: WorkPermutation.identity(3),
+STEMS = {
+    "number": "must be a number, got ", "integer": "must be an integer, got ",
+    "flag": "must be true or false, got ", "path": "must be a path string, got ",
+    "model": "must be a restriction spec string, got ",
+    "models": "must be a string or a list of strings, got ",
+    "axis": "must be one of ['bc', 'bh', 'ratio'], got ",
+    "only": "must be a string of check names, got ",
 }
-
-
-@pytest.mark.parametrize("name", sorted(NOT_A_QUBIT))
-def test_every_qubit_type_rejects_other_dimensions(name):
-    with pytest.raises(ValueError):
-        NOT_A_QUBIT[name]()
-
-
-# Every type that holds the qubit's two levels, given a value that is not a
-# container of entries, with the input its message names.
-NOT_A_CONTAINER = {
-    "PopulationVector[None]": ("population entries", None, lambda: PopulationVector(None)),
-    "PopulationVector[0.5]": ("population entries", 0.5, lambda: PopulationVector(0.5)),
-    "EnergySpectrum[None]": ("spectrum levels", None, lambda: EnergySpectrum(None)),
-    "EnergySpectrum[1.0]": ("spectrum levels", 1.0, lambda: EnergySpectrum(1.0)),
-    "WorkPermutation[None]": ("permutation entries", None, lambda: WorkPermutation(None)),
-    "WorkPermutation[1]": ("permutation entries", 1, lambda: WorkPermutation(1)),
+WRONG_TYPE = {"number": ['"0.5"', "true", "1" + "0" * 400], "integer": ['"3"', "3.0", "true"],
+              "flag": ['"true"', "3.0"]}
+HOSTILE_JSON = ["null", "[0.5]", '{"x": 0.5}', "NaN", '""']
+# (kind, JSON) -> the message where it is not the stem's
+MESSAGES = {
+    ("number", "NaN"): "{} must be finite, got nan",
+    ("number", "1" + "0" * 400): "{} must be finite, got 1000",
+    ("path", '""'): "{} must be a nonempty path string, got ''",
+    ("model", '""'): "bad restriction spec '', expected",
+    ("models", "[0.5]"): "{} entry must be a restriction spec string, got 0.5",
+    ("models", '""'): "{} needs at least one spec",
+    ("only", '""'): "{} needs at least one check",
 }
+# A valid config for each subcommand, which the hostile key joins or replaces.
+BASE = {"perf": {"bh": 0.2, "bc": 0.6}, "sweep": {"bh": 0.2, "ratio-steps": 3},
+        "tradeoff": {"bh": 0.2, "ratio-steps": 3}, "figures": {"ratio-steps": 3},
+        "verify": {"only": "thm3", "grid": 2}}
 
 
-@pytest.mark.parametrize("name", sorted(NOT_A_CONTAINER))
-def test_every_qubit_type_rejects_a_value_that_is_not_a_container(name):
-    field, value, call = NOT_A_CONTAINER[name]
-    with pytest.raises(ValueError, match=f"^{field} must be a container, got {value!r}$"):
-        call()
+def config_keys():
+    """(command, key) for every option of every subcommand but --config."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0][2:]) for command, sub in commands.choices.items()
+            for action in sub._actions if action.option_strings
+            and action.dest not in ("help", "config")]
 
 
-# Every public entry point that takes a PopulationVector, given something else,
-# with the parameter its message names.
-GIBBS = gibbs_vector(0.5, QUBIT)
-NOT_A_POPULATION = {
-    "apply_mixture": ("p", lambda: apply_mixture(0.5, 0.3, None)),
-    "average_energy": ("p", lambda: average_energy((0.5, 0.5), QUBIT)),
-    "simulate_finite_bath_map": ("p", lambda: simulate_finite_bath_map((0.5, 0.5), 0.5, 3, SPEC)),
-    "ergotropy": ("p", lambda: ergotropy(None, QUBIT)),
-    "passive_rearrangement": ("p", lambda: passive_rearrangement((0.5, 0.5), QUBIT)),
-    "thermomajorizes": ("p", lambda: thermomajorizes(None, None, None)),
-    "thermomajorizes.q": ("q", lambda: thermomajorizes(P, [0.5, 0.5], GIBBS)),
-    "thermomajorizes.gamma": ("gamma", lambda: thermomajorizes(P, P, GIBBS.entries)),
-    "run_cycle": ("p0", lambda: run_cycle(
-        None, 0.5, 0.5, WorkPermutation.swap(), EngineParams(0.2, 0.6)
-    )),
-}
+def run_in(tmp_path, monkeypatch, capsys, argv, config):
+    """cli.main(argv) in a directory holding only config as run.json: exit
+    code, stdout, stderr and what else the call left there."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, sorted(set(os.listdir(tmp_path)) - {"run.json"})
 
 
-@pytest.mark.parametrize("name", sorted(NOT_A_POPULATION))
-def test_every_population_input_rejects_other_types(name):
-    parameter, call = NOT_A_POPULATION[name]
-    with pytest.raises(ValueError, match=f"^{parameter} must be a PopulationVector, got "):
-        call()
+@pytest.mark.parametrize("command", BASE)
+def test_every_base_config_runs(command, tmp_path, monkeypatch, capsys):
+    code, out, err, _ = run_in(tmp_path, monkeypatch, capsys, [command, "--config", "run.json"],
+                               BASE[command])
+    assert code == 0 and err == ""
+    if command == "sweep":
+        assert len(out.splitlines()) == 2 + 3
 
 
-# Every other public parameter that takes one of the package's types, given
-# None, with the parameter and the type its message names.
-PARAMS = EngineParams(0.2, 0.6)
-SWAP = WorkPermutation.swap()
-NOT_THE_TYPE = {
-    "run_cycle.perm": ("perm", "WorkPermutation", lambda: run_cycle(P, 0.5, 0.5, None, PARAMS)),
-    "run_cycle.params": ("params", "EngineParams", lambda: run_cycle(P, 0.5, 0.5, SWAP, None)),
-    "cyclic_state": ("params", "EngineParams", lambda: cyclic_state(0.5, 0.5, None)),
-    "check_laws.report": ("report", "CycleReport", lambda: check_laws(None, PARAMS)),
-    "check_laws.params": ("params", "EngineParams", lambda: check_laws(
-        run_cycle(P, 0.5, 0.5, SWAP, PARAMS), None
-    )),
-    "optimal_performance": ("params", "EngineParams", lambda: optimal_performance(None)),
-    "positive_work_condition": ("params", "EngineParams", lambda: positive_work_condition(None)),
-    "engine_params_from.hot": ("hot", "RestrictionModel", lambda: engine_params_from(
-        None, None, 0.2, 0.6
-    )),
-    "engine_params_from.cold": ("cold", "RestrictionModel", lambda: engine_params_from(
-        MODELS[1], None, 0.2, 0.6
-    )),
-    "brute_force_performance": ("params", "EngineParams", lambda: brute_force_performance(None)),
-    "gibbs_vector": ("spectrum", "EnergySpectrum", lambda: gibbs_vector(0.5, None)),
-    "ergotropy": ("spectrum", "EnergySpectrum", lambda: ergotropy(P, None)),
-    "passive_rearrangement": ("spectrum", "EnergySpectrum", lambda: passive_rearrangement(P, None)),
-    "average_energy": ("spectrum", "EnergySpectrum", lambda: average_energy(P, None)),
-    "simulate_finite_bath_map": ("spec", "BlockUnitarySpec", lambda: simulate_finite_bath_map(
-        P, 0.5, 3, None
-    )),
-}
+@pytest.mark.parametrize(("command", "key"), config_keys())
+def test_every_config_value_must_have_its_flags_type(command, key, tmp_path, monkeypatch, capsys):
+    flag, kind = f"--{key}", KINDS[key]
+    for text in HOSTILE_JSON + WRONG_TYPE.get(kind, ["0.5", "true"]):
+        message = "{} must not be null in a config file" if text == "null" else MESSAGES.get(
+            (kind, text), "{} " + STEMS[kind])
+        code, out, err, left = run_in(tmp_path, monkeypatch, capsys,
+                                      [command, "--config", "run.json"],
+                                      {**BASE[command], key: json.loads(text)})
+        assert (code, out, left) == (2, "", []), text
+        assert err.startswith("error: " + message.format(flag)) and err.count("\n") == 1, text
 
 
-@pytest.mark.parametrize("name", sorted(NOT_THE_TYPE))
-def test_every_typed_input_rejects_other_types(name):
-    parameter, kind, call = NOT_THE_TYPE[name]
-    with pytest.raises(ValueError, match=f"^{parameter} must be an? {kind}, got None$"):
-        call()
+@pytest.mark.parametrize("argv", [[command, "--config", ""] for command in BASE] + [
+    [command, "--config", "run.json", "--out", ""] for command in ("sweep", "tradeoff", "figures")
+], ids=" ".join)
+def test_an_empty_path_flag_is_rejected(argv, tmp_path, monkeypatch, capsys):
+    code, out, err, left = run_in(tmp_path, monkeypatch, capsys, argv, BASE[argv[0]])
+    assert (code, out, left) == (2, "", [])
+    assert err == f"error: {argv[-2]} must be a nonempty path string, got ''\n"
 
 
-@pytest.mark.parametrize("spec", [None, b"jc", 10, ["jc"]], ids=repr)
-def test_a_restriction_spec_must_be_a_string(spec):
-    with pytest.raises(ValueError, match="^a restriction spec must be a string, got "):
-        RestrictionModel.parse(spec)
+def test_every_config_key_has_a_kind():
+    assert {key for _, key in config_keys()} == set(KINDS)

@@ -10,7 +10,6 @@ from threestroke import (
     QUBIT,
     EnergySpectrum,
     PopulationVector,
-    average_energy,
     gibbs_vector,
     qubit_population,
 )
@@ -91,28 +90,6 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         EnergySpectrum(())
     assert EnergySpectrum((0.0, 0.0)).levels == (0.0, 0.0)
-
-
-def test_average_energy_examples():
-    assert average_energy(PopulationVector((1.0, 0.0)), QUBIT) == 0.0
-    assert average_energy(PopulationVector((0.0, 1.0)), QUBIT) == 1.0
-    assert average_energy(PopulationVector((0.3, 0.7)), QUBIT) == pytest.approx(0.7)
-
-
-@given(
-    g1=st.floats(0.0, 1.0),
-    g2=st.floats(0.0, 1.0),
-    alpha=st.floats(0.0, 1.0),
-)
-def test_average_energy_linear(g1, g2, alpha):
-    p = qubit_population(g1)
-    q = qubit_population(g2)
-    mix = PopulationVector(
-        tuple(alpha * a + (1.0 - alpha) * b for a, b in zip(p.entries, q.entries))
-    )
-    direct = average_energy(mix, QUBIT)
-    combined = alpha * average_energy(p, QUBIT) + (1.0 - alpha) * average_energy(q, QUBIT)
-    assert direct == pytest.approx(combined, abs=1e-12)
 
 
 @given(beta=st.floats(0.001, 20.0), gap=st.floats(0.5, 1.7))

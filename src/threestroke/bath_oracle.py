@@ -1,17 +1,30 @@
 """Simulation and search oracles that cross-check the closed forms.
 
-The ladder-bath stroke is simulated explicitly: the joint Hilbert space of the
-qubit and a (d+1)-level ladder splits into two invariant corners plus d
+The ladder-bath stroke is simulated explicitly: the joint Hilbert space of
+the qubit and a (d+1)-level ladder splits into two invariant corners plus d
 two-dimensional blocks, so conjugating by an energy-preserving unitary and
-tracing out the bath costs O(d) regardless of the angles.  The oracles
-simulate fresh ladder baths only, so the kernel rotates the diagonal product
-state's blocks; simulate_finite_bath_map states its memory bound, and
-_ladder_weights the error bound of its sums.  Beside the simulation sit a
-one-sweep coordinate search over the block angles and a brute-force grid over
-the mixing weights of the swap cycle (the identity, the qubit's other work
-permutation, releases exactly zero work); neither evaluates the closed-form
-optima it is meant to check.  The exchange-coupling time scan returns the
-largest weight over its time grid, pruned by jc_time_scan's curvature bound.
+tracing out the bath costs O(d) regardless of the angles.  The block angles
+are held as read-only float arrays.  simulate_finite_bath_map builds the
+product state's two block diagonals from inputs that passed the input rules,
+and in one pass over chunks of blocks rotates each chunk (_rotate,
+elementwise products one output entry at a time), checks the rotated blocks
+(_check_blocks) and writes their new diagonals back; it makes no (d, 2, 2)
+block array, every temporary is at most 64 KB, so it comes from the heap
+rather than from a fresh, page-faulted map, and a call takes no page faults
+once the heap has grown to it.  The partition function, the rotated state's
+trace check and the reduced populations are pairwise numpy sums (their error
+bound is derived in _ladder_weights).  The oracles simulate fresh ladder baths
+only, so the kernel rotates the diagonal product state's blocks.  Beside the
+simulation sit a one-sweep coordinate search over the block angles and a
+brute-force grid over the mixing weights of the swap cycle (the identity, the
+qubit's other work permutation, releases exactly zero work); neither evaluates
+the closed-form optima it is meant to check.  The grid evaluates every cell,
+in row-major chunks, and asserts closure on each.  The exchange-coupling time
+scan returns the largest weight over its time grid, each time's value summed
+along its own row so that it does not depend on the other times evaluated with
+it; it halves, level by level, only the windows of sorted times whose
+curvature bound can still reach the best value (the bound and the margin are
+in jc_time_scan).
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from .engine import (
 )
 from .ergotropy import WorkPermutation
 from .populations import (
-    PopulationVector, as_numbers, check_beta, check_betas, check_instance, check_size, shape_of,
+    PopulationVector, as_numbers, check_beta, check_betas, check_instance, check_size,
 )
 
 __all__ = [
@@ -549,10 +562,14 @@ def jc_time_scan(
     if time_grid is None:
         size, time_at = _JC_DEFAULT_POINTS, _default_times
     else:
-        shape = shape_of(time_grid, "time grid entry")
-        if len(shape) != 1 or shape[0] == 0:
+        try:
+            times = np.asarray(time_grid)
+        except ValueError:  # ragged, as [1.0, [0.5]]: name the entry that is no number
+            as_numbers(time_grid, "time grid entry")
+            raise
+        if times.ndim != 1 or times.size == 0:
             raise ValueError("time grid must be a nonempty 1-d array")
-        _check_bounded(shape[0], "time grid size", 1, MAX_TIME_POINTS)
+        _check_bounded(times.size, "time grid size", 1, MAX_TIME_POINTS)
         times = check_betas(time_grid, "time grid entry")
         if np.any(times[1:] < times[:-1]):
             times = np.sort(times)

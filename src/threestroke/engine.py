@@ -38,7 +38,6 @@ from .populations import (
     check_unit_interval,
     qubit_population,
     qubit_populations,
-    shape_of,
 )
 from .thermal_qubit import capped_weight, capped_weights, mixture_entries
 
@@ -441,13 +440,10 @@ class BathTemperatures:
     exp_hc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        shape_h = shape_of(self.beta_h_omega, "beta_h_omega")
-        shape_c = shape_of(self.beta_c_omega, "beta_c_omega")
-        if len(shape_h) != 1 or shape_h != shape_c:
-            raise ValueError("beta_h_omega and beta_c_omega must be 1-d arrays of one length, "
-                             f"got {shape_h} and {shape_c}")
         bh = check_betas(self.beta_h_omega, "beta_h_omega")
         bc = check_betas(self.beta_c_omega, "beta_c_omega")
+        if bh.shape != bc.shape:
+            raise ValueError(f"need two 1-d arrays of one length, got {bh.shape} and {bc.shape}")
         object.__setattr__(self, "beta_h_omega", bh)
         object.__setattr__(self, "beta_c_omega", bc)
         object.__setattr__(self, "exp_h", elementwise(math.exp, -bh))

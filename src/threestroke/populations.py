@@ -31,7 +31,6 @@ __all__ = [
     "gibbs_vector",
     "qubit_population",
     "qubit_populations",
-    "shape_of",
 ]
 
 _SUM_TOL = 1e-12
@@ -105,15 +104,6 @@ def as_numbers(values: np.ndarray, name: str) -> np.ndarray:
             if not isinstance(as_number(value), float):
                 raise ValueError(f"{name} must be a number, got {value!r}")
     return np.asarray(values, dtype=float)
-
-
-def shape_of(values, name: str) -> tuple[int, ...]:
-    """np.shape(values); a ragged nesting such as [0.2, [0.5]] raises as_numbers' ValueError."""
-    try:
-        return np.shape(values)
-    except ValueError:
-        as_numbers(values, name)
-        raise
 
 
 def check_betas(values: np.ndarray, name: str = "beta_omega") -> np.ndarray:

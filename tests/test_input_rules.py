@@ -42,10 +42,14 @@ HOSTILE = {
     "complex-array": np.array([0.5 + 0j]), "shape": None, "0-d": np.array(0.5),
     "2-d": np.array([[0.5]]), "10**400": 10**400, "-1": -1, "-0.0": -0.0, "nan": math.nan,
     "inf": math.inf, "-inf": -math.inf, "str": "0.5", "bytes": b"0.5", "True": True,
-    "np.True_": np.True_,
+    "np.True_": np.True_, "bool-array": np.array([True]), "str-array": np.array(["0.5"]),
+    # two characters, as many as a qubit type has entries
+    "01": "01",
     # 0-d arrays holding what float() would read as a number; an object array
-    # is read as what it holds, here None and a 0-d complex array
+    # is read as what it holds, here text, a boolean, None and a 0-d complex array
     "0-d-str": np.array("0.5"), "0-d-bool": np.array(True),
+    "0-d-object-str": np.array("0.5", dtype=object),
+    "0-d-object-bool": np.array(True, dtype=object),
     "0-d-None": np.array(None, dtype=object),
     "0-d-complex": np.array(np.array(0.5 + 0j), dtype=object),
 }
@@ -119,6 +123,7 @@ ROWS = {
     # ergotropy and majorization
     "WorkPermutation:mapping": array("permutation", WorkPermutation),
     "WorkPermutation:mapping[0]": scalar("permutation", lambda v: WorkPermutation((v, 0))),
+    "WorkPermutation:mapping[1]": scalar("permutation", lambda v: WorkPermutation((1, v))),
     "WorkPermutation.identity:dim": scalar("dimension", WorkPermutation.identity),
     "passive_rearrangement:p": scalar(typed("p", "PopulationVector"),
                                       lambda v: passive_rearrangement(v, QUBIT)),
@@ -166,7 +171,7 @@ ROWS = {
     "positive_work_condition:params": scalar(typed("params", "EngineParams"),
                                              positive_work_condition),
     "BathTemperatures:beta_h_omega": array("^beta_h_omega ", lambda v: BathTemperatures(v, [1.0])),
-    "BathTemperatures:beta_c_omega": array(" beta_c_omega ", lambda v: BathTemperatures([0.2], v)),
+    "BathTemperatures:beta_c_omega": array("^beta_c_omega ", lambda v: BathTemperatures([0.2], v)),
     "BathTemperatures:beta_h_omega[1]": scalar(
         "^beta_h_omega must be ", lambda v: BathTemperatures([0.2, v], [1.0, 1.0]), NUMBER),
     "BathTemperatures:beta_c_omega[1]": scalar(
@@ -259,7 +264,8 @@ EXACT = {
         ("EnergySpectrum:levels", "spectrum levels"),
         ("WorkPermutation:mapping", "permutation entries"),
     ) for h, value in (("None", "None"), ("shape", r"0\.5"))},
-    **{(row, "complex-array"): " must be a number, got a complex array$" for row in WHOLE_ARRAYS},
+    **{(row, f"{kind}-array"): f" must be a number, got a {name} array$" for row in WHOLE_ARRAYS
+       for kind, name in (("complex", "complex"), ("bool", "boolean"))},
     **{(row, h): f"^beta_omega must be a 1-d array, got shape {re.escape(shape)}$"
        for row in WHOLE_ARRAYS if row.startswith(("check_betas", "RestrictionModel"))
        for h, shape in (("shape", "()"), ("0-d", "()"), ("2-d", "(1, 1)"), ("-0.0", "()"),
@@ -269,6 +275,8 @@ EXACT = {
        if pattern in (SIZE, "^grid ", "^truncation ", "dimension")},
     ("PopulationVector:entries", "str"): "^a qubit population has two entries, got 3$",
     ("EnergySpectrum:levels", "str"): "^a qubit spectrum has two levels, got 3$",
+    ("PopulationVector:entries", "01"): "^population entry '0' must be a number$",
+    ("EnergySpectrum:levels", "01"): "^ground level must sit at 0, got '0'$",
     ("WorkPermutation:mapping", "bytes"):
         r"^\(48, 46, 53\) is not a permutation of the two qubit levels$",
     ("WorkPermutation.identity:dim", "10**400"):

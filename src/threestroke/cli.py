@@ -140,9 +140,13 @@ def _apply_config(args: argparse.Namespace) -> None:
 
 
 def _parse_model(name: str, text) -> RestrictionModel:
+    """RestrictionModel.parse(text), whose errors are named by the flag, name."""
     if not isinstance(text, str):
         raise ValueError(f"{name} must be a restriction spec string, got {text!r}")
-    return RestrictionModel.parse(text)
+    try:
+        return RestrictionModel.parse(text)
+    except ValueError as error:
+        raise ValueError(f"{name}: {error}") from None
 
 
 def _clamp_warning(side: str, beta_omega: float) -> str:

@@ -79,7 +79,8 @@ def test_spec_rejects_angles_that_are_not_1d(field, bad):
 def test_spec_rejects_non_finite_angles(field, bad):
     angles = [[0.5, 0.1], [0.0, 0.0], [0.0, 0.0]]
     angles[field][1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    name = ("thetas", "phis", "alphas")[field]
+    with pytest.raises(ValueError, match=rf"^{name}\[1\] must be finite, got {bad!r}$"):
         BlockUnitarySpec(*angles)
 
 
@@ -129,6 +130,82 @@ def test_conjugation_is_exact_in_one_chunk_at_the_largest_bath(monkeypatch):
         assert simulate_finite_bath_map(p, 0.01, d, spec).entries == entries
 
 
+# simulate_finite_bath_map(qubit_population(0.3), beta_omega, d, spec).entries
+# at beta_omega = 1e-4, 0.37 and 5.0, for the full swap and for a spec whose
+# rows are each one angle, theta, -0.0 and 0.0, as rotating every block with
+# entries from its own cos and sin gives them.  Every row of both specs is
+# constant, so the simulation takes one cos and sin per row and builds the
+# entries once; a one-bit change in that path moves these.
+PINNED_THETA = 1.0615933832338778
+PINNED = {
+    "full_swap": {
+        1: [(0.5000249999999792, 0.4999750000000208), (0.59145897843278, 0.4085410215672199),
+            (0.9933071490757153, 0.0066928509242848554)],
+        2: [(0.5666999997777222, 0.4333000002222778), (0.6843255906288924, 0.3156744093711075),
+            (0.9979471412237868, 0.002052858776213141)],
+        1023: [(0.6996589858549515, 0.3003410141450484), (0.7927797008087933, 0.2072202991912064),
+               (0.9979786159002741, 0.0020213840997256394)],
+        1024: [(0.6996593666669503, 0.3003406333330498), (0.7927797008087933, 0.2072202991912064),
+               (0.9979786159002741, 0.0020213840997256394)],
+        1025: [(0.6996597467359761, 0.3003402532640238), (0.7927797008087933, 0.2072202991912064),
+               (0.9979786159002741, 0.0020213840997256394)],
+        10_000: [(0.7000067202046091, 0.29999327979539087),
+                 (0.7927797008087936, 0.2072202991912064),
+                 (0.9979786159002741, 0.0020213840997256394)],
+    },
+    "constant": {
+        1: [(0.4524914232515089, 0.5475085767484911), (0.5221971975535562, 0.47780280244644363),
+            (0.8285509007024765, 0.17144909929752347)],
+        2: [(0.5033218974992435, 0.4966781025007564), (0.592995157140271, 0.40700484285972904),
+            (0.8320882535660454, 0.16791174643395465)],
+        1023: [(0.6046847522473818, 0.395315247752618), (0.6756764300752078, 0.3243235699247919),
+               (0.8321122486577286, 0.1678877513422713)],
+        1024: [(0.6046850425639108, 0.3953149574360892), (0.6756764300752078, 0.3243235699247919),
+               (0.8321122486577286, 0.1678877513422713)],
+        1025: [(0.6046853323140254, 0.3953146676859745), (0.6756764300752078, 0.3243235699247919),
+               (0.8321122486577286, 0.1678877513422713)],
+        10_000: [(0.6049498516394215, 0.3950501483605784), (0.675676430075208, 0.32432356992479194),
+                 (0.8321122486577286, 0.1678877513422713)],
+    },
+}
+
+
+@pytest.mark.parametrize("kind, d", [(kind, d) for kind in PINNED for d in PINNED[kind]])
+def test_constant_row_specs_keep_their_pinned_floats(kind, d):
+    if kind == "full_swap":
+        spec = BlockUnitarySpec.full_swap(d)
+    else:
+        spec = BlockUnitarySpec(np.full(d, PINNED_THETA), np.full(d, -0.0), np.zeros(d))
+    p = qubit_population(0.3)
+    entries = [simulate_finite_bath_map(p, bw, d, spec).entries for bw in (1e-4, 0.37, 5.0)]
+    assert entries == PINNED[kind][d]
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, 0.0])  # the full swap, and the identity
+@pytest.mark.parametrize("entries", [(0.3, 0.7), (-0.0, 1.0), (1.0, -0.0), (1e-300, 1.0)])
+@pytest.mark.parametrize("bw", [0.5, 5.0, 30.0])
+def test_zero_weight_blocks_rotated_once_give_every_blocks_floats(theta, entries, bw):
+    """With every angle row constant, the blocks past the last nonzero Boltzmann
+    weight are one rotated block, copied.  A spec whose last phase is -0.0 has
+    the same rotation in every block, cis(-0.0) = cis(0.0), but a phase row
+    that is not constant, so each of its blocks is rotated on its own.  Both
+    leave the same rotated diagonals, signs of zero included, and so the same
+    populations.  (The diagonals are compared, since the blocks near and past
+    the last nonzero weight are too small to move the populations' sums.)"""
+    d = 2_500
+    last_negative = np.zeros(d)
+    last_negative[-1] = -0.0
+    p, thetas = PopulationVector(entries), np.full(d, theta)
+    diagonals, populations = [], []
+    for phis in (np.zeros(d), last_negative):
+        spec = BlockUnitarySpec(thetas, phis, np.zeros(d))
+        *_, rotated, zero_from = bath_oracle._product(p, bw, d)
+        bath_oracle._conjugate(spec, rotated, zero_from)
+        diagonals.append(rotated.view(np.int64))
+        populations.append(repr(simulate_finite_bath_map(p, bw, d, spec).entries))
+    assert np.array_equal(*diagonals) and populations[0] == populations[1]
+
+
 def test_simulation_peak_memory_at_the_largest_bath():
     """The two (d,) diagonals (160 KB) and one chunk's temporaries; no block array.
 
@@ -146,20 +223,21 @@ def test_simulation_peak_memory_at_the_largest_bath():
     assert peak < 400 * 2**10
 
 
-def block_entries(*blocks):
-    """The entries b00, b01, b10, b11 of 2x2 blocks, each as an array over the blocks."""
-    return tuple(np.array(blocks, dtype=complex).reshape(-1, 4).T)
+def check_blocks(*blocks):
+    """bath_oracle._check_blocks on 2x2 blocks [[b00, b01], [b10, b11]], laid out
+    as the rotation writes them: column by column, the second column first."""
+    columns = np.array(blocks, dtype=complex).transpose(2, 1, 0)[::-1].copy()
+    bath_oracle._check_blocks(columns, np.empty_like(columns), np.empty_like(columns))
 
 
 def test_joint_state_validation():
     """The block and trace checks the simulation runs on its rotated state."""
-    ok_block = block_entries([[0.3, 0.0], [0.0, 0.2]])
-    bath_oracle._check_blocks(*ok_block)
+    check_blocks([[0.3, 0.0], [0.0, 0.2]])
     bath_oracle._check_trace(0.25 + 0.25 + (0.3 + 0.2))
     with pytest.raises(ValueError, match="Hermitian"):
-        bath_oracle._check_blocks(*block_entries([[0.3, 0.1], [0.3, 0.2]]))
+        check_blocks([[0.3, 0.1], [0.3, 0.2]])
     with pytest.raises(ValueError, match="positive semidefinite"):
-        bath_oracle._check_blocks(*block_entries([[0.5, 0.6], [0.6, 0.5]]))  # indefinite
+        check_blocks([[0.5, 0.6], [0.6, 0.5]])  # indefinite
     with pytest.raises(ValueError, match="trace 1.5 is not 1"):
         bath_oracle._check_trace(0.5 + 0.5 + (0.3 + 0.2))
     # NaN fails every comparison, so each check must be written to reject it
@@ -170,7 +248,7 @@ def test_joint_state_validation():
     ]
     for block in nan_blocks:
         with pytest.raises(ValueError, match="finite"):
-            bath_oracle._check_blocks(*block_entries(block))
+            check_blocks(block)
 
 
 # Population entries at the rule's bounds, and sum drifts at its two tolerances.
@@ -200,11 +278,14 @@ def test_the_product_state_passes_the_checks_the_simulation_skips(
         p = PopulationVector(entries if ground_first else entries[::-1])
     except ValueError:
         assume(False)
-    corner_low, corner_high, ground_diagonal, excited_diagonal = bath_oracle._product(p, bw, d)
+    corner_low, corner_high, (ground_diagonal, excited_diagonal), _ = bath_oracle._product(
+        p, bw, d
+    )
     for corner in (corner_low, corner_high):
         assert math.isfinite(corner) and corner >= -1e-12
-    zero = np.zeros(d, dtype=complex)
-    bath_oracle._check_blocks(ground_diagonal.astype(complex), zero, zero, excited_diagonal + 0j)
+    zero = np.zeros(d)
+    blocks = np.array([[zero, excited_diagonal], [ground_diagonal, zero]], dtype=complex)
+    bath_oracle._check_blocks(blocks, np.empty_like(blocks), np.empty_like(blocks))
     bath_oracle._check_trace(
         corner_low + corner_high + float((ground_diagonal + excited_diagonal).sum())
     )
@@ -385,13 +466,13 @@ def test_conjugation_matches_the_dense_unitary(ground, bw, angles):
     traced = dense.diagonal().real.reshape(2, d + 1).sum(axis=1)
     simulated = simulate_finite_bath_map(p, bw, d, spec)
     np.testing.assert_allclose(simulated.entries, traced, rtol=0.0, atol=1e-14)
-    corner_low, corner_high, ground_diagonal, excited_diagonal = bath_oracle._product(p, bw, d)
-    rotated = tuple(np.empty((4, d), dtype=complex))
-    bath_oracle._rotate(spec, slice(0, d), ground_diagonal, excited_diagonal, rotated)
+    corner_low, corner_high, diagonals, _ = bath_oracle._product(p, bw, d)
+    # d <= 8: one chunk; with no zero-weight blocks named, every block is rotated
+    rotated = bath_oracle._conjugate(spec, diagonals, d + 1)
     placed = np.zeros((2 * (d + 1), 2 * (d + 1)), dtype=complex)
     placed[0, 0] = corner_low  # |0, 0>
     placed[-1, -1] = corner_high  # |1, d>
-    for j, block in enumerate(np.stack(rotated, axis=-1).reshape(d, 2, 2)):
+    for j, block in enumerate(rotated[::-1].transpose(2, 1, 0)):  # rotated[1 - c, r, j] is (r, c)
         placed[np.ix_([j + 1, d + 1 + j], [j + 1, d + 1 + j])] = block
     np.testing.assert_allclose(placed, dense, rtol=0.0, atol=1e-14)
 

@@ -147,7 +147,8 @@ def test_sweep_model_flag_conflicts(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(base + ["--models", "bogus"], capsys)
     assert code == 2 and "error:" in err
-    # a malformed spec says so; a well-formed one out of range names the bound
+    # a malformed spec says so; a well-formed one out of range names the bound;
+    # either way after the flag that gave it
     for spec, message in (
         ("fb:0", "bath size must be >= 1, got 0"),
         ("fb:9007199254740993", "bath size must be <= 2**53, got 9007199254740993"),
@@ -157,8 +158,8 @@ def test_sweep_model_flag_conflicts(capsys):
         ("lam:", "bad explicit-cap spec 'lam:', expected lam:X"),
     ):
         perf = ["perf", "--bh", "0.2", "--bc", "0.6", "--hot", spec]
-        for argv in (base + ["--models", spec], perf):
-            assert run(argv, capsys) == (2, "", f"error: {message}\n")
+        for argv, flag in ((base + ["--models", spec], "--models entry"), (perf, "--hot")):
+            assert run(argv, capsys) == (2, "", f"error: {flag}: {message}\n")
 
 
 def test_sweep_range_validation(capsys):
@@ -611,9 +612,10 @@ def test_verify_carnot_judges_the_runner(tamper, expected, monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["perf --bh 0.2 --bc 0.6 --hot", "sweep --models"])
 @pytest.mark.parametrize("d", [2**53 + 1, 10**400 - 1])
 def test_bath_size_above_2_53_is_an_input_error(command, d, capsys):
+    flag = "--hot" if command.endswith("--hot") else "--models entry"
     code, out, err = run(command.split() + [f"fb:{d}"], capsys)
     assert code == 2 and out == ""
-    assert err == f"error: bath size must be <= 2**53, got {d}\n"
+    assert err == f"error: {flag}: bath size must be <= 2**53, got {d}\n"
 
 
 def test_distinct_explicit_caps_get_distinct_labels(capsys):

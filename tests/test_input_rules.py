@@ -215,8 +215,7 @@ ROWS = {
     # bath_oracle
     "BlockUnitarySpec:thetas": array("^thetas ", lambda v: BlockUnitarySpec(v, [0.0], [0.0])),
     "BlockUnitarySpec:thetas[0]": scalar(
-        "^thetas |^non-finite angle ", lambda v: BlockUnitarySpec([v], [0.0], [0.0]),
-        (*NUMBER, "-1")),
+        r"^thetas(\[0\])? ", lambda v: BlockUnitarySpec([v], [0.0], [0.0]), (*NUMBER, "-1")),
     "BlockUnitarySpec:phis": array("^phis ", lambda v: BlockUnitarySpec([0.5], v, [0.0])),
     "BlockUnitarySpec:alphas": array("^alphas ", lambda v: BlockUnitarySpec([0.5], [0.0], v)),
     "BlockUnitarySpec.full_swap:d": scalar(SIZE, BlockUnitarySpec.full_swap),
@@ -374,7 +373,6 @@ MESSAGES = {
     ("number", "NaN"): "{} must be finite, got nan",
     ("number", "1" + "0" * 400): "{} must be finite, got 1000",
     ("path", '""'): "{} must be a nonempty path string, got ''",
-    ("model", '""'): "bad restriction spec '', expected",
     ("models", "[0.5]"): "{} entry must be a restriction spec string, got 0.5",
     ("models", '""'): "{} needs at least one spec",
     ("only", '""'): "{} needs at least one check",
@@ -417,13 +415,21 @@ def test_every_base_config_runs(command, tmp_path, monkeypatch, capsys):
 def test_every_config_value_must_have_its_flags_type(command, key, tmp_path, monkeypatch, capsys):
     flag, kind = f"--{key}", KINDS[key]
     for text in HOSTILE_JSON + WRONG_TYPE.get(kind, ["0.5", "true"]):
-        message = "{} must not be null in a config file" if text == "null" else MESSAGES.get(
-            (kind, text), "{} " + STEMS[kind])
+        value = json.loads(text)
+        if text == "null":
+            message = f"{flag} must not be null in a config file"
+        elif kind == "model" and isinstance(value, str):
+            # a string reaches RestrictionModel.parse, whose error follows the flag
+            with pytest.raises(ValueError) as info:
+                RestrictionModel.parse(value)
+            message = f"{flag}: {info.value}"
+        else:
+            message = MESSAGES.get((kind, text), "{} " + STEMS[kind]).format(flag)
         code, out, err, left = run_in(tmp_path, monkeypatch, capsys,
                                       [command, "--config", "run.json"],
-                                      {**BASE[command], key: json.loads(text)})
+                                      {**BASE[command], key: value})
         assert (code, out, left) == (2, "", []), text
-        assert err.startswith("error: " + message.format(flag)) and err.count("\n") == 1, text
+        assert err.startswith("error: " + message) and err.count("\n") == 1, text
 
 
 @pytest.mark.parametrize("argv", [[command, "--config", ""] for command in BASE] + [

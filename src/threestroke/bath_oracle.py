@@ -6,18 +6,20 @@ two-dimensional blocks, so conjugating by an energy-preserving unitary and
 tracing out the bath costs O(d) regardless of the angles.  The block angles
 are held as read-only float arrays.  simulate_finite_bath_map builds the
 product state's block diagonals, one (2, d) array, from inputs that passed
-the input rules.  A constant angle row takes one cos and one sin, and when
-every row is constant, as in full_swap, the rotation's entries are built
-once per call and the zero-weight blocks are rotated once; otherwise the
-entries are built per chunk.  In one pass over chunks of 1 024 blocks it
-rotates each chunk (_rotate), checks the rotated blocks with one reduction
-(_check_blocks) and writes their new diagonals back.  It makes no (d, 2, 2)
-block array: its three work arrays, at most 64 KB each, are allocated once
-per call and come from the heap, so a call takes no page faults once the
-heap has grown to it.  The partition function, the rotated state's trace
-check and the reduced populations are pairwise numpy sums (their error
-bound is derived in _ladder_weights).  The oracles simulate fresh ladder
-baths only, so the kernel rotates the diagonal product state's blocks.
+the input rules.  When every angle row holds one bit pattern, as in
+full_swap (the spec decides this once, when it is built), the rotation's
+entries come from one cos and one sin per row, once per call, and the
+zero-weight blocks are rotated once; otherwise the entries are built per
+chunk.  In one pass over chunks of 1 024 blocks, _Kernel rotates each chunk,
+checks the rotated blocks with one reduction and writes their new diagonals
+back.  It makes no (d, 2, 2) block array: its three work arrays, at most
+64 KB each, are allocated once per call and come from the heap, so a call
+takes no page faults once the heap has grown to it, and the views its steps
+read are built once per chunk size.  The partition function, the rotated
+state's trace check and the reduced populations are pairwise numpy sums
+(their error bound is derived in _ladder_weights).  The oracles simulate
+fresh ladder baths only, so the kernel rotates the diagonal product state's
+blocks.
 Beside the simulation sit a one-sweep coordinate search over the block
 angles and a brute-force grid over the mixing weights of the swap cycle (the
 identity, the qubit's other work permutation, releases exactly zero work);
@@ -32,7 +34,6 @@ in jc_time_scan).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -118,15 +119,17 @@ class BlockUnitarySpec:
 
     The angles are held as read-only 1-d float64 arrays, the rows of one
     (3, d) copy of the inputs, so the simulation reads them without any
-    per-angle Python.  An empty, non-1-d or non-finite input, unequal
-    counts, or text, raise ValueError; a non-finite angle is named by its row
-    and index, as thetas[1].
+    per-angle Python, and whether each row holds one bit pattern is decided
+    once, here.  An empty, non-1-d or non-finite input, unequal counts, or
+    text, raise ValueError; a non-finite angle is named by its row and
+    index, as thetas[1].
     """
 
     thetas: np.ndarray
     phis: np.ndarray
     alphas: np.ndarray
     _angles: np.ndarray = field(init=False, repr=False)
+    _constant: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         names = ("thetas", "phis", "alphas")
@@ -148,12 +151,15 @@ class BlockUnitarySpec:
             raise ValueError(
                 f"{names[row]}[{index}] must be finite, got {float(stacked[row, index])!r}"
             )
-        self._hold(stacked)
+        bits = stacked.view(np.int64)
+        self._hold(stacked, bool((bits == bits[:, :1]).all()))
 
-    def _hold(self, angles: np.ndarray) -> None:
-        """Take angles, a (3, d) float64 array of finite angles, read-only, and its rows."""
+    def _hold(self, angles: np.ndarray, constant: bool) -> None:
+        """Take angles, a (3, d) float64 array of finite angles, read-only, and
+        its rows; constant says that each row holds one bit pattern."""
         angles.setflags(write=False)
         object.__setattr__(self, "_angles", angles)
+        object.__setattr__(self, "_constant", constant)
         for name, values in zip(("thetas", "phis", "alphas"), angles):
             object.__setattr__(self, name, values)
 
@@ -170,7 +176,7 @@ class BlockUnitarySpec:
         angles = np.zeros((3, d))
         angles[0] = math.pi / 2.0
         spec = object.__new__(cls)
-        spec._hold(angles)
+        spec._hold(angles, True)
         return spec
 
 
@@ -238,81 +244,118 @@ def _cis(angles: np.ndarray, out: np.ndarray, phases) -> None:
     np.add(out.imag[phases], 0.0, out=out.imag[phases])
 
 
-def _entries(cis: np.ndarray, columns: np.ndarray, conjugates: np.ndarray) -> None:
-    """Write V's columns and their conjugates over a chunk, from its (3, m)
-    rows cis(theta), cis(phi) and cis(alpha).
+class _Kernel:
+    """The rotation V B V^dagger of a chunk of m diagonal blocks
+    B = diag(ground, excited), and its checks, in three (4, m) complex work
+    arrays: blocks, products and spare.
 
     With a = exp(i phi) cos(theta) and b = exp(i alpha) sin(theta), V has
-    columns (a, -conj b) and (b, conj a): columns, of shape (2, 2, m), gets
-    them, and conjugates gets their conjugates ((conj a, -b), (conj b, a)).
+    columns (a, -conj b) and (b, conj a), and their conjugates are
+    (conj a, -b) and (conj b, a), exactly.  blocks gets the rotated blocks
+    column by column, the second first, (b01, b11, b00, b10), so the
+    diagonal entries are adjacent rows.  Every operation is elementwise, so a
+    block's entries depend neither on its chunk nor on whether V's entries
+    were its own or broadcast.  The views that the steps read are built once
+    for every chunk of m blocks, since a numpy view costs about a third of a
+    ufunc call on a small array and a chunk reads over thirty; with
+    per_block, so are those that build V's entries over the chunk.
     """
-    np.multiply(cis[1], cis[0].real, out=columns[0, 0])
-    np.multiply(cis[2], cis[0].imag, out=columns[1, 0])
-    np.conjugate(columns[::-1, 0], out=columns[:, 1])
-    np.negative(columns[0, 1], out=columns[0, 1])
-    np.conjugate(columns, out=conjugates)
 
+    def __init__(self, work: list, m: int, per_block: bool) -> None:
+        # the work arrays' first 4 m entries, contiguous: a ufunc call with a
+        # strided operand takes a buffered loop
+        blocks, products, spare = (array[: 4 * m].reshape(4, m) for array in work)
+        self.blocks = blocks
+        self.rows = blocks[0], blocks[1], blocks[2], blocks[3]  # b01, b11, b00, b10
+        self.new_diagonals = blocks[2:0:-1].real  # b00, b11
+        self.products = (products[0], products[1]), (products[2], products[3])
+        self.pairs = blocks[:2], blocks[2:], products[:2], products[2:], spare[:2]
+        # the checks: products read as (8, m) floats, and spare's rows
+        audit = products.view(float).reshape(8, m)
+        diagonals = blocks[1:3]  # b11, b00
+        scratch = spare[0], spare[1], spare[2]
+        self.audit = audit, audit[:2].reshape(-1), audit[2:4], audit[4:6], audit[6], audit[7]
+        self.scratch = *scratch, scratch[2].view(float), scratch[2].real
+        self.parts = diagonals.imag, diagonals.real
+        if per_block:
+            # V's columns are products' rows, and their conjugates spare's
+            self.conjugates = scratch[:2], (scratch[2], spare[3])
+            self.entry_arrays = products, spare
+            # cis(theta), cis(phi) and cis(alpha) fill blocks' first three
+            # rows, free until the rotation writes them
+            self.cis = blocks[:3]
+            cis_theta, cis_phi, cis_alpha = self.rows[:3]
+            self.factors = (cis_phi, cis_theta.real), (cis_alpha, cis_theta.imag)
+            self.reflect = products[2::-2], products[1::2]
 
-def _rotate(columns, conjugates, diagonals: np.ndarray, blocks, products, spare) -> None:
-    """Write V B V^dagger for a chunk of diagonal blocks B = diag(ground, excited).
+    def _entries(self, angles: np.ndarray) -> None:
+        """Write V's columns over products and their conjugates over spare,
+        from the chunk's (3, m) theta, phi and alpha, with the operations
+        that _conjugate applies to one column of angles."""
+        _cis(angles, self.cis, slice(1, None))  # phi and alpha are phases
+        (a, minus_conj_b), (b, _) = self.products
+        for out, (cis, factor) in zip((a, b), self.factors):  # by cos and sin theta
+            np.multiply(cis, factor, out=out)
+        reflected, second = self.reflect
+        np.conjugate(reflected, out=second)  # conj b, conj a
+        np.negative(minus_conj_b, out=minus_conj_b)
+        products, spare = self.entry_arrays
+        np.conjugate(products, out=spare)
 
-    columns[k][r] and conjugates[k][c] are _entries', rows over the chunk
-    or, for every chunk alike, complex numbers; diagonals is the chunk's
-    (2, m) ground and excited; blocks, products and spare are (2, 2, m)
-    complex work arrays.  blocks gets the blocks column by column, the
-    second first, ((b01, b11), (b00, b10)), so the diagonal entries are
-    adjacent rows.  Column c is (V[:, 0] ground) conj(V[c, 0]) +
-    (V[:, 1] excited) conj(V[c, 1]), elementwise; columns may be products
-    and conjugates spare.  A block's entries depend neither on its chunk nor
-    on whether its entries were broadcast.
-    """
-    np.copyto(blocks[0], diagonals)  # as complex: the products then need no buffered cast
-    for k in (0, 1):
-        for r in (0, 1):
-            np.multiply(columns[k][r], blocks[0, k], out=products[k, r])
-    np.multiply(products[0], conjugates[0][1], out=blocks[0])
-    np.multiply(products[0], conjugates[0][0], out=blocks[1])
-    np.multiply(products[1], conjugates[1][1], out=spare[0])
-    np.multiply(products[1], conjugates[1][0], out=products[0])
-    np.add(blocks[0], spare[0], out=blocks[0])
-    np.add(blocks[1], products[0], out=blocks[1])
+    def _rotate(self, columns, conjugates, diagonals: np.ndarray) -> None:
+        """Write V B V^dagger over blocks, from the chunk's (2, m) ground and
+        excited and V's columns and conjugates: this kernel's own rows, or
+        complex numbers for every block.
 
+        Column c is (V[:, 0] ground) conj(V[c, 0]) + (V[:, 1] excited)
+        conj(V[c, 1]), elementwise.
+        """
+        first, second, ground_products, excited_products, spare = self.pairs
+        np.copyto(first, diagonals)  # as complex: the products then need no buffered cast
+        for column, diagonal, products in zip(columns, self.rows, self.products):
+            np.multiply(column[0], diagonal, out=products[0])
+            np.multiply(column[1], diagonal, out=products[1])
+        np.multiply(ground_products, conjugates[0][1], out=first)
+        np.multiply(ground_products, conjugates[0][0], out=second)
+        np.multiply(excited_products, conjugates[1][1], out=spare)
+        np.multiply(excited_products, conjugates[1][0], out=ground_products)
+        np.add(first, spare, out=first)
+        np.add(second, ground_products, out=second)
 
-def _check_blocks(blocks: np.ndarray, audit: np.ndarray, spare: np.ndarray) -> None:
-    """Raise ValueError unless every block [[b00, b01], [b10, b11]] is a density block.
+    def _check(self) -> None:
+        """Raise ValueError unless every block [[b00, b01], [b10, b11]] is a
+        density block; overwrites products and spare.
 
-    blocks is laid out as _rotate writes it, ((b01, b11), (b00, b10)); the
-    check overwrites audit and spare, arrays of the same shape.  In order:
-    finite entries (a non-finite entry makes the block's determinant
-    non-finite, and otherwise only an overflow does), real diagonals,
-    Hermitian, positive semidefinite.  Each quantity fills a row of audit,
-    read as (8, m) floats, that must be at most its tolerance: 0 times the
-    determinant (NaN unless finite), |Im b11|, |Im b00|, -Re b11, -Re b00,
-    |b01 - conj b10| and -Re det.  One reduction takes each row's maximum,
-    and NaN fails every comparison.
-    """
-    rows = blocks.reshape(4, -1)
-    b01, b11, b00, b10 = rows
-    diagonals = rows[1:3]
-    floats = audit.reshape(-1).view(float).reshape(8, -1)
-    products, others, dets, _ = spare.reshape(4, -1)
-    np.subtract(np.multiply(b00, b11, out=products), np.multiply(b01, b10, out=others), out=dets)
-    np.multiply(dets.view(float), 0.0, out=floats[:2].reshape(-1))
-    np.abs(diagonals.imag, out=floats[2:4])
-    np.negative(diagonals.real, out=floats[4:6])
-    np.abs(np.subtract(b01, np.conjugate(b10, out=products), out=others), out=floats[6])
-    np.negative(dets.real, out=floats[7])
-    finite, finite_imag, imag, imag_other, low, low_other, skew, det = (
-        floats.max(axis=1).tolist()
-    )
-    if not (finite <= _PSD_TOL and finite_imag <= _PSD_TOL):
-        raise ValueError("block entries and their determinants must be finite")
-    if not (imag <= _PSD_TOL and imag_other <= _PSD_TOL):
-        raise ValueError("block diagonals must be real")
-    if not skew <= _HERMITIAN_TOL:
-        raise ValueError("blocks must be Hermitian")
-    if not (low <= _PSD_TOL and low_other <= _PSD_TOL and det <= _PSD_TOL):
-        raise ValueError("blocks must be positive semidefinite")
+        In order: finite entries (a non-finite entry makes the block's
+        determinant non-finite, and otherwise only an overflow does), real
+        diagonals, Hermitian, positive semidefinite.  Each quantity fills a
+        row of the audit, products read as (8, m) floats, that must be at most
+        its tolerance: 0 times the determinant (NaN unless finite), |Im b11|,
+        |Im b00|, -Re b11, -Re b00, |b01 - conj b10| and -Re det.  One
+        reduction takes each row's maximum, and NaN fails every comparison.
+        """
+        b01, b11, b00, b10 = self.rows
+        audit, finite_rows, imag_rows, low_rows, skew_row, det_row = self.audit
+        products, others, dets, det_floats, det_real = self.scratch
+        imag_parts, real_parts = self.parts
+        np.multiply(b00, b11, out=products)
+        np.subtract(products, np.multiply(b01, b10, out=others), out=dets)
+        np.multiply(det_floats, 0.0, out=finite_rows)
+        np.abs(imag_parts, out=imag_rows)
+        np.negative(real_parts, out=low_rows)
+        np.abs(np.subtract(b01, np.conjugate(b10, out=products), out=others), out=skew_row)
+        np.negative(det_real, out=det_row)
+        finite, finite_imag, imag, imag_other, low, low_other, skew, det = (
+            audit.max(axis=1).tolist()
+        )
+        if not (finite <= _PSD_TOL and finite_imag <= _PSD_TOL):
+            raise ValueError("block entries and their determinants must be finite")
+        if not (imag <= _PSD_TOL and imag_other <= _PSD_TOL):
+            raise ValueError("block diagonals must be real")
+        if not skew <= _HERMITIAN_TOL:
+            raise ValueError("blocks must be Hermitian")
+        if not (low <= _PSD_TOL and low_other <= _PSD_TOL and det <= _PSD_TOL):
+            raise ValueError("blocks must be positive semidefinite")
 
 
 def _check_trace(trace: float) -> None:
@@ -334,12 +377,7 @@ def _product(p: PopulationVector, beta_omega: float, d: int) -> tuple:
     the rotation, which keeps the trace and each block's spectrum.
     """
     weights, z = _ladder_weights(beta_omega, d)
-    # exp(-x) is 0 only past x = 745.1: up to beta_omega d = 745 no weight is,
-    # and past it the zeros start among _ladder_weights' evaluated levels
-    zero_from = d + 1
-    if beta_omega * d > _EXP_UNDERFLOW - 1.0:
-        evaluated = int(_EXP_UNDERFLOW / beta_omega) + 1
-        zero_from = int(np.count_nonzero(weights[:evaluated]))
+    zero_from = int(np.count_nonzero(weights)) if weights[-1] == 0.0 else d + 1
     g, x = p.entries
     diagonals = np.empty((2, d))
     np.multiply(weights[1:], g, out=diagonals[0])
@@ -352,66 +390,43 @@ def _product(p: PopulationVector, beta_omega: float, d: int) -> tuple:
 def _conjugate(spec: BlockUnitarySpec, diagonals: np.ndarray, zero_from: int) -> np.ndarray:
     """Rotate and check every block, a chunk at a time, writing its new
     diagonals over _product's (2, d) diagonals; return the last chunk's
-    blocks, as _rotate lays them out.
+    blocks, as _Kernel lays them out.
 
-    A row whose angles share one bit pattern (so 0.0 and -0.0 stay apart),
-    as every row of full_swap, takes a single cos and sin.  When all three
-    rows do, a and b are computed once and the rotation's entries, their
-    signs and conjugates (exact), are complex numbers for every chunk; every
-    block from zero_from on then holds the same signed zeros, so only the
-    first of them is rotated and checked and its diagonals are copied over
-    the others'.  Otherwise the entries are built per chunk from the
-    constant rows' one value and the other rows' cos and sin, a run of
-    adjacent rows at a time.  The three work arrays are allocated once.
+    When every angle row holds one bit pattern (so 0.0 and -0.0 stay apart),
+    as in full_swap, one column of angles takes a single cos and sin, and the
+    rotation's entries, their signs and conjugates (exact), are complex
+    numbers for every chunk; every block from zero_from on then holds the
+    same signed zeros, so only the first of them is rotated and checked and
+    its diagonals are copied over the others'.  Otherwise the kernel builds
+    the entries of each chunk from its own cos and sin.  The three work
+    arrays are allocated once, and a kernel, with its views, once for each
+    chunk size (two at most).
     """
-    angles = spec._angles
-    bits = angles.view(np.int64)
-    # a row whose last angle differs from its first varies, with no pass over it
-    maybe = (bits[:, -1] == bits[:, 0]).tolist()
-    if all(maybe):
-        constant = (bits == bits[:, :1]).all(axis=1).tolist()
-    else:
-        constant = [same and bool((row == row[0]).all()) for same, row in zip(maybe, bits)]
-    per_block = not all(constant)
+    angles, per_block = spec._angles, not spec._constant
     rotated = spec.d if per_block else min(spec.d, zero_from + 1)
     chunks = _rotation_chunks(rotated)
     width = chunks[0].stop
-    work = [np.empty((2, 2, width), dtype=complex) for _ in range(3)]
-    if any(constant):
-        first = np.empty(3, dtype=complex)  # cis of each row's first angle
+    work = [np.empty(4 * width, dtype=complex) for _ in range(3)]
+    kernel = _Kernel(work, width, per_block)
+    if not per_block:
+        first = np.empty(3, dtype=complex)
         _cis(angles[:, 0], first, slice(1, None))
-    if per_block:
-        fills = [(row, first[row]) for row, same in enumerate(constant) if same]
-        runs, row = [], 0
-        for same, rows in itertools.groupby(constant):
-            size = len(list(rows))
-            if not same:
-                runs.append(slice(row, row + size))
-            row += size
-    else:
         a, b = np.multiply(first[1:], first[:1].view(float)).tolist()  # by cos, sin theta
         conj_a, conj_b = a.conjugate(), b.conjugate()
         columns, conjugates = ((a, -conj_b), (b, conj_a)), ((conj_a, -b), (conj_b, a))
     for chunk in chunks:
-        size = chunk.stop - chunk.start
-        if size < width:  # contiguous views, so that no ufunc call needs a buffered loop
-            work = [array.reshape(-1)[: 4 * size].reshape(2, 2, size) for array in work]
-        blocks, products, spare = work
+        if chunk.stop - chunk.start < width:
+            kernel = _Kernel(work, chunk.stop - chunk.start, per_block)
         if per_block:
-            cis = blocks.reshape(4, size)[:3]  # free until the rotation writes the blocks
-            for row, value in fills:
-                cis[row] = value
-            for run in runs:  # phi and alpha, rows 1 and 2, are phases
-                _cis(angles[run, chunk], cis[run], slice(max(1 - run.start, 0), None))
-            columns, conjugates = products, spare
-            _entries(cis, columns, conjugates)
-        _rotate(columns, conjugates, diagonals[:, chunk], blocks, products, spare)
-        _check_blocks(blocks, products, spare)  # the rotation has read both
-        diagonals[:, chunk] = blocks.reshape(4, -1)[2:0:-1].real  # b00, b11
+            kernel._entries(angles[:, chunk])
+            columns, conjugates = kernel.products, kernel.conjugates
+        kernel._rotate(columns, conjugates, diagonals[:, chunk])
+        kernel._check()
+        diagonals[:, chunk] = kernel.new_diagonals
     if rotated < spec.d:  # the one zero-weight block rotated stands for the rest
         for row in diagonals[:, rotated - 1 :]:
             row[1:] = row[0]  # a scalar fill: a broadcast copy within one array buffers
-    return blocks
+    return kernel.blocks.reshape(2, 2, -1)
 
 
 def simulate_finite_bath_map(
@@ -422,21 +437,22 @@ def simulate_finite_bath_map(
     Only the product state's corners and its (2, d) block diagonals are held
     (see _product); built from inputs that passed the input rules, they are
     not checked.  One pass over chunks of 1 024 blocks rotates each chunk
-    into V B V^dagger (_rotate), checks the rotated blocks and writes their
+    into V B V^dagger (_Kernel), checks the rotated blocks and writes their
     new diagonals over the old; the corners have no partner and stay.  The
-    rotation's entries are built once per call when every angle row is
-    constant, as in full_swap, and per chunk otherwise; a constant row takes
-    one cos and one sin (see _conjugate).  The floats are those of rotating
-    every block with its own cos and sin, bit for bit.  The reduced
+    rotation's entries are built once per call, from one cos and one sin per
+    row, when every angle row is constant, as in full_swap, and per chunk
+    otherwise (see _conjugate).  The floats are those of rotating every block
+    with its own cos and sin, bit for bit.  The reduced
     populations add each corner to its diagonal's sum, both sums from one
     reduction over the (2, d) array, which matches each row's own pairwise
     sum bit for bit, and the rotated state's trace must be 1 within 2e-12;
     every sum is within 36 eps of exact (see _ladder_weights).  No (d, 2, 2)
     array is made: three work arrays of at most 64 KB are allocated once per
-    call.  At d = 10 000 the 160 KB of diagonals, the work arrays and the
-    ufunc calls' buffers peak at about 360 KB for the full swap and 395 KB
-    for angles that vary, and the call takes no page faults once the heap
-    has grown to it.
+    call.  At d = 10 000 the diagonals (156 KB of 1 024 bytes), the work
+    arrays (192 KB) and the kernel's views peak at about 357 KB (tracemalloc)
+    for the full swap; angles that vary add the 33 KB buffer that numpy
+    allocates for each product of a pair of rows by one row, 389 KB in all.
+    The call takes no page faults once the heap has grown to it.
 
     The 2x2 conjugations are carried out with their complex phases in place;
     that the reduced populations do not depend on the phases is a property to

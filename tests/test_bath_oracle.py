@@ -223,11 +223,18 @@ def test_simulation_peak_memory_at_the_largest_bath():
     assert peak < 400 * 2**10
 
 
+def kernel_check(columns):
+    """The kernel's checks on blocks laid out as the rotation writes them,
+    column by column, the second column first: ((b01, b11), (b00, b10))."""
+    work = [np.empty(columns.size, dtype=complex) for _ in range(3)]
+    kernel = bath_oracle._Kernel(work, columns.shape[-1], per_block=False)
+    kernel.blocks[...] = columns.reshape(4, -1)
+    kernel._check()
+
+
 def check_blocks(*blocks):
-    """bath_oracle._check_blocks on 2x2 blocks [[b00, b01], [b10, b11]], laid out
-    as the rotation writes them: column by column, the second column first."""
-    columns = np.array(blocks, dtype=complex).transpose(2, 1, 0)[::-1].copy()
-    bath_oracle._check_blocks(columns, np.empty_like(columns), np.empty_like(columns))
+    """The kernel's checks on 2x2 blocks [[b00, b01], [b10, b11]]."""
+    kernel_check(np.array(blocks, dtype=complex).transpose(2, 1, 0)[::-1])
 
 
 def test_joint_state_validation():
@@ -284,8 +291,7 @@ def test_the_product_state_passes_the_checks_the_simulation_skips(
     for corner in (corner_low, corner_high):
         assert math.isfinite(corner) and corner >= -1e-12
     zero = np.zeros(d)
-    blocks = np.array([[zero, excited_diagonal], [ground_diagonal, zero]], dtype=complex)
-    bath_oracle._check_blocks(blocks, np.empty_like(blocks), np.empty_like(blocks))
+    kernel_check(np.array([[zero, excited_diagonal], [ground_diagonal, zero]], dtype=complex))
     bath_oracle._check_trace(
         corner_low + corner_high + float((ground_diagonal + excited_diagonal).sum())
     )

@@ -1,11 +1,13 @@
 """Command-line interface: performance points, figure sweeps, verification.
 
 Every closed-form command evaluates the optimum column-wise through one
-function, _sweep_cells: perf is a one-point sweep, tradeoff is a sweep that
+function, _evaluate: perf is a one-point sweep, tradeoff is a sweep that
 drops the rows where no model operates, and figures writes sweep and tradeoff
-presets plus perf's object at beta_c = 3 beta_h as reference_point.json;
-fig2.csv and fig3.csv share a preset, so they are one table written twice.
-A failing run prints its error alone; clamp warnings come only with output.
+presets plus perf's object at beta_c = 3 beta_h as reference_point.json.
+The presets share one set of temperatures, and each distinct model of theirs
+is evaluated once for all four files; fig2.csv and fig3.csv share a preset,
+so they are one table written twice.  A failing run prints its error alone;
+clamp warnings come only with output, once per file that shows the clamp.
 
 verify prints the line of each record that the checks in threestroke.checks
 return, and takes a non-negative --seed and distinct --only names.  It
@@ -43,7 +45,7 @@ import math
 import shlex
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +63,10 @@ EXIT_VERIFY = 4
 _AXIS_COLUMNS = {"ratio": "ratio", "bh": "beta_h_omega", "bc": "beta_c_omega"}
 
 MAX_RATIO_STEPS = 1_000_000
-# Each model adds about 62 MB of peak RSS per 1 000 000 swept values (2-core VM):
-# figures' four-model presets at MAX_RATIO_STEPS peak at 320-330 MB, as may any sweep.
+# Each model adds about 50 MB of peak RSS per 1 000 000 swept values (2-core VM):
+# a four-model sweep at MAX_RATIO_STEPS peaks at about 290 MB, a four-model
+# tradeoff at about 360 MB, and figures, whose presets share five distinct
+# models, at about 375 MB.
 MAX_SWEEP_CELLS = 4 * MAX_RATIO_STEPS
 MAX_VERIFY_GRID = 2_000  # bath_oracle.MAX_GRID, which cli does not import
 # Swept values are held as arrays for the whole sweep; their CSV text is
@@ -150,9 +154,10 @@ def _parse_model(name: str, text) -> RestrictionModel:
 
 
 def _clamp_warning(side: str, beta_omega: float) -> str:
+    # repr, so that a stated value just above 1 never reads as 1
     return (
         f"warning: {side} cap clamped to 1 at beta_omega={beta_omega:.6g} "
-        f"(stated value {lambda_max_jc_raw(beta_omega):.6g})"
+        f"(stated value {lambda_max_jc_raw(beta_omega)!r})"
     )
 
 
@@ -171,7 +176,9 @@ class SweepConfig:
     raw: bool
 
 
-def _sweep_models(args) -> tuple[tuple[str, RestrictionModel, RestrictionModel], ...]:
+def _sweep_models(args, steps: int) -> tuple[tuple[str, RestrictionModel, RestrictionModel], ...]:
+    """The (label, hot, cold) entries of --models or --hot/--cold, at most
+    MAX_SWEEP_CELLS cells in all over steps swept values."""
     models = getattr(args, "models", None)
     hot = getattr(args, "hot", None)
     cold = getattr(args, "cold", None)
@@ -202,6 +209,9 @@ def _sweep_models(args) -> tuple[tuple[str, RestrictionModel, RestrictionModel],
     labels = [label for label, _, _ in entries]
     if len(set(labels)) != len(labels):
         raise ValueError(f"duplicate model labels in {labels!r}")
+    if steps * len(entries) > MAX_SWEEP_CELLS:
+        raise ValueError(f"--ratio-steps {steps} times {len(entries)} --models entries "
+                         f"exceeds the supported {MAX_SWEEP_CELLS}")
     return tuple(entries)
 
 
@@ -224,10 +234,7 @@ def _sweep_config(args) -> SweepConfig:
         beta_h = 0.2 if beta_h is None else beta_h
     if axis == "bh" and beta_c is None:
         raise ValueError("--bc is required when sweeping beta_h_omega")
-    models = _sweep_models(args)
-    if steps * len(models) > MAX_SWEEP_CELLS:
-        raise ValueError(f"--ratio-steps {steps} times {len(models)} --models entries "
-                         f"exceeds the supported {MAX_SWEEP_CELLS}")
+    models = _sweep_models(args, steps)
     return SweepConfig(
         axis=axis,
         values=np.linspace(lo, hi, steps),
@@ -243,72 +250,105 @@ def _ratio_steps(args) -> int:
     return _as_size("--ratio-steps", args.ratio_steps, 200, 2, MAX_RATIO_STEPS)
 
 
-def _axis_betas(cfg: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
+def _temperatures(beta_h: np.ndarray, beta_c: np.ndarray) -> BathTemperatures:
+    """Both temperature arrays, each checked whole by the package's rule, hot side first."""
+    return BathTemperatures(check_betas(beta_h), check_betas(beta_c))
+
+
+def _sweep_temperatures(cfg: SweepConfig) -> BathTemperatures:
     xs = cfg.values
-    if cfg.axis == "ratio":
-        return np.full(xs.shape, cfg.beta_h_omega), cfg.beta_h_omega * xs
     if cfg.axis == "bh":
-        return xs, np.full(xs.shape, cfg.beta_c_omega)
-    return np.full(xs.shape, cfg.beta_h_omega), xs
+        return _temperatures(xs, np.full(xs.shape, cfg.beta_c_omega))
+    beta_h = np.full(xs.shape, cfg.beta_h_omega)
+    if cfg.axis == "bc":
+        return _temperatures(beta_h, xs)
+    # Python floats overflow to inf without a word; so does beta_h * ratio,
+    # which the input rules then reject
+    with np.errstate(over="ignore"):
+        beta_c = cfg.beta_h_omega * xs
+    return _temperatures(beta_h, beta_c)
 
 
-def _sweep_cells(
-    models: tuple[tuple[str, RestrictionModel, RestrictionModel], ...],
-    beta_h: np.ndarray,
-    beta_c: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Caps lambda_h_max, lambda_c_max and p_opt, w_max, eta_max of each model.
+def _evaluate(
+    temperatures: BathTemperatures, hot: RestrictionModel, cold: RestrictionModel
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray]]:
+    """Caps lambda_h_max, lambda_c_max and p_opt, w_max, eta_max of one
+    hot/cold pair, column-wise, and where the hot and the cold cap were clamped."""
+    lh, hot_clamped = hot.resolve(temperatures.beta_h_omega)
+    lc, cold_clamped = cold.resolve(temperatures.beta_c_omega)
+    return (lh, lc, *temperatures.optimum(lh, lc)), (hot_clamped, cold_clamped)
 
-    Both temperature arrays are checked whole first, hot side first, and
-    every model is then evaluated column-wise over them.  The clamp warnings,
-    one per side and model at its first clamped value, go to stderr only
-    once every model has succeeded, sorted by that value's index, the model
-    and the side (hot first), so a failing run prints its error alone.
+
+def _warn_clamped(
+    temperatures: BathTemperatures, clamps: list[tuple[np.ndarray, np.ndarray]]
+) -> None:
+    """Print the clamp warnings of one output's models, given by their clamp masks.
+
+    One warning per side and model at its first clamped value, sorted by
+    that value's index, the model and the side (hot first).  Callers print
+    them only once every model has succeeded, so a failing run prints its
+    error alone.
     """
-    temperatures = BathTemperatures(check_betas(beta_h), check_betas(beta_c))
     warnings = []
-    cells = []
-    for index, (_, hot, cold) in enumerate(models):
-        lh, hot_clamped = hot.resolve(beta_h)
-        lc, cold_clamped = cold.resolve(beta_c)
-        for step, side, clamped, betas in (
-            (0, "hot", hot_clamped, beta_h),
-            (1, "cold", cold_clamped, beta_c),
-        ):
+    betas = (temperatures.beta_h_omega, temperatures.beta_c_omega)
+    for index, masks in enumerate(clamps):
+        for step, (side, clamped) in enumerate(zip(("hot", "cold"), masks)):
             if clamped.any():
                 first = int(clamped.argmax())
-                warnings.append(((first, index, step), side, float(betas[first])))
-        cells.append((lh, lc, *temperatures.optimum(lh, lc)))
+                warnings.append(((first, index, step), side, float(betas[step][first])))
     for _, side, beta_omega in sorted(warnings):
         print(_clamp_warning(side, beta_omega), file=sys.stderr)
-    return cells
 
 
-def _sweep_table(cfg: SweepConfig, drop_inoperative_rows: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The CSV values, one row per kept swept value, and the mask of empty cells."""
-    # Python floats overflow to inf without a word; so do these
-    with np.errstate(all="ignore"):
-        beta_h, beta_c = _axis_betas(cfg)
-        cells = [
-            (eta_max, beta_h * w_max, w_max > 0.0)
-            for _, _, _, w_max, eta_max in _sweep_cells(cfg.models, beta_h, beta_c)
-        ]
-        carnot = 1.0 - beta_h / beta_c if cfg.include_carnot else None
+def _table_columns(
+    temperatures: BathTemperatures,
+    models: list[tuple[str, RestrictionModel, RestrictionModel]],
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+    """What a sweep table reads of each model, by label, each label evaluated once.
+
+    That is eta_max, beta_h * w_max, where the model operates (w_max > 0)
+    and its clamp masks.  The caps, p_opt and w_max go as soon as a model
+    is done, so the largest sweeps hold only what their tables show.
+    """
+    columns = {}
+    for label, hot, cold in models:
+        if label not in columns:
+            (_, _, _, w_max, eta_max), clamps = _evaluate(temperatures, hot, cold)
+            # Python floats overflow to inf without a word; so does this product
+            with np.errstate(all="ignore"):
+                bhw = temperatures.beta_h_omega * w_max
+            columns[label] = (eta_max, bhw, w_max > 0.0, clamps)
+    return columns
+
+
+def _write_sweep(
+    out, args, cfg: SweepConfig, temperatures: BathTemperatures, columns, drop_inoperative_rows: bool
+) -> None:
+    """Print cfg's clamp warnings and write its CSV from the evaluated columns.
+
+    Every row is written, or with drop_inoperative_rows only those where
+    some model operates (unless cfg.raw).
+    """
+    cells = [columns[label] for label, _, _ in cfg.models]
+    _warn_clamped(temperatures, [clamps for *_, clamps in cells])
     no_blank = np.zeros(cfg.values.shape, dtype=bool)
     values = [cfg.values]
     empty = [no_blank]
-    for eta_max, bhw, operational in cells:
+    for eta_max, bhw, operational, _ in cells:
         hidden = no_blank if cfg.raw else ~operational
         values += [eta_max, bhw]
         empty += [hidden | np.isnan(eta_max), hidden]
     if cfg.include_carnot:
-        values.append(carnot)
+        beta_h, beta_c = temperatures.beta_h_omega, temperatures.beta_c_omega
+        # Python floats divide by zero to inf without a word; so does this
+        with np.errstate(all="ignore"):
+            values.append(1.0 - beta_h / beta_c)
         empty.append(~(beta_c > 0.0))
     table, blank = np.column_stack(values), np.column_stack(empty)
     if drop_inoperative_rows and not cfg.raw:
-        keep = np.any([operational for _, _, operational in cells], axis=0)
+        keep = np.any([operational for _, _, operational, _ in cells], axis=0)
         table, blank = table[keep], blank[keep]
-    return table, blank
+    _emit_csv(out, _meta_line(args, cfg), _sweep_header(cfg), table, blank)
 
 
 def _sweep_header(cfg: SweepConfig) -> list[str]:
@@ -371,7 +411,9 @@ def _perf_json(
 ) -> str:
     """perf's JSON object: the one-point sweep of a single hot/cold model pair."""
     ((_, hot, cold),) = models
-    (columns,) = _sweep_cells(models, np.array([beta_h]), np.array([beta_c]))
+    temperatures = _temperatures(np.array([beta_h]), np.array([beta_c]))
+    columns, clamps = _evaluate(temperatures, hot, cold)
+    _warn_clamped(temperatures, [clamps])
     lambda_h_max, lambda_c_max, p_opt, w_max, eta_max = (column.item() for column in columns)
     payload = {
         "beta_h_omega": beta_h,
@@ -393,7 +435,7 @@ def _perf_json(
 def cmd_perf(args) -> int:
     beta_h = _as_float("--bh", _required(args, "bh", "--bh"))
     beta_c = _as_float("--bc", _required(args, "bc", "--bc"))
-    print(_perf_json(beta_h, beta_c, _sweep_models(args)))
+    print(_perf_json(beta_h, beta_c, _sweep_models(args, 1)))
     return EXIT_OK
 
 
@@ -401,13 +443,15 @@ def cmd_sweep(args) -> int:
     """sweep, and tradeoff, which drops the rows where no model operates."""
     out = _as_path("--out", args.out)
     cfg = _sweep_config(args)
-    table, blank = _sweep_table(cfg, drop_inoperative_rows=args.command == "tradeoff")
-    _emit_csv(out, _meta_line(args, cfg), _sweep_header(cfg), table, blank)
+    temperatures = _sweep_temperatures(cfg)
+    columns = _table_columns(temperatures, cfg.models)
+    _write_sweep(out, args, cfg, temperatures, columns, args.command == "tradeoff")
     return EXIT_OK
 
 
-# files -> (command, models, eta_carnot column); files that share a preset
-# get one table, computed and formatted once
+# files -> (command, models, eta_carnot column); each distinct model column is
+# computed once for all four files, and files that share a preset get one
+# table, formatted once and copied
 _FIGURES = {
     ("fig2.csv", "fig3.csv"): ("sweep", "unrestricted,fb:15,fb:10,fb:5", False),
     ("fig4.csv",): ("sweep", "unrestricted,fb:10,jc", True),
@@ -419,21 +463,30 @@ def cmd_figures(args) -> int:
     # Every option is checked before the directory is made: the size, --out,
     # the rest of the sweep, then --bh by the reference point, perf's object
     # at beta_c = 3 beta_h to 15 digits (0.6 for 0.2, where 3 * 0.2 is
-    # 0.6000000000000001), and last the presets' cold temperatures
-    # beta_h * ratio, which can overflow where 3 beta_h does not.  figures
-    # takes no models, so cfg.models is perf's default unrestricted pair.
+    # 0.6000000000000001), then the presets' cold temperatures beta_h *
+    # ratio, which can overflow where 3 beta_h does not, and last each
+    # preset's models.  figures takes no models, so cfg.models is perf's
+    # default unrestricted pair.  The presets share one set of temperatures,
+    # and each distinct model of theirs is evaluated once for all four files.
     _ratio_steps(args)
     out_dir = Path(_as_path("--out", args.out) or "figures-data")
     cfg = _sweep_config(args)
     beta_h = cfg.beta_h_omega
     reference = _perf_json(beta_h, float(f"{3 * beta_h:.15g}"), cfg.models)
-    with np.errstate(over="ignore"):
-        check_betas(_axis_betas(cfg)[1])
+    temperatures = _sweep_temperatures(cfg)
+    presets = [
+        (names, command, replace(
+            cfg,
+            models=_sweep_models(argparse.Namespace(models=models), len(cfg.values)),
+            include_carnot=carnot,
+        ))
+        for names, (command, models, carnot) in _FIGURES.items()
+    ]
     out_dir.mkdir(parents=True, exist_ok=True)
-    for (name, *copies), (command, models, carnot) in _FIGURES.items():
-        target = str(out_dir / name)
-        overrides = {"command": command, "models": models, "carnot": carnot, "out": target}
-        cmd_sweep(argparse.Namespace(**{**vars(args), **overrides}))
+    columns = _table_columns(temperatures, [entry for *_, preset in presets for entry in preset.models])
+    for (name, *copies), command, preset in presets:
+        target = out_dir / name
+        _write_sweep(str(target), args, preset, temperatures, columns, command == "tradeoff")
         print(f"wrote {target}")
         for copy in copies:
             shutil.copyfile(target, out_dir / copy)

@@ -3,23 +3,27 @@
 The ladder-bath stroke is simulated explicitly: the joint Hilbert space of
 the qubit and a (d+1)-level ladder splits into two invariant corners plus d
 two-dimensional blocks, so conjugating by an energy-preserving unitary and
-tracing out the bath costs O(d) regardless of the angles.  The block angles
-are held as read-only float arrays.  simulate_finite_bath_map builds the
+tracing out the bath costs O(d) regardless of the angles.  On a block, such
+a unitary is U = P R(theta) Q, with R(theta) = [[c, s], [-s, c]] and P, Q
+diagonal phases; Q commutes with the diagonal product state's block and P
+leaves a matrix's diagonal as it is, so the reduced populations are those of
+R(theta) alone (the dense test of the simulation checks this against
+unitaries with random phases).  So a spec holds one read-only float array of
+angles and the kernel runs in float64.  simulate_finite_bath_map builds the
 product state's block diagonals, one (2, d) array, from inputs that passed
-the input rules.  When every angle row holds one bit pattern, as in
-full_swap (the spec decides this once, when it is built), the rotation's
-entries come from one cos and one sin per row, once per call, and the
-zero-weight blocks are rotated once; otherwise the entries are built per
-chunk.  In one pass over chunks of 1 024 blocks, _Kernel rotates each chunk,
-checks the rotated blocks with one reduction and writes their new diagonals
-back.  It makes no (d, 2, 2) block array: its three work arrays, at most
-64 KB each, are allocated once per call and come from the heap, so a call
-takes no page faults once the heap has grown to it, and the views its steps
-read are built once per chunk size.  The partition function, the rotated
-state's trace check and the reduced populations are pairwise numpy sums
-(their error bound is derived in _ladder_weights).  The oracles simulate
-fresh ladder baths only, so the kernel rotates the diagonal product state's
-blocks.
+the input rules.  When every angle holds one bit pattern, as in full_swap
+(the spec decides this once, when it is built), the rotation's entries come
+from one sin and one cos, once per call, and the zero-weight blocks are
+rotated once; otherwise the entries are built per chunk.  In one pass over
+chunks of 1 024 blocks, _Kernel rotates each chunk, checks the rotated
+blocks with one reduction and writes their new diagonals back.  It makes no
+(d, 2, 2) block array: its three work arrays, at most 32 KB each, are
+allocated once per call and come from the heap, so a call takes no page
+faults once the heap has grown to it, and the views its steps read are
+built once per chunk size.  The partition function, the rotated state's
+trace check and the reduced populations are pairwise numpy sums (their error
+bound is derived in _ladder_weights).  The oracles simulate fresh ladder
+baths only, so the kernel rotates the diagonal product state's blocks.
 Beside the simulation sit a one-sweep coordinate search over the block
 angles and a brute-force grid over the mixing weights of the swap cycle (the
 identity, the qubit's other work permutation, releases exactly zero work);
@@ -86,8 +90,8 @@ _SCAN_POINTS = 65  # grid points per angle of the coordinate-ascent scan
 # page-faulted maps.
 _GRID_BLOCK_FLOATS = 8_192
 # Tolerances of the rotated joint state: its trace may drift (qubit inputs
-# carry normalization slack), its blocks' imaginary diagonals and negative
-# eigenvalues may be rounding, and so may their departure from Hermitian.
+# carry normalization slack), its blocks' negative eigenvalues may be
+# rounding, and so may their departure from symmetric.
 _TRACE_TOL = 2e-12
 _PSD_TOL = 1e-12
 _HERMITIAN_TOL = 1e-10
@@ -112,56 +116,41 @@ class BlockUnitarySpec:
 
     Block j (j = 1..d) is spanned by |0, j> and |1, j-1> and is rotated by
 
-        [[ exp(i phi) cos(theta),  exp(i alpha) sin(theta)],
-         [-exp(-i alpha) sin(theta), exp(-i phi) cos(theta)]];
+        [[ cos(theta),  sin(theta)],
+         [-sin(theta),  cos(theta)]];
 
     the corners |0, 0> and |1, d> have no exchange partner and stay put.
+    An energy-preserving unitary's block is this rotation between two
+    diagonal phases, which move no population (see the module docstring).
 
-    The angles are held as read-only 1-d float64 arrays, the rows of one
-    (3, d) copy of the inputs, so the simulation reads them without any
-    per-angle Python, and whether each row holds one bit pattern is decided
-    once, here.  An empty, non-1-d or non-finite input, unequal counts, or
-    text, raise ValueError; a non-finite angle is named by its row and
-    index, as thetas[1].
+    The angles are held as a read-only 1-d float64 copy of the input, so the
+    simulation reads them without any per-angle Python, and whether they
+    hold one bit pattern is decided once, here.  An empty, non-1-d or
+    non-finite input, or text, raise ValueError; a non-finite angle is named
+    by its index, as thetas[1].
     """
 
     thetas: np.ndarray
-    phis: np.ndarray
-    alphas: np.ndarray
-    _angles: np.ndarray = field(init=False, repr=False)
     _constant: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        names = ("thetas", "phis", "alphas")
-        angles = [as_numbers(getattr(self, name), name) for name in names]
-        for name, values in zip(names, angles):
-            if values.ndim != 1:
-                raise ValueError(f"{name} must be 1-d, got shape {values.shape}")
-        thetas, phis, alphas = angles
+        thetas = np.array(as_numbers(self.thetas, "thetas"))
+        if thetas.ndim != 1:
+            raise ValueError(f"thetas must be 1-d, got shape {thetas.shape}")
         if not thetas.size:
             raise ValueError("block unitary needs at least one block")
-        if phis.size != thetas.size or alphas.size != thetas.size:
-            raise ValueError(
-                f"angle counts differ: {thetas.size} thetas, {phis.size} phis, "
-                f"{alphas.size} alphas"
-            )
-        stacked = np.array(angles)
-        if not np.isfinite(stacked).all():
-            row, index = np.argwhere(~np.isfinite(stacked))[0].tolist()
-            raise ValueError(
-                f"{names[row]}[{index}] must be finite, got {float(stacked[row, index])!r}"
-            )
-        bits = stacked.view(np.int64)
-        self._hold(stacked, bool((bits == bits[:, :1]).all()))
+        if not np.isfinite(thetas).all():
+            index = int(np.isfinite(thetas).argmin())
+            raise ValueError(f"thetas[{index}] must be finite, got {float(thetas[index])!r}")
+        bits = thetas.view(np.int64)
+        self._hold(thetas, bool((bits == bits[0]).all()))
 
-    def _hold(self, angles: np.ndarray, constant: bool) -> None:
-        """Take angles, a (3, d) float64 array of finite angles, read-only, and
-        its rows; constant says that each row holds one bit pattern."""
-        angles.setflags(write=False)
-        object.__setattr__(self, "_angles", angles)
+    def _hold(self, thetas: np.ndarray, constant: bool) -> None:
+        """Take thetas, a 1-d float64 array of finite angles, read-only;
+        constant says that it holds one bit pattern."""
+        thetas.setflags(write=False)
+        object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "_constant", constant)
-        for name, values in zip(("thetas", "phis", "alphas"), angles):
-            object.__setattr__(self, name, values)
 
     @property
     def d(self) -> int:
@@ -173,10 +162,8 @@ class BlockUnitarySpec:
         checked by the simulation's bath-size rule before any array is made;
         the angles, finite by construction, skip the input rules' copy."""
         d = _check_bounded(d, "bath size", 1, _MAX_BATH_SIZE)
-        angles = np.zeros((3, d))
-        angles[0] = math.pi / 2.0
         spec = object.__new__(cls)
-        spec._hold(angles, True)
+        spec._hold(np.full(d, math.pi / 2.0), True)
         return spec
 
 
@@ -222,104 +209,72 @@ def _ladder_weights(beta_omega: float, d: int) -> tuple[np.ndarray, float]:
 def _rotation_chunks(d: int) -> list[slice]:
     """Runs of max(1, _GRID_BLOCK_FLOATS // 8) blocks for the rotation and its checks.
 
-    The rotation's three work arrays hold four complex entries a block, 8
-    floats, so each is 64 KB at most: below glibc's mmap threshold, they come
-    from the heap.
+    The rotation's three work arrays hold four floats a block, so each is
+    32 KB at most: below glibc's mmap threshold, they come from the heap.
     """
     size = max(1, _GRID_BLOCK_FLOATS // 8)
     return [slice(lo, min(lo + size, d)) for lo in range(0, d, size)]
 
 
-def _cis(angles: np.ndarray, out: np.ndarray, phases) -> None:
-    """Write cos(angles) + i sin(angles) into the complex out.
-
-    From the real cosine and sine, exp(i angles) costs about a third of a
-    complex exp.  The rows of out that phases selects are phases, whose sine
-    gets + 0.0, so that -0.0 gives the imaginary part +0.0, as
-    np.exp(1j * -0.0) does (sin(x) + 0.0 is sin(x + 0.0), bit for bit: sin
-    is +-0.0 only at +-0.0).  theta's row is left as it is.
-    """
-    np.cos(angles, out=out.real)
-    np.sin(angles, out=out.imag)
-    np.add(out.imag[phases], 0.0, out=out.imag[phases])
+def _entries(thetas: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the rotation's entries sin, cos and -sin of thetas over out's
+    three rows, and return out."""
+    np.sin(thetas, out=out[0])
+    np.cos(thetas, out=out[1])
+    np.negative(out[0], out=out[2])
+    return out
 
 
 class _Kernel:
-    """The rotation V B V^dagger of a chunk of m diagonal blocks
-    B = diag(ground, excited), and its checks, in three (4, m) complex work
-    arrays: blocks, products and spare.
+    """The rotation R B R^T of a chunk of m diagonal blocks
+    B = diag(ground, excited), R = [[c, s], [-s, c]], and its checks, in three
+    (4, m) float work arrays: blocks, products and spare.
 
-    With a = exp(i phi) cos(theta) and b = exp(i alpha) sin(theta), V has
-    columns (a, -conj b) and (b, conj a), and their conjugates are
-    (conj a, -b) and (conj b, a), exactly.  blocks gets the rotated blocks
-    column by column, the second first, (b01, b11, b00, b10), so the
-    diagonal entries are adjacent rows.  Every operation is elementwise, so a
-    block's entries depend neither on its chunk nor on whether V's entries
+    blocks gets the rotated blocks column by column, the second first,
+    (b01, b11, b00, b10), so the diagonal entries are adjacent rows.  R's
+    entries are the rows (s, c, -s) of entries: spare's first three rows,
+    which _entries fills per chunk, or a (3, 1) array of one angle's, which
+    broadcasts over every block.  Every operation is elementwise, so a
+    block's entries depend neither on its chunk nor on whether R's entries
     were its own or broadcast.  The views that the steps read are built once
     for every chunk of m blocks, since a numpy view costs about a third of a
-    ufunc call on a small array and a chunk reads over thirty; with
-    per_block, so are those that build V's entries over the chunk.
+    ufunc call on a small array and a chunk reads some twenty.
     """
 
-    def __init__(self, work: list, m: int, per_block: bool) -> None:
+    def __init__(self, work: list, m: int, entries: np.ndarray | None = None) -> None:
         # the work arrays' first 4 m entries, contiguous: a ufunc call with a
         # strided operand takes a buffered loop
         blocks, products, spare = (array[: 4 * m].reshape(4, m) for array in work)
         self.blocks = blocks
         self.rows = blocks[0], blocks[1], blocks[2], blocks[3]  # b01, b11, b00, b10
-        self.new_diagonals = blocks[2:0:-1].real  # b00, b11
-        self.products = (products[0], products[1]), (products[2], products[3])
-        self.pairs = blocks[:2], blocks[2:], products[:2], products[2:], spare[:2]
-        # the checks: products read as (8, m) floats, and spare's rows
-        audit = products.view(float).reshape(8, m)
-        diagonals = blocks[1:3]  # b11, b00
-        scratch = spare[0], spare[1], spare[2]
-        self.audit = audit, audit[:2].reshape(-1), audit[2:4], audit[4:6], audit[6], audit[7]
-        self.scratch = *scratch, scratch[2].view(float), scratch[2].real
-        self.parts = diagonals.imag, diagonals.real
-        if per_block:
-            # V's columns are products' rows, and their conjugates spare's
-            self.conjugates = scratch[:2], (scratch[2], spare[3])
-            self.entry_arrays = products, spare
-            # cis(theta), cis(phi) and cis(alpha) fill blocks' first three
-            # rows, free until the rotation writes them
-            self.cis = blocks[:3]
-            cis_theta, cis_phi, cis_alpha = self.rows[:3]
-            self.factors = (cis_phi, cis_theta.real), (cis_alpha, cis_theta.imag)
-            self.reflect = products[2::-2], products[1::2]
+        self.new_diagonals = blocks[2:0:-1]  # b00, b11
+        self.entries = entries = spare[:3] if entries is None else entries
+        self.columns = entries[1:], entries[:2]  # R's columns (c, -s) and (s, c)
+        self.factors = entries[2], entries[1], entries[0]  # -s, c, s
+        self.halves = blocks[:2], blocks[2:], products[:2], products[2:]
+        # the checks: products is the audit, and spare's rows are scratch
+        self.audit = products, products[:2], products[2], products[3]
+        self.scratch = spare[0], spare[1], spare[2]
+        self.diagonals = blocks[1:3]  # b11, b00
 
-    def _entries(self, angles: np.ndarray) -> None:
-        """Write V's columns over products and their conjugates over spare,
-        from the chunk's (3, m) theta, phi and alpha, with the operations
-        that _conjugate applies to one column of angles."""
-        _cis(angles, self.cis, slice(1, None))  # phi and alpha are phases
-        (a, minus_conj_b), (b, _) = self.products
-        for out, (cis, factor) in zip((a, b), self.factors):  # by cos and sin theta
-            np.multiply(cis, factor, out=out)
-        reflected, second = self.reflect
-        np.conjugate(reflected, out=second)  # conj b, conj a
-        np.negative(minus_conj_b, out=minus_conj_b)
-        products, spare = self.entry_arrays
-        np.conjugate(products, out=spare)
+    def _rotate(self, diagonals: np.ndarray) -> None:
+        """Write R B R^T over blocks, from the chunk's (2, m) ground and
+        excited.
 
-    def _rotate(self, columns, conjugates, diagonals: np.ndarray) -> None:
-        """Write V B V^dagger over blocks, from the chunk's (2, m) ground and
-        excited and V's columns and conjugates: this kernel's own rows, or
-        complex numbers for every block.
-
-        Column c is (V[:, 0] ground) conj(V[c, 0]) + (V[:, 1] excited)
-        conj(V[c, 1]), elementwise.
+        Column c is (R[:, 0] ground) R[c, 0] + (R[:, 1] excited) R[c, 1],
+        elementwise, with each column's two products a pair of rows.
         """
-        first, second, ground_products, excited_products, spare = self.pairs
-        np.copyto(first, diagonals)  # as complex: the products then need no buffered cast
-        for column, diagonal, products in zip(columns, self.rows, self.products):
-            np.multiply(column[0], diagonal, out=products[0])
-            np.multiply(column[1], diagonal, out=products[1])
-        np.multiply(ground_products, conjugates[0][1], out=first)
-        np.multiply(ground_products, conjugates[0][0], out=second)
-        np.multiply(excited_products, conjugates[1][1], out=spare)
-        np.multiply(excited_products, conjugates[1][0], out=ground_products)
-        np.add(first, spare, out=first)
+        ground, excited = diagonals
+        first, second, ground_products, excited_products = self.halves
+        ground_column, excited_column = self.columns
+        minus_sin, cos, sin = self.factors
+        np.multiply(ground_column, ground, out=ground_products)  # c ground, -s ground
+        np.multiply(excited_column, excited, out=excited_products)  # s excited, c excited
+        np.multiply(ground_products, minus_sin, out=first)
+        np.multiply(ground_products, cos, out=second)
+        np.multiply(excited_products, sin, out=ground_products)
+        np.multiply(excited_products, cos, out=excited_products)
+        np.add(first, excited_products, out=first)
         np.add(second, ground_products, out=second)
 
     def _check(self) -> None:
@@ -327,31 +282,24 @@ class _Kernel:
         density block; overwrites products and spare.
 
         In order: finite entries (a non-finite entry makes the block's
-        determinant non-finite, and otherwise only an overflow does), real
-        diagonals, Hermitian, positive semidefinite.  Each quantity fills a
-        row of the audit, products read as (8, m) floats, that must be at most
-        its tolerance: 0 times the determinant (NaN unless finite), |Im b11|,
-        |Im b00|, -Re b11, -Re b00, |b01 - conj b10| and -Re det.  One
-        reduction takes each row's maximum, and NaN fails every comparison.
+        determinant non-finite, and otherwise only an overflow does),
+        symmetric, positive semidefinite.  Each quantity fills a row of the
+        audit, products, that must be at most its tolerance: -b11, -b00,
+        |b01 - b10| and -det + 0 det, which is -det where det is finite and
+        NaN elsewhere.  One reduction takes each row's maximum, NaN where the
+        row holds one, and NaN fails every comparison.
         """
         b01, b11, b00, b10 = self.rows
-        audit, finite_rows, imag_rows, low_rows, skew_row, det_row = self.audit
-        products, others, dets, det_floats, det_real = self.scratch
-        imag_parts, real_parts = self.parts
-        np.multiply(b00, b11, out=products)
-        np.subtract(products, np.multiply(b01, b10, out=others), out=dets)
-        np.multiply(det_floats, 0.0, out=finite_rows)
-        np.abs(imag_parts, out=imag_rows)
-        np.negative(real_parts, out=low_rows)
-        np.abs(np.subtract(b01, np.conjugate(b10, out=products), out=others), out=skew_row)
-        np.negative(det_real, out=det_row)
-        finite, finite_imag, imag, imag_other, low, low_other, skew, det = (
-            audit.max(axis=1).tolist()
-        )
-        if not (finite <= _PSD_TOL and finite_imag <= _PSD_TOL):
+        audit, low_rows, skew_row, det_row = self.audit
+        cross, diagonal, zeros = self.scratch
+        np.multiply(b00, b11, out=diagonal)
+        np.subtract(np.multiply(b01, b10, out=cross), diagonal, out=det_row)
+        np.add(det_row, np.multiply(det_row, 0.0, out=zeros), out=det_row)
+        np.negative(self.diagonals, out=low_rows)
+        np.abs(np.subtract(b01, b10, out=skew_row), out=skew_row)
+        low, low_other, skew, det = audit.max(axis=1).tolist()
+        if math.isnan(det):
             raise ValueError("block entries and their determinants must be finite")
-        if not (imag <= _PSD_TOL and imag_other <= _PSD_TOL):
-            raise ValueError("block diagonals must be real")
         if not skew <= _HERMITIAN_TOL:
             raise ValueError("blocks must be Hermitian")
         if not (low <= _PSD_TOL and low_other <= _PSD_TOL and det <= _PSD_TOL):
@@ -392,35 +340,28 @@ def _conjugate(spec: BlockUnitarySpec, diagonals: np.ndarray, zero_from: int) ->
     diagonals over _product's (2, d) diagonals; return the last chunk's
     blocks, as _Kernel lays them out.
 
-    When every angle row holds one bit pattern (so 0.0 and -0.0 stay apart),
-    as in full_swap, one column of angles takes a single cos and sin, and the
-    rotation's entries, their signs and conjugates (exact), are complex
-    numbers for every chunk; every block from zero_from on then holds the
-    same signed zeros, so only the first of them is rotated and checked and
-    its diagonals are copied over the others'.  Otherwise the kernel builds
-    the entries of each chunk from its own cos and sin.  The three work
-    arrays are allocated once, and a kernel, with its views, once for each
-    chunk size (two at most).
+    When every angle holds one bit pattern (so 0.0 and -0.0 stay apart), as
+    in full_swap, the first angle's sin and cos are taken once, by the
+    ufuncs that take every block's, and broadcast to every chunk; every
+    block from zero_from on then holds the same signed zeros, so only the
+    first of them is rotated and checked and its diagonals are copied over
+    the others'.  Otherwise the kernel builds the entries of each chunk.
+    The three work arrays are allocated once, and a kernel, with its views,
+    once for each chunk size (two at most).
     """
-    angles, per_block = spec._angles, not spec._constant
-    rotated = spec.d if per_block else min(spec.d, zero_from + 1)
+    thetas = spec.thetas
+    entries = _entries(thetas[:1], np.empty((3, 1))) if spec._constant else None
+    rotated = spec.d if entries is None else min(spec.d, zero_from + 1)
     chunks = _rotation_chunks(rotated)
     width = chunks[0].stop
-    work = [np.empty(4 * width, dtype=complex) for _ in range(3)]
-    kernel = _Kernel(work, width, per_block)
-    if not per_block:
-        first = np.empty(3, dtype=complex)
-        _cis(angles[:, 0], first, slice(1, None))
-        a, b = np.multiply(first[1:], first[:1].view(float)).tolist()  # by cos, sin theta
-        conj_a, conj_b = a.conjugate(), b.conjugate()
-        columns, conjugates = ((a, -conj_b), (b, conj_a)), ((conj_a, -b), (conj_b, a))
+    work = [np.empty(4 * width) for _ in range(3)]
+    kernel = _Kernel(work, width, entries)
     for chunk in chunks:
         if chunk.stop - chunk.start < width:
-            kernel = _Kernel(work, chunk.stop - chunk.start, per_block)
-        if per_block:
-            kernel._entries(angles[:, chunk])
-            columns, conjugates = kernel.products, kernel.conjugates
-        kernel._rotate(columns, conjugates, diagonals[:, chunk])
+            kernel = _Kernel(work, chunk.stop - chunk.start, entries)
+        if entries is None:
+            _entries(thetas[chunk], kernel.entries)
+        kernel._rotate(diagonals[:, chunk])
         kernel._check()
         diagonals[:, chunk] = kernel.new_diagonals
     if rotated < spec.d:  # the one zero-weight block rotated stands for the rest
@@ -437,26 +378,28 @@ def simulate_finite_bath_map(
     Only the product state's corners and its (2, d) block diagonals are held
     (see _product); built from inputs that passed the input rules, they are
     not checked.  One pass over chunks of 1 024 blocks rotates each chunk
-    into V B V^dagger (_Kernel), checks the rotated blocks and writes their
-    new diagonals over the old; the corners have no partner and stay.  The
-    rotation's entries are built once per call, from one cos and one sin per
-    row, when every angle row is constant, as in full_swap, and per chunk
-    otherwise (see _conjugate).  The floats are those of rotating every block
-    with its own cos and sin, bit for bit.  The reduced
-    populations add each corner to its diagonal's sum, both sums from one
-    reduction over the (2, d) array, which matches each row's own pairwise
-    sum bit for bit, and the rotated state's trace must be 1 within 2e-12;
-    every sum is within 36 eps of exact (see _ladder_weights).  No (d, 2, 2)
-    array is made: three work arrays of at most 64 KB are allocated once per
-    call.  At d = 10 000 the diagonals (156 KB of 1 024 bytes), the work
-    arrays (192 KB) and the kernel's views peak at about 357 KB (tracemalloc)
-    for the full swap; angles that vary add the 33 KB buffer that numpy
-    allocates for each product of a pair of rows by one row, 389 KB in all.
-    The call takes no page faults once the heap has grown to it.
+    into R B R^T (_Kernel), checks the rotated blocks and writes their new
+    diagonals over the old; the corners have no partner and stay.  The
+    rotation's entries are built once per call, from one sin and one cos,
+    when every angle is the same, as in full_swap, and per chunk otherwise
+    (see _conjugate).  The floats are those of rotating every block with its
+    own sin and cos, bit for bit.  The reduced populations add each corner
+    to its diagonal's sum, both sums from one reduction over the (2, d)
+    array, which matches each row's own pairwise sum bit for bit, and the
+    rotated state's trace must be 1 within 2e-12; every sum is within 36 eps
+    of exact (see _ladder_weights).  No (d, 2, 2) array is made: three float
+    work arrays of at most 32 KB are allocated once per call.  At d = 10 000
+    the diagonals (156 KB of 1 024 bytes), the work arrays (96 KB) and the
+    kernel's views peak at about 259 KB (tracemalloc) for the full swap;
+    angles that vary add the 16 KB buffer that numpy allocates for each
+    product of a pair of rows by one row, 275 KB in all.  The call takes no
+    page faults once the heap has grown to it.
 
-    The 2x2 conjugations are carried out with their complex phases in place;
-    that the reduced populations do not depend on the phases is a property to
-    be checked against this function, not an assumption baked into it.
+    The rotation is real: a block's phases, which an energy-preserving
+    unitary may also carry, move only its off-diagonal entries (see the
+    module docstring).  That lemma is checked against this function, not
+    assumed: the dense test conjugates by unitaries with random phases and
+    compares the populations.
     """
     beta_omega, d = _check_bath(beta_omega, d)
     _check_spec(spec, d)

@@ -65,8 +65,8 @@ _AXIS_COLUMNS = {"ratio": "ratio", "bh": "beta_h_omega", "bc": "beta_c_omega"}
 MAX_RATIO_STEPS = 1_000_000
 # Each model adds about 50 MB of peak RSS per 1 000 000 swept values (2-core VM):
 # a four-model sweep at MAX_RATIO_STEPS peaks at about 290 MB, a four-model
-# tradeoff at about 360 MB, and figures, whose presets share five distinct
-# models, at about 375 MB.
+# tradeoff at about 320 MB, and figures, whose presets share five distinct
+# models, at about 335 MB.
 MAX_SWEEP_CELLS = 4 * MAX_RATIO_STEPS
 MAX_VERIFY_GRID = 2_000  # bath_oracle.MAX_GRID, which cli does not import
 # Swept values are held as arrays for the whole sweep; their CSV text is
@@ -344,10 +344,11 @@ def _write_sweep(
         with np.errstate(all="ignore"):
             values.append(1.0 - beta_h / beta_c)
         empty.append(~(beta_c > 0.0))
-    table, blank = np.column_stack(values), np.column_stack(empty)
     if drop_inoperative_rows and not cfg.raw:
+        # each column's rows are dropped before stacking, so no table holds them
         keep = np.any([operational for _, _, operational, _ in cells], axis=0)
-        table, blank = table[keep], blank[keep]
+        values, empty = [column[keep] for column in values], [column[keep] for column in empty]
+    table, blank = np.column_stack(values), np.column_stack(empty)
     _emit_csv(out, _meta_line(args, cfg), _sweep_header(cfg), table, blank)
 
 

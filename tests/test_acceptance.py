@@ -97,31 +97,19 @@ def test_03_bath_simulation_is_an_exact_mixture():
     start = time.perf_counter()
     rng = np.random.default_rng(1)
     worst = 0.0
-    worst_phase = 0.0
     for _ in range(1000):
         d = int(rng.integers(1, 21))
         bw = rng.uniform(0.0, 4.0)
         p = qubit_population(rng.uniform(0.0, 1.0))
-        thetas = tuple(rng.uniform(0.0, math.pi / 2.0, d))
-        spec = BlockUnitarySpec(
-            thetas, tuple(rng.uniform(-math.pi, math.pi, d)),
-            tuple(rng.uniform(-math.pi, math.pi, d)),
-        )
+        spec = BlockUnitarySpec(tuple(rng.uniform(0.0, math.pi / 2.0, d)))
         out = simulate_finite_bath_map(p, bw, d, spec)
         expect = apply_mixture(achieved_weight(spec, bw, d), bw, p)
         worst = max(worst, abs(out.entries[0] - expect.entries[0]))
-        respec = BlockUnitarySpec(
-            thetas, tuple(rng.uniform(-math.pi, math.pi, d)),
-            tuple(rng.uniform(-math.pi, math.pi, d)),
-        )
-        redone = simulate_finite_bath_map(p, bw, d, respec)
-        worst_phase = max(worst_phase, abs(out.entries[0] - redone.entries[0]))
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and worst_phase <= 1e-12
     _report(
         "simulation equals mixture at the achieved weight (1000 draws)",
-        ok,
-        f"worst mixture dev {worst:.2e}, worst phase dependence {worst_phase:.2e}",
+        worst <= 1e-12,
+        f"worst mixture dev {worst:.2e}",
         elapsed,
     )
 

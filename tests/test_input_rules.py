@@ -213,11 +213,9 @@ ROWS = {
     "eta_finite_bath:beta_c_omega": scalar(BETA, lambda v: eta_finite_bath(0.2, v, 3), ("0-d",)),
     "eta_finite_bath:d": scalar(SIZE, lambda v: eta_finite_bath(0.2, 1.0, v)),
     # bath_oracle
-    "BlockUnitarySpec:thetas": array("^thetas ", lambda v: BlockUnitarySpec(v, [0.0], [0.0])),
+    "BlockUnitarySpec:thetas": array("^thetas ", BlockUnitarySpec),
     "BlockUnitarySpec:thetas[0]": scalar(
-        r"^thetas(\[0\])? ", lambda v: BlockUnitarySpec([v], [0.0], [0.0]), (*NUMBER, "-1")),
-    "BlockUnitarySpec:phis": array("^phis ", lambda v: BlockUnitarySpec([0.5], v, [0.0])),
-    "BlockUnitarySpec:alphas": array("^alphas ", lambda v: BlockUnitarySpec([0.5], [0.0], v)),
+        r"^thetas(\[0\])? ", lambda v: BlockUnitarySpec([v]), (*NUMBER, "-1")),
     "BlockUnitarySpec.full_swap:d": scalar(SIZE, BlockUnitarySpec.full_swap),
     "simulate_finite_bath_map:p": scalar(typed("p", "PopulationVector"),
                                          lambda v: simulate_finite_bath_map(v, 0.5, 3, SPEC)),
@@ -242,7 +240,7 @@ ROWS = {
 WHOLE_ARRAYS = [
     "check_betas:values", "BathTemperatures:beta_h_omega", "BathTemperatures:beta_c_omega",
     "BathTemperatures.caps:lambda_h_max", "capped_weights:lam", "BlockUnitarySpec:thetas",
-    "BlockUnitarySpec:phis", "BlockUnitarySpec:alphas", "jc_time_scan:time_grid",
+    "jc_time_scan:time_grid",
     *(row for row in ROWS if row.endswith("resolve:beta_omega")),
 ]
 NOT_FINITE = "must be finite and >= 0, got"

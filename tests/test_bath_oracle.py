@@ -56,16 +56,30 @@ def test_spec_holds_read_only_float_arrays():
     assert specs[1].thetas.tolist() == [0.1, 0.2] and specs[2].thetas.tolist() == [2.0, 3.0]
 
 
+def as_tuples(value):
+    """value with every list in it made a tuple."""
+    return tuple(map(as_tuples, value)) if isinstance(value, list) else value
+
+
+# A list or tuple is read as objects first and an array as it is (as_numbers),
+# so the angles' rules are checked in each form.
+FORMS = {"list": lambda value: value, "tuple": as_tuples, "array": np.array}
+
+
+@pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("bad", [0.5, [[0.5, 0.1]], [[0.5], [0.1]]])
-def test_spec_rejects_angles_that_are_not_1d(bad):
+def test_spec_rejects_angles_that_are_not_1d(bad, form):
     with pytest.raises(ValueError, match="^thetas must be 1-d"):
-        BlockUnitarySpec(bad)
+        BlockUnitarySpec(FORMS[form](bad))
 
 
+@pytest.mark.parametrize("index", range(3))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_spec_rejects_non_finite_angles(bad):
-    with pytest.raises(ValueError, match=rf"^thetas\[1\] must be finite, got {bad!r}$"):
-        BlockUnitarySpec([0.5, bad, 0.1])
+def test_spec_rejects_non_finite_angles(bad, index):
+    thetas = [0.5, 0.1, 0.1]  # the bad angle at the first, a varying or a repeated one
+    thetas[index] = bad
+    with pytest.raises(ValueError, match=rf"^thetas\[{index}\] must be finite, got {bad!r}$"):
+        BlockUnitarySpec(thetas)
 
 
 @pytest.mark.parametrize("d", [1, 7, 5_000])

@@ -179,6 +179,9 @@ ROWS = {
     "BathTemperatures.caps:lambda_h_max": array("^lambda_h_max ", lambda v: TEMPS.caps(v, [1.0])),
     "BathTemperatures.caps:lambda_h_max[0]": scalar(
         "^lambda_h_max ", lambda v: TEMPS.caps([v], [1.0]), NUMBER),
+    "BathTemperatures.caps:lambda_c_max": array("^lambda_c_max ", lambda v: TEMPS.caps([1.0], v)),
+    "BathTemperatures.caps:lambda_c_max[0]": scalar(
+        "^lambda_c_max ", lambda v: TEMPS.caps([1.0], [v]), NUMBER),
     # the start's other entry is 0.5, so its population error names no parameter
     "run_cycles:start[0][0]": scalar(r"^start must be a number, got |population", lambda v: (
         run_cycles([[v, 0.5]], [0.5], [0.5], [True], TEMPS, [1.0], [1.0])), ("0-d",)),
@@ -216,6 +219,9 @@ ROWS = {
     "BlockUnitarySpec:thetas": array("^thetas ", BlockUnitarySpec),
     "BlockUnitarySpec:thetas[0]": scalar(
         r"^thetas(\[0\])? ", lambda v: BlockUnitarySpec([v]), (*NUMBER, "-1")),
+    # a second entry makes a row of two angles, so a hostile one is named by its index
+    "BlockUnitarySpec:thetas[1]": scalar(
+        r"^thetas(\[1\])? ", lambda v: BlockUnitarySpec([0.5, v]), (*NUMBER, "-1")),
     "BlockUnitarySpec.full_swap:d": scalar(SIZE, BlockUnitarySpec.full_swap),
     "simulate_finite_bath_map:p": scalar(typed("p", "PopulationVector"),
                                          lambda v: simulate_finite_bath_map(v, 0.5, 3, SPEC)),
@@ -239,7 +245,8 @@ ROWS = {
 # Whole messages, among them each one an earlier test asserted.
 WHOLE_ARRAYS = [
     "check_betas:values", "BathTemperatures:beta_h_omega", "BathTemperatures:beta_c_omega",
-    "BathTemperatures.caps:lambda_h_max", "capped_weights:lam", "BlockUnitarySpec:thetas",
+    "BathTemperatures.caps:lambda_h_max", "BathTemperatures.caps:lambda_c_max",
+    "capped_weights:lam", "BlockUnitarySpec:thetas",
     "jc_time_scan:time_grid",
     *(row for row in ROWS if row.endswith("resolve:beta_omega")),
 ]

@@ -47,19 +47,8 @@ from .thermal_qubit import apply_mixture
 
 __version__ = "0.1.0"
 
-# module -> the names it exports here, all imported on the first access to one
-_DEFERRED = {
-    "bath_oracle": (
-        "BlockUnitarySpec",
-        "BruteForceResult",
-        "ResourceLimitError",
-        "brute_force_performance",
-        "jc_time_scan",
-        "scan_lambda_max",
-        "simulate_finite_bath_map",
-    ),
-    "majorization": ("thermomajorizes",),
-}
+# the modules whose names, listed in __all__, load on the first access to one
+_DEFERRED = ("bath_oracle", "majorization")
 
 __all__ = [
     "QUBIT",
@@ -102,17 +91,18 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """A deferred name: import both deferred modules and bind all their names here.
+    """A deferred name: import both deferred modules and bind here each of
+    their exports that __all__ lists.
 
     The hook then deletes itself: CPython does not specialize attribute reads
     on a module that defines __getattr__, so each threestroke.<name> would
     stay several times slower while it is there.
     """
-    if not any(name in names for names in _DEFERRED.values()):
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    for module, names in _DEFERRED.items():
+    for module in _DEFERRED:
         source = importlib.import_module(f"{__name__}.{module}")
-        globals().update((each, getattr(source, each)) for each in names)
+        globals().update((each, getattr(source, each)) for each in source.__all__ if each in __all__)
     del globals()["__getattr__"]
     return globals()[name]
 

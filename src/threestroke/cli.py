@@ -17,10 +17,11 @@ other commands never load them.
 Exit codes: 0 success, 2 invalid input, 3 I/O error, 4 verification failure.
 CSV output starts with one '#' metadata line (tool version, command line and
 the sweep geometry), uses 9 significant digits and LF line endings, and leaves
-fields empty where the engine is non-operational unless --raw is given.  The
-rows are written in pieces of _CSV_CHUNK_ROWS, each formatted by one
-str % tuple from row templates keyed by the row's blank cells, at any number
-of columns.
+fields empty where the engine is non-operational unless --raw is given.  A
+blank cell is a NaN in the table, the one mark it has from evaluation to
+text.  The rows are written in pieces of _CSV_CHUNK_ROWS, each formatted by
+one str % tuple from row templates keyed by the row's NaN cells, at any
+number of columns.
 
 A config file value must already have its flag's JSON type: a number for a
 number, an integer for a size or seed (3.0 is not one), a string for a model,
@@ -64,9 +65,9 @@ _AXIS_COLUMNS = {"ratio": "ratio", "bh": "beta_h_omega", "bc": "beta_c_omega"}
 
 MAX_RATIO_STEPS = 1_000_000
 # Each model adds about 50 MB of peak RSS per 1 000 000 swept values (2-core VM):
-# a four-model sweep at MAX_RATIO_STEPS peaks at about 290 MB, a four-model
-# tradeoff at about 320 MB, and figures, whose presets share five distinct
-# models, at about 335 MB.
+# a four-model sweep at MAX_RATIO_STEPS peaks at about 285 MB, a four-model
+# tradeoff at about 289 MB, and figures, whose presets share five distinct
+# models, at about 304 MB.
 MAX_SWEEP_CELLS = 4 * MAX_RATIO_STEPS
 MAX_VERIFY_GRID = 2_000  # bath_oracle.MAX_GRID, which cli does not import
 # Swept values are held as arrays for the whole sweep; their CSV text is
@@ -303,12 +304,15 @@ def _warn_clamped(
 def _table_columns(
     temperatures: BathTemperatures,
     models: list[tuple[str, RestrictionModel, RestrictionModel]],
-) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+    raw: bool,
+) -> dict[str, tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]]:
     """What a sweep table reads of each model, by label, each label evaluated once.
 
-    That is eta_max, beta_h * w_max, where the model operates (w_max > 0)
-    and its clamp masks.  The caps, p_opt and w_max go as soon as a model
-    is done, so the largest sweeps hold only what their tables show.
+    That is eta_max, beta_h * w_max and the clamp masks.  A NaN cell is
+    written blank; unless raw, both columns are NaN where the model does not
+    operate, not (w_max > 0), so a NaN w_max is hidden too.  The caps, p_opt
+    and w_max go as soon as a model is done, so the largest sweeps hold only
+    what their tables show.
     """
     columns = {}
     for label, hot, cold in models:
@@ -317,7 +321,10 @@ def _table_columns(
             # Python floats overflow to inf without a word; so does this product
             with np.errstate(all="ignore"):
                 bhw = temperatures.beta_h_omega * w_max
-            columns[label] = (eta_max, bhw, w_max > 0.0, clamps)
+            if not raw:
+                inoperative = ~(w_max > 0.0)
+                eta_max[inoperative] = bhw[inoperative] = np.nan
+            columns[label] = (eta_max, bhw, clamps)
     return columns
 
 
@@ -331,25 +338,19 @@ def _write_sweep(
     """
     cells = [columns[label] for label, _, _ in cfg.models]
     _warn_clamped(temperatures, [clamps for *_, clamps in cells])
-    no_blank = np.zeros(cfg.values.shape, dtype=bool)
     values = [cfg.values]
-    empty = [no_blank]
-    for eta_max, bhw, operational, _ in cells:
-        hidden = no_blank if cfg.raw else ~operational
+    for eta_max, bhw, _ in cells:
         values += [eta_max, bhw]
-        empty += [hidden | np.isnan(eta_max), hidden]
     if cfg.include_carnot:
         beta_h, beta_c = temperatures.beta_h_omega, temperatures.beta_c_omega
         # Python floats divide by zero to inf without a word; so does this
         with np.errstate(all="ignore"):
-            values.append(1.0 - beta_h / beta_c)
-        empty.append(~(beta_c > 0.0))
+            values.append(np.where(beta_c > 0.0, 1.0 - beta_h / beta_c, np.nan))
     if drop_inoperative_rows and not cfg.raw:
         # each column's rows are dropped before stacking, so no table holds them
-        keep = np.any([operational for _, _, operational, _ in cells], axis=0)
-        values, empty = [column[keep] for column in values], [column[keep] for column in empty]
-    table, blank = np.column_stack(values), np.column_stack(empty)
-    _emit_csv(out, _meta_line(args, cfg), _sweep_header(cfg), table, blank)
+        keep = functools.reduce(np.logical_or, (~np.isnan(bhw) for _, bhw, _ in cells))
+        values = [column[keep] for column in values]
+    _emit_csv(out, _meta_line(args, cfg), _sweep_header(cfg), np.column_stack(values))
 
 
 def _sweep_header(cfg: SweepConfig) -> list[str]:
@@ -374,11 +375,11 @@ def _meta_line(args, cfg: SweepConfig) -> str:
     return "# " + " | ".join([f"threestroke {__version__}", command, geometry])
 
 
-def _emit_csv(path, meta: str, header: list[str], table: np.ndarray, blank: np.ndarray) -> None:
-    """Write the table with 9 significant digits, leaving the blank cells empty.
+def _emit_csv(path, meta: str, header: list[str], table: np.ndarray) -> None:
+    """Write the table with 9 significant digits, leaving its NaN cells empty.
 
     The rows go out in pieces of _CSV_CHUNK_ROWS, each formatted by one
-    str % tuple.  Each row's blank mask, packed into bytes, keys its
+    str % tuple.  Each row's NaN mask, packed into bytes, keys its
     template: '%.9g' for a shown cell and nothing for a blank one, ending in
     a newline.  The templates of a piece's rows, joined in order, take its
     shown cells in row-major order.  '%.9g' % x and format(x, '.9g') give
@@ -392,15 +393,15 @@ def _emit_csv(path, meta: str, header: list[str], table: np.ndarray, blank: np.n
     with target as handle:
         handle.write(f"{meta}\n{','.join(header)}\n")
         for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            chunk = slice(start, start + _CSV_CHUNK_ROWS)
-            gaps = blank[chunk]
+            piece = table[start:start + _CSV_CHUNK_ROWS]
+            gaps = np.isnan(piece)
             packed = np.packbits(gaps, axis=1)
             keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
             for key in set(keys).difference(templates):
                 mask = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=len(header))
                 templates[key] = ",".join(["" if gap else "%.9g" for gap in mask.tolist()]) + "\n"
             rows = "".join(map(templates.__getitem__, keys))
-            handle.write(rows % tuple(table[chunk][~gaps].tolist()))
+            handle.write(rows % tuple(piece[~gaps].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +446,7 @@ def cmd_sweep(args) -> int:
     out = _as_path("--out", args.out)
     cfg = _sweep_config(args)
     temperatures = _sweep_temperatures(cfg)
-    columns = _table_columns(temperatures, cfg.models)
+    columns = _table_columns(temperatures, cfg.models, cfg.raw)
     _write_sweep(out, args, cfg, temperatures, columns, args.command == "tradeoff")
     return EXIT_OK
 
@@ -484,7 +485,8 @@ def cmd_figures(args) -> int:
         for names, (command, models, carnot) in _FIGURES.items()
     ]
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = _table_columns(temperatures, [entry for *_, preset in presets for entry in preset.models])
+    models = [entry for *_, preset in presets for entry in preset.models]
+    columns = _table_columns(temperatures, models, cfg.raw)
     for (name, *copies), command, preset in presets:
         target = out_dir / name
         _write_sweep(str(target), args, preset, temperatures, columns, command == "tradeoff")

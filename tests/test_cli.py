@@ -206,29 +206,35 @@ def test_csv_chunks_leave_the_bytes_alone(tmp_path, monkeypatch, capsys):
         assert out.encode().split(b"\n")[1:] == whole.split(b"\n")[1:]
 
 
-def reference_csv(meta, header, table, blank):
-    """The CSV text _emit_csv must write, assembled cell by cell."""
+def reference_csv(meta, header, table):
+    """The CSV text _emit_csv must write, assembled cell by cell: a NaN cell is blank."""
     rows = (
-        ",".join("" if gap else format(x, ".9g") for x, gap in zip(row, gaps))
-        for row, gaps in zip(table.tolist(), blank.tolist())
+        ",".join("" if math.isnan(x) else format(x, ".9g") for x in row)
+        for row in table.tolist()
     )
     return "".join(f"{line}\n" for line in [meta, ",".join(header), *rows])
 
 
-def emitted_csv(tmp_path, table, blank):
+def emitted_csv(tmp_path, table):
     """What _emit_csv writes for the table, to a file and to stdout alike, and its reference."""
     meta, header = "# meta", [f"c{i}" for i in range(table.shape[1])]
     target = tmp_path / "t.csv"
-    cli._emit_csv(str(target), meta, header, table, blank)
+    cli._emit_csv(str(target), meta, header, table)
     written = target.read_bytes()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit_csv("-", meta, header, table, blank)
+        cli._emit_csv("-", meta, header, table)
     assert out.getvalue().encode() == written
-    return written, reference_csv(meta, header, table, blank).encode()
+    return written, reference_csv(meta, header, table).encode()
 
 
-SPECIAL_CELLS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.0, 1.0, -1e300, 1 / 3]
+# the shown cells; a blank cell is a NaN
+SPECIAL_CELLS = [math.inf, -math.inf, -0.0, 5e-324, 0.0, 1.0, -1e300, 1 / 3]
+
+
+def blanked(table, blank):
+    """The table with NaN in its blank cells."""
+    return np.where(blank, math.nan, table)
 
 
 @pytest.mark.parametrize("width", [1, 2, 9, 63, 64, 65, 82, 130])
@@ -243,7 +249,7 @@ def test_csv_writer_matches_cell_by_cell_text(tmp_path, width):
         blank = rng.random((300, width)) < rng.random((300, 1))
         blank[:3] = np.arange(width) >= [[0], [width], [1]]  # all, none, all but x
     table = rng.choice(SPECIAL_CELLS, size=blank.shape) * rng.choice([1.0, 7.25e-9], blank.shape)
-    written, want = emitted_csv(tmp_path, table, blank)
+    written, want = emitted_csv(tmp_path, blanked(table, blank))
     assert written == want
 
 
@@ -254,7 +260,7 @@ def test_csv_writer_at_piece_boundaries(tmp_path, pieces, offset):
     rng = np.random.default_rng(rows)
     blank = rng.random((rows, 5)) < 0.4
     table = rng.choice(SPECIAL_CELLS, size=(rows, 5))
-    written, want = emitted_csv(tmp_path, table, blank)
+    written, want = emitted_csv(tmp_path, blanked(table, blank))
     assert written == want
     assert written.count(b"\n") == 2 + rows
 
@@ -266,14 +272,13 @@ def test_csv_writer_holds_one_small_piece(tmp_path):
     writer that formats row by row, 4 096 rows at a time, at 2.6 MB.
     """
     rng = np.random.default_rng(7)
-    table = rng.random((20_000, 9))
-    blank = rng.random((20_000, 9)) < 0.3
+    table = blanked(rng.random((20_000, 9)), rng.random((20_000, 9)) < 0.3)
     header = [f"c{i}" for i in range(9)]
     target = str(tmp_path / "t.csv")
-    cli._emit_csv(target, "# meta", header, table[:2], blank[:2])  # untraced first call
+    cli._emit_csv(target, "# meta", header, table[:2])  # untraced first call
     tracemalloc.start()
     try:
-        cli._emit_csv(target, "# meta", header, table, blank)
+        cli._emit_csv(target, "# meta", header, table)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -919,6 +924,12 @@ def test_perf_matches_the_scalar_reference(bh, bc, hot, cold):
 # a cold jc warning at ratio 0.3, and beta_c overflows at the last ratio
 @example(command="sweep", axis="ratio", bh="1.2", bc="1", models=["jc"],
          hot_cold=None, lo=0.3, width=1.6e308, steps=3, raw=False, carnot=False)
+# the same overflow with every cell shown and the Carnot column
+@example(command="sweep", axis="ratio", bh="1.2", bc="1", models=["unrestricted", "jc"],
+         hot_cold=None, lo=0.3, width=1.6e308, steps=3, raw=True, carnot=True)
+# at bh 0 the engine operates with beta_h * w_max = 0: a shown zero keeps its row
+@example(command="tradeoff", axis="bc", bh="0", bc="1", models=["unrestricted", "lam:0"],
+         hot_cold=None, lo=0.05, width=2.0, steps=5, raw=False, carnot=True)
 @settings(max_examples=150, deadline=None)
 def test_sweep_and_tradeoff_match_the_point_by_point_reference(
     command, axis, bh, bc, models, hot_cold, lo, width, steps, raw, carnot

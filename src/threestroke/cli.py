@@ -64,10 +64,10 @@ EXIT_VERIFY = 4
 _AXIS_COLUMNS = {"ratio": "ratio", "bh": "beta_h_omega", "bc": "beta_c_omega"}
 
 MAX_RATIO_STEPS = 1_000_000
-# Each model adds about 50 MB of peak RSS per 1 000 000 swept values (2-core VM):
-# a four-model sweep at MAX_RATIO_STEPS peaks at about 285 MB, a four-model
-# tradeoff at about 289 MB, and figures, whose presets share five distinct
-# models, at about 304 MB.
+# Peak RSS at MAX_RATIO_STEPS (2-core VM): a one-model sweep about 145 MB, a
+# four-model sweep and a four-model tradeoff about 228 MB each, and figures,
+# whose presets share five distinct models, about 245 MB.  The writer stacks
+# one block of rows at a time from the columns, so no whole table adds to it.
 MAX_SWEEP_CELLS = 4 * MAX_RATIO_STEPS
 MAX_VERIFY_GRID = 2_000  # bath_oracle.MAX_GRID, which cli does not import
 # Swept values are held as arrays for the whole sweep; their CSV text is
@@ -77,6 +77,12 @@ MAX_VERIFY_GRID = 2_000  # bath_oracle.MAX_GRID, which cli does not import
 # workload (2-core VM) peak RSS read 45.1 MB at 128 rows, 45.8-46.6 MB at 512
 # and 47.9-48.2 MB at 4 096, against 44.7-45.0 MB for a row-by-row writer.
 _CSV_CHUNK_ROWS = 128
+# The pieces are sliced from blocks of _CSV_STACK_PIECES pieces, each stacked
+# from the columns at once: stacking every piece on its own cost 3-5 % of the
+# writer's time (7 columns, 2-core VM), and blocks of 8 take no longer than
+# stacking one whole table, which a 1 000 000-step sweep would hold beside
+# its columns.
+_CSV_STACK_PIECES = 8
 
 
 def _as_float(name: str, value) -> float:
@@ -347,10 +353,10 @@ def _write_sweep(
         with np.errstate(all="ignore"):
             values.append(np.where(beta_c > 0.0, 1.0 - beta_h / beta_c, np.nan))
     if drop_inoperative_rows and not cfg.raw:
-        # each column's rows are dropped before stacking, so no table holds them
+        # each column drops its rows on its own; the writer stacks one block at a time
         keep = functools.reduce(np.logical_or, (~np.isnan(bhw) for _, bhw, _ in cells))
         values = [column[keep] for column in values]
-    _emit_csv(out, _meta_line(args, cfg), _sweep_header(cfg), np.column_stack(values))
+    _emit_csv(out, _meta_line(args, cfg), _sweep_header(cfg), values)
 
 
 def _sweep_header(cfg: SweepConfig) -> list[str]:
@@ -375,33 +381,40 @@ def _meta_line(args, cfg: SweepConfig) -> str:
     return "# " + " | ".join([f"threestroke {__version__}", command, geometry])
 
 
-def _emit_csv(path, meta: str, header: list[str], table: np.ndarray) -> None:
-    """Write the table with 9 significant digits, leaving its NaN cells empty.
+def _emit_csv(path, meta: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write the table of the columns with 9 significant digits, leaving its NaN cells empty.
 
-    The rows go out in pieces of _CSV_CHUNK_ROWS, each formatted by one
-    str % tuple.  Each row's NaN mask, packed into bytes, keys its
-    template: '%.9g' for a shown cell and nothing for a blank one, ending in
-    a newline.  The templates of a piece's rows, joined in order, take its
-    shown cells in row-major order.  '%.9g' % x and format(x, '.9g') give
-    the same text for every float, so each cell reads as format(x, '.9g').
+    The rows are stacked from the columns' slices _CSV_STACK_PIECES pieces
+    at a time, so no whole table is ever built, and go out in pieces of
+    _CSV_CHUNK_ROWS, each formatted by one str % tuple.  Each row's NaN
+    mask, packed into bytes, keys its template: '%.9g' for a shown cell and
+    nothing for a blank one, ending in a newline.  The templates of a
+    piece's rows, joined in order, take its shown cells in row-major order.
+    '%.9g' % x and format(x, '.9g') give the same text for every float, so
+    each cell reads as format(x, '.9g').
     """
     templates: dict[bytes, str] = {}
+    stride = _CSV_STACK_PIECES * _CSV_CHUNK_ROWS
     if path in (None, "-"):
         target = contextlib.nullcontext(sys.stdout)
     else:
         target = open(path, "w", newline="")
     with target as handle:
         handle.write(f"{meta}\n{','.join(header)}\n")
-        for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            piece = table[start:start + _CSV_CHUNK_ROWS]
-            gaps = np.isnan(piece)
-            packed = np.packbits(gaps, axis=1)
-            keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
-            for key in set(keys).difference(templates):
-                mask = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=len(header))
-                templates[key] = ",".join(["" if gap else "%.9g" for gap in mask.tolist()]) + "\n"
-            rows = "".join(map(templates.__getitem__, keys))
-            handle.write(rows % tuple(piece[~gaps].tolist()))
+        for top in range(0, len(columns[0]), stride):
+            block = np.column_stack([column[top:top + stride] for column in columns])
+            for start in range(0, len(block), _CSV_CHUNK_ROWS):
+                piece = block[start:start + _CSV_CHUNK_ROWS]
+                gaps = np.isnan(piece)
+                packed = np.packbits(gaps, axis=1)
+                keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
+                for key in set(keys).difference(templates):
+                    mask = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=len(header))
+                    templates[key] = (
+                        ",".join(["" if gap else "%.9g" for gap in mask.tolist()]) + "\n"
+                    )
+                rows = "".join(map(templates.__getitem__, keys))
+                handle.write(rows % tuple(piece[~gaps].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,11 @@ class EngineParams:
     lambda_c_max: float = 1.0
 
     def __post_init__(self) -> None:
+        bh, bc, lh, lc = self.beta_h_omega, self.beta_c_omega, self.lambda_h_max, self.lambda_c_max
+        if (bh.__class__ is bc.__class__ is lh.__class__ is lc.__class__ is float
+                and 0.0 <= bh < math.inf and 0.0 <= bc < math.inf
+                and 0.0 <= lh <= 1.0 and 0.0 <= lc <= 1.0):
+            return
         for name in ("beta_h_omega", "beta_c_omega"):
             object.__setattr__(self, name, check_beta(getattr(self, name), name))
         for name in ("lambda_h_max", "lambda_c_max"):
@@ -220,14 +225,7 @@ def run_cycle(
     work, q_hot, q_cold_raw, residual, closes = _cycle_pass(
         g, x, lh, lc, params.exp_h, params.exp_c, s, population
     )
-    return CycleReport(
-        work=work,
-        q_hot=q_hot,
-        closes=closes,
-        populations=tuple(states),
-        q_cold_raw=q_cold_raw,
-        residual=residual,
-    )
+    return CycleReport(work, q_hot, closes, tuple(states), q_cold_raw, residual)
 
 
 def _then(first, second):
@@ -557,7 +555,7 @@ def check_laws(report: CycleReport, params: EngineParams) -> LawDiagnostics:
     skipped = (
         ("heat intake", "carnot bound") if report.work > _LAW_TOL and params.cold_hotter else ()
     )
-    return LawDiagnostics(ok=not failures, failures=tuple(failures), skipped=skipped)
+    return LawDiagnostics(not failures, tuple(failures), skipped)
 
 
 def check_laws_each(

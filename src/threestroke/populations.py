@@ -6,6 +6,13 @@ energies are measured in units of the working-qubit splitting, so the qubit
 spectrum is (0, 1) and all "beta" arguments are the dimensionless product of
 the inverse temperature with that splitting.  The types hold two levels
 only, so no function checks a dimension.
+
+The validators built once per object on the scalar path (PopulationVector,
+EngineParams, RestrictionModel) test the valid case first: one expression
+over exact float (or int) values, which returns at once.  Only where it
+fails do the checks run that diagnose the input, convert what may be
+converted and raise the message of the first fault.  The first test accepts
+nothing the checks would reject, renormalize or convert.
 """
 
 from __future__ import annotations
@@ -156,6 +163,12 @@ class PopulationVector:
 
     def __post_init__(self) -> None:
         entries = self.entries
+        if (entries.__class__ is tuple and len(entries) == 2
+                and entries[0].__class__ is entries[1].__class__ is float
+                and -_SUM_TOL <= entries[0] <= 1.0 + _SUM_TOL
+                and -_SUM_TOL <= entries[1] <= 1.0 + _SUM_TOL
+                and abs(entries[0] + entries[1] - 1.0) <= _SUM_TOL):
+            return
         if not (entries.__class__ is tuple and len(entries) == 2
                 and entries[0].__class__ is entries[1].__class__ is float):
             entries = as_entries(entries, "population entries")
@@ -251,6 +264,7 @@ def gibbs_vector(beta: float, spectrum: EnergySpectrum) -> PopulationVector:
     """
     beta = check_beta(beta, "inverse temperature")
     spectrum = check_instance(spectrum, "spectrum", EnergySpectrum)
-    weights = [math.exp(-beta * e) for e in spectrum.levels]
-    z = math.fsum(weights)
-    return PopulationVector(tuple(w / z for w in weights))
+    ground, excited = spectrum.levels
+    ground, excited = math.exp(-beta * ground), math.exp(-beta * excited)
+    z = math.fsum((ground, excited))
+    return PopulationVector((ground / z, excited / z))

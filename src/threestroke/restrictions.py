@@ -121,6 +121,12 @@ class RestrictionModel:
     lam: float | None = None
 
     def __post_init__(self) -> None:
+        kind, d, lam = self.kind, self.d, self.lam
+        if (d is None and lam is None and (kind == "unrestricted" or kind == "jaynes_cummings")
+                or kind == "finite_bath" and d.__class__ is int and 1 <= d <= 2**53 and lam is None
+                or kind == "explicit" and d is None and lam.__class__ is float
+                and 0.0 <= lam <= 1.0):
+            return
         if self.kind not in _KINDS:
             raise ValueError(f"unknown restriction kind {self.kind!r}")
         if self.kind == "finite_bath":

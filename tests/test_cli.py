@@ -206,26 +206,26 @@ def test_csv_chunks_leave_the_bytes_alone(tmp_path, monkeypatch, capsys):
         assert out.encode().split(b"\n")[1:] == whole.split(b"\n")[1:]
 
 
-def reference_csv(meta, header, table):
+def reference_csv(meta, header, columns):
     """The CSV text _emit_csv must write, assembled cell by cell: a NaN cell is blank."""
     rows = (
         ",".join("" if math.isnan(x) else format(x, ".9g") for x in row)
-        for row in table.tolist()
+        for row in zip(*(column.tolist() for column in columns))
     )
     return "".join(f"{line}\n" for line in [meta, ",".join(header), *rows])
 
 
-def emitted_csv(tmp_path, table):
-    """What _emit_csv writes for the table, to a file and to stdout alike, and its reference."""
-    meta, header = "# meta", [f"c{i}" for i in range(table.shape[1])]
+def emitted_csv(tmp_path, columns):
+    """What _emit_csv writes for the columns, to a file and to stdout alike, and its reference."""
+    meta, header = "# meta", [f"c{i}" for i in range(len(columns))]
     target = tmp_path / "t.csv"
-    cli._emit_csv(str(target), meta, header, table)
+    cli._emit_csv(str(target), meta, header, columns)
     written = target.read_bytes()
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit_csv("-", meta, header, table)
+        cli._emit_csv("-", meta, header, columns)
     assert out.getvalue().encode() == written
-    return written, reference_csv(meta, header, table).encode()
+    return written, reference_csv(meta, header, columns).encode()
 
 
 # the shown cells; a blank cell is a NaN
@@ -233,8 +233,8 @@ SPECIAL_CELLS = [math.inf, -math.inf, -0.0, 5e-324, 0.0, 1.0, -1e300, 1 / 3]
 
 
 def blanked(table, blank):
-    """The table with NaN in its blank cells."""
-    return np.where(blank, math.nan, table)
+    """The columns of the table, with NaN in its blank cells."""
+    return list(np.where(blank, math.nan, table).T)
 
 
 @pytest.mark.parametrize("width", [1, 2, 9, 63, 64, 65, 82, 130])
@@ -253,9 +253,14 @@ def test_csv_writer_matches_cell_by_cell_text(tmp_path, width):
     assert written == want
 
 
-@pytest.mark.parametrize("pieces, offset", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+_BLOCK = cli._CSV_STACK_PIECES
+
+
+@pytest.mark.parametrize("pieces, offset", [
+    (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1), (_BLOCK, -1), (_BLOCK, 0), (_BLOCK, 1),
+])
 def test_csv_writer_at_piece_boundaries(tmp_path, pieces, offset):
-    """0 rows, 1 row, and one row either side of a piece boundary."""
+    """0 rows, 1 row, and one row either side of a piece boundary and of a block's."""
     rows = pieces * cli._CSV_CHUNK_ROWS + offset
     rng = np.random.default_rng(rows)
     blank = rng.random((rows, 5)) < 0.4
@@ -266,19 +271,21 @@ def test_csv_writer_at_piece_boundaries(tmp_path, pieces, offset):
 
 
 def test_csv_writer_holds_one_small_piece(tmp_path):
-    """One _emit_csv of a 20 000 x 9 table peaks below 512 KB of Python memory.
+    """One _emit_csv of 9 columns of 20 000 rows peaks below 512 KB of Python memory.
 
-    Pieces of 128 rows peak at about 130 KB, of 4 096 rows at 1.6 MB, and a
-    writer that formats row by row, 4 096 rows at a time, at 2.6 MB.
+    Pieces of 128 rows, sliced from blocks of 8 pieces stacked from the
+    columns, peak at about 245 KB (130 KB sliced from one whole table), of
+    4 096 rows at 1.6 MB, and a writer that formats row by row, 4 096 rows
+    at a time, at 2.6 MB.
     """
     rng = np.random.default_rng(7)
-    table = blanked(rng.random((20_000, 9)), rng.random((20_000, 9)) < 0.3)
+    columns = blanked(rng.random((20_000, 9)), rng.random((20_000, 9)) < 0.3)
     header = [f"c{i}" for i in range(9)]
     target = str(tmp_path / "t.csv")
-    cli._emit_csv(target, "# meta", header, table[:2])  # untraced first call
+    cli._emit_csv(target, "# meta", header, [column[:2] for column in columns])  # untraced
     tracemalloc.start()
     try:
-        cli._emit_csv(target, "# meta", header, table)
+        cli._emit_csv(target, "# meta", header, columns)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -716,6 +723,28 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert excinfo.value.code == 0
     assert "threestroke" in capsys.readouterr().out
+
+
+def test_package_runs_as_the_command(tmp_path):
+    """python -m threestroke is python -m threestroke.cli."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [package_root, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+
+    def command(module, *argv):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
+        )
+
+    version = command("threestroke", "--version")
+    assert version.returncode == 0 and version.stdout.startswith("threestroke ")
+    argv = ["perf", "--bh", "0.2", "--bc", "0.6"]
+    short, long = command("threestroke", *argv), command("threestroke.cli", *argv)
+    assert short.returncode == long.returncode == 0
+    assert (short.stdout, short.stderr) == (long.stdout, long.stderr)
+    assert json.loads(short.stdout)["hot"] == "unrestricted"
 
 
 # in-process calls in a row, each as it must run in a fresh process: flags

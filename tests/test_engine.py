@@ -63,6 +63,29 @@ def test_params_validation():
         EngineParams(0.2, 0.0).carnot_efficiency()
 
 
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("args, kept", [
+    ((0.0, 1.0), True), ((-0.0, 0.0), True), ((2.0, 1.7976931348623157e308), True),
+    ((0.5, 1.0, 0.0, 0.0), True), ((0.5, 1.0, 1.0, 1.0), True), ((0.5, 1.0, 5e-324, 1.0), True),
+    ((-5e-324, 1.0), False), ((0.5, -5e-324), False), ((0.5, math.inf), False),
+    ((math.nan, 1.0), False), ((0.5, 1.0, _ABOVE_ONE, 1.0), False),
+    ((0.5, 1.0, 1.0, -5e-324), False), ((0.5, 1.0, 1.0, _ABOVE_ONE), False),
+])
+def test_params_valid_case_agrees_with_the_checks_at_the_bounds(args, kept):
+    """Python floats take the valid-case test, np.float64 the full checks: both give one
+    instance, or one error, at beta 0, caps 0 and 1 and one ulp past each bound."""
+    built = []
+    for convert in (float, np.float64):
+        try:
+            built.append(repr(EngineParams(*map(convert, args))))
+        except ValueError as exc:
+            built.append(f"ValueError: {exc}")
+    assert built[0] == built[1]
+    assert built[0].startswith("EngineParams(") == kept
+
+
 def test_zero_cycle_closes_trivially():
     report = run_cycle(qubit_population(0.25), 0.0, 0.0, WorkPermutation.identity(2), REF)
     assert report.closes

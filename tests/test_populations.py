@@ -58,6 +58,53 @@ def test_sum_drift_tiers():
         PopulationVector((0.5, 0.5), renormalized=True)
 
 
+def _sums_at(tol):
+    """Entries (0.5, x) whose sum lies within tol of 1 as far as a float can, above and
+    below, and those of the next sums past tol: 1 + k ulp above 1, 1 - k ulp below."""
+    up, down = math.ulp(1.0), math.ulp(1.0) / 2
+    edges = []
+    for k, within in ((math.floor(tol / up), True), (math.floor(tol / up) + 1, False)):
+        edges.append(((0.5, 0.5 + k * up), within))
+    for k, within in ((math.floor(tol / down), True), (math.floor(tol / down) + 1, False)):
+        edges.append(((0.5, 0.5 - k * down), within))
+    for (g, x), within in edges:
+        assert (abs(g + x - 1.0) <= tol) == within
+    return [entries for entries, _ in edges]
+
+
+_LOW, _HIGH = -1e-12, 1.0 + 1e-12
+_KEPT = [
+    (_LOW, _HIGH), (_HIGH, _LOW), (-0.0, 1.0), (1.0, -0.0), (5e-324, 1.0), (1.0, 5e-324),
+    (-5e-324, 1.0), *_sums_at(1e-12)[0::2],
+]
+_RENORMALIZED = [*_sums_at(1e-12)[1::2], *_sums_at(1e-9)[0::2]]
+_REJECTED = [
+    (math.nextafter(_LOW, -1.0), _HIGH), (_HIGH, math.nextafter(_LOW, -1.0)),
+    (_LOW, math.nextafter(_HIGH, 2.0)), (math.nextafter(_HIGH, 2.0), _LOW),
+    *_sums_at(1e-9)[1::2], (math.nan, 0.5), (math.inf, 0.5),
+]
+
+
+@pytest.mark.parametrize("entries, outcome", [
+    *((entries, "kept") for entries in _KEPT),
+    *((entries, "renormalized") for entries in _RENORMALIZED),
+    *((entries, "rejected") for entries in _REJECTED),
+])
+def test_valid_case_agrees_with_the_checks_at_the_bounds(entries, outcome):
+    """Python floats take the valid-case test, np.float64 entries the full checks: both
+    give one vector, or one error, at each bound of the entries and of the sum."""
+    built = []
+    for convert in (float, np.float64):
+        try:
+            p = PopulationVector(tuple(convert(x) for x in entries))
+        except ValueError as exc:
+            built.append(("rejected", str(exc)))
+        else:
+            built.append(("renormalized" if p.renormalized else "kept", repr(p)))
+    assert built[0] == built[1]
+    assert built[0][0] == outcome
+
+
 def test_qubit_population():
     p = qubit_population(0.3)
     assert p.entries == (0.3, 0.7)

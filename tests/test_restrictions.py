@@ -127,6 +127,27 @@ def test_bath_size_is_an_integer_up_to_2_53():
                 call()
 
 
+@pytest.mark.parametrize("kind, d, lam, kept", [
+    ("finite_bath", 1, None, True), ("finite_bath", 2**53, None, True),
+    ("finite_bath", 0, None, False), ("finite_bath", 2**53 + 1, None, False),
+    ("explicit", None, 0.0, True), ("explicit", None, 1.0, True),
+    ("explicit", None, -5e-324, False), ("explicit", None, math.nextafter(1.0, 2.0), False),
+])
+def test_model_valid_case_agrees_with_the_checks_at_the_bounds(kind, d, lam, kept):
+    """An int size and a float cap take the valid-case test, np.int64 and np.float64 the
+    full checks: both give one model, or one error, at each bound and one past it."""
+    built = []
+    for size, cap in ((int, float), (np.int64, np.float64)):
+        try:
+            model = RestrictionModel(kind, d=None if d is None else size(d),
+                                     lam=None if lam is None else cap(lam))
+            built.append(repr(model))
+        except ValueError as exc:
+            built.append(f"ValueError: {exc}")
+    assert built[0] == built[1]
+    assert built[0].startswith("RestrictionModel(") == kept
+
+
 def test_model_parse():
     assert RestrictionModel.parse("unrestricted") == RestrictionModel.unrestricted()
     assert RestrictionModel.parse("fb:5") == RestrictionModel.finite_bath(5)
